@@ -10,7 +10,9 @@ produce byte-identical CSVs.
 
 import argparse
 import configparser
+import csv
 import hashlib
+import io
 import os
 import sys
 import time
@@ -23,20 +25,11 @@ from . import filament as fl
 from . import membrane as mb
 from . import sphereprod as sp
 from . import validate as val
-from .errors import (
-    CollapseError,
-    DegenerateImmersionError,
-    EvolutionAbort,
-    FrameDegeneracyError,
-)
+from .errors import EvolutionAbort
+from .stepping import step_count
 
-NUMERICAL_ERRORS = (
-    EvolutionAbort,
-    DegenerateImmersionError,
-    FrameDegeneracyError,
-    CollapseError,
-    FloatingPointError,
-)
+# any ValueError, geometric ones included, is a configuration error (exit 2)
+NUMERICAL_ERRORS = (EvolutionAbort, FloatingPointError)
 
 
 class ConfigError(ValueError):
@@ -175,9 +168,11 @@ def atomic_write(path, text):
 
 
 def write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    atomic_write(path, "\n".join(lines) + "\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(x) for x in row] for row in rows)
+    atomic_write(path, buf.getvalue())
 
 
 def write_manifest(outdir, subcommand, params, wall_time):
@@ -220,58 +215,51 @@ def run_sphere(p, outdir):
     return 0
 
 
-def _write_curve_outputs(outdir, traj):
-    rows = []
-    diag = []
-    for t, curve in zip(traj.times, traj.curves):
-        for idx, (x, y, z) in enumerate(curve.points):
-            rows.append((t, idx, x, y, z))
-        diag.append((t, fl.curve_length(curve), fl.willmore_1d(curve)))
-    write_csv(os.path.join(outdir, "trajectory.csv"), ["t", "index", "x", "y", "z"], rows)
-    write_csv(os.path.join(outdir, "diagnostics.csv"), ["t", "length", "willmore"], diag)
+def _evolve(label, run):
+    """Call a solver once: (trajectory, 0), or (what it recorded, 3) on an abort."""
+    try:
+        return run(), 0
+    except EvolutionAbort as exc:
+        if exc.trajectory is None:
+            raise
+        sys.stderr.write(f"{label} run aborted: {exc}\n")
+        return exc.trajectory, 3
+
+
+def _run_1d(p, outdir, label, solve, table, columns, rows_of, diag_columns, diag_of):
+    """Run a 1D solver once, with ten snapshots unless `stride` is set, and
+    write what it recorded: one `table` row per sample from rows_of(state),
+    one diagnostics.csv row per snapshot from diag_of(state)."""
+    stride = p["stride"] or max(1, step_count(p["dt"], p["T"]) // 10)
+    traj, code = _evolve(label, lambda: solve(stride))
+    rows, diag = [], []
+    for t, state in zip(traj.times, traj.states):
+        rows.extend((t, idx, *values) for idx, values in enumerate(rows_of(state)))
+        diag.append((t, *diag_of(state)))
+    write_csv(os.path.join(outdir, table), ["t", "index", *columns], rows)
+    write_csv(os.path.join(outdir, "diagnostics.csv"), ["t", *diag_columns], diag)
+    return code
 
 
 def run_filament(p, outdir):
     curve = _curve_from_params(p)
-    nsteps = int(round(p["T"] / p["dt"]))
-    stride = p["stride"] or max(1, nsteps // 10)
-    try:
-        traj = fl.evolve_filament(
-            curve, p["dt"], p["T"], stride=stride,
-            reparam_every=p["reparam_every"], scheme=p["scheme"],
-        )
-    except EvolutionAbort as exc:
-        sys.stderr.write(f"filament run aborted: {exc}\n")
-        return 3
-    _write_curve_outputs(outdir, traj)
-    return 0
+    return _run_1d(
+        p, outdir, "filament",
+        lambda stride: fl.evolve_filament(curve, p["dt"], p["T"], stride=stride,
+                                          reparam_every=p["reparam_every"], scheme=p["scheme"]),
+        "trajectory.csv", ["x", "y", "z"], lambda c: c.points,
+        ["length", "willmore"], lambda c: (fl.curve_length(c), fl.willmore_1d(c)),
+    )
 
 
 def run_darios(p, outdir):
     fr = fl.frenet_data(fl.arclength_resample(_curve_from_params(p)))
-    nsteps = int(round(p["T"] / p["dt"]))
-    stride = p["stride"] or max(1, nsteps // 10)
-    kappa, tau = fr.kappa, fr.tau
-    rows, diag = [], []
-
-    def record(t, kappa, tau):
-        for idx in range(kappa.size):
-            rows.append((t, idx, fr.s[idx], kappa[idx], tau[idx]))
-        diag.append((t, float(np.sum(kappa ** 2) * fr.ds)))
-
-    record(0.0, kappa, tau)
-    code = 0
-    for chunk in range(nsteps // stride):
-        try:
-            kappa, tau = fl.darios_evolve(kappa, tau, fr.length, p["dt"], stride * p["dt"])
-        except EvolutionAbort as exc:
-            sys.stderr.write(f"curvature/torsion run aborted: {exc}\n")
-            code = 3
-            break
-        record((chunk + 1) * stride * p["dt"], kappa, tau)
-    write_csv(os.path.join(outdir, "fields.csv"), ["t", "index", "s", "kappa", "tau"], rows)
-    write_csv(os.path.join(outdir, "diagnostics.csv"), ["t", "willmore"], diag)
-    return code
+    return _run_1d(
+        p, outdir, "curvature/torsion",
+        lambda stride: fl.darios_evolve(fr.kappa, fr.tau, fr.length, p["dt"], p["T"], stride),
+        "fields.csv", ["s", "kappa", "tau"], lambda y: zip(fr.s, y[0], y[1]),
+        ["willmore"], lambda y: (float(np.sum(y[0] ** 2) * fr.ds),),
+    )
 
 
 def run_nls(p, outdir):
@@ -287,84 +275,37 @@ def run_nls(p, outdir):
             )
     else:
         raise ConfigError(f"unknown source {p['source']!r}")
-    nsteps = int(round(p["T"] / p["dt"]))
-    stride = p["stride"] or max(1, nsteps // 10)
-    rows, diag = [], []
-
-    def record(t, w):
-        for idx, z in enumerate(w.psi):
-            rows.append((t, idx, z.real, z.imag, abs(z)))
-        diag.append((t, w.mass()))
-
-    record(0.0, wave)
-    code = 0
-    for chunk in range(nsteps // stride):
-        try:
-            wave = fl.nls_evolve(wave, p["dt"], stride * p["dt"])
-        except EvolutionAbort as exc:
-            sys.stderr.write(f"wave run aborted: {exc}\n")
-            code = 3
-            break
-        record((chunk + 1) * stride * p["dt"], wave)
-    write_csv(os.path.join(outdir, "psi.csv"), ["t", "index", "re", "im", "abs"], rows)
-    write_csv(os.path.join(outdir, "diagnostics.csv"), ["t", "mass"], diag)
-    return code
+    return _run_1d(
+        p, outdir, "wave",
+        lambda stride: fl.nls_evolve(wave, p["dt"], p["T"], stride),
+        "psi.csv", ["re", "im", "abs"], lambda w: ((z.real, z.imag, abs(z)) for z in w.psi),
+        ["mass"], lambda w: (w.mass(),),
+    )
 
 
 def run_fluid(p, outdir):
-    fr = fl.frenet_data(fl.arclength_resample(_curve_from_params(p)))
-    state = fl.to_fluid(fr)
-    nsteps = int(round(p["T"] / p["dt"]))
-    stride = p["stride"] or max(1, nsteps // 10)
-    rows, diag = [], []
-
-    def record(t, st):
-        for idx in range(st.rho.size):
-            rows.append((t, idx, st.rho[idx], st.v[idx]))
-        diag.append((t, st.mass()))
-
-    record(0.0, state)
-    code = 0
-    for chunk in range(nsteps // stride):
-        try:
-            state = fl.fluid_evolve(state, p["dt"], stride * p["dt"])
-        except EvolutionAbort as exc:
-            sys.stderr.write(f"fluid run aborted: {exc}\n")
-            code = 3
-            break
-        record((chunk + 1) * stride * p["dt"], state)
-    write_csv(os.path.join(outdir, "fluid.csv"), ["t", "index", "rho", "v"], rows)
-    write_csv(os.path.join(outdir, "diagnostics.csv"), ["t", "mass"], diag)
-    return code
+    state = fl.to_fluid(fl.frenet_data(fl.arclength_resample(_curve_from_params(p))))
+    return _run_1d(
+        p, outdir, "fluid",
+        lambda stride: fl.fluid_evolve(state, p["dt"], p["T"], stride),
+        "fluid.csv", ["rho", "v"], lambda st: zip(st.rho, st.v),
+        ["mass"], lambda st: (st.mass(),),
+    )
 
 
 def run_membrane(p, outdir):
     if p.get("surface_file"):
         imm = dg.load_immersion(p["surface_file"])
-    elif p["surface"] == "torus_product":
-        imm = dg.torus_immersion(p["a"], p["b"], (p["n1"], p["n2"]))
-    elif p["surface"] == "perturbed_torus":
-        imm = dg.perturbed_torus_immersion(
-            p["a"], p["b"], p["eps"], p["k1"], p["k2"], (p["n1"], p["n2"])
-        )
     else:
-        raise ConfigError(f"unknown surface {p['surface']!r}")
-    code = 0
-    try:
-        traj = mb.evolve_membrane(imm, p["dt"], p["T"], stride=p["stride"], order=p["order"])
-    except EvolutionAbort as exc:
-        sys.stderr.write(f"membrane run aborted: {exc}\n")
-        if exc.state is None:
-            raise
-        traj = mb.MembraneTrajectory(np.array([0.0]), [exc.state], order=p["order"])
-        code = 3
+        imm = dg.build_immersion(p["surface"], (p["n1"], p["n2"]), a=p["a"], b=p["b"],
+                                 eps=p["eps"], k1=p["k1"], k2=p["k2"])
+    traj, code = _evolve("membrane", lambda: mb.evolve_membrane(
+        imm, p["dt"], p["T"], stride=p["stride"], order=p["order"]))
+    traj = mb.MembraneTrajectory(traj.times, traj.states, order=p["order"])
     if p["snapshots"]:
-        for i, (t, snap) in enumerate(zip(traj.times, traj.snapshots)):
+        for i, snap in enumerate(traj.snapshots):
             dg.save_immersion(snap, os.path.join(outdir, f"snapshot_{i:04d}.txt"))
-    if len(traj.snapshots) >= 3:
-        cols = mb.diagnostics(traj)
-    else:
-        cols = {"t": traj.times, "willmore": [np.nan] * len(traj.snapshots)}
+    cols = mb.diagnostics(traj)
     names = list(cols)
     write_csv(os.path.join(outdir, "diagnostics.csv"), names, zip(*(cols[k] for k in names)))
     return code
@@ -378,12 +319,10 @@ def run_crosscheck(p, outdir, tol_scale=1.0):
         c0 = fl.arclength_resample(fl.build_curve("perturbed_circle", p["N"], R=p["R"], eps=p["eps"], k=p["k"]))
         fr0 = fl.frenet_data(c0)
         profiles, status = {}, {}
-        traj = fl.evolve_filament(c0, p["dt"], p["T"], reparam_every=10)
-        profiles["filament"] = fl.frenet_data(traj.final).kappa
+        profiles["filament"] = fl.frenet_data(fl.evolve_filament(c0, p["dt"], p["T"]).final).kappa
         status["filament"] = "ok"
         try:
-            kappa, tau = fl.darios_evolve(fr0.kappa, fr0.tau, fr0.length, p["dt"], p["T"])
-            profiles["darios"] = kappa
+            profiles["darios"] = fl.darios_evolve(fr0.kappa, fr0.tau, fr0.length, p["dt"], p["T"]).final[0]
             status["darios"] = "ok"
         except EvolutionAbort as exc:
             status["darios"] = f"singular ({type(exc).__name__})"
@@ -391,10 +330,10 @@ def run_crosscheck(p, outdir, tol_scale=1.0):
         if fl.holonomy_defect(holonomy) > 1e-8:
             status["nls"] = "skipped (holonomy obstruction)"
         else:
-            profiles["nls"] = np.abs(fl.nls_evolve(wave0, p["dt"], p["T"]).psi)
+            profiles["nls"] = np.abs(fl.nls_evolve(wave0, p["dt"], p["T"]).final.psi)
             status["nls"] = "ok"
         try:
-            profiles["fluid"] = np.sqrt(fl.fluid_evolve(fl.to_fluid(fr0), p["dt"], p["T"]).rho)
+            profiles["fluid"] = np.sqrt(fl.fluid_evolve(fl.to_fluid(fr0), p["dt"], p["T"]).final.rho)
             status["fluid"] = "ok"
         except (EvolutionAbort, ValueError) as exc:
             status["fluid"] = f"singular ({type(exc).__name__})"
@@ -411,8 +350,8 @@ def run_crosscheck(p, outdir, tol_scale=1.0):
                                  f"skipped: {status[u]}; {status[v]}"))
     elif p["mode"] == "sphere-membrane":
         imm = dg.torus_immersion(p["a"], p["b"], (p["n1"], p["n2"]))
-        traj = mb.evolve_membrane(imm, p["dt"], p["T"], stride=max(1, int(round(p["T"] / p["dt"]))), order=p["order"])
-        a_num, b_num = mb.extract_radii(traj.snapshots[-1])
+        traj = mb.evolve_membrane(imm, p["dt"], p["T"], stride=None, order=p["order"])
+        a_num, b_num = mb.extract_radii(traj.final)
         ex = sp.closed_form(sp.SphereProductState(1, 1, p["a"], p["b"]), p["T"])
         for name, got, want in [("a", a_num, ex.a), ("b", b_num, ex.b)]:
             gap = abs(got / want - 1.0)
@@ -495,11 +434,8 @@ def main(argv=None):
         else:
             code = RUNNERS[name](params, outdir)
         write_manifest(outdir, name, params, time.perf_counter() - started)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
     except ValueError as exc:
-        # domain errors from builders/preconditions are configuration mistakes
+        # ConfigError, and domain errors from builders, preconditions and input files
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     except NUMERICAL_ERRORS as exc:

@@ -36,6 +36,7 @@ G_MIN = 1e-10          # det(g) floor below which the immersion is degenerate
 H_MIN = 1e-8           # |H| floor for seeding the normal frame from H/|H|
 TOL_PERP_FACTOR = 1e-6  # normality tolerance, scaled by the local |d2F|
 MIN_GRID = 8
+SNAPSHOT_HEADER = ("dim", "shape", "param_periods", "ambient")
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +165,6 @@ def perturbed_torus_immersion(a, b, eps, k1, k2, shape):
 
 def build_immersion(kind, shape, **params):
     """Dispatch on a surface kind name; see the individual builders."""
-    if isinstance(shape, int):
-        shape = (shape,)
     if kind == "circle":
         if len(shape) != 1:
             raise ValueError("circle needs a 1D grid shape")
@@ -644,18 +643,19 @@ def save_immersion(imm, path):
 
 
 def load_immersion(path):
-    """Read a snapshot written by save_immersion."""
+    """Read a snapshot written by save_immersion; ValueError names a missing header key."""
     with open(path) as fh:
-        header = {}
-        data_start = 0
         lines = fh.read().splitlines()
+    header, data_start = {}, 0
     for k, line in enumerate(lines):
-        key, *rest = line.split()
-        if key in ("dim", "shape", "param_periods", "ambient"):
-            header[key] = rest
-            data_start = k + 1
-        else:
+        words = line.split()
+        if not words or words[0] not in SNAPSHOT_HEADER:
             break
+        header[words[0]] = words[1:]
+        data_start = k + 1
+    for key in SNAPSHOT_HEADER:
+        if not header.get(key):
+            raise ValueError(f"snapshot {path}: header line {key!r} missing or empty")
     dim = int(header["dim"][0])
     shape = tuple(int(x) for x in header["shape"])
     periods = tuple(float(x) for x in header["param_periods"])
@@ -665,42 +665,3 @@ def load_immersion(path):
     rows = np.array([[float(x) for x in line.split()] for line in lines[data_start:]])
     pts = rows.reshape(shape + (ambient,))
     return GridImmersion(pts, periods)
-
-
-def export_shape_field(sf, path):
-    """Write the geometry bundle as CSV, one named column per component."""
-    imm = sf.immersion
-    n, d = imm.dim, imm.ambient_dim
-    cols = []
-    names = []
-    for i in range(n):
-        for j in range(i, n):
-            names.append(f"g_{i+1}{j+1}")
-            cols.append(sf.metric[..., i, j])
-    names.append("det_g")
-    cols.append(sf.det_g)
-    for i in range(n):
-        for j in range(i, n):
-            for c in range(d):
-                names.append(f"A_{i+1}{j+1}_x{c+1}")
-                cols.append(sf.second_form[..., i, j, c])
-    for c in range(d):
-        names.append(f"H_x{c+1}")
-        cols.append(sf.mean_curvature[..., c])
-    for c in range(d):
-        names.append(f"nu1_x{c+1}")
-        cols.append(sf.nu1[..., c])
-    for c in range(d):
-        names.append(f"nu2_x{c+1}")
-        cols.append(sf.nu2[..., c])
-    if sf.tau is not None:
-        for i in range(n):
-            names.append(f"tau_{i+1}")
-            cols.append(sf.tau[..., i])
-    names.append("rho")
-    cols.append(sf.rho)
-    table = np.stack([c.reshape(-1) for c in cols], axis=-1)
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in table:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")

@@ -5,7 +5,7 @@ class DegenerateImmersionError(ValueError):
     """Raised when det(g) drops below the g_min guard at some grid point."""
 
     def __init__(self, grid_index, det_value):
-        self.grid_index = tuple(grid_index)
+        self.grid_index = tuple(int(i) for i in grid_index)
         self.det_value = float(det_value)
         super().__init__(
             f"degenerate immersion: det(g)={det_value:.3e} at grid index {self.grid_index}"
@@ -34,12 +34,12 @@ class CollapseError(ValueError):
 class EvolutionAbort(RuntimeError):
     """A time integration stopped before reaching its final time.
 
-    Carries the time reached and, where available, the last valid state.
+    Carries the time reached and, where available, the trajectory recorded before it.
     """
 
-    def __init__(self, message, t, state=None):
+    def __init__(self, message, t, trajectory=None):
         self.t = float(t)
-        self.state = state
+        self.trajectory = trajectory
         super().__init__(f"{message} (aborted at t={t:.6g})")
 
 

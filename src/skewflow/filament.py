@@ -20,13 +20,14 @@ drifts by truncation; an optional periodic cubic resampling every few steps
 corrects it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 from scipy.spatial.distance import cdist
 
+from . import diffgeo as dg
 from .errors import (
     BlowUpAbort,
     CurvatureDegeneracyAbort,
@@ -34,6 +35,7 @@ from .errors import (
     SelfIntersectionAbort,
     VacuumAbort,
 )
+from .stepping import integrate, rk4_step, step_count
 
 KAPPA_MIN = 1e-8       # torsion mask / Da Rios singularity guard
 RHO_MIN = 1e-10        # vacuum guard for the fluid form
@@ -118,20 +120,6 @@ def build_curve(kind, n, **params):
 # periodic differentiation (FD4 default, spectral selectable)
 # ---------------------------------------------------------------------------
 
-def _fd_derivative(f, h, nu):
-    if nu == 1:
-        return (
-            -np.roll(f, -2, 0) + 8.0 * np.roll(f, -1, 0)
-            - 8.0 * np.roll(f, 1, 0) + np.roll(f, 2, 0)
-        ) / (12.0 * h)
-    if nu == 2:
-        return (
-            -np.roll(f, -2, 0) + 16.0 * np.roll(f, -1, 0) - 30.0 * f
-            + 16.0 * np.roll(f, 1, 0) - np.roll(f, 2, 0)
-        ) / (12.0 * h * h)
-    raise ValueError("nu must be 1 or 2")
-
-
 def _spectral_derivative(f, period, nu):
     n = f.shape[0]
     k = 2.0 * np.pi * np.fft.rfftfreq(n, d=period / n)
@@ -146,11 +134,13 @@ def derivative(f, period, nu=1, scheme="fd4"):
     """nu-th derivative of a periodic sampled field (columns differentiated)."""
     if scheme == "fd4":
         h = period / f.shape[0]
-        if nu <= 2:
-            return _fd_derivative(f, h, nu)
+        if nu == 1:
+            return dg.diff(f, 0, h, 4)
+        if nu == 2:
+            return dg.diff2(f, 0, h, 4)
         if nu == 3:
-            return _fd_derivative(_fd_derivative(f, h, 2), h, 1)
-        raise ValueError("fd4 supports nu <= 3")
+            return dg.diff(dg.diff2(f, 0, h, 4), 0, h, 4)
+        raise ValueError("fd4 supports 1 <= nu <= 3")
     if scheme == "spectral":
         return _spectral_derivative(f, period, nu)
     raise ValueError(f"unknown scheme {scheme!r}")
@@ -218,16 +208,6 @@ def binormal_rhs(curve, scheme="fd4"):
     return np.cross(gp, gpp)
 
 
-@dataclass
-class FilamentTrajectory:
-    times: list = field(default_factory=list)
-    curves: list = field(default_factory=list)
-
-    @property
-    def final(self):
-        return self.curves[-1]
-
-
 def stability_limit(n, period, scheme="fd4"):
     """RK4 step bound for the binormal flow's k^2 dispersion at grid scale."""
     h = period / n
@@ -239,7 +219,7 @@ def stability_limit(n, period, scheme="fd4"):
 
 
 def evolve_filament(curve, dt, t_final, stride=None, reparam_every=10, scheme="fd4"):
-    """RK4 evolution under the binormal flow.
+    """RK4 evolution under the binormal flow; returns a stepping.Trajectory.
 
     The input is resampled to uniform arclength first; every reparam_every
     steps the parametrization is refreshed by periodic cubic resampling
@@ -249,51 +229,35 @@ def evolve_filament(curve, dt, t_final, stride=None, reparam_every=10, scheme="f
     bound is rejected up front.
     """
     c = arclength_resample(curve)
-    pts, period = c.points, c.period
-    n = c.n
-    d_min = D_MIN_FACTOR * period / n
+    d_min = D_MIN_FACTOR * c.period / c.n
+    nsteps = step_count(dt, t_final, stride)
 
-    nsteps = int(round(t_final / dt))
-    if abs(nsteps * dt - t_final) > 1e-12 * max(1.0, t_final):
-        raise ValueError("t_final must be an integer number of steps")
-    if stride is not None and nsteps % stride != 0:
-        raise ValueError("t_final/dt must be a multiple of the output stride")
+    def velocity(p, period):
+        return np.cross(derivative(p, period, 1, scheme), derivative(p, period, 2, scheme))
 
-    def rhs(p):
-        gp = derivative(p, period, 1, scheme)
-        gpp = derivative(p, period, 2, scheme)
-        return np.cross(gp, gpp)
-
-    def checks(p, t):
-        v = rhs(p)
-        if np.max(np.abs(v)) > BLOWUP_CAP:
+    def checks(c, t):
+        if np.max(np.abs(velocity(c.points, c.period))) > BLOWUP_CAP:
             raise BlowUpAbort("binormal velocity exceeded the blow-up cap", t)
-        if min_nonneighbor_distance(p) < d_min:
+        if min_nonneighbor_distance(c.points) < d_min:
             raise SelfIntersectionAbort("non-neighbor samples closer than d_min", t)
 
-    traj = FilamentTrajectory([0.0], [ClosedCurve(pts.copy(), period)])
-    checks(pts, 0.0)
-    dt_max = stability_limit(n, period, scheme)
-    if dt > dt_max:
-        raise ValueError(f"dt={dt:.3e} above the stability bound {dt_max:.3e} at N={n}")
-    for step in range(1, nsteps + 1):
-        k1 = rhs(pts)
-        k2 = rhs(pts + 0.5 * dt * k1)
-        k3 = rhs(pts + 0.5 * dt * k2)
-        k4 = rhs(pts + dt * k3)
-        pts = pts + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = step * dt
-        if reparam_every and step % reparam_every == 0:
-            rc = arclength_resample(ClosedCurve(pts, period))
-            pts, period = rc.points, rc.period
-            checks(pts, t)
+    def step(c, i):
+        pts = rk4_step(lambda p: velocity(p, c.period), c.points, dt)
         if not np.all(np.isfinite(pts)):
-            raise BlowUpAbort("non-finite coordinates", t)
-        if (stride and step % stride == 0) or step == nsteps:
-            traj.times.append(t)
-            traj.curves.append(ClosedCurve(pts.copy(), period))
-    checks(pts, t_final)
-    return traj
+            raise BlowUpAbort("non-finite coordinates", i * dt)
+        c = ClosedCurve(pts, c.period)
+        reparam = reparam_every and i % reparam_every == 0
+        if reparam:
+            c = arclength_resample(c)
+        if reparam or i == nsteps:
+            checks(c, i * dt)
+        return c
+
+    checks(c, 0.0)
+    dt_max = stability_limit(c.n, c.period, scheme)
+    if dt > dt_max:
+        raise ValueError(f"dt={dt:.3e} above the stability bound {dt_max:.3e} at N={c.n}")
+    return integrate(step, c, dt, t_final, stride)
 
 
 # ---------------------------------------------------------------------------
@@ -373,48 +337,41 @@ def holonomy_defect(angle):
 # focusing cubic Schrodinger equation, Strang split-step
 # ---------------------------------------------------------------------------
 
-def nls_evolve(wave, dt, t_final):
+def nls_evolve(wave, dt, t_final, stride=None):
     """i psi_t + psi'' + |psi|^2 psi / 2 = 0 by spectral Strang splitting.
 
     Half-step nonlinear phase, full linear step exp(-i dt k^2) in frequency
     space, half-step nonlinear.  Mass is conserved to roundoff.  The grid
-    size must be a power of two.
+    size must be a power of two.  Returns a stepping.Trajectory of WaveFields.
     """
     m = wave.m
     if m & (m - 1):
         raise ValueError(f"grid size must be a power of two, got {m}")
     k = 2.0 * np.pi * np.fft.fftfreq(m, d=wave.L / m)
-    ksq = k * k
+    linear = np.exp(-1j * dt * (k * k))
 
-    def step(psi, h):
-        psi = psi * np.exp(0.25j * h * np.abs(psi) ** 2)
-        psi = np.fft.ifft(np.fft.fft(psi) * np.exp(-1j * h * ksq))
-        return psi * np.exp(0.25j * h * np.abs(psi) ** 2)
-
-    psi = np.asarray(wave.psi, dtype=complex).copy()
-    nsteps = int(t_final / dt)
-    remainder = t_final - nsteps * dt
-    for i in range(nsteps):
-        psi = step(psi, dt)
+    def step(w, i):
+        psi = w.psi * np.exp(0.25j * dt * np.abs(w.psi) ** 2)
+        psi = np.fft.ifft(np.fft.fft(psi) * linear)
+        psi = psi * np.exp(0.25j * dt * np.abs(psi) ** 2)
         if not np.all(np.isfinite(psi.view(float))):
-            raise EvolutionAbort("wave function became non-finite", (i + 1) * dt)
-    if remainder > 1e-14 * max(1.0, t_final):
-        psi = step(psi, remainder)
-    return WaveField(psi, wave.L)
+            raise EvolutionAbort("wave function became non-finite", i * dt)
+        return WaveField(psi, wave.L)
+
+    return integrate(step, wave, dt, t_final, stride)
 
 
 # ---------------------------------------------------------------------------
 # curvature/torsion evolution and its fluid form
 # ---------------------------------------------------------------------------
 
-def darios_evolve(kappa, tau, length, dt, t_final, scheme="fd4"):
+def darios_evolve(kappa, tau, length, dt, t_final, stride=None, scheme="fd4"):
     """Method-of-lines RK4 for the curvature/torsion system.
 
-    Aborts when kappa touches KAPPA_MIN (the kappa''/kappa term is singular
-    there; the system offers no desingularization).
+    Returns a stepping.Trajectory of stacked (kappa, tau) arrays.  Aborts when
+    kappa touches KAPPA_MIN (the kappa''/kappa term is singular there; the
+    system offers no desingularization).
     """
-    kappa = np.asarray(kappa, dtype=float).copy()
-    tau = np.asarray(tau, dtype=float).copy()
 
     def rhs(state):
         k, t = state
@@ -424,16 +381,20 @@ def darios_evolve(kappa, tau, length, dt, t_final, scheme="fd4"):
         )
         return np.stack([dk, dtau])
 
-    y = np.stack([kappa, tau])
-    nsteps = _step_count(dt, t_final)
-    with np.errstate(all="ignore"):  # blow-ups are caught by the guards below
-        for i in range(nsteps):
-            if y[0].min() <= KAPPA_MIN:
-                raise CurvatureDegeneracyAbort("curvature touched kappa_min", i * dt)
-            y = _rk4_step(rhs, y, dt)
-            if not np.all(np.isfinite(y)):
-                raise EvolutionAbort("curvature/torsion became non-finite", (i + 1) * dt)
-    return y[0], y[1]
+    def guarded(y, t):
+        if y[0].min() <= KAPPA_MIN:
+            raise CurvatureDegeneracyAbort("curvature touched kappa_min", t)
+        return y
+
+    def step(y, i):
+        y = rk4_step(rhs, y, dt)
+        if not np.all(np.isfinite(y)):
+            raise EvolutionAbort("curvature/torsion became non-finite", i * dt)
+        return guarded(y, i * dt)
+
+    y0 = np.stack([np.asarray(kappa, dtype=float), np.asarray(tau, dtype=float)])
+    with np.errstate(all="ignore"):  # blow-ups are caught by the guards
+        return integrate(step, guarded(y0, 0.0), dt, t_final, stride)
 
 
 @dataclass(frozen=True)
@@ -457,12 +418,13 @@ def to_fluid(frenet):
     return FluidState1D(frenet.kappa ** 2, 2.0 * frenet.tau, frenet.length)
 
 
-def fluid_evolve(state, dt, t_final, scheme="fd4"):
+def fluid_evolve(state, dt, t_final, stride=None, scheme="fd4"):
     """Conservative method-of-lines RK4 for the barotropic pair (rho, v).
 
     rho_t = -(rho v)' keeps the discrete total mass exact; the velocity
     equation uses the same stencils as the curvature/torsion system, making
     the two solvers exactly conjugate under rho = kappa^2, v = 2 tau.
+    Returns a stepping.Trajectory of FluidState1D.
     """
     L = state.L
 
@@ -475,31 +437,21 @@ def fluid_evolve(state, dt, t_final, scheme="fd4"):
         )
         return np.stack([drho, dv])
 
-    y = np.stack([state.rho.astype(float), state.v.astype(float)])
-    nsteps = _step_count(dt, t_final)
+    def guarded(y, t):
+        # before FluidState1D, which rejects rho <= 0 with a ValueError
+        if y[0].min() <= RHO_MIN:
+            raise VacuumAbort("density touched rho_min", t)
+        return FluidState1D(y[0], y[1], L)
+
+    def step(s, i):
+        y = rk4_step(rhs, np.stack([s.rho, s.v]), dt)
+        if not np.all(np.isfinite(y)):
+            raise EvolutionAbort("fluid state became non-finite", i * dt)
+        return guarded(y, i * dt)
+
+    y0 = np.stack([state.rho.astype(float), state.v.astype(float)])
     with np.errstate(all="ignore"):  # vacuum crossings are caught by the guards
-        for i in range(nsteps):
-            if y[0].min() <= RHO_MIN:
-                raise VacuumAbort("density touched rho_min", i * dt)
-            y = _rk4_step(rhs, y, dt)
-            if not np.all(np.isfinite(y)):
-                raise EvolutionAbort("fluid state became non-finite", (i + 1) * dt)
-    return FluidState1D(y[0], y[1], L)
-
-
-def _step_count(dt, t_final):
-    nsteps = int(round(t_final / dt))
-    if abs(nsteps * dt - t_final) > 1e-12 * max(1.0, abs(t_final)):
-        raise ValueError("t_final must be an integer number of steps")
-    return nsteps
-
-
-def _rk4_step(rhs, y, dt):
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * dt * k1)
-    k3 = rhs(y + 0.5 * dt * k2)
-    k4 = rhs(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return integrate(step, guarded(y0, 0.0), dt, t_final, stride)
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +460,7 @@ def _rk4_step(rhs, y, dt):
 
 def curve_to_immersion(curve):
     """View a closed curve as a 1D grid immersion (shared snapshot format)."""
-    from .diffgeo import GridImmersion
-
-    return GridImmersion(curve.points, (curve.period,))
+    return dg.GridImmersion(curve.points, (curve.period,))
 
 
 def curve_from_immersion(imm):

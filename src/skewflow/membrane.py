@@ -26,24 +26,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffgeo as dg
-from .errors import DegenerateImmersionError, EvolutionAbort
+from .errors import EvolutionAbort
+from .stepping import Trajectory, integrate, rk4_step, step_count
 
 RK4_IMAG_STABILITY = 2.0   # conservative fraction of the RK4 imaginary-axis limit
 _FD_SECOND_MAX = {2: 4.0, 4: 16.0 / 3.0}
 
 
 @dataclass
-class MembraneTrajectory:
-    times: np.ndarray            # strictly increasing snapshot times
-    snapshots: list              # GridImmersion per time
+class MembraneTrajectory(Trajectory):
+    """Snapshot times (strictly increasing) and a GridImmersion per time."""
+
     order: int = 2               # finite-difference order used throughout
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("snapshot times must be strictly increasing")
-        if len(self.snapshots) != self.times.size:
+        if len(self.states) != self.times.size:
             raise ValueError("one snapshot per time required")
+
+    @property
+    def snapshots(self):
+        return self.states
 
     def fields(self, i):
         return dg.shape_field(self.snapshots[i], order=self.order)
@@ -76,48 +81,28 @@ def evolve_membrane(imm, dt, t_final, stride=1, order=2):
     """RK4 Lagrangian-marker evolution, snapshots every `stride` steps.
 
     Raises ValueError for a step size above the stability estimate, and
-    EvolutionAbort (carrying the last snapshot) on metric degeneration or
-    non-finite coordinates.
+    EvolutionAbort on metric or frame degeneration, non-finite coordinates,
+    or a snapshot whose stability estimate has dropped below dt.
     """
-    nsteps = int(round(t_final / dt))
-    if abs(nsteps * dt - t_final) > 1e-12 * max(1.0, t_final):
-        raise ValueError("t_final must be an integer number of steps")
-    if nsteps % stride != 0:
-        raise ValueError("step count must be a multiple of the output stride")
+    nsteps = step_count(dt, t_final, stride)
     dt_max = stability_limit(imm, order=order)
     if dt > dt_max:
         raise ValueError(f"dt={dt:.3e} above the stability estimate {dt_max:.3e}")
-
     periods = imm.param_periods
-    pts = imm.points.copy()
 
-    def rhs(p):
-        return smc_rhs(dg.GridImmersion(p, periods), order=order)
-
-    times = [0.0]
-    snaps = [dg.GridImmersion(pts.copy(), periods)]
-    for step in range(1, nsteps + 1):
-        t = step * dt
-        try:
-            k1 = rhs(pts)
-            k2 = rhs(pts + 0.5 * dt * k1)
-            k3 = rhs(pts + 0.5 * dt * k2)
-            k4 = rhs(pts + dt * k3)
-        except DegenerateImmersionError as exc:
-            raise EvolutionAbort(
-                f"metric degenerated inside a step: {exc}", t, snaps[-1]
-            ) from exc
-        pts = pts + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def step(snap, i):
+        pts = rk4_step(lambda p: smc_rhs(dg.GridImmersion(p, periods), order=order),
+                       snap.points, dt)
         if not np.all(np.isfinite(pts)):
-            raise EvolutionAbort("non-finite coordinates", t, snaps[-1])
-        if step % stride == 0:
-            times.append(t)
-            snaps.append(dg.GridImmersion(pts.copy(), periods))
-            if dt > stability_limit(snaps[-1], order=order):
-                raise EvolutionAbort(
-                    "dt no longer within the stability estimate", t, snaps[-1]
-                )
-    return MembraneTrajectory(np.array(times), snaps, order=order)
+            raise EvolutionAbort("non-finite coordinates", i * dt)
+        snap = dg.GridImmersion(pts, periods)
+        recorded = (stride and i % stride == 0) or i == nsteps
+        if recorded and dt > stability_limit(snap, order=order):
+            raise EvolutionAbort("dt no longer within the stability estimate", i * dt)
+        return snap
+
+    traj = integrate(step, imm, dt, t_final, stride)
+    return MembraneTrajectory(traj.times, traj.states, order=order)
 
 
 def extract_radii(imm):

@@ -133,7 +133,7 @@ def check_willmore_noninvariance(ctx):
 def check_willmore_1d(ctx):
     """Bending-energy drift of the binormal flow over T=1 at N=256, dt=1e-4."""
     traj = fl.evolve_filament(ctx.acceptance_curve(), 1e-4, 1.0, reparam_every=10)
-    w0 = fl.willmore_1d(traj.curves[0])
+    w0 = fl.willmore_1d(traj.states[0])
     wT = fl.willmore_1d(traj.final)
     drift = abs(wT / w0 - 1.0)
     tol = ctx.tol(1e-4)
@@ -148,12 +148,12 @@ def check_hasimoto_square(ctx):
 
     traj = fl.evolve_filament(c0, dt, horizon, reparam_every=10)
     k_filament = fl.frenet_data(traj.final).kappa
-    k_darios, tau_darios = fl.darios_evolve(fr0.kappa, fr0.tau, fr0.length, dt, horizon)
+    k_darios, tau_darios = fl.darios_evolve(fr0.kappa, fr0.tau, fr0.length, dt, horizon).final
     wave0, holonomy = fl.hasimoto(fr0)
     if fl.holonomy_defect(holonomy) > 1e-10:
         return False, f"holonomy obstruction {holonomy:.3e} on the acceptance curve"
-    k_wave = np.abs(fl.nls_evolve(wave0, dt, horizon).psi)
-    k_fluid = np.sqrt(fl.fluid_evolve(fl.to_fluid(fr0), dt, horizon).rho)
+    k_wave = np.abs(fl.nls_evolve(wave0, dt, horizon).final.psi)
+    k_fluid = np.sqrt(fl.fluid_evolve(fl.to_fluid(fr0), dt, horizon).final.rho)
 
     profiles = {
         "filament": k_filament, "darios": k_darios, "nls": k_wave, "fluid": k_fluid,
@@ -304,14 +304,14 @@ def check_normal_curvature(ctx):
 def check_nls_invariants(ctx):
     """Plane-wave phase omega = A^2/2 and mass conservation to 1e-10."""
     wave = fl.WaveField(np.full(256, 1.0, dtype=complex), 2.0 * np.pi)
-    out = fl.nls_evolve(wave, 1e-3, 1.0)
+    out = fl.nls_evolve(wave, 1e-3, 1.0).final
     phase_err = float(np.max(np.abs(out.psi - np.exp(0.5j))))
 
     rng = np.random.default_rng(11)
     spec = np.exp(-np.abs(np.fft.fftfreq(256, 1 / 256)) / 4.0)
     psi0 = np.fft.ifft(spec * rng.normal(size=256) * np.exp(2j * np.pi * rng.random(256)))
     wave2 = fl.WaveField(psi0, 2.0 * np.pi)
-    out2 = fl.nls_evolve(wave2, 1e-3, 1.0)
+    out2 = fl.nls_evolve(wave2, 1e-3, 1.0).final
     mass_drift = abs(out2.mass() / wave2.mass() - 1.0)
     tol = ctx.tol(1e-10)
     ok = phase_err <= tol and mass_drift <= tol

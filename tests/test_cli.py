@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line front end."""
 
+import csv
+import re
 import subprocess
 import sys
 
@@ -219,3 +221,118 @@ def test_entry_point_version():
     )
     assert res.returncode == 0
     assert "skewflow" in res.stdout
+
+
+# ---------------------------------------------------------------------------
+# exit codes and what an abort leaves behind
+# ---------------------------------------------------------------------------
+
+def _abort_time(err):
+    return float(re.search(r"aborted at t=([-0-9.e+]+)", err).group(1))
+
+
+@pytest.mark.parametrize("sub,table", [("darios-run", "fields.csv"), ("fluid-run", "fluid.csv")])
+def test_abort_time_is_absolute(tmp_path, capsys, sub, table):
+    # dt=1e-3 is far above what N=256 tolerates: the run breaks down within
+    # a few steps, each recorded (stride=1) until the first failing state
+    out = tmp_path / "run"
+    code = cli.main([sub, "shape=perturbed_circle", "N=256", "dt=1e-3", "T=1",
+                     "stride=1", "--out", str(out)])
+    assert code == 3
+    times = sorted(set(column(out / table, "t")))
+    assert column(out / "diagnostics.csv", "t") == times
+    assert times[0] == 0.0 and len(times) >= 2
+    assert abs(_abort_time(capsys.readouterr().err) - (times[-1] + 1e-3)) < 1e-9
+
+
+@pytest.mark.parametrize("args", [
+    ["darios-run", "shape=perturbed_circle", "N=64"],
+    ["fluid-run", "shape=perturbed_circle", "N=64"],
+    ["nls-run", "source=plane", "M=64"],
+    ["filament-run", "shape=perturbed_circle", "N=64"],
+])
+def test_horizon_not_a_multiple_of_stride_exits_2(tmp_path, capsys, args):
+    # 203 steps, default stride 203 // 10 = 20
+    code = cli.main(args + ["dt=1e-4", "T=0.0203", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "stride" in capsys.readouterr().err
+
+
+def test_membrane_frame_breakdown_exits_3_with_earlier_snapshots(tmp_path, monkeypatch):
+    from skewflow import membrane as mb
+    from skewflow.errors import FrameDegeneracyError
+
+    original, calls = mb.smc_rhs, [0]
+
+    def failing(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] > 4 * 25:  # four stages per step: step 26 fails
+            raise FrameDegeneracyError("forced breakdown")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mb, "smc_rhs", failing)
+    out = tmp_path / "mem"
+    code = cli.main(["membrane-run", "surface=torus_product", "a=1", "b=2", "n1=16", "n2=16",
+                     "dt=1e-3", "T=0.05", "stride=10", "--out", str(out)])
+    assert code == 3
+    assert sorted(p.name for p in out.glob("snapshot_*")) == [
+        "snapshot_0000.txt", "snapshot_0001.txt", "snapshot_0002.txt"]
+    assert column(out / "diagnostics.csv", "t") == pytest.approx([0.0, 0.01, 0.02])
+    first = dg.load_immersion(out / "snapshot_0000.txt")
+    assert np.array_equal(first.points, dg.torus_immersion(1.0, 2.0, (16, 16)).points)
+
+
+def test_filament_abort_writes_recorded_trajectory(tmp_path, capsys, monkeypatch):
+    from skewflow import filament as fl
+
+    calls = [0]
+
+    def distance(points):
+        calls[0] += 1
+        return 0.0 if calls[0] == 4 else 1.0  # checks at t=0, 0.01, 0.02 pass
+
+    monkeypatch.setattr(fl, "min_nonneighbor_distance", distance)
+    out = tmp_path / "fil"
+    code = cli.main(["filament-run", "shape=perturbed_circle", "N=64", "dt=1e-3", "T=0.05",
+                     "stride=10", "--out", str(out)])
+    assert code == 3
+    assert sorted(set(column(out / "trajectory.csv", "t"))) == pytest.approx([0.0, 0.01, 0.02])
+    assert column(out / "diagnostics.csv", "t") == pytest.approx([0.0, 0.01, 0.02])
+    assert abs(_abort_time(capsys.readouterr().err) - 0.03) < 1e-12
+
+
+def test_degenerate_surface_file_exits_2(tmp_path, capsys):
+    imm = dg.torus_immersion(1.0, 1.0, (16, 16))
+    snap = tmp_path / "flat.txt"
+    dg.save_immersion(dg.GridImmersion(imm.points * [1, 1, 1e-6, 1e-6], imm.param_periods), snap)
+    code = cli.main(["membrane-run", "surface=torus_product", "a=1", "b=1",
+                     f"surface_file={snap}", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "degenerate immersion" in capsys.readouterr().err
+
+
+def test_headerless_surface_file_exits_2(tmp_path, capsys):
+    snap = tmp_path / "bare.txt"
+    snap.write_text("1 0 2 0\n0 1 0 2\n")
+    code = cli.main(["membrane-run", "surface=torus_product", "a=1", "b=2",
+                     f"surface_file={snap}", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "'dim'" in capsys.readouterr().err
+
+
+def test_validate_csv_reads_back(tmp_path, capsys):
+    out = tmp_path / "val"
+    assert cli.main(["validate", "suite=1,12", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    with open(out / "validate.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["check"] for r in rows] == ["1-collapse-time", "12-nls-invariants"]
+    for r in rows:
+        assert None not in r and r["status"] == "pass"
+        assert f"{r['check']:<22s} {r['details']}   [" in printed
+
+
+def test_write_csv_quotes_only_when_needed(tmp_path):
+    path = tmp_path / "t.csv"
+    cli.write_csv(path, ["a", "b"], [(0.5, 'x, "y"'), (2, "z")])
+    assert path.read_text() == 'a,b\n0.5,"x, ""y"""\n2,z\n'

@@ -389,14 +389,18 @@ def test_curve_snapshot_roundtrip(tmp_path):
     assert back.dim == 1 and np.array_equal(back.points, imm.points)
 
 
-def test_shape_field_export(tmp_path):
-    imm = dg.torus_immersion(1.0, 2.0, (16, 16))
-    sf = dg.shape_field(imm)
-    dg.torsion_form(imm, sf)
-    path = tmp_path / "shape.csv"
-    dg.export_shape_field(sf, path)
-    header = path.read_text().splitlines()[0].split(",")
-    for name in ("g_11", "g_12", "g_22", "det_g", "A_11_x1", "H_x4", "nu1_x1",
-                 "nu2_x4", "tau_1", "tau_2", "rho"):
-        assert name in header
-    assert len(path.read_text().splitlines()) == 1 + 16 * 16
+
+def test_snapshot_header_errors_name_the_key(tmp_path):
+    path = tmp_path / "bare.txt"
+    path.write_text("1 0 2 0\n")
+    with pytest.raises(ValueError, match="'dim'"):
+        dg.load_immersion(path)
+    path.write_text("dim 2\nparam_periods 6.28 6.28\nambient 4\n1 0 2 0\n")
+    with pytest.raises(ValueError, match="'shape'"):
+        dg.load_immersion(path)
+
+
+def test_degenerate_index_message_uses_plain_ints():
+    err = DegenerateImmersionError((np.int64(3), np.int64(0)), 1e-12)
+    assert err.grid_index == (3, 0)
+    assert str(err) == "degenerate immersion: det(g)=1.000e-12 at grid index (3, 0)"

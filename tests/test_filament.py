@@ -86,7 +86,7 @@ def test_circle_translates_rigidly():
 
 def test_conservation_along_flow():
     traj = fl.evolve_filament(planar_curve(), 1e-4, 0.2, reparam_every=10)
-    c0, cT = traj.curves[0], traj.final
+    c0, cT = traj.states[0], traj.final
     assert abs(fl.curve_length(cT) / fl.curve_length(c0) - 1.0) <= 1e-6
     assert abs(fl.willmore_1d(cT) / fl.willmore_1d(c0) - 1.0) <= 1e-4
 
@@ -193,7 +193,7 @@ def test_basepoint_change_is_constant_phase():
 
 def test_plane_wave_phase():
     wave = fl.WaveField(np.full(256, 1.0, dtype=complex), 2 * np.pi)
-    out = fl.nls_evolve(wave, 1e-3, 1.0)
+    out = fl.nls_evolve(wave, 1e-3, 1.0).final
     assert np.abs(out.psi - np.exp(0.5j)).max() <= 1e-10
 
 
@@ -202,13 +202,13 @@ def test_mass_conservation():
     spec = np.exp(-np.abs(np.fft.fftfreq(256, 1 / 256)) / 3.0)
     psi0 = np.fft.ifft(spec * rng.normal(size=256) * np.exp(2j * np.pi * rng.random(256)))
     wave = fl.WaveField(psi0, 2 * np.pi)
-    out = fl.nls_evolve(wave, 1e-3, 1.0)
+    out = fl.nls_evolve(wave, 1e-3, 1.0).final
     assert abs(out.mass() / wave.mass() - 1.0) <= 1e-10
 
 
 def test_zero_stays_zero():
     wave = fl.WaveField(np.zeros(64, dtype=complex), 2 * np.pi)
-    out = fl.nls_evolve(wave, 1e-2, 0.5)
+    out = fl.nls_evolve(wave, 1e-2, 0.5).final
     assert np.abs(out.psi).max() == 0.0
 
 
@@ -222,7 +222,7 @@ def test_grid_must_be_power_of_two():
 # ---------------------------------------------------------------------------
 
 def test_constant_curvature_stationary():
-    kappa, tau = fl.darios_evolve(np.full(64, 1.3), np.zeros(64), 2 * np.pi, 1e-3, 0.5)
+    kappa, tau = fl.darios_evolve(np.full(64, 1.3), np.zeros(64), 2 * np.pi, 1e-3, 0.5).final
     assert np.abs(kappa - 1.3).max() == 0.0
     assert np.abs(tau).max() < 1e-15
 
@@ -232,14 +232,14 @@ def test_darios_matches_filament():
     fr0 = fl.frenet_data(c0)
     traj = fl.evolve_filament(c0, 1e-4, 0.2, reparam_every=10)
     k_filament = fl.frenet_data(traj.final).kappa
-    k_darios, _ = fl.darios_evolve(fr0.kappa, fr0.tau, fr0.length, 1e-4, 0.2)
+    k_darios, _ = fl.darios_evolve(fr0.kappa, fr0.tau, fr0.length, 1e-4, 0.2).final
     assert np.abs(k_filament - k_darios).max() <= 1e-3
 
 
 def test_darios_time_reversal():
     fr = fl.frenet_data(planar_curve())
-    k1, t1 = fl.darios_evolve(fr.kappa, fr.tau, fr.length, 1e-4, 0.1)
-    k0, t0 = fl.darios_evolve(k1, t1, fr.length, -1e-4, -0.1)
+    k1, t1 = fl.darios_evolve(fr.kappa, fr.tau, fr.length, 1e-4, 0.1).final
+    k0, t0 = fl.darios_evolve(k1, t1, fr.length, -1e-4, -0.1).final
     assert np.abs(k0 - fr.kappa).max() <= 1e-8
     assert np.abs(t0 - fr.tau).max() <= 1e-8
 
@@ -253,19 +253,19 @@ def test_darios_aborts_at_vanishing_curvature():
 
 def test_fluid_stationary_and_mass():
     state = fl.FluidState1D(np.full(64, 1.69), np.zeros(64), 2 * np.pi)
-    out = fl.fluid_evolve(state, 1e-3, 0.5)
+    out = fl.fluid_evolve(state, 1e-3, 0.5).final
     assert np.abs(out.rho - 1.69).max() == 0.0
 
     fr = fl.frenet_data(planar_curve())
     state = fl.to_fluid(fr)
-    out = fl.fluid_evolve(state, 1e-4, 0.2)
+    out = fl.fluid_evolve(state, 1e-4, 0.2).final
     assert abs(out.mass() / state.mass() - 1.0) <= 1e-8
 
 
 def test_fluid_conjugate_to_darios():
     fr = fl.frenet_data(planar_curve())
-    kappa, tau = fl.darios_evolve(fr.kappa, fr.tau, fr.length, 1e-4, 0.2)
-    out = fl.fluid_evolve(fl.to_fluid(fr), 1e-4, 0.2)
+    kappa, tau = fl.darios_evolve(fr.kappa, fr.tau, fr.length, 1e-4, 0.2).final
+    out = fl.fluid_evolve(fl.to_fluid(fr), 1e-4, 0.2).final
     assert np.abs(out.rho - kappa ** 2).max() <= 1e-8
     assert np.abs(out.v - 2 * tau).max() <= 1e-8
 
@@ -321,9 +321,9 @@ def test_four_corner_agreement_quick():
         "filament": fl.frenet_data(
             fl.evolve_filament(c0, dt, horizon, reparam_every=10).final
         ).kappa,
-        "darios": fl.darios_evolve(fr0.kappa, fr0.tau, fr0.length, dt, horizon)[0],
-        "nls": np.abs(fl.nls_evolve(fl.hasimoto(fr0)[0], dt, horizon).psi),
-        "fluid": np.sqrt(fl.fluid_evolve(fl.to_fluid(fr0), dt, horizon).rho),
+        "darios": fl.darios_evolve(fr0.kappa, fr0.tau, fr0.length, dt, horizon).final[0],
+        "nls": np.abs(fl.nls_evolve(fl.hasimoto(fr0)[0], dt, horizon).final.psi),
+        "fluid": np.sqrt(fl.fluid_evolve(fl.to_fluid(fr0), dt, horizon).final.rho),
     }
     names = list(profiles)
     for i, u in enumerate(names):

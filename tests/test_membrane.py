@@ -257,7 +257,7 @@ def test_energy_identity_1d_regression():
     c0 = fl.arclength_resample(fl.perturbed_circle(1.0, 0.05, 3, 128))
     dt = 2e-4
     traj_f = fl.evolve_filament(c0, dt, 4 * dt, stride=1, reparam_every=0)
-    snaps = [dg.GridImmersion(c.points, (c.period,)) for c in traj_f.curves]
+    snaps = [dg.GridImmersion(c.points, (c.period,)) for c in traj_f.states]
     traj = mb.MembraneTrajectory(np.array(traj_f.times), snaps, order=4)
     lhs, rhs, _ = mb.energy_identity_check(traj, 2)
     assert abs(rhs) < 1e-12

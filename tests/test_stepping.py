@@ -1,0 +1,116 @@
+"""The shared fixed-step loop and the contract it gives every grid solver."""
+
+import numpy as np
+import pytest
+
+from skewflow import diffgeo as dg
+from skewflow import filament as fl
+from skewflow import membrane as mb
+from skewflow.errors import EvolutionAbort, FrameDegeneracyError
+from skewflow.stepping import integrate, rk4_step, step_count
+
+
+def test_rk4_step_matches_taylor_series():
+    h = 0.1
+    y = rk4_step(lambda y: y, np.array([1.0]), h)
+    assert abs(y[0] - (1 + h + h ** 2 / 2 + h ** 3 / 6 + h ** 4 / 24)) < 1e-15
+
+
+def test_snapshot_cadence_and_absolute_times():
+    traj = integrate(lambda y, i: y + 1, 0, 0.25, 2.0, stride=4)
+    assert traj.times == [0.0, 1.0, 2.0]
+    assert traj.states == [0, 4, 8]
+    ends = integrate(lambda y, i: y + 1, 0, 0.25, 2.0)
+    assert ends.times == [0.0, 2.0] and ends.final == 8
+
+
+def test_zero_step_is_rejected():
+    with pytest.raises(ValueError, match="dt must be nonzero"):
+        step_count(0.0, 1.0)
+
+
+def test_abort_keeps_the_snapshots_before_it():
+    def step(y, i):
+        if i == 7:
+            raise EvolutionAbort("stop", i * 0.25)
+        return y + 1
+
+    with pytest.raises(EvolutionAbort, match="aborted at t=1.75") as err:
+        integrate(step, 0, 0.25, 2.0, stride=2)
+    assert err.value.trajectory.states == [0, 2, 4, 6]
+
+
+# ---------------------------------------------------------------------------
+# the five grid solvers share the contract
+# ---------------------------------------------------------------------------
+
+def _curve():
+    return fl.arclength_resample(fl.perturbed_circle(1.0, 0.05, 3, 64))
+
+
+def _filament(dt, T, stride):
+    return fl.evolve_filament(_curve(), dt, T, stride=stride)
+
+
+def _membrane(dt, T, stride):
+    return mb.evolve_membrane(dg.torus_immersion(1.0, 2.0, (16, 16)), dt, T, stride=stride)
+
+
+def _darios(dt, T, stride):
+    fr = fl.frenet_data(_curve())
+    return fl.darios_evolve(fr.kappa, fr.tau, fr.length, dt, T, stride)
+
+
+def _fluid(dt, T, stride):
+    return fl.fluid_evolve(fl.to_fluid(fl.frenet_data(_curve())), dt, T, stride)
+
+
+def _nls(dt, T, stride):
+    return fl.nls_evolve(fl.hasimoto(fl.frenet_data(_curve()))[0], dt, T, stride)
+
+
+# solver, step size, the function one step calls and how often
+SOLVERS = {
+    "filament": (_filament, 1e-3, (fl, "derivative"), 8),
+    "membrane": (_membrane, 1e-3, (mb, "smc_rhs"), 4),
+    "darios": (_darios, 2e-4, (fl, "derivative"), 16),
+    "fluid": (_fluid, 2e-4, (fl, "derivative"), 16),
+    "nls": (_nls, 2e-4, (fl, "WaveField"), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_horizon_must_be_whole_steps(name):
+    run, dt, _, _ = SOLVERS[name]
+    with pytest.raises(ValueError, match="integer number of steps"):
+        run(dt, 20.5 * dt, None)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_stride_must_divide_step_count(name):
+    run, dt, _, _ = SOLVERS[name]
+    with pytest.raises(ValueError, match="multiple of the output stride"):
+        run(dt, 20 * dt, 3)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_abort_carries_recorded_snapshots(name, monkeypatch):
+    run, dt, (module, attr), per_step = SOLVERS[name]
+    full = run(dt, 20 * dt, 4)
+    assert full.times == pytest.approx([0.0, 4 * dt, 8 * dt, 12 * dt, 16 * dt, 20 * dt])
+
+    original, calls = getattr(module, attr), [0]
+
+    def failing(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] > 10 * per_step:
+            raise FrameDegeneracyError("forced breakdown")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, failing)
+    with pytest.raises(EvolutionAbort) as err:
+        run(dt, 20 * dt, 4)
+    traj = err.value.trajectory
+    assert len(traj.times) >= 2 and len(traj.states) == len(traj.times)
+    assert list(traj.times) == list(full.times[:len(traj.times)])
+    assert traj.times[-1] < err.value.t <= traj.times[-1] + 4 * dt + 1e-15
