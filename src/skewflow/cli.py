@@ -11,6 +11,7 @@ produce byte-identical CSVs.
 import argparse
 import configparser
 import csv
+import functools
 import hashlib
 import io
 import os
@@ -118,7 +119,10 @@ def parse_params(subcommand, pairs, config_path=None, flag_overrides=None):
         parser = configparser.ConfigParser(delimiters=(":", "="))
         parser.optionxform = str
         with open(config_path) as fh:
-            parser.read_file(fh)
+            try:
+                parser.read_file(fh)
+            except configparser.Error as exc:
+                raise ConfigError(f"malformed config file {config_path}: {exc}") from exc
         if parser.has_section(subcommand):
             raw.update(dict(parser.items(subcommand)))
     for pair in pairs:
@@ -201,18 +205,19 @@ def _curve_from_params(p):
 def run_sphere(p, outdir):
     state = sp.SphereProductState(p["m"], p["l"], p["a"], p["b"])
     if p["mode"] == "to-collapse":
-        traj = sp.run_to_collapse(state, p["dt"], a_stop=p["a_stop"], record_every=p["stride"])
+        run = functools.partial(sp.run_to_collapse, state, p["dt"], p["a_stop"], p["stride"])
     elif p["mode"] == "fixed":
         if p["T"] is None:
             raise ConfigError("fixed mode needs T")
-        traj = sp.evolve_numeric(state, p["dt"], p["T"], record_every=p["stride"])
+        run = functools.partial(sp.evolve_numeric, state, p["dt"], p["T"], p["stride"])
     else:
         raise ConfigError(f"unknown mode {p['mode']!r}")
+    traj, code = _evolve("sphere-product", run)
     table = sp.trajectory_table(traj)
     cols = ["t", "a", "b", "hamiltonian", "volume", "willmore", "dW_dt"]
     rows = zip(*(table[c] for c in cols))
     write_csv(os.path.join(outdir, "sphere.csv"), cols, rows)
-    return 0
+    return code
 
 
 def _evolve(label, run):

@@ -9,7 +9,7 @@ arithmetic wraps.  From the sampled positions we build
     metric          g_ij = (t_i, t_j)
     second form     A_ij = normal projection of d^2 F/dx_i dx_j
     mean curvature  H = g^ij A_ij
-    oriented frame  (nu1, nu2) spanning the 2D normal plane, nu2 = J nu1
+    quarter turn    J v = -(t_1 x ... x t_n x v) / sqrt(det g)
 
 J is the quarter-turn of the normal plane.  Its direction is fixed by the
 sign convention det[t_1, ..., t_n, v, Jv] < 0 in ambient coordinates; this
@@ -22,6 +22,7 @@ Integrals are plain Riemann sums over the parameter grid, which are
 spectrally accurate for smooth periodic integrands.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,7 @@ from .errors import (
 )
 
 G_MIN = 1e-10          # det(g) floor below which the immersion is degenerate
-H_MIN = 1e-8           # |H| floor for seeding the normal frame from H/|H|
+H_MIN = 1e-8           # |H| floor below which the torsion form is masked
 TOL_PERP_FACTOR = 1e-6  # normality tolerance, scaled by the local |d2F|
 MIN_GRID = 8
 SNAPSHOT_HEADER = ("dim", "shape", "param_periods", "ambient")
@@ -103,8 +104,6 @@ class ShapeField:
     second_form: np.ndarray     # (*s, n, n, d), normal-valued
     mean_curvature: np.ndarray  # (*s, d)
     rho: np.ndarray             # (*s,), |H|^2
-    nu1: np.ndarray             # (*s, d)
-    nu2: np.ndarray             # (*s, d), = J nu1
     tol_perp: np.ndarray        # (*s,)
     tau: np.ndarray | None = field(default=None)      # (*s, n), set by torsion_form
     tau_mask: np.ndarray | None = field(default=None)  # True where |H| < H_MIN
@@ -214,8 +213,8 @@ def diff2(f, axis, h, order=2):
 def project_normal(sf, X):
     """Normal-plane projection of an ambient vector field X, one vector per point.
 
-    Projection is with respect to the discrete tangent span (Gram solve), not
-    the (nu1, nu2) frame, so it stays well defined where |H| is small.
+    Projection is with respect to the discrete tangent span (Gram solve), so
+    it is defined wherever the metric is, including where |H| is small.
     """
     b = np.einsum("...id,...d->...i", sf.tangents, X)
     alpha = np.linalg.solve(sf.metric, b[..., None])[..., 0]
@@ -238,7 +237,7 @@ def _require_normal(sf, X, what):
         )
 
 
-def shape_field(imm, order=2, seed_frame=None):
+def shape_field(imm, order=2):
     """Compute the full geometry bundle of an immersion.
 
     Raises DegenerateImmersionError when det(g) falls below G_MIN, naming the
@@ -278,7 +277,7 @@ def shape_field(imm, order=2, seed_frame=None):
     H = np.einsum("...ij,...ijd->...d", metric_inv, second_form)
     rho = np.einsum("...d,...d->...", H, H)
 
-    sf = ShapeField(
+    return ShapeField(
         immersion=imm,
         order=order,
         tangents=tangents,
@@ -289,119 +288,34 @@ def shape_field(imm, order=2, seed_frame=None):
         second_form=second_form,
         mean_curvature=H,
         rho=rho,
-        nu1=np.empty_like(H),
-        nu2=np.empty_like(H),
         tol_perp=tol_perp,
     )
-    nu1, nu2 = normal_frame(imm, sf, seed=seed_frame)
-    sf.nu1, sf.nu2 = nu1, nu2
-    return sf
 
 
 # ---------------------------------------------------------------------------
-# oriented normal frame and J
+# quarter turn J
 # ---------------------------------------------------------------------------
 
-def _neighbors(idx, shape):
-    for axis in range(len(shape)):
-        for step in (-1, 1):
-            nb = list(idx)
-            nb[axis] = (nb[axis] + step) % shape[axis]
-            yield tuple(nb)
-
-
-def _transport_frame(sf, nu1, valid):
-    """Fill nu1 on invalid points by breadth-first parallel transport.
-
-    Each missing point inherits its nearest assigned neighbor's nu1, projected
-    to the local normal plane and renormalized (the minimal smooth extension).
-    """
-    from collections import deque
-
-    shape = sf.rho.shape
-    assigned = valid.copy()
-    queue = deque(zip(*np.nonzero(valid)))
-    while queue:
-        idx = queue.popleft()
-        for nb in _neighbors(idx, shape):
-            if assigned[nb]:
-                continue
-            w = project_normal_at(sf, nb, nu1[idx])
-            norm = np.linalg.norm(w)
-            if norm < 1e-12:
-                continue
-            nu1[nb] = w / norm
-            assigned[nb] = True
-            queue.append(nb)
-    if not assigned.all():
-        raise FrameDegeneracyError("parallel transport could not reach every masked point")
-    return nu1
-
-
-def project_normal_at(sf, idx, v):
-    """Normal projection of a single ambient vector at one grid point."""
-    t = sf.tangents[idx]
-    alpha = np.linalg.solve(sf.metric[idx], t @ v)
-    return v - alpha @ t
-
-
-def normal_frame(imm, sf, seed=None):
-    """Oriented orthonormal frame (nu1, nu2) of the normal plane, nu2 = J nu1.
-
-    nu1 is seeded from H/|H| wherever |H| >= H_MIN; remaining points inherit
-    the frame by breadth-first parallel transport, or from a supplied seed
-    field when |H| is small everywhere.  The quarter-turn direction is fixed
-    by det[t_1, ..., t_n, nu1, nu2] < 0 (see module docstring).
-    """
-    absH = np.sqrt(sf.rho)
-    valid = absH >= H_MIN
-    nu1 = np.zeros_like(sf.mean_curvature)
-    nu1[valid] = sf.mean_curvature[valid] / absH[valid][..., None]
-
-    if not valid.all():
-        if valid.any():
-            nu1 = _transport_frame(sf, nu1, valid)
-        elif seed is not None:
-            proj = project_normal(sf, np.broadcast_to(seed, nu1.shape).copy())
-            norms = np.linalg.norm(proj, axis=-1)
-            if norms.min() < 1e-12:
-                raise FrameDegeneracyError("seed frame is tangential at some point")
-            nu1 = proj / norms[..., None]
-        else:
-            raise FrameDegeneracyError(
-                "|H| < h_min everywhere and no seed frame supplied"
-            )
-
-    # complete nu1 to a basis of the normal plane: best-conditioned ambient
-    # axis vector, projected out of the tangents and nu1
-    d = imm.ambient_dim
-    eye = np.eye(d)
-    candidates = []
-    for k in range(d):
-        e = np.broadcast_to(eye[k], nu1.shape)
-        w = project_normal(sf, e)
-        w = w - np.einsum("...d,...d->...", w, nu1)[..., None] * nu1
-        candidates.append(w)
-    cand = np.stack(candidates, axis=-2)                  # (*s, d, d)
-    norms = np.linalg.norm(cand, axis=-1)                 # (*s, d)
-    best = np.argmax(norms, axis=-1)
-    w = np.take_along_axis(cand, best[..., None, None], axis=-2)[..., 0, :]
-    w = w / np.linalg.norm(w, axis=-1)[..., None]
-
-    # orientation lock: det[t_1..t_n, nu1, w] must be negative
-    cols = np.concatenate(
-        [np.moveaxis(sf.tangents, -2, -1), nu1[..., None], w[..., None]], axis=-1
-    )
-    sign = np.linalg.det(cols)
-    w = np.where(sign[..., None] > 0, -w, w)
-    return nu1, w
+# Levi-Civita tensors of R^3 and R^4: eps[i_1, ..., i_d] = det[e_i1, ..., e_id]
+_LEVI_CIVITA = {
+    d: np.linalg.det(np.eye(d)[list(itertools.product(range(d), repeat=d))]).reshape((d,) * d)
+    for d in (3, 4)
+}
 
 
 def apply_j(sf, v):
-    """Quarter-turn J of a normal vector field: J(a nu1 + b nu2) = a nu2 - b nu1."""
-    a = np.einsum("...d,...d->...", v, sf.nu1)
-    b = np.einsum("...d,...d->...", v, sf.nu2)
-    return a[..., None] * sf.nu2 - b[..., None] * sf.nu1
+    """Quarter-turn J of a normal vector field, Jv = -(t_1 x ... x t_n x v) / sqrt(det g).
+
+    (t_1 x ... x t_n x v)_l = det[t_1, ..., t_n, v, e_l]: the outer product of the
+    tangents contracted with the Levi-Civita tensor in one matmul, paired with v.
+    """
+    t = sf.tangents
+    n, d = t.shape[-2:]
+    outer = t[..., 0, :]
+    for i in range(1, n):
+        outer = (outer[..., :, None] * t[..., i, None, :]).reshape(outer.shape[:-1] + (-1,))
+    cross = (outer @ _LEVI_CIVITA[d].reshape(d ** n, d * d)).reshape(t.shape[:-2] + (d, d))
+    return -np.einsum("...c,...cl->...l", v, cross) / sf.sqrt_det_g[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +472,7 @@ def normal_curvature_check(imm, sf):
     """Compare d(tau) with the normal-bundle curvature on grid plaquettes.
 
     The curvature side is read off from the commutator of normal-projected
-    derivatives applied to nu1, against nu2, with the sign for which the two
+    derivatives applied to h = H/|H|, against Jh, with the sign for which the two
     fields cancel: returns (dtau, r_perp, max |dtau + r_perp|).
     """
     if imm.dim != 2:
@@ -571,9 +485,10 @@ def normal_curvature_check(imm, sf):
     e1, e2 = _edge_integrals(sf.tau, imm.spacings)
     dtau = _plaquette_curl(e1, e2, imm.spacings)
 
-    d0d1 = normal_derivative(sf, normal_derivative(sf, sf.nu1, 1), 0)
-    d1d0 = normal_derivative(sf, normal_derivative(sf, sf.nu1, 0), 1)
-    r_perp_pts = np.einsum("...d,...d->...", d0d1 - d1d0, sf.nu2)
+    h = sf.mean_curvature / np.sqrt(sf.rho)[..., None]
+    d0d1 = normal_derivative(sf, normal_derivative(sf, h, 1), 0)
+    d1d0 = normal_derivative(sf, normal_derivative(sf, h, 0), 1)
+    r_perp_pts = np.einsum("...d,...d->...", d0d1 - d1d0, apply_j(sf, h))
     # interpolate the point values to plaquette centers
     r_perp = 0.25 * (
         r_perp_pts

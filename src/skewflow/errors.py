@@ -13,7 +13,8 @@ class DegenerateImmersionError(ValueError):
 
 
 class FrameDegeneracyError(ValueError):
-    """Raised when no oriented normal frame can be seeded (|H| below h_min everywhere)."""
+    """Raised when the torsion form is masked (|H| below h_min at some point), so the
+    normal-curvature check, which needs H/|H| everywhere, is unavailable."""
 
 
 class UnsupportedDimensionError(ValueError):

@@ -81,7 +81,7 @@ def evolve_membrane(imm, dt, t_final, stride=1, order=2):
     """RK4 Lagrangian-marker evolution, snapshots every `stride` steps.
 
     Raises ValueError for a step size above the stability estimate, and
-    EvolutionAbort on metric or frame degeneration, non-finite coordinates,
+    EvolutionAbort on metric degeneration, non-finite coordinates,
     or a snapshot whose stability estimate has dropped below dt.
     """
     nsteps = step_count(dt, t_final, stride)
@@ -216,21 +216,6 @@ def energy_identity_check(traj, i, fields=None):
     lhs = (wp - wm) / span
     _, rhs = dg.energy_derivative_integrand(sf0.immersion, sf0)
     return lhs, rhs, lhs - rhs
-
-
-def max_frame_rotation(traj):
-    """Largest per-step rotation angle of nu1 along the trajectory.
-
-    Values below pi/2 certify the frame never flips between snapshots.
-    """
-    worst = 0.0
-    prev = traj.fields(0)
-    for i in range(1, len(traj.snapshots)):
-        cur = traj.fields(i)
-        cosang = np.clip(np.einsum("...d,...d->...", prev.nu1, cur.nu1), -1.0, 1.0)
-        worst = max(worst, float(np.max(np.arccos(cosang))))
-        prev = cur
-    return worst
 
 
 def diagnostics(traj):

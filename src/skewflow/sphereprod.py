@@ -134,13 +134,20 @@ def _rk4(m, l, a, b, h):
 
 
 def _halved_step(m, l, a, b, dt):
-    """Step size after the near-collapse halving rule a < 10 dt l / b."""
+    """Step size after the near-collapse halving rule a < 10 dt l / b; None on underflow."""
     h = dt
     while a < 10.0 * h * l / b:
         h *= 0.5
         if h < dt * 2.0 ** -60:
-            raise EvolutionAbort("step underflow near collapse", 0.0)
+            return None
     return h
+
+
+def _abort(message, state, t, ts, As, Bs):
+    """EvolutionAbort at absolute time state.t + t whose `trajectory` holds the
+    rows recorded so far; both integrators below raise only these."""
+    recorded = SphereProductTrajectory(state.m, state.l, np.array(ts), np.array(As), np.array(Bs))
+    return EvolutionAbort(message, state.t + t, recorded)
 
 
 def evolve_numeric(state, dt, t_final, record_every=1):
@@ -151,13 +158,15 @@ def evolve_numeric(state, dt, t_final, record_every=1):
     step_count = 0
     while t < t_final - 1e-15 * max(1.0, t_final):
         h = _halved_step(m, l, a, b, dt)
+        if h is None:
+            raise _abort("step underflow near collapse", state, t, ts, As, Bs)
         h = min(h, t_final - t)
         try:
             a, b = _rk4(m, l, a, b, h)
         except ZeroDivisionError:
-            raise EvolutionAbort("radius hit zero inside a step", state.t + t)
+            raise _abort("radius hit zero inside a step", state, t, ts, As, Bs)
         if a <= 0 or b <= 0 or not (math.isfinite(a) and math.isfinite(b)):
-            raise EvolutionAbort("radius left the positive quadrant", state.t + t)
+            raise _abort("radius left the positive quadrant", state, t, ts, As, Bs)
         t += h
         step_count += 1
         if step_count % record_every == 0 or t >= t_final - 1e-15:
@@ -175,11 +184,13 @@ def run_to_collapse(state, dt, a_stop=A_STOP_DEFAULT, record_every=1, max_steps=
     steps = 0
     while a > a_stop:
         if steps >= max_steps:
-            raise EvolutionAbort("run-to-collapse exceeded max_steps", state.t + t)
+            raise _abort("run-to-collapse exceeded max_steps", state, t, ts, As, Bs)
         h = _halved_step(m, l, a, b, dt)
+        if h is None:
+            raise _abort("step underflow near collapse", state, t, ts, As, Bs)
         a, b = _rk4(m, l, a, b, h)
         if a <= 0 or b <= 0:
-            raise EvolutionAbort("radius left the positive quadrant", state.t + t)
+            raise _abort("radius left the positive quadrant", state, t, ts, As, Bs)
         t += h
         steps += 1
         if steps % record_every == 0 or a <= a_stop:

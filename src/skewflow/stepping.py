@@ -7,7 +7,7 @@ and the snapshots an abort carries.
 
 from dataclasses import dataclass, field
 
-from .errors import DegenerateImmersionError, EvolutionAbort, FrameDegeneracyError
+from .errors import DegenerateImmersionError, EvolutionAbort
 
 
 @dataclass
@@ -46,8 +46,8 @@ def integrate(step, y0, dt, t_final, stride=None):
 
     Records y0, every stride-th state (stride None or 0: none) and the last.
     An EvolutionAbort from a step leaves with the record so far as
-    `exc.trajectory`; a degenerate immersion or normal frame inside a step
-    becomes such an abort.
+    `exc.trajectory`; a degenerate immersion inside a step becomes such an
+    abort.
     """
     nsteps = step_count(dt, t_final, stride)
     traj = Trajectory([0.0], [y0])
@@ -55,7 +55,7 @@ def integrate(step, y0, dt, t_final, stride=None):
     for i in range(1, nsteps + 1):
         try:
             y = step(y, i)
-        except (DegenerateImmersionError, FrameDegeneracyError) as exc:
+        except DegenerateImmersionError as exc:
             raise EvolutionAbort(f"geometry degenerated inside a step: {exc}", i * dt,
                                  traj) from exc
         except EvolutionAbort as exc:

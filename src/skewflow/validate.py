@@ -187,6 +187,8 @@ def check_willmore_gradient(ctx):
     sf = dg.shape_field(imm, order=4)
     grad = dg.willmore_gradient(imm, sf)
     gnorm = math.sqrt(dg.integrate_density(sf, np.einsum("...d,...d->...", grad, grad)))
+    h = sf.mean_curvature / np.sqrt(sf.rho)[..., None]
+    jh = dg.apply_j(sf, h)
     rng = np.random.default_rng(20240817)
     worst_rel = 0.0
     accepted = 0
@@ -202,7 +204,7 @@ def check_willmore_gradient(ctx):
             coef[1, i, j, 0] * np.cos(i * TH - j * PH) + coef[1, i, j, 1] * np.sin(i * TH + j * PH)
             for i in range(3) for j in range(3)
         )
-        v = f1[..., None] * sf.nu1 + f2[..., None] * sf.nu2
+        v = f1[..., None] * h + f2[..., None] * jh
         vnorm = math.sqrt(dg.integrate_density(sf, np.einsum("...d,...d->...", v, v)))
         pair = dg.integrate_density(sf, np.einsum("...d,...d->...", grad, v))
         if abs(pair) < 0.05 * gnorm * vnorm:

@@ -71,6 +71,14 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_config_file_without_section_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("m: 1\n")
+    code = cli.main(["sphere-run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "no section headers" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # runs
 # ---------------------------------------------------------------------------
@@ -260,14 +268,14 @@ def test_horizon_not_a_multiple_of_stride_exits_2(tmp_path, capsys, args):
 
 def test_membrane_frame_breakdown_exits_3_with_earlier_snapshots(tmp_path, monkeypatch):
     from skewflow import membrane as mb
-    from skewflow.errors import FrameDegeneracyError
+    from skewflow.errors import DegenerateImmersionError
 
     original, calls = mb.smc_rhs, [0]
 
     def failing(*args, **kwargs):
         calls[0] += 1
         if calls[0] > 4 * 25:  # four stages per step: step 26 fails
-            raise FrameDegeneracyError("forced breakdown")
+            raise DegenerateImmersionError((0, 0), 0.0)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(mb, "smc_rhs", failing)
@@ -299,6 +307,21 @@ def test_filament_abort_writes_recorded_trajectory(tmp_path, capsys, monkeypatch
     assert sorted(set(column(out / "trajectory.csv", "t"))) == pytest.approx([0.0, 0.01, 0.02])
     assert column(out / "diagnostics.csv", "t") == pytest.approx([0.0, 0.01, 0.02])
     assert abs(_abort_time(capsys.readouterr().err) - 0.03) < 1e-12
+
+
+def test_sphere_run_collapse_abort_writes_recorded_rows(tmp_path, capsys):
+    # a(t) = (1 - t)^2 collapses at t* = 1 < T: the step halving underflows there
+    out = tmp_path / "sphere"
+    code = cli.main(["sphere-run", "m=1", "l=2", "a=1", "b=1", "mode=fixed", "T=2",
+                     "dt=1e-2", "--out", str(out)])
+    assert code == 3
+    t_abort = _abort_time(capsys.readouterr().err)
+    assert abs(t_abort - 1.0) < 1e-3
+    ts = column(out / "sphere.csv", "t")
+    assert ts[0] == 0.0 and len(ts) > 100
+    assert all(t1 <= t2 for t1, t2 in zip(ts, ts[1:]))
+    assert abs(ts[-1] - t_abort) < 1e-6
+    assert min(column(out / "sphere.csv", "a")) > 0.0
 
 
 def test_degenerate_surface_file_exits_2(tmp_path, capsys):

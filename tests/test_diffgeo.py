@@ -6,7 +6,6 @@ import pytest
 from skewflow import diffgeo as dg
 from skewflow.errors import (
     DegenerateImmersionError,
-    FrameDegeneracyError,
     UnsupportedDimensionError,
 )
 
@@ -118,7 +117,7 @@ def test_degenerate_immersion_reports_index():
 
 
 # ---------------------------------------------------------------------------
-# frame and J
+# J
 # ---------------------------------------------------------------------------
 
 def test_orientation_lock_on_torus():
@@ -136,8 +135,7 @@ def test_orientation_lock_on_torus():
 def test_j_is_isometric_quarter_turn():
     sf = dg.shape_field(dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (32, 32)))
     rng = np.random.default_rng(5)
-    v = rng.normal(size=(32, 32))[..., None] * sf.nu1 \
-        + rng.normal(size=(32, 32))[..., None] * sf.nu2
+    v = dg.project_normal(sf, rng.normal(size=(32, 32, 4)))
     jv = dg.apply_j(sf, v)
     assert np.abs(np.einsum("...d,...d->...", jv, v)).max() < 1e-12
     assert np.abs(
@@ -146,37 +144,21 @@ def test_j_is_isometric_quarter_turn():
     assert np.abs(dg.apply_j(sf, jv) + v).max() < 1e-12
 
 
-def test_frame_pythagoras():
-    sf = dg.shape_field(dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (32, 32)))
-    proj = (
-        np.einsum("...d,...d->...", sf.mean_curvature, sf.nu1) ** 2
-        + np.einsum("...d,...d->...", sf.mean_curvature, sf.nu2) ** 2
-    )
-    assert np.abs(sf.rho - proj).max() < 1e-12
-
-
-def test_frame_transport_fills_masked_points():
-    imm = dg.torus_immersion(1.0, 2.0, (16, 16))
-    sf = dg.shape_field(imm)
-    # blank out |H| on a patch and rebuild the frame by transport
-    sf.mean_curvature[4:8, 4:8] = 0.0
-    sf.rho[4:8, 4:8] = 0.0
-    nu1, nu2 = dg.normal_frame(imm, sf)
-    assert np.abs(np.linalg.norm(nu1, axis=-1) - 1.0).max() < 1e-12
-    assert dg.tangential_defect(sf, nu1).max() < 1e-10
-    assert np.abs(np.einsum("...d,...d->...", nu1, nu2)).max() < 1e-12
-
-
-def test_frame_degeneracy_error_and_seed():
-    imm = dg.torus_immersion(1.0, 2.0, (16, 16))
-    sf = dg.shape_field(imm)
-    sf.mean_curvature[...] = 0.0
-    sf.rho[...] = 0.0
-    with pytest.raises(FrameDegeneracyError):
-        dg.normal_frame(imm, sf)
-    n1, _ = torus_normals((16, 16))
-    nu1, nu2 = dg.normal_frame(imm, sf, seed=n1)
-    assert np.abs(np.linalg.norm(nu1, axis=-1) - 1.0).max() < 1e-12
+def test_j_matches_determinant_cross_product():
+    # reference: (t_1 x ... x t_n x v)_l = det[t_1, ..., t_n, v, e_l], one det per component
+    rng = np.random.default_rng(11)
+    curve = dg.circle_immersion(1.5, 32).points + 0.2 * rng.normal(size=(32, 3))
+    for imm in (dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (16, 16)),
+                dg.GridImmersion(curve, (2 * np.pi,))):
+        sf = dg.shape_field(imm)
+        v = dg.project_normal(sf, rng.normal(size=imm.points.shape))
+        columns = np.concatenate([np.moveaxis(sf.tangents, -2, -1), v[..., None]], axis=-1)
+        cross = np.stack([
+            np.linalg.det(np.concatenate(
+                [columns, np.broadcast_to(e, v.shape)[..., None]], axis=-1))
+            for e in np.eye(imm.ambient_dim)
+        ], axis=-1)
+        assert np.abs(dg.apply_j(sf, v) + cross / sf.sqrt_det_g[..., None]).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +213,10 @@ def test_normal_laplacian_zero_modes_on_torus():
 def test_normal_laplacian_linearity():
     imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (32, 32))
     sf = dg.shape_field(imm)
-    u = 0.4 * sf.nu1 - 1.1 * sf.nu2
-    v = 0.9 * sf.nu2
+    h = sf.mean_curvature / np.sqrt(sf.rho)[..., None]
+    jh = dg.apply_j(sf, h)
+    u = 0.4 * h - 1.1 * jh
+    v = 0.9 * jh
     lhs = dg.normal_laplacian(imm, sf, 2.0 * u + 3.0 * v)
     rhs = 2.0 * dg.normal_laplacian(imm, sf, u) + 3.0 * dg.normal_laplacian(imm, sf, v)
     assert np.abs(lhs - rhs).max() < 1e-10

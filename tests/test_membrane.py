@@ -94,12 +94,6 @@ def test_volume_drift_improves_under_refinement():
     assert math.log2(drifts[0] / drifts[1]) >= 1.8
 
 
-def test_frame_continuity_along_run():
-    imm = dg.torus_immersion(1.0, 2.0, (16, 16))
-    traj = mb.evolve_membrane(imm, 1e-3, 0.05, stride=10, order=2)
-    assert mb.max_frame_rotation(traj) < np.pi / 2
-
-
 # ---------------------------------------------------------------------------
 # continuity equation with source
 # ---------------------------------------------------------------------------

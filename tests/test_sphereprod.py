@@ -7,7 +7,7 @@ import pytest
 
 from skewflow import diffgeo as dg
 from skewflow import sphereprod as sp
-from skewflow.errors import CollapseError, UnsupportedDimensionError
+from skewflow.errors import CollapseError, EvolutionAbort, UnsupportedDimensionError
 
 
 def test_ode_rhs_values():
@@ -100,6 +100,22 @@ def test_run_to_collapse_stop_time():
     # a(t) = (1-t)^2 stops at 1 - sqrt(a_stop)
     assert abs(traj.times[-1] - (1.0 - 1e-4)) < 2e-3
     assert traj.a[-1] <= 1e-8
+
+
+def test_aborts_carry_absolute_time_and_recorded_rows():
+    state = sp.SphereProductState(1, 2, 1.0, 1.0, t=0.5)
+    # past the collapse at t* = 1 the step halving underflows
+    with pytest.raises(EvolutionAbort, match="step underflow") as err:
+        sp.evolve_numeric(state, 1e-2, 2.0)
+    rows = err.value.trajectory
+    assert abs(err.value.t - 1.5) < 1e-3
+    assert rows.times[0] == 0.5 and rows.times[-1] == err.value.t
+    assert len(rows.a) == len(rows.times) and np.all(rows.a > 0)
+
+    with pytest.raises(EvolutionAbort, match="max_steps") as err:
+        sp.run_to_collapse(state, 1e-3, max_steps=5)
+    assert err.value.t == pytest.approx(0.505)
+    assert err.value.trajectory.times == pytest.approx(0.5 + 1e-3 * np.arange(6))
 
 
 def test_stop_time_monotone_in_a_stop():

@@ -6,7 +6,7 @@ import pytest
 from skewflow import diffgeo as dg
 from skewflow import filament as fl
 from skewflow import membrane as mb
-from skewflow.errors import EvolutionAbort, FrameDegeneracyError
+from skewflow.errors import DegenerateImmersionError, EvolutionAbort
 from skewflow.stepping import integrate, rk4_step, step_count
 
 
@@ -104,7 +104,7 @@ def test_abort_carries_recorded_snapshots(name, monkeypatch):
     def failing(*args, **kwargs):
         calls[0] += 1
         if calls[0] > 10 * per_step:
-            raise FrameDegeneracyError("forced breakdown")
+            raise DegenerateImmersionError((0,), 0.0)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, attr, failing)
