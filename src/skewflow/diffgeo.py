@@ -11,6 +11,12 @@ arithmetic wraps.  From the sampled positions we build
     mean curvature  H = g^ij A_ij
     quarter turn    J v = -(t_1 x ... x t_n x v) / sqrt(det g)
 
+The metric algebra is closed-form for n <= 2: det g and g^-1 are the
+explicit 1x1/2x2 expressions, and normal projection subtracts (X, t_i) t^i
+with the dual tangents t^i = g^ij t_j.  shape_field evaluates all of it as
+elementwise arithmetic on contiguous component planes, with no per-point
+LAPACK call.
+
 J is the quarter-turn of the normal plane.  Its direction is fixed by the
 sign convention det[t_1, ..., t_n, v, Jv] < 0 in ambient coordinates; this
 is the convention under which a curve's binormal velocity is -J(kappa n) =
@@ -213,11 +219,12 @@ def diff2(f, axis, h, order=2):
 def project_normal(sf, X):
     """Normal-plane projection of an ambient vector field X, one vector per point.
 
-    Projection is with respect to the discrete tangent span (Gram solve), so
-    it is defined wherever the metric is, including where |H| is small.
+    Projection is with respect to the discrete tangent span (contraction with
+    the inverse metric), so it is defined wherever the metric is, including
+    where |H| is small.
     """
     b = np.einsum("...id,...d->...i", sf.tangents, X)
-    alpha = np.linalg.solve(sf.metric, b[..., None])[..., 0]
+    alpha = np.einsum("...ij,...j->...i", sf.metric_inv, b)
     return X - np.einsum("...i,...id->...d", alpha, sf.tangents)
 
 
@@ -237,45 +244,85 @@ def _require_normal(sf, X, what):
         )
 
 
+def _dot(u, v):
+    """Pointwise inner product of two (d, *s) stacks of component planes."""
+    acc = u[0] * v[0]
+    for k in range(1, len(u)):
+        acc += u[k] * v[k]
+    return acc
+
+
+def _planes(a, k):
+    """View of a per-point array (*s, *tail) with k tail axes as (*tail, *s)."""
+    return np.moveaxis(a, tuple(range(-k, 0)), tuple(range(k)))
+
+
 def shape_field(imm, order=2):
     """Compute the full geometry bundle of an immersion.
+
+    The per-point algebra is elementwise arithmetic on contiguous component
+    planes: one (d, *s) copy of the points is differenced along the grid
+    axes, det g and g^-1 are the closed-form 1x1/2x2 expressions, and each
+    second derivative X_ij is projected with the dual tangents
+    t^k = g^kl t_l as A_ij = X_ij - sum_k (X_ij, t_k) t^k.  Results are
+    written straight into the per-point arrays of the returned ShapeField.
 
     Raises DegenerateImmersionError when det(g) falls below G_MIN, naming the
     offending grid index.
     """
-    pts = imm.points
-    n, hs = imm.dim, imm.spacings
+    n, d, s, hs = imm.dim, imm.ambient_dim, imm.shape, imm.spacings
+    pts = np.ascontiguousarray(_planes(imm.points, 1))
 
-    tangents = np.stack([diff(pts, i, hs[i], order) for i in range(n)], axis=-2)
-    metric = np.einsum("...id,...jd->...ij", tangents, tangents)
-    det_g = np.linalg.det(metric)
+    t = [diff(pts, i + 1, hs[i], order) for i in range(n)]
+    g = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = _dot(t[i], t[j])
+    if n == 1:
+        det_g = g[0][0]
+    else:
+        det_g = g[0][0] * g[1][1] - g[0][1] * g[0][1]
     if det_g.min() <= G_MIN:
         idx = np.unravel_index(np.argmin(det_g), det_g.shape)
         raise DegenerateImmersionError(idx, det_g[idx])
-    metric_inv = np.linalg.inv(metric)
+    if n == 1:
+        g_inv = [[1.0 / det_g]]
+        dual = [g_inv[0][0] * t[0]]
+    else:
+        off = -g[0][1] / det_g
+        g_inv = [[g[1][1] / det_g, off], [off, g[0][0] / det_g]]
+        dual = [g_inv[i][0] * t[0] + g_inv[i][1] * t[1] for i in range(2)]
 
-    second = np.empty(imm.shape + (n, n, imm.ambient_dim))
+    tangents = np.empty(s + (n, d))
+    metric = np.empty(s + (n, n))
+    metric_inv = np.empty(s + (n, n))
+    for i in range(n):
+        _planes(tangents, 2)[i] = t[i]
+        for j in range(n):
+            _planes(metric, 2)[i, j] = g[i][j]
+            _planes(metric_inv, 2)[i, j] = g_inv[i][j]
+
+    second_form = np.empty(s + (n, n, d))
+    h = np.zeros((d,) + s)
+    norm_sq = None
     for i in range(n):
         for j in range(i, n):
             if i == j:
-                dij = diff2(pts, i, hs[i], order)
+                x = diff2(pts, i + 1, hs[i], order)
             else:
-                dij = diff(diff(pts, i, hs[i], order), j, hs[j], order)
-            second[..., i, j, :] = dij
-            second[..., j, i, :] = dij
+                x = diff(t[i], j + 1, hs[j], order)
+            x_sq = _dot(x, x)
+            norm_sq = x_sq if norm_sq is None else np.maximum(norm_sq, x_sq)
+            coeffs = [_dot(x, t[k]) for k in range(n)]
+            for k in range(n):
+                x -= coeffs[k] * dual[k]
+            _planes(second_form, 3)[i, j] = x
+            _planes(second_form, 3)[j, i] = x
+            h += (g_inv[i][j] if i == j else 2.0 * g_inv[i][j]) * x
+    H = np.empty(s + (d,))
+    _planes(H, 1)[...] = h
 
-    tol_perp = TOL_PERP_FACTOR * np.max(np.linalg.norm(second, axis=-1), axis=(-2, -1))
-    tol_perp = np.maximum(tol_perp, TOL_PERP_FACTOR)
-
-    # batched normal projection of all n^2 second derivatives at once
-    flat = second.reshape(imm.shape + (n * n, imm.ambient_dim))
-    b = np.einsum("...id,...md->...im", tangents, flat)
-    alpha = np.linalg.solve(metric, b)
-    a_flat = flat - np.einsum("...im,...id->...md", alpha, tangents)
-    second_form = a_flat.reshape(second.shape)
-
-    H = np.einsum("...ij,...ijd->...d", metric_inv, second_form)
-    rho = np.einsum("...d,...d->...", H, H)
+    tol_perp = np.maximum(TOL_PERP_FACTOR * np.sqrt(norm_sq), TOL_PERP_FACTOR)
 
     return ShapeField(
         immersion=imm,
@@ -287,7 +334,7 @@ def shape_field(imm, order=2):
         sqrt_det_g=np.sqrt(det_g),
         second_form=second_form,
         mean_curvature=H,
-        rho=rho,
+        rho=_dot(h, h),
         tol_perp=tol_perp,
     )
 
@@ -552,7 +599,8 @@ def save_immersion(imm, path):
         f"ambient {imm.ambient_dim}",
     ]
     flat = imm.points.reshape(-1, imm.ambient_dim)
-    lines.extend(" ".join(f"{x:.17g}" for x in row) for row in flat)
+    row = " ".join(["%.17g"] * imm.ambient_dim)
+    lines.append("\n".join([row] * len(flat)) % tuple(flat.ravel().tolist()))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -113,6 +113,13 @@ def extract_radii(imm):
     return a, b
 
 
+def _torsion(sf):
+    """(tau, chi) of a shape field; tau is computed once and then read from sf.tau."""
+    if sf.tau is None:
+        return dg.torsion_form(sf.immersion, sf)
+    return sf.tau, 2.0 * np.einsum("...ij,...j->...i", sf.metric_inv, sf.tau)
+
+
 def _triple(traj, i, fields=None):
     if not 0 < i < len(traj.snapshots) - 1:
         raise IndexError("residuals need snapshots on both sides of i")
@@ -131,7 +138,7 @@ def continuity_residual(traj, i, fields=None):
     """
     (sfm, sf0, sfp), span = _triple(traj, i, fields)
     d_rho = (sfp.rho - sfm.rho) / span
-    tau, chi = dg.torsion_form(sf0.immersion, sf0)
+    tau, chi = _torsion(sf0)
     div = dg.metric_divergence(sf0, sf0.rho[..., None] * chi)
     resid = d_rho + div - dg.source_term(sf0.immersion, sf0)
     return resid, float(np.nanmax(np.abs(resid)))
@@ -141,7 +148,7 @@ def corollary_residual(traj, i, fields=None):
     """Normal-vector residual of the contracted continuity form at snapshot i."""
     (sfm, sf0, sfp), span = _triple(traj, i, fields)
     dH = dg.project_normal(sf0, (sfp.mean_curvature - sfm.mean_curvature) / span)
-    tau, _ = dg.torsion_form(sf0.immersion, sf0)
+    tau, _ = _torsion(sf0)
     gradH = np.stack(
         [dg.normal_derivative(sf0, sf0.mean_curvature, j) for j in range(2)], axis=-2
     )
@@ -178,9 +185,9 @@ def momentum_residual(traj, i, fields=None):
     imm = sf0.immersion
     n, hs = imm.dim, imm.spacings
 
-    taum, _ = dg.torsion_form(sfm.immersion, sfm)
-    tau0, _ = dg.torsion_form(imm, sf0)
-    taup, _ = dg.torsion_form(sfp.immersion, sfp)
+    taum, _ = _torsion(sfm)
+    tau0, _ = _torsion(sf0)
+    taup, _ = _torsion(sfp)
     d_tau = (taup - taum) / span
 
     def grad(scalar):

@@ -133,12 +133,16 @@ def _rk4(m, l, a, b, h):
             b + h * (k1b + 2 * k2b + 2 * k3b + k4b) / 6.0)
 
 
-def _halved_step(m, l, a, b, dt):
-    """Step size after the near-collapse halving rule a < 10 dt l / b; None on underflow."""
+def _halved_step(m, l, a, b, dt, t):
+    """Step size after the near-collapse halving rule a < 10 dt l / b.
+
+    None on underflow: once the step drops below dt 2^-60, or as soon as it
+    no longer advances the time t.
+    """
     h = dt
     while a < 10.0 * h * l / b:
         h *= 0.5
-        if h < dt * 2.0 ** -60:
+        if h < dt * 2.0 ** -60 or t + h == t:
             return None
     return h
 
@@ -157,7 +161,7 @@ def evolve_numeric(state, dt, t_final, record_every=1):
     ts, As, Bs = [state.t], [a], [b]
     step_count = 0
     while t < t_final - 1e-15 * max(1.0, t_final):
-        h = _halved_step(m, l, a, b, dt)
+        h = _halved_step(m, l, a, b, dt, t)
         if h is None:
             raise _abort("step underflow near collapse", state, t, ts, As, Bs)
         h = min(h, t_final - t)
@@ -185,7 +189,7 @@ def run_to_collapse(state, dt, a_stop=A_STOP_DEFAULT, record_every=1, max_steps=
     while a > a_stop:
         if steps >= max_steps:
             raise _abort("run-to-collapse exceeded max_steps", state, t, ts, As, Bs)
-        h = _halved_step(m, l, a, b, dt)
+        h = _halved_step(m, l, a, b, dt, t)
         if h is None:
             raise _abort("step underflow near collapse", state, t, ts, As, Bs)
         a, b = _rk4(m, l, a, b, h)

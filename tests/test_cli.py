@@ -319,7 +319,7 @@ def test_sphere_run_collapse_abort_writes_recorded_rows(tmp_path, capsys):
     assert abs(t_abort - 1.0) < 1e-3
     ts = column(out / "sphere.csv", "t")
     assert ts[0] == 0.0 and len(ts) > 100
-    assert all(t1 <= t2 for t1, t2 in zip(ts, ts[1:]))
+    assert all(t1 < t2 for t1, t2 in zip(ts, ts[1:]))
     assert abs(ts[-1] - t_abort) < 1e-6
     assert min(column(out / "sphere.csv", "a")) > 0.0
 

@@ -373,6 +373,17 @@ def test_curve_snapshot_roundtrip(tmp_path):
     assert back.dim == 1 and np.array_equal(back.points, imm.points)
 
 
+def test_snapshot_rows_are_17_digit_text(tmp_path):
+    pts = dg.torus_immersion(1.0, 2.0, (8, 8)).points.copy()
+    pts[0, 0] = [-0.0, 5e-324, -1.2345678901234567e300, 1.0 / 3.0]
+    path = tmp_path / "snap.txt"
+    dg.save_immersion(dg.GridImmersion(pts, (2.0 * np.pi, 1.5)), path)
+    text = path.read_text()
+    lines = text.splitlines()
+    assert lines[:4] == ["dim 2", "shape 8 8", f"param_periods {2.0 * np.pi:.17g} 1.5", "ambient 4"]
+    assert lines[4:] == [" ".join(f"{x:.17g}" for x in row) for row in pts.reshape(-1, 4)]
+    assert text.endswith("\n")
+
 
 def test_snapshot_header_errors_name_the_key(tmp_path):
     path = tmp_path / "bare.txt"

@@ -285,3 +285,18 @@ def test_diagnostics_table():
     assert np.isnan(cols["max_continuity_residual"][-1])
     assert np.isfinite(cols["max_continuity_residual"][1:-1]).all()
     assert abs(cols["a_extracted"][0] - 1.0) < 1e-12
+
+
+def test_diagnostics_computes_each_torsion_form_once(monkeypatch):
+    calls = []
+    torsion_form = dg.torsion_form
+
+    def counted(imm, sf):
+        calls.append(id(sf))
+        return torsion_form(imm, sf)
+
+    monkeypatch.setattr(dg, "torsion_form", counted)
+    imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (16, 16))
+    traj = mb.evolve_membrane(imm, 1e-3, 0.005, stride=1, order=2)
+    mb.diagnostics(traj)
+    assert len(calls) == len(set(calls)) == len(traj.snapshots)

@@ -118,6 +118,20 @@ def test_aborts_carry_absolute_time_and_recorded_rows():
     assert err.value.trajectory.times == pytest.approx(0.5 + 1e-3 * np.arange(6))
 
 
+@pytest.mark.parametrize("run", [
+    lambda s: sp.evolve_numeric(s, 1e-2, 2.0),
+    lambda s: sp.run_to_collapse(s, 1e-2, a_stop=0.0),
+], ids=["evolve_numeric", "run_to_collapse"])
+def test_step_underflow_aborts_once_t_stops_advancing(run):
+    # near t* = 1 the halved step falls below the spacing of t long before dt 2^-60
+    with pytest.raises(EvolutionAbort, match="step underflow") as err:
+        run(sp.SphereProductState(1, 2, 1.0, 1.0))
+    times = err.value.trajectory.times
+    assert np.all(np.diff(times) > 0)
+    assert times[-1] == err.value.t
+    assert abs(err.value.t - 1.0) < 1e-6
+
+
 def test_stop_time_monotone_in_a_stop():
     stops = []
     for a_stop in (1e-2, 1e-3, 1e-4):
