@@ -164,19 +164,12 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
-def atomic_write(path, text):
-    tmp = f"{path}.part"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def write_csv(path, header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([_fmt(x) for x in row] for row in rows)
-    atomic_write(path, buf.getvalue())
+    dg.atomic_write(path, buf.getvalue())
 
 
 def write_manifest(outdir, subcommand, params, wall_time):
@@ -189,7 +182,7 @@ def write_manifest(outdir, subcommand, params, wall_time):
         f"config_sha256 {digest}\n"
         f"wall_time_s {wall_time:.3f}\n"
     )
-    atomic_write(os.path.join(outdir, "manifest.txt"), text)
+    dg.atomic_write(os.path.join(outdir, "manifest.txt"), text)
 
 
 def _curve_from_params(p):
@@ -306,7 +299,6 @@ def run_membrane(p, outdir):
                                  eps=p["eps"], k1=p["k1"], k2=p["k2"])
     traj, code = _evolve("membrane", lambda: mb.evolve_membrane(
         imm, p["dt"], p["T"], stride=p["stride"], order=p["order"]))
-    traj = mb.MembraneTrajectory(traj.times, traj.states, order=p["order"])
     if p["snapshots"]:
         for i, snap in enumerate(traj.snapshots):
             dg.save_immersion(snap, os.path.join(outdir, f"snapshot_{i:04d}.txt"))

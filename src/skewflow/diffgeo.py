@@ -29,6 +29,7 @@ spectrally accurate for smooth periodic integrands.
 """
 
 import itertools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +75,8 @@ class GridImmersion:
             )
         if len(self.param_periods) != n:
             raise ValueError("need one parameter period per grid axis")
+        if not all(np.isfinite(p) and p > 0 for p in self.param_periods):
+            raise ValueError(f"param_periods must be finite and > 0, got {self.param_periods}")
         if any(N < MIN_GRID for N in pts.shape[:-1]):
             raise ValueError(f"grid sizes must be >= {MIN_GRID}, got {pts.shape[:-1]}")
         if not np.all(np.isfinite(pts)):
@@ -386,14 +389,12 @@ def integrate_density(sf, values):
     return grid_integral(sf.immersion, values * sf.sqrt_det_g)
 
 
-def willmore_energy(imm, sf=None, order=2):
+def willmore_energy(sf):
     """Total squared mean curvature, integral of |H|^2 dvol."""
-    if sf is None:
-        sf = shape_field(imm, order=order)
     return integrate_density(sf, sf.rho)
 
 
-def torsion_form(imm, sf):
+def torsion_form(sf):
     """Torsion 1-form of the normalized mean-curvature frame, chi = 2 tau^sharp.
 
     tau_i measures the rotation rate of (h, Jh), h = H/|H|, along the i-th
@@ -410,7 +411,7 @@ def torsion_form(imm, sf):
     safe = np.where(mask, 1.0, absH)
     h_sec = sf.mean_curvature / safe[..., None]
     jh = apply_j(sf, h_sec)
-    n = imm.dim
+    n = sf.immersion.dim
     tau = np.stack(
         [-np.einsum("...d,...d->...", normal_derivative(sf, h_sec, i), jh) for i in range(n)],
         axis=-1,
@@ -423,7 +424,7 @@ def torsion_form(imm, sf):
     return tau, chi
 
 
-def normal_laplacian(imm, sf, V):
+def normal_laplacian(sf, V):
     """Connection Laplacian in the normal bundle with the metric correction.
 
     Delta_perp V = g^ij (D_i D_j V - Gamma^k_ij D_k V), where D is the
@@ -431,7 +432,7 @@ def normal_laplacian(imm, sf, V):
     breaks the energy-gradient identity on non-flat parameter metrics.
     """
     _require_normal(sf, V, "normal_laplacian input")
-    n = imm.dim
+    n = sf.immersion.dim
     first = [normal_derivative(sf, V, j) for j in range(n)]
     second = np.empty(sf.metric.shape + V.shape[-1:])
     for i in range(n):
@@ -453,13 +454,13 @@ def _christoffel(sf):
     return 0.5 * np.einsum("...kl,...lij->...kij", sf.metric_inv, t1 + t2 - t3)
 
 
-def willmore_gradient(imm, sf):
+def willmore_gradient(sf):
     """L2 gradient of the Willmore energy with respect to normal variations.
 
     Returns the full gradient; half of it is
         Delta_perp H + g^ik g^jl (A_ij, H) A_kl - 0.5 |H|^2 H.
     """
-    lap = normal_laplacian(imm, sf, sf.mean_curvature)
+    lap = normal_laplacian(sf, sf.mean_curvature)
     s = np.einsum("...ijd,...d->...ij", sf.second_form, sf.mean_curvature)
     quad = np.einsum("...ik,...jl,...ij,...kld->...d", sf.metric_inv, sf.metric_inv,
                      s, sf.second_form)
@@ -467,27 +468,23 @@ def willmore_gradient(imm, sf):
     return 2.0 * half
 
 
-def _curvature_source_scalar(sf):
-    """-2 g^ik g^jl (A_ij, H)(A_kl, JH) at every grid point."""
+def source_term(sf):
+    """Source of the curvature-density continuity equation at every grid point,
+    -2 g^ik g^jl (A_ij, H)(A_kl, JH)."""
     jh = apply_j(sf, sf.mean_curvature)
     s = np.einsum("...ijd,...d->...ij", sf.second_form, sf.mean_curvature)
     p = np.einsum("...ijd,...d->...ij", sf.second_form, jh)
     return -2.0 * np.einsum("...ik,...jl,...ij,...kl->...", sf.metric_inv, sf.metric_inv, s, p)
 
 
-def source_term(imm, sf):
-    """Source of the curvature-density continuity equation, per grid point."""
-    return _curvature_source_scalar(sf)
-
-
-def energy_derivative_integrand(imm, sf):
+def energy_derivative_integrand(sf):
     """Density whose integral is d/dt of the Willmore energy under the flow.
 
-    Returns (integrand * sqrt(det g), integral); the pointwise scalar is the
-    same as source_term, so the two quadratures agree identically.
+    Returns (source_term * sqrt(det g), integral): the integrand is the
+    continuity source itself, so the two quadratures agree identically.
     """
-    density = _curvature_source_scalar(sf) * sf.sqrt_det_g
-    return density, grid_integral(imm, density)
+    density = source_term(sf) * sf.sqrt_det_g
+    return density, grid_integral(sf.immersion, density)
 
 
 # ---------------------------------------------------------------------------
@@ -515,17 +512,18 @@ def _plaquette_curl(e1, e2, spacings):
     return circ / (h1 * h2)
 
 
-def normal_curvature_check(imm, sf):
+def normal_curvature_check(sf):
     """Compare d(tau) with the normal-bundle curvature on grid plaquettes.
 
     The curvature side is read off from the commutator of normal-projected
     derivatives applied to h = H/|H|, against Jh, with the sign for which the two
     fields cancel: returns (dtau, r_perp, max |dtau + r_perp|).
     """
+    imm = sf.immersion
     if imm.dim != 2:
         raise UnsupportedDimensionError("plaquette 2-forms need a 2D grid")
     if sf.tau is None:
-        torsion_form(imm, sf)
+        torsion_form(sf)
     if sf.tau_mask is not None and sf.tau_mask.any():
         raise FrameDegeneracyError("torsion form is masked; curvature check unavailable")
 
@@ -551,14 +549,12 @@ def normal_curvature_check(imm, sf):
 # Marsden-Weinstein pairing
 # ---------------------------------------------------------------------------
 
-def mw_pairing(imm, u, v, sf=None, order=2):
+def mw_pairing(sf, u, v):
     """Pairing of two ambient vector fields: integral of det[u, v, t_1..t_n] dx."""
-    if sf is None:
-        sf = shape_field(imm, order=order)
     cols = np.concatenate(
         [u[..., None], v[..., None], np.moveaxis(sf.tangents, -2, -1)], axis=-1
     )
-    return grid_integral(imm, np.linalg.det(cols))
+    return grid_integral(sf.immersion, np.linalg.det(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +582,15 @@ def laplace_beltrami(sf, scalar):
 # snapshot I/O
 # ---------------------------------------------------------------------------
 
+def atomic_write(path, text):
+    """Write text to a `.part` file and move it onto path, so path never
+    holds a partial file."""
+    tmp = f"{path}.part"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def save_immersion(imm, path):
     """Write the text snapshot: header lines, then one row per grid point.
 
@@ -601,8 +606,7 @@ def save_immersion(imm, path):
     flat = imm.points.reshape(-1, imm.ambient_dim)
     row = " ".join(["%.17g"] * imm.ambient_dim)
     lines.append("\n".join([row] * len(flat)) % tuple(flat.ravel().tolist()))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_immersion(path):

@@ -199,13 +199,9 @@ def min_nonneighbor_distance(points):
 # binormal flow
 # ---------------------------------------------------------------------------
 
-def binormal_rhs(curve, scheme="fd4"):
+def binormal_rhs(points, period, scheme="fd4"):
     """Velocity gamma' x gamma'' of the filament equation (arclength samples)."""
-    gp = derivative(curve.points, curve.period, 1, scheme)
-    if np.linalg.norm(gp, axis=1).min() <= 0:
-        raise ValueError("curve is not immersed: vanishing tangent")
-    gpp = derivative(curve.points, curve.period, 2, scheme)
-    return np.cross(gp, gpp)
+    return np.cross(derivative(points, period, 1, scheme), derivative(points, period, 2, scheme))
 
 
 def stability_limit(n, period, scheme="fd4"):
@@ -232,17 +228,14 @@ def evolve_filament(curve, dt, t_final, stride=None, reparam_every=10, scheme="f
     d_min = D_MIN_FACTOR * c.period / c.n
     nsteps = step_count(dt, t_final, stride)
 
-    def velocity(p, period):
-        return np.cross(derivative(p, period, 1, scheme), derivative(p, period, 2, scheme))
-
     def checks(c, t):
-        if np.max(np.abs(velocity(c.points, c.period))) > BLOWUP_CAP:
+        if np.max(np.abs(binormal_rhs(c.points, c.period, scheme))) > BLOWUP_CAP:
             raise BlowUpAbort("binormal velocity exceeded the blow-up cap", t)
         if min_nonneighbor_distance(c.points) < d_min:
             raise SelfIntersectionAbort("non-neighbor samples closer than d_min", t)
 
     def step(c, i):
-        pts = rk4_step(lambda p: velocity(p, c.period), c.points, dt)
+        pts = rk4_step(lambda p: binormal_rhs(p, c.period, scheme), c.points, dt)
         if not np.all(np.isfinite(pts)):
             raise BlowUpAbort("non-finite coordinates", i * dt)
         c = ClosedCurve(pts, c.period)

@@ -21,7 +21,7 @@ Time derivatives in the residuals are centered 3-point differences across
 consecutive snapshots, matching the O(dt^2) budget of the RK4 snapshots.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,9 +35,11 @@ _FD_SECOND_MAX = {2: 4.0, 4: 16.0 / 3.0}
 
 @dataclass
 class MembraneTrajectory(Trajectory):
-    """Snapshot times (strictly increasing) and a GridImmersion per time."""
+    """Snapshot times (strictly increasing), a GridImmersion per time, and the
+    shape field of each snapshot, computed at most once."""
 
     order: int = 2               # finite-difference order used throughout
+    shape_fields: list = field(default=None, repr=False, compare=False)  # None: not yet computed
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -45,33 +47,36 @@ class MembraneTrajectory(Trajectory):
             raise ValueError("snapshot times must be strictly increasing")
         if len(self.states) != self.times.size:
             raise ValueError("one snapshot per time required")
+        if self.shape_fields is None:
+            self.shape_fields = [None] * len(self.states)
+        if len(self.shape_fields) != len(self.states):
+            raise ValueError("one shape field slot per snapshot required")
 
     @property
     def snapshots(self):
         return self.states
 
     def fields(self, i):
-        return dg.shape_field(self.snapshots[i], order=self.order)
+        if self.shape_fields[i] is None:
+            self.shape_fields[i] = dg.shape_field(self.snapshots[i], order=self.order)
+        return self.shape_fields[i]
 
 
-def smc_rhs(imm, order=2, sf=None):
+def smc_rhs(sf):
     """Marker velocity -J H per grid point."""
-    if sf is None:
-        sf = dg.shape_field(imm, order=order)
     return -dg.apply_j(sf, sf.mean_curvature)
 
 
-def stability_limit(imm, order=2, sf=None):
+def stability_limit(sf):
     """Estimated RK4 step bound for the dispersive (Schrodinger-like) flow.
 
     The stiffest linearized mode oscillates at roughly
     c_ord * sum_i max(g^ii) / h_i^2 with c_ord the peak symbol of the second
     difference; the usable step is a conservative fraction of 2.83 over that.
     """
-    if sf is None:
-        sf = dg.shape_field(imm, order=order)
+    imm = sf.immersion
     lam = sum(
-        _FD_SECOND_MAX[order] * sf.metric_inv[..., i, i].max() / imm.spacings[i] ** 2
+        _FD_SECOND_MAX[sf.order] * sf.metric_inv[..., i, i].max() / imm.spacings[i] ** 2
         for i in range(imm.dim)
     )
     return RK4_IMAG_STABILITY / lam
@@ -82,27 +87,39 @@ def evolve_membrane(imm, dt, t_final, stride=1, order=2):
 
     Raises ValueError for a step size above the stability estimate, and
     EvolutionAbort on metric degeneration, non-finite coordinates,
-    or a snapshot whose stability estimate has dropped below dt.
+    or a snapshot whose stability estimate has dropped below dt.  The
+    returned trajectory, and the one an abort carries, hold the shape field
+    the stability estimate was taken from at each snapshot.
     """
     nsteps = step_count(dt, t_final, stride)
-    dt_max = stability_limit(imm, order=order)
+    fields = [dg.shape_field(imm, order=order)]
+    dt_max = stability_limit(fields[0])
     if dt > dt_max:
         raise ValueError(f"dt={dt:.3e} above the stability estimate {dt_max:.3e}")
     periods = imm.param_periods
 
     def step(snap, i):
-        pts = rk4_step(lambda p: smc_rhs(dg.GridImmersion(p, periods), order=order),
-                       snap.points, dt)
+        pts = rk4_step(
+            lambda p: smc_rhs(dg.shape_field(dg.GridImmersion(p, periods), order=order)),
+            snap.points, dt)
         if not np.all(np.isfinite(pts)):
             raise EvolutionAbort("non-finite coordinates", i * dt)
         snap = dg.GridImmersion(pts, periods)
-        recorded = (stride and i % stride == 0) or i == nsteps
-        if recorded and dt > stability_limit(snap, order=order):
-            raise EvolutionAbort("dt no longer within the stability estimate", i * dt)
+        if (stride and i % stride == 0) or i == nsteps:
+            sf = dg.shape_field(snap, order=order)
+            if dt > stability_limit(sf):
+                raise EvolutionAbort("dt no longer within the stability estimate", i * dt)
+            fields.append(sf)
         return snap
 
-    traj = integrate(step, imm, dt, t_final, stride)
-    return MembraneTrajectory(traj.times, traj.states, order=order)
+    def with_fields(traj):
+        return MembraneTrajectory(traj.times, traj.states, order=order, shape_fields=fields)
+
+    try:
+        return with_fields(integrate(step, imm, dt, t_final, stride))
+    except EvolutionAbort as exc:
+        exc.trajectory = with_fields(exc.trajectory)
+        raise
 
 
 def extract_radii(imm):
@@ -116,37 +133,35 @@ def extract_radii(imm):
 def _torsion(sf):
     """(tau, chi) of a shape field; tau is computed once and then read from sf.tau."""
     if sf.tau is None:
-        return dg.torsion_form(sf.immersion, sf)
+        return dg.torsion_form(sf)
     return sf.tau, 2.0 * np.einsum("...ij,...j->...i", sf.metric_inv, sf.tau)
 
 
-def _triple(traj, i, fields=None):
+def _triple(traj, i):
     if not 0 < i < len(traj.snapshots) - 1:
         raise IndexError("residuals need snapshots on both sides of i")
-    if fields is None:
-        fields = (traj.fields(i - 1), traj.fields(i), traj.fields(i + 1))
     span = traj.times[i + 1] - traj.times[i - 1]
-    return fields, span
+    return (traj.fields(i - 1), traj.fields(i), traj.fields(i + 1)), span
 
 
-def continuity_residual(traj, i, fields=None):
+def continuity_residual(traj, i):
     """Pointwise residual of the curvature-density continuity equation at
     snapshot i: centered d/dt of rho + div(rho chi) - source.
 
     Points where |H| is masked (and their stencil neighbors) carry NaN in the
     returned field and are excluded from the max norm.
     """
-    (sfm, sf0, sfp), span = _triple(traj, i, fields)
+    (sfm, sf0, sfp), span = _triple(traj, i)
     d_rho = (sfp.rho - sfm.rho) / span
     tau, chi = _torsion(sf0)
     div = dg.metric_divergence(sf0, sf0.rho[..., None] * chi)
-    resid = d_rho + div - dg.source_term(sf0.immersion, sf0)
+    resid = d_rho + div - dg.source_term(sf0)
     return resid, float(np.nanmax(np.abs(resid)))
 
 
-def corollary_residual(traj, i, fields=None):
+def corollary_residual(traj, i):
     """Normal-vector residual of the contracted continuity form at snapshot i."""
-    (sfm, sf0, sfp), span = _triple(traj, i, fields)
+    (sfm, sf0, sfp), span = _triple(traj, i)
     dH = dg.project_normal(sf0, (sfp.mean_curvature - sfm.mean_curvature) / span)
     tau, _ = _torsion(sf0)
     gradH = np.stack(
@@ -166,7 +181,7 @@ def corollary_residual(traj, i, fields=None):
     return resid, float(np.nanmax(np.linalg.norm(resid, axis=-1)))
 
 
-def momentum_residual(traj, i, fields=None):
+def momentum_residual(traj, i):
     """Covector residual of the torsion momentum equation at snapshot i.
 
     The equation checked is
@@ -181,7 +196,7 @@ def momentum_residual(traj, i, fields=None):
     still vanishing on products of circles (where that scalar is constant),
     which is how the sign was pinned; see tests/test_membrane.py.
     """
-    (sfm, sf0, sfp), span = _triple(traj, i, fields)
+    (sfm, sf0, sfp), span = _triple(traj, i)
     imm = sf0.immersion
     n, hs = imm.dim, imm.spacings
 
@@ -215,13 +230,11 @@ def momentum_residual(traj, i, fields=None):
     return resid, float(np.nanmax(np.abs(resid)))
 
 
-def energy_identity_check(traj, i, fields=None):
+def energy_identity_check(traj, i):
     """(lhs, rhs, gap): centered d/dt of the Willmore energy vs the rate integral."""
-    (sfm, sf0, sfp), span = _triple(traj, i, fields)
-    wm = dg.willmore_energy(sfm.immersion, sfm)
-    wp = dg.willmore_energy(sfp.immersion, sfp)
-    lhs = (wp - wm) / span
-    _, rhs = dg.energy_derivative_integrand(sf0.immersion, sf0)
+    (sfm, sf0, sfp), span = _triple(traj, i)
+    lhs = (dg.willmore_energy(sfp) - dg.willmore_energy(sfm)) / span
+    _, rhs = dg.energy_derivative_integrand(sf0)
     return lhs, rhs, lhs - rhs
 
 
@@ -238,17 +251,16 @@ def diagnostics(traj):
             "max_continuity_residual", "max_momentum_residual", "energy_gap",
         )
     }
-    fields = [traj.fields(i) for i in range(m)]
-    for i, sf in enumerate(fields):
+    for i in range(m):
+        sf = traj.fields(i)
         cols["t"][i] = traj.times[i]
-        cols["willmore"][i] = dg.willmore_energy(sf.immersion, sf)
+        cols["willmore"][i] = dg.willmore_energy(sf)
         cols["volume"][i] = dg.integrate_density(sf, np.ones_like(sf.rho))
         a, b = extract_radii(sf.immersion)
         cols["a_extracted"][i] = a
         cols["b_extracted"][i] = b
     for i in range(1, m - 1):
-        triple = (fields[i - 1], fields[i], fields[i + 1])
-        cols["max_continuity_residual"][i] = continuity_residual(traj, i, triple)[1]
-        cols["max_momentum_residual"][i] = momentum_residual(traj, i, triple)[1]
-        cols["energy_gap"][i] = energy_identity_check(traj, i, triple)[2]
+        cols["max_continuity_residual"][i] = continuity_residual(traj, i)[1]
+        cols["max_momentum_residual"][i] = momentum_residual(traj, i)[1]
+        cols["energy_gap"][i] = energy_identity_check(traj, i)[2]
     return cols

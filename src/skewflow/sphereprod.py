@@ -149,22 +149,26 @@ def _halved_step(m, l, a, b, dt, t):
 
 def _abort(message, state, t, ts, As, Bs):
     """EvolutionAbort at absolute time state.t + t whose `trajectory` holds the
-    rows recorded so far; both integrators below raise only these."""
+    rows recorded so far; the integration loop below raises only these."""
     recorded = SphereProductTrajectory(state.m, state.l, np.array(ts), np.array(As), np.array(Bs))
     return EvolutionAbort(message, state.t + t, recorded)
 
 
-def evolve_numeric(state, dt, t_final, record_every=1):
-    """RK4 trajectory over [0, t_final] with step-halving near collapse."""
+def _halving_rk4(state, dt, record_every, done, t_end=math.inf, max_steps=math.inf):
+    """RK4 with the near-collapse halving rule until done(t, a), t the elapsed
+    time; steps are cut short to end at t_end.  Records the start, every
+    record_every-th step and the last step."""
     m, l = state.m, state.l
     a, b, t = state.a, state.b, 0.0
     ts, As, Bs = [state.t], [a], [b]
-    step_count = 0
-    while t < t_final - 1e-15 * max(1.0, t_final):
+    steps = 0
+    while not done(t, a):
+        if steps >= max_steps:
+            raise _abort("run-to-collapse exceeded max_steps", state, t, ts, As, Bs)
         h = _halved_step(m, l, a, b, dt, t)
         if h is None:
             raise _abort("step underflow near collapse", state, t, ts, As, Bs)
-        h = min(h, t_final - t)
+        h = min(h, t_end - t)
         try:
             a, b = _rk4(m, l, a, b, h)
         except ZeroDivisionError:
@@ -172,36 +176,23 @@ def evolve_numeric(state, dt, t_final, record_every=1):
         if a <= 0 or b <= 0 or not (math.isfinite(a) and math.isfinite(b)):
             raise _abort("radius left the positive quadrant", state, t, ts, As, Bs)
         t += h
-        step_count += 1
-        if step_count % record_every == 0 or t >= t_final - 1e-15:
+        steps += 1
+        if steps % record_every == 0 or done(t, a):
             ts.append(state.t + t)
             As.append(a)
             Bs.append(b)
     return SphereProductTrajectory(m, l, np.array(ts), np.array(As), np.array(Bs))
+
+
+def evolve_numeric(state, dt, t_final, record_every=1):
+    """RK4 trajectory over [0, t_final] with step-halving near collapse."""
+    return _halving_rk4(state, dt, record_every,
+                        lambda t, a: t >= t_final - 1e-15 * max(1.0, t_final), t_end=t_final)
 
 
 def run_to_collapse(state, dt, a_stop=A_STOP_DEFAULT, record_every=1, max_steps=10 ** 8):
     """Integrate until a <= a_stop; the last recorded time is the stop time."""
-    m, l = state.m, state.l
-    a, b, t = state.a, state.b, 0.0
-    ts, As, Bs = [state.t], [a], [b]
-    steps = 0
-    while a > a_stop:
-        if steps >= max_steps:
-            raise _abort("run-to-collapse exceeded max_steps", state, t, ts, As, Bs)
-        h = _halved_step(m, l, a, b, dt, t)
-        if h is None:
-            raise _abort("step underflow near collapse", state, t, ts, As, Bs)
-        a, b = _rk4(m, l, a, b, h)
-        if a <= 0 or b <= 0:
-            raise _abort("radius left the positive quadrant", state, t, ts, As, Bs)
-        t += h
-        steps += 1
-        if steps % record_every == 0 or a <= a_stop:
-            ts.append(state.t + t)
-            As.append(a)
-            Bs.append(b)
-    return SphereProductTrajectory(m, l, np.array(ts), np.array(As), np.array(Bs))
+    return _halving_rk4(state, dt, record_every, lambda t, a: a <= a_stop, max_steps=max_steps)
 
 
 def willmore_series(state, times):

@@ -50,14 +50,6 @@ class ValidationContext:
             )
         return self._cache["membrane"]
 
-    def membrane_fields(self):
-        if "membrane_fields" not in self._cache:
-            traj = self.membrane_run()
-            self._cache["membrane_fields"] = [
-                traj.fields(i) for i in range(len(traj.snapshots))
-            ]
-        return self._cache["membrane_fields"]
-
     def acceptance_curve(self):
         """Planar perturbed circle with kappa bounded well away from zero."""
         return fl.perturbed_circle(1.0, 0.05, 3, 256)
@@ -99,7 +91,8 @@ def check_conservation(ctx):
         traj = sp.evolve_numeric(s0, 5e-4, horizon)
         ham = [sp.hamiltonian(traj.state(i)) for i in range(traj.times.size)]
         worst_h = max(worst_h, max(ham) - min(ham))
-    fields = ctx.membrane_fields()
+    traj = ctx.membrane_run()
+    fields = map(traj.fields, range(len(traj.snapshots)))
     vols = [dg.integrate_density(sf, np.ones_like(sf.rho)) for sf in fields]
     vol_drift = max(abs(v / vols[0] - 1.0) for v in vols)
     tol_h, tol_v = ctx.tol(1e-8), ctx.tol(2e-3)
@@ -110,17 +103,16 @@ def check_conservation(ctx):
 def check_willmore_noninvariance(ctx):
     """Membrane Willmore series vs 4pi^2(b/a e^(2t/ab) + a/b e^(-2t/ab)); >5% change."""
     traj = ctx.membrane_run()
-    fields = ctx.membrane_fields()
     s0 = sp.SphereProductState(1, 1, 1.0, 2.0)
     worst_w = worst_r = 0.0
-    for t, sf, snap in zip(traj.times, fields, traj.snapshots):
+    for i, (t, snap) in enumerate(zip(traj.times, traj.snapshots)):
         ex = sp.closed_form(s0, t)
-        w = dg.willmore_energy(snap, sf)
+        w = dg.willmore_energy(traj.fields(i))
         worst_w = max(worst_w, abs(w / sp.willmore(ex) - 1.0))
         a, b = mb.extract_radii(snap)
         worst_r = max(worst_r, abs(a / ex.a - 1.0), abs(b / ex.b - 1.0))
-    w0 = dg.willmore_energy(traj.snapshots[0], fields[0])
-    wT = dg.willmore_energy(traj.snapshots[-1], fields[-1])
+    w0 = dg.willmore_energy(traj.fields(0))
+    wT = dg.willmore_energy(traj.fields(-1))
     change = abs(wT / w0 - 1.0)
     tol_w, tol_r = ctx.tol(1e-2), ctx.tol(1e-2)
     ok = worst_w <= tol_w and worst_r <= tol_r and change > 0.05
@@ -171,21 +163,24 @@ def check_willmore_gradient(ctx):
     """Hand values on both tori plus the eps-central-difference oracle."""
     tol = ctx.tol(1e-3)
     imm1 = dg.torus_immersion(1.0, 1.0, (64, 64))
-    sf1 = dg.shape_field(imm1, order=4)
-    err_equal = float(np.max(np.abs(0.5 * dg.willmore_gradient(imm1, sf1))))
+    err_equal = float(np.max(np.abs(0.5 * dg.willmore_gradient(dg.shape_field(imm1, order=4)))))
 
     imm2 = dg.torus_immersion(1.0, 2.0, (64, 64))
-    sf2 = dg.shape_field(imm2, order=4)
     th = np.arange(64) * 2.0 * np.pi / 64
     TH, PH = np.meshgrid(th, th, indexing="ij")
     n1 = np.stack([np.cos(TH), np.sin(TH), 0 * TH, 0 * TH], axis=-1)
     n2 = np.stack([0 * PH, 0 * PH, np.cos(PH), np.sin(PH)], axis=-1)
     target = -(3.0 / 8.0) * n1 + (3.0 / 16.0) * n2
-    err_hand = float(np.max(np.linalg.norm(0.5 * dg.willmore_gradient(imm2, sf2) - target, axis=-1)))
+    half = 0.5 * dg.willmore_gradient(dg.shape_field(imm2, order=4))
+    err_hand = float(np.max(np.linalg.norm(half - target, axis=-1)))
 
     imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 1, 2, (64, 64))
     sf = dg.shape_field(imm, order=4)
-    grad = dg.willmore_gradient(imm, sf)
+
+    def energy(pts):
+        return dg.willmore_energy(dg.shape_field(dg.GridImmersion(pts, imm.param_periods), order=4))
+
+    grad = dg.willmore_gradient(sf)
     gnorm = math.sqrt(dg.integrate_density(sf, np.einsum("...d,...d->...", grad, grad)))
     h = sf.mean_curvature / np.sqrt(sf.rho)[..., None]
     jh = dg.apply_j(sf, h)
@@ -213,9 +208,7 @@ def check_willmore_gradient(ctx):
             continue
         accepted += 1
         eps = 1e-5
-        wp = dg.willmore_energy(dg.GridImmersion(imm.points + eps * v, imm.param_periods), order=4)
-        wm = dg.willmore_energy(dg.GridImmersion(imm.points - eps * v, imm.param_periods), order=4)
-        fd = (wp - wm) / (2.0 * eps)
+        fd = (energy(imm.points + eps * v) - energy(imm.points - eps * v)) / (2.0 * eps)
         worst_rel = max(worst_rel, abs(pair - fd) / abs(fd))
     ok = err_equal <= tol and err_hand <= tol and worst_rel <= tol
     return ok, (
@@ -246,14 +239,11 @@ def check_continuity_source(ctx):
 def check_energy_identity(ctx):
     """Centered dW/dt vs -2 int (A,H)(A,JH) dvol along the membrane run."""
     traj = ctx.membrane_run()
-    fields = ctx.membrane_fields()
     worst_rel = 0.0
-    for i in range(1, len(fields) - 1):
-        lhs, rhs, gap = mb.energy_identity_check(
-            traj, i, (fields[i - 1], fields[i], fields[i + 1])
-        )
+    for i in range(1, len(traj.snapshots) - 1):
+        lhs, rhs, gap = mb.energy_identity_check(traj, i)
         worst_rel = max(worst_rel, abs(gap) / abs(rhs))
-    _, rhs0 = dg.energy_derivative_integrand(traj.snapshots[0], fields[0])
+    _, rhs0 = dg.energy_derivative_integrand(traj.fields(0))
     hand = abs(rhs0 / (8.0 * math.pi ** 2 * 0.75) - 1.0)
     tol_rel, tol_hand = ctx.tol(1e-2), ctx.tol(5e-3)
     ok = worst_rel <= tol_rel and hand <= tol_hand
@@ -263,18 +253,22 @@ def check_energy_identity(ctx):
     )
 
 
+def _evolved_momentum_residual(n):
+    """Momentum residual after one step on an n x n perturbed torus; the
+    trajectory and its shape fields are dropped before the next grid runs."""
+    imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (n, n))
+    dt = 0.25 * mb.stability_limit(dg.shape_field(imm, order=2))
+    traj = mb.evolve_membrane(imm, dt, 2 * dt, stride=1, order=2)
+    return mb.momentum_residual(traj, 1)[1]
+
+
 def check_momentum(ctx):
     """Torsion momentum residual: ~0 on the exact torus, order >= 1 decay on
     evolved perturbed tori."""
     torus_traj = _exact_torus_trajectory(1.0, 2.0, 0.0, 1e-4, (64, 64), order=4)
     _, torus_resid = mb.momentum_residual(torus_traj, 1)
 
-    resids = []
-    for n in (48, 96, 192):
-        imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (n, n))
-        dt = 0.25 * mb.stability_limit(imm, order=2)
-        traj = mb.evolve_membrane(imm, dt, 2 * dt, stride=1, order=2)
-        resids.append(mb.momentum_residual(traj, 1)[1])
+    resids = [_evolved_momentum_residual(n) for n in (48, 96, 192)]
     orders = [math.log2(resids[i] / resids[i + 1]) for i in range(len(resids) - 1)]
     tol_torus = ctx.tol(1e-3)
     ok = torus_resid <= tol_torus and min(orders) >= 1.0
@@ -287,14 +281,12 @@ def check_momentum(ctx):
 def check_normal_curvature(ctx):
     """d(tau) + normal curvature: zero on tori, order >= 1.8 on perturbed tori."""
     imm = dg.torus_immersion(1.0, 2.0, (64, 64))
-    sf = dg.shape_field(imm, order=2)
-    _, _, torus_resid = dg.normal_curvature_check(imm, sf)
+    _, _, torus_resid = dg.normal_curvature_check(dg.shape_field(imm, order=2))
 
     resids = []
     for n in (96, 192, 384):
         im = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (n, n))
-        s = dg.shape_field(im, order=2)
-        resids.append(dg.normal_curvature_check(im, s)[2])
+        resids.append(dg.normal_curvature_check(dg.shape_field(im, order=2))[2])
     orders = [math.log2(resids[i] / resids[i + 1]) for i in range(len(resids) - 1)]
     ok = torus_resid <= ctx.tol(1e-8) and min(orders) >= 1.8
     return ok, (

@@ -343,6 +343,22 @@ def test_headerless_surface_file_exits_2(tmp_path, capsys):
     assert "'dim'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("periods", ["-6.2831853071795862 6.2831853071795862",
+                                     "0 6.2831853071795862"])
+def test_bad_param_periods_in_surface_file_exit_2(tmp_path, capsys, periods):
+    imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (32, 32))
+    snap = tmp_path / "bad.txt"
+    dg.save_immersion(imm, snap)
+    lines = snap.read_text().splitlines()
+    assert lines[2].startswith("param_periods ")
+    lines[2] = f"param_periods {periods}"
+    snap.write_text("\n".join(lines) + "\n")
+    code = cli.main(["membrane-run", "surface=torus_product", "a=1", "b=2",
+                     f"surface_file={snap}", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "param_periods" in capsys.readouterr().err
+
+
 def test_validate_csv_reads_back(tmp_path, capsys):
     out = tmp_path / "val"
     assert cli.main(["validate", "suite=1,12", "--out", str(out)]) == 0

@@ -1,5 +1,7 @@
 """Tests for the discrete extrinsic geometry layer."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -166,18 +168,18 @@ def test_j_matches_determinant_cross_product():
 # ---------------------------------------------------------------------------
 
 def test_willmore_energy_values():
-    w12 = dg.willmore_energy(dg.torus_immersion(1.0, 2.0, (64, 64)))
+    w12 = dg.willmore_energy(dg.shape_field(dg.torus_immersion(1.0, 2.0, (64, 64))))
     assert abs(w12 / (10.0 * np.pi ** 2) - 1.0) < 5e-3
-    w11 = dg.willmore_energy(dg.torus_immersion(1.0, 1.0, (64, 64)))
+    w11 = dg.willmore_energy(dg.shape_field(dg.torus_immersion(1.0, 1.0, (64, 64))))
     assert abs(w11 / (8.0 * np.pi ** 2) - 1.0) < 5e-3
-    wc = dg.willmore_energy(dg.circle_immersion(2.0, 256), order=4)
+    wc = dg.willmore_energy(dg.shape_field(dg.circle_immersion(2.0, 256), order=4))
     assert abs(wc - np.pi) < 1e-6
 
 
 def test_torsion_vanishes_on_products_of_circles():
     imm = dg.torus_immersion(1.0, 2.0, (64, 64))
     sf = dg.shape_field(imm)
-    tau, chi = dg.torsion_form(imm, sf)
+    tau, chi = dg.torsion_form(sf)
     assert np.abs(tau).max() < 1e-10
     assert np.abs(chi).max() < 1e-10
 
@@ -186,7 +188,7 @@ def test_torsion_nonzero_on_perturbed_torus():
     peaks = []
     for n in (64, 128):
         imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (n, n))
-        tau, _ = dg.torsion_form(imm, dg.shape_field(imm))
+        tau, _ = dg.torsion_form(dg.shape_field(imm))
         peaks.append(np.abs(tau).max())
     # a genuinely nonzero limit, far above the FD tolerance, stable under refinement
     assert peaks[-1] > 1e-2
@@ -196,7 +198,7 @@ def test_torsion_nonzero_on_perturbed_torus():
 def test_torsion_metric_duality():
     imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (32, 32))
     sf = dg.shape_field(imm)
-    tau, chi = dg.torsion_form(imm, sf)
+    tau, chi = dg.torsion_form(sf)
     lhs = np.einsum("...i,...ij,...j->...", chi, sf.metric, chi)
     rhs = 4.0 * np.einsum("...ij,...i,...j->...", sf.metric_inv, tau, tau)
     assert np.abs(lhs - rhs).max() < 1e-12
@@ -205,9 +207,9 @@ def test_torsion_metric_duality():
 def test_normal_laplacian_zero_modes_on_torus():
     imm = dg.torus_immersion(1.0, 2.0, (32, 32))
     sf = dg.shape_field(imm)
-    assert np.abs(dg.normal_laplacian(imm, sf, sf.mean_curvature)).max() < 1e-10
+    assert np.abs(dg.normal_laplacian(sf, sf.mean_curvature)).max() < 1e-10
     n1, n2 = torus_normals((32, 32))
-    assert np.abs(dg.normal_laplacian(imm, sf, 0.7 * n1 - 1.3 * n2)).max() < 1e-10
+    assert np.abs(dg.normal_laplacian(sf, 0.7 * n1 - 1.3 * n2)).max() < 1e-10
 
 
 def test_normal_laplacian_linearity():
@@ -217,8 +219,8 @@ def test_normal_laplacian_linearity():
     jh = dg.apply_j(sf, h)
     u = 0.4 * h - 1.1 * jh
     v = 0.9 * jh
-    lhs = dg.normal_laplacian(imm, sf, 2.0 * u + 3.0 * v)
-    rhs = 2.0 * dg.normal_laplacian(imm, sf, u) + 3.0 * dg.normal_laplacian(imm, sf, v)
+    lhs = dg.normal_laplacian(sf, 2.0 * u + 3.0 * v)
+    rhs = 2.0 * dg.normal_laplacian(sf, u) + 3.0 * dg.normal_laplacian(sf, v)
     assert np.abs(lhs - rhs).max() < 1e-10
 
 
@@ -226,47 +228,47 @@ def test_normal_laplacian_rejects_tangential_input():
     imm = dg.torus_immersion(1.0, 2.0, (16, 16))
     sf = dg.shape_field(imm)
     with pytest.raises(ValueError, match="not normal"):
-        dg.normal_laplacian(imm, sf, sf.tangents[..., 0, :])
+        dg.normal_laplacian(sf, sf.tangents[..., 0, :])
 
 
 def test_willmore_gradient_hand_values():
     imm = dg.torus_immersion(1.0, 1.0, (64, 64))
     sf = dg.shape_field(imm, order=4)
-    assert np.abs(dg.willmore_gradient(imm, sf)).max() < 1e-4
+    assert np.abs(dg.willmore_gradient(sf)).max() < 1e-4
 
     imm = dg.torus_immersion(1.0, 2.0, (64, 64))
     sf = dg.shape_field(imm, order=4)
     n1, n2 = torus_normals((64, 64))
-    half = 0.5 * dg.willmore_gradient(imm, sf)
+    half = 0.5 * dg.willmore_gradient(sf)
     assert np.abs(half - (-(3.0 / 8.0) * n1 + (3.0 / 16.0) * n2)).max() < 1e-4
 
 
 def test_source_term_values():
     imm = dg.torus_immersion(1.0, 2.0, (64, 64))
-    src = dg.source_term(imm, dg.shape_field(imm, order=4))
+    src = dg.source_term(dg.shape_field(imm, order=4))
     assert np.abs(src - 0.75).max() < 1e-4
 
     imm = dg.torus_immersion(1.0, 1.0, (64, 64))
-    assert np.abs(dg.source_term(imm, dg.shape_field(imm))).max() < 1e-10
+    assert np.abs(dg.source_term(dg.shape_field(imm))).max() < 1e-10
 
     circ = dg.circle_immersion(2.0, 128)
-    assert np.abs(dg.source_term(circ, dg.shape_field(circ))).max() < 1e-12
+    assert np.abs(dg.source_term(dg.shape_field(circ))).max() < 1e-12
 
 
 def test_energy_rate_integrand():
     imm = dg.torus_immersion(1.0, 2.0, (64, 64))
     sf = dg.shape_field(imm, order=4)
-    density, integral = dg.energy_derivative_integrand(imm, sf)
+    density, integral = dg.energy_derivative_integrand(sf)
     assert abs(integral / (8.0 * np.pi ** 2 * 0.75) - 1.0) < 5e-3
     # identical quadrature as the source term against dvol
-    assert abs(integral - dg.integrate_density(sf, dg.source_term(imm, sf))) < 1e-9
+    assert abs(integral - dg.integrate_density(sf, dg.source_term(sf))) < 1e-9
 
     imm = dg.torus_immersion(1.0, 1.0, (32, 32))
-    _, integral = dg.energy_derivative_integrand(imm, dg.shape_field(imm))
+    _, integral = dg.energy_derivative_integrand(dg.shape_field(imm))
     assert abs(integral) < 1e-10
 
     circ = dg.circle_immersion(1.0, 128)
-    _, integral = dg.energy_derivative_integrand(circ, dg.shape_field(circ))
+    _, integral = dg.energy_derivative_integrand(dg.shape_field(circ))
     assert abs(integral) < 1e-12
 
 
@@ -276,14 +278,14 @@ def test_energy_rate_integrand():
 
 def test_curvature_check_zero_on_torus():
     imm = dg.torus_immersion(1.5, 0.7, (48, 48))
-    _, _, resid = dg.normal_curvature_check(imm, dg.shape_field(imm))
+    _, _, resid = dg.normal_curvature_check(dg.shape_field(imm))
     assert resid < 1e-10
 
 
 def test_curvature_check_needs_2d():
     circ = dg.circle_immersion(1.0, 64)
     with pytest.raises(UnsupportedDimensionError):
-        dg.normal_curvature_check(circ, dg.shape_field(circ))
+        dg.normal_curvature_check(dg.shape_field(circ))
 
 
 def test_plaquette_derivative_kills_edge_differences():
@@ -300,7 +302,7 @@ def test_plaquette_derivative_kills_edge_differences():
 def test_dtau_invariant_under_adding_edge_differential():
     imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (32, 32))
     sf = dg.shape_field(imm)
-    tau, _ = dg.torsion_form(imm, sf)
+    tau, _ = dg.torsion_form(sf)
     e1, e2 = dg._edge_integrals(tau, imm.spacings)
     rng = np.random.default_rng(3)
     phi = rng.normal(size=(32, 32))
@@ -318,9 +320,9 @@ def test_mw_pairing_antisymmetry_and_degeneracy():
     imm = dg.circle_immersion(2.0, 128)
     sf = dg.shape_field(imm)
     u = np.tile(np.array([0.3, -1.0, 0.4]), (128, 1))
-    assert dg.mw_pairing(imm, u, u, sf) == 0.0
+    assert dg.mw_pairing(sf, u, u) == 0.0
     t = sf.tangents[:, 0, :]
-    assert abs(dg.mw_pairing(imm, t, 0.5 * t, sf)) < 1e-14
+    assert abs(dg.mw_pairing(sf, t, 0.5 * t)) < 1e-14
 
 
 def test_mw_pairing_frenet_frame_of_circle():
@@ -330,7 +332,7 @@ def test_mw_pairing_frenet_frame_of_circle():
     th = np.arange(256) * 2 * np.pi / 256
     n = -np.stack([np.cos(th), np.sin(th), 0 * th], axis=-1)
     b = np.stack([0 * th, 0 * th, np.ones_like(th)], axis=-1)
-    val = dg.mw_pairing(imm, n, b, sf)
+    val = dg.mw_pairing(sf, n, b)
     assert abs(abs(val) - 2 * np.pi * R) < 1e-3
     assert val > 0  # orientation fixes the sign for the (inward, axis) pair
 
@@ -383,6 +385,17 @@ def test_snapshot_rows_are_17_digit_text(tmp_path):
     assert lines[:4] == ["dim 2", "shape 8 8", f"param_periods {2.0 * np.pi:.17g} 1.5", "ambient 4"]
     assert lines[4:] == [" ".join(f"{x:.17g}" for x in row) for row in pts.reshape(-1, 4)]
     assert text.endswith("\n")
+
+
+def test_failed_snapshot_write_leaves_no_file_under_its_name(tmp_path, monkeypatch):
+    def interrupted(src, dst):
+        raise OSError("interrupted before the rename")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    path = tmp_path / "snapshot_0001.txt"
+    with pytest.raises(OSError, match="interrupted"):
+        dg.save_immersion(dg.torus_immersion(1.0, 2.0, (8, 8)), path)
+    assert not path.exists()
 
 
 def test_snapshot_header_errors_name_the_key(tmp_path):

@@ -58,13 +58,13 @@ def test_willmore_1d_scaling():
 
 def test_circle_velocity_is_axis_translation():
     c = fl.arclength_resample(fl.circle_curve(2.0, 128))
-    v = fl.binormal_rhs(c)
+    v = fl.binormal_rhs(c.points, c.period)
     assert np.abs(v - np.array([0.0, 0.0, 0.5])).max() < 1e-6
 
 
 def test_velocity_orthogonal_to_curve():
     c = planar_curve()
-    v = fl.binormal_rhs(c)
+    v = fl.binormal_rhs(c.points, c.period)
     gp = fl.derivative(c.points, c.period, 1)
     gpp = fl.derivative(c.points, c.period, 2)
     assert np.abs(np.einsum("ij,ij->i", v, gp)).max() < 1e-13
@@ -73,7 +73,7 @@ def test_velocity_orthogonal_to_curve():
 
 def test_planar_curve_moves_out_of_plane():
     c = planar_curve()
-    v = fl.binormal_rhs(c)
+    v = fl.binormal_rhs(c.points, c.period)
     assert np.abs(v[:, :2]).max() < 1e-12
     assert np.abs(v[:, 2]).min() > 0.1
 

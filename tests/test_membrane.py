@@ -20,7 +20,7 @@ def exact_torus_trajectory(a, b, dt, shape, order):
 
 def evolved_perturbed_trajectory(n, order=2):
     imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (n, n))
-    dt = 0.25 * mb.stability_limit(imm, order=order)
+    dt = 0.25 * mb.stability_limit(dg.shape_field(imm, order=order))
     return mb.evolve_membrane(imm, dt, 2 * dt, stride=1, order=order)
 
 
@@ -32,7 +32,7 @@ def test_smc_velocity_on_torus():
     a, b = 1.0, 2.0
     imm = dg.torus_immersion(a, b, (64, 64))
     sf = dg.shape_field(imm)
-    v = mb.smc_rhs(imm, sf=sf)
+    v = mb.smc_rhs(sf)
     th = np.arange(64) * 2 * np.pi / 64
     TH, PH = np.meshgrid(th, th, indexing="ij")
     n1 = np.stack([np.cos(TH), np.sin(TH), 0 * TH, 0 * TH], axis=-1)
@@ -44,7 +44,7 @@ def test_smc_velocity_on_torus():
 def test_smc_velocity_is_normal_isometry():
     imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (32, 32))
     sf = dg.shape_field(imm)
-    v = mb.smc_rhs(imm, sf=sf)
+    v = mb.smc_rhs(sf)
     assert (dg.tangential_defect(sf, v) <= sf.tol_perp).all()
     assert np.abs(np.einsum("...d,...d->...", v, v) - sf.rho).max() < 1e-12
 
@@ -55,7 +55,7 @@ def test_smc_velocity_is_normal_isometry():
 
 def test_stability_guard():
     imm = dg.torus_immersion(1.0, 2.0, (32, 32))
-    dt_max = mb.stability_limit(imm)
+    dt_max = mb.stability_limit(dg.shape_field(imm))
     with pytest.raises(ValueError, match="stability"):
         mb.evolve_membrane(imm, 2.0 * dt_max, 10 * dt_max, stride=1)
 
@@ -76,7 +76,7 @@ def test_volume_conserved_and_willmore_not():
     fields = [traj.fields(i) for i in range(len(traj.snapshots))]
     vols = [dg.integrate_density(sf, np.ones_like(sf.rho)) for sf in fields]
     assert max(abs(v / vols[0] - 1.0) for v in vols) < 2e-3
-    w = [dg.willmore_energy(s, f) for s, f in zip(traj.snapshots, fields)]
+    w = [dg.willmore_energy(f) for f in fields]
     assert w[-1] > w[0] * 1.05  # energy genuinely moves
 
 
@@ -134,13 +134,13 @@ def test_corollary_contraction_matches_continuity_identically():
     traj = evolved_perturbed_trajectory(32)
     fields = (traj.fields(0), traj.fields(1), traj.fields(2))
     sfm, sf0, sfp = fields
-    res, _ = mb.corollary_residual(traj, 1, fields)
+    res, _ = mb.corollary_residual(traj, 1)
     lhs = 2.0 * np.einsum("...d,...d->...", res, sf0.mean_curvature)
 
     # continuity residual in the expanded grouping the contraction produces
     span = traj.times[2] - traj.times[0]
     dH = dg.project_normal(sf0, (sfp.mean_curvature - sfm.mean_curvature) / span)
-    tau, _ = dg.torsion_form(sf0.immersion, sf0)
+    tau, _ = dg.torsion_form(sf0)
     gradH = np.stack(
         [dg.normal_derivative(sf0, sf0.mean_curvature, j) for j in range(2)], axis=-2
     )
@@ -153,7 +153,7 @@ def test_corollary_contraction_matches_continuity_identically():
             "...ij,...i,...jd,...d->...", sf0.metric_inv, tau, gradH, sf0.mean_curvature
         )
         + 2.0 * div_tau * sf0.rho
-        - dg.source_term(sf0.immersion, sf0)
+        - dg.source_term(sf0)
     )
     assert np.abs(lhs - expanded).max() <= 1e-10
 
@@ -177,7 +177,7 @@ def test_corollary_vector_form_fails_off_torus():
     jh = dg.apply_j(sf0, h_sec)
     res_h = np.einsum("...d,...d->...", res, h_sec)
     res_jh = np.einsum("...d,...d->...", res, jh)
-    tau, _ = dg.torsion_form(sf0.immersion, sf0)
+    tau, _ = dg.torsion_form(sf0)
     tau_sq = np.einsum("...ij,...i,...j->...", sf0.metric_inv, tau, tau)
     predicted = -(dg.laplace_beltrami(sf0, absH) + absH * tau_sq)
     assert np.abs(res_jh - predicted).max() < 0.15      # the defect field
@@ -235,13 +235,13 @@ def test_energy_identity_on_torus_run():
     for i in range(1, len(traj.snapshots) - 1):
         lhs, rhs, gap = mb.energy_identity_check(traj, i)
         assert abs(gap) <= 0.01 * abs(rhs)
-    _, rhs0 = dg.energy_derivative_integrand(traj.snapshots[0], traj.fields(0))
+    _, rhs0 = dg.energy_derivative_integrand(traj.fields(0))
     assert abs(rhs0 / (8 * math.pi ** 2 * 0.75) - 1.0) < 5e-3
 
 
 def test_energy_identity_equal_radii_instant():
     imm = dg.torus_immersion(1.4, 1.4, (32, 32))
-    _, rhs = dg.energy_derivative_integrand(imm, dg.shape_field(imm))
+    _, rhs = dg.energy_derivative_integrand(dg.shape_field(imm))
     assert abs(rhs) < 1e-10
 
 
@@ -291,12 +291,54 @@ def test_diagnostics_computes_each_torsion_form_once(monkeypatch):
     calls = []
     torsion_form = dg.torsion_form
 
-    def counted(imm, sf):
+    def counted(sf):
         calls.append(id(sf))
-        return torsion_form(imm, sf)
+        return torsion_form(sf)
 
     monkeypatch.setattr(dg, "torsion_form", counted)
     imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (16, 16))
     traj = mb.evolve_membrane(imm, 1e-3, 0.005, stride=1, order=2)
     mb.diagnostics(traj)
     assert len(calls) == len(set(calls)) == len(traj.snapshots)
+
+
+@pytest.mark.parametrize("steps,stride", [(6, 1), (6, 3), (4, 4)])
+def test_each_snapshot_shape_field_is_computed_once(monkeypatch, steps, stride):
+    # four RK4 stages per step, the up-front stability estimate, and one
+    # field per recorded snapshot that the guard, diagnostics and the
+    # residuals all share
+    calls = [0]
+    shape_field = dg.shape_field
+
+    def counted(imm, order=2):
+        calls[0] += 1
+        return shape_field(imm, order=order)
+
+    monkeypatch.setattr(dg, "shape_field", counted)
+    imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (16, 16))
+    traj = mb.evolve_membrane(imm, 1e-3, steps * 1e-3, stride=stride, order=2)
+    mb.diagnostics(traj)
+    assert calls[0] == 4 * steps + steps // stride + 1
+    assert all(traj.fields(i).immersion is snap for i, snap in enumerate(traj.snapshots))
+
+
+def test_abort_carries_the_shape_fields_of_its_snapshots(monkeypatch):
+    from skewflow.errors import DegenerateImmersionError, EvolutionAbort
+
+    original, calls = mb.smc_rhs, [0]
+
+    def failing(sf):
+        calls[0] += 1
+        if calls[0] > 4 * 5:  # step 6 fails
+            raise DegenerateImmersionError((0, 0), 0.0)
+        return original(sf)
+
+    monkeypatch.setattr(mb, "smc_rhs", failing)
+    imm = dg.torus_immersion(1.0, 2.0, (16, 16))
+    with pytest.raises(EvolutionAbort) as err:
+        mb.evolve_membrane(imm, 1e-3, 0.01, stride=2, order=2)
+    traj = err.value.trajectory
+    assert isinstance(traj, mb.MembraneTrajectory)
+    assert len(traj.snapshots) == 3
+    assert all(sf is not None and sf.immersion is snap
+               for sf, snap in zip(traj.shape_fields, traj.snapshots))

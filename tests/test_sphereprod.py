@@ -180,7 +180,7 @@ def test_embed_roundtrip_and_willmore():
     a = np.hypot(imm.points[..., 0], imm.points[..., 1])
     b = np.hypot(imm.points[..., 2], imm.points[..., 3])
     assert np.abs(a - 1.0).max() < 1e-14 and np.abs(b - 2.0).max() < 1e-14
-    w_grid = dg.willmore_energy(imm)
+    w_grid = dg.willmore_energy(dg.shape_field(imm))
     assert abs(w_grid / sp.willmore(s) - 1.0) < 5e-3
 
     sf = dg.shape_field(sp.embed(sp.SphereProductState(1, 1, 1.0, 1.0), (64, 64)))
