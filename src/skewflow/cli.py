@@ -196,6 +196,8 @@ def _curve_from_params(p):
 # ---------------------------------------------------------------------------
 
 def run_sphere(p, outdir):
+    if p["stride"] < 1:
+        raise ConfigError(f"stride must be >= 1, got {p['stride']}")
     state = sp.SphereProductState(p["m"], p["l"], p["a"], p["b"])
     if p["mode"] == "to-collapse":
         run = functools.partial(sp.run_to_collapse, state, p["dt"], p["a_stop"], p["stride"])

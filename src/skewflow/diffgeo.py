@@ -28,6 +28,7 @@ Integrals are plain Riemann sums over the parameter grid, which are
 spectrally accurate for smooth periodic integrands.
 """
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass, field
@@ -191,27 +192,49 @@ def build_immersion(kind, shape, **params):
 # periodic finite differences
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
+def _pad_index(n, w):
+    """Read-only indices i mod n for i = -w .. n + w - 1."""
+    idx = np.arange(-w, n + w) % n
+    idx.flags.writeable = False
+    return idx
+
+
+def _neighbours(f, axis, w):
+    """at(k) = f(i + k) along a periodic grid axis, for |k| <= w; see `diff`."""
+    if f.ndim <= 2 and axis == 0:
+        n = f.shape[0]
+        padded = f.take(_pad_index(n, w), axis=0)
+        return lambda k: padded[w + k:w + k + n]
+    return lambda k: f if k == 0 else np.roll(f, -k, axis)
+
+
 def diff(f, axis, h, order=2):
-    """Centered first derivative along a periodic grid axis."""
+    """Centered first derivative along a periodic grid axis.
+
+    A 1D-grid field, f.ndim <= 2 along axis 0 ((N,), (N, 3), or an (n1, n2)
+    scalar), takes its neighbours as slices of one wrapped, padded copy.
+    Every other axis keeps np.roll, which measured about twice as fast there
+    at (4, 64, 64).  The two give bitwise identical results.
+    """
     if order == 2:
-        return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2.0 * h)
+        at = _neighbours(f, axis, 1)
+        return (at(1) - at(-1)) / (2.0 * h)
     if order == 4:
-        return (
-            -np.roll(f, -2, axis) + 8.0 * np.roll(f, -1, axis)
-            - 8.0 * np.roll(f, 1, axis) + np.roll(f, 2, axis)
-        ) / (12.0 * h)
+        at = _neighbours(f, axis, 2)
+        return (-at(2) + 8.0 * at(1) - 8.0 * at(-1) + at(-2)) / (12.0 * h)
     raise ValueError(f"finite-difference order must be 2 or 4, got {order}")
 
 
 def diff2(f, axis, h, order=2):
-    """Centered second derivative along a periodic grid axis."""
+    """Centered second derivative along a periodic grid axis; neighbours as in
+    `diff`."""
     if order == 2:
-        return (np.roll(f, -1, axis) - 2.0 * f + np.roll(f, 1, axis)) / (h * h)
+        at = _neighbours(f, axis, 1)
+        return (at(1) - 2.0 * at(0) + at(-1)) / (h * h)
     if order == 4:
-        return (
-            -np.roll(f, -2, axis) + 16.0 * np.roll(f, -1, axis) - 30.0 * f
-            + 16.0 * np.roll(f, 1, axis) - np.roll(f, 2, axis)
-        ) / (12.0 * h * h)
+        at = _neighbours(f, axis, 2)
+        return (-at(2) + 16.0 * at(1) - 30.0 * at(0) + 16.0 * at(-1) - at(-2)) / (12.0 * h * h)
     raise ValueError(f"finite-difference order must be 2 or 4, got {order}")
 
 

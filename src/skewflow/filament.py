@@ -20,6 +20,7 @@ drifts by truncation; an optional periodic cubic resampling every few steps
 corrects it.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,14 +185,20 @@ def willmore_1d(curve, scheme="fd4"):
     return float(np.sum(np.einsum("ij,ij->i", gpp, gpp)) * curve.spacing)
 
 
+@functools.lru_cache(maxsize=16)
+def _neighbour_band(n):
+    """Read-only flat indices of the pairs (i, j) of an n x n matrix with
+    |i - j| <= 1 mod n."""
+    i = np.arange(n)[:, None]
+    flat = (i * n + (i + np.arange(-1, 2)) % n).ravel()
+    flat.flags.writeable = False
+    return flat
+
+
 def min_nonneighbor_distance(points):
     """Smallest distance between samples more than one index apart."""
-    n = points.shape[0]
     d = cdist(points, points)
-    idx = np.arange(n)
-    sep = np.abs(idx[:, None] - idx[None, :])
-    sep = np.minimum(sep, n - sep)
-    d[sep <= 1] = np.inf
+    np.put(d, _neighbour_band(points.shape[0]), np.inf)
     return float(d.min())
 
 
@@ -199,9 +206,17 @@ def min_nonneighbor_distance(points):
 # binormal flow
 # ---------------------------------------------------------------------------
 
+def _cross(u, v):
+    """Row-wise cross product of (N, 3) arrays; the same arithmetic as np.cross
+    without its per-call axis handling."""
+    u0, u1, u2 = u[:, 0], u[:, 1], u[:, 2]
+    v0, v1, v2 = v[:, 0], v[:, 1], v[:, 2]
+    return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0], axis=-1)
+
+
 def binormal_rhs(points, period, scheme="fd4"):
     """Velocity gamma' x gamma'' of the filament equation (arclength samples)."""
-    return np.cross(derivative(points, period, 1, scheme), derivative(points, period, 2, scheme))
+    return _cross(derivative(points, period, 1, scheme), derivative(points, period, 2, scheme))
 
 
 def stability_limit(n, period, scheme="fd4"):
@@ -286,9 +301,9 @@ def frenet_data(curve, scheme="fd4"):
     gppp = derivative(pts, period, 3, scheme)
     kappa = np.linalg.norm(gpp, axis=1)
     mask = kappa < KAPPA_MIN
-    cross = np.cross(gp, gpp)
+    gp_x_gpp = _cross(gp, gpp)
     denom = np.where(mask, 1.0, kappa ** 2)
-    tau = np.where(mask, 0.0, np.einsum("ij,ij->i", cross, gppp) / denom)
+    tau = np.where(mask, 0.0, np.einsum("ij,ij->i", gp_x_gpp, gppp) / denom)
     s = np.arange(curve.n) * curve.spacing
     return FrenetData(s=s, kappa=kappa, tau=tau, mask=mask, length=period)
 

@@ -98,6 +98,14 @@ def test_sphere_run_to_collapse(tmp_path):
     assert "config_sha256" in manifest
 
 
+@pytest.mark.parametrize("stride", ["0", "-3"])
+def test_sphere_run_stride_below_one_exits_2(tmp_path, capsys, stride):
+    code = cli.main(["sphere-run", "m=1", "l=1", "a=1", "b=2", "T=0.01", "dt=1e-3",
+                     f"stride={stride}", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "stride" in capsys.readouterr().err
+
+
 def test_filament_run_willmore_column_constant(tmp_path):
     out = tmp_path / "fil"
     code = cli.main(["filament-run", "shape=circle", "R=1", "T=1", "dt=1e-3",

@@ -65,6 +65,38 @@ def test_build_immersion_dispatch():
 
 
 # ---------------------------------------------------------------------------
+# periodic finite differences
+# ---------------------------------------------------------------------------
+
+def _roll_diff(f, axis, h, order):
+    r = lambda k: np.roll(f, -k, axis)
+    if order == 2:
+        return (r(1) - r(-1)) / (2.0 * h)
+    return (-r(2) + 8.0 * r(1) - 8.0 * r(-1) + r(-2)) / (12.0 * h)
+
+
+def _roll_diff2(f, axis, h, order):
+    r = lambda k: np.roll(f, -k, axis)
+    if order == 2:
+        return (r(1) - 2.0 * f + r(-1)) / (h * h)
+    return (-r(2) + 16.0 * r(1) - 30.0 * f + 16.0 * r(-1) - r(-2)) / (12.0 * h * h)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("shape, axis", [
+    *(((n,), 0) for n in (1, 2, 3, 4, 5, 32, 257)),
+    *(((n, 3), 0) for n in (1, 2, 3, 4, 5, 32, 257)),
+    ((6, 5), 0), ((6, 5), 1), ((2, 3, 4), 0), ((3, 5, 4), 1),
+])
+def test_stencils_equal_the_roll_reference_bitwise(shape, axis, order):
+    # grids shorter than the stencil width (N <= 2) must wrap more than once
+    f = np.random.default_rng(sum(shape) + axis).standard_normal(shape)
+    h = 0.37
+    assert np.array_equal(dg.diff(f, axis, h, order), _roll_diff(f, axis, h, order))
+    assert np.array_equal(dg.diff2(f, axis, h, order), _roll_diff2(f, axis, h, order))
+
+
+# ---------------------------------------------------------------------------
 # shape field
 # ---------------------------------------------------------------------------
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
+from skewflow import diffgeo as dg
 from skewflow import filament as fl
 from skewflow.errors import (
     BlowUpAbort,
@@ -76,6 +77,59 @@ def test_planar_curve_moves_out_of_plane():
     v = fl.binormal_rhs(c.points, c.period)
     assert np.abs(v[:, :2]).max() < 1e-12
     assert np.abs(v[:, 2]).min() > 0.1
+
+
+def test_cross_equals_np_cross_bitwise():
+    rng = np.random.default_rng(7)
+    for n in (1, 3, 256):
+        u, v = rng.standard_normal((2, n, 3)) * 10.0 ** rng.integers(-3, 4, size=(2, n, 3))
+        assert np.array_equal(fl._cross(u, v), np.cross(u, v))
+
+
+def _brute_min_nonneighbor(points):
+    n = len(points)
+    best = np.inf
+    for i in range(n):
+        for j in range(n):
+            if min(abs(i - j), n - abs(i - j)) > 1:
+                best = min(best, float(np.sqrt(np.sum((points[i] - points[j]) ** 2))))
+    return best
+
+
+@pytest.mark.parametrize("n", [3, 4, 32, 257])
+def test_min_nonneighbor_distance_equals_double_loop(n):
+    rng = np.random.default_rng(n)
+    u = np.arange(n) * 2 * np.pi / n
+    circle = np.stack([np.cos(u), np.sin(u), np.zeros_like(u)], axis=-1)
+    for pts in (rng.standard_normal((n, 3)), circle):
+        assert fl.min_nonneighbor_distance(pts) == _brute_min_nonneighbor(pts)
+
+
+def _count_rolls(monkeypatch):
+    calls = []
+    real_roll = np.roll
+
+    def counting_roll(*args, **kwargs):
+        calls.append(1)
+        return real_roll(*args, **kwargs)
+
+    monkeypatch.setattr(np, "roll", counting_roll)
+    return calls
+
+
+def test_curve_solvers_make_no_roll_calls(monkeypatch):
+    # the 1D stencils slice one padded copy; np.roll costs more in per-call
+    # dispatch than in arithmetic at these sizes, so it must stay off this path
+    c = planar_curve(n=64)
+    fr = fl.frenet_data(c)
+    calls = _count_rolls(monkeypatch)
+    fl.binormal_rhs(c.points, c.period)
+    fl.darios_evolve(fr.kappa, fr.tau, fr.length, 1e-4, 1e-4)
+    fl.fluid_evolve(fl.to_fluid(fr), 1e-4, 1e-4)
+    assert len(calls) == 0
+    # the membrane's axis-1/2 stencils keep np.roll, faster there than a pad
+    dg.shape_field(dg.torus_immersion(1.0, 2.0, (16, 16)), order=4)
+    assert len(calls) > 0
 
 
 def test_circle_translates_rigidly():
