@@ -12,10 +12,17 @@ arithmetic wraps.  From the sampled positions we build
     quarter turn    J v = -(t_1 x ... x t_n x v) / sqrt(det g)
 
 The metric algebra is closed-form for n <= 2: det g and g^-1 are the
-explicit 1x1/2x2 expressions, and normal projection subtracts (X, t_i) t^i
-with the dual tangents t^i = g^ij t_j.  shape_field evaluates all of it as
-elementwise arithmetic on contiguous component planes, with no per-point
-LAPACK call.
+explicit 1x1/2x2 expressions (metric_planes), and normal projection
+subtracts (X, t_i) t^i with the dual tangents t^i = g^ij t_j
+(project_planes).  shape_field evaluates all of it as elementwise
+arithmetic on contiguous (d, *s) component planes, with no per-point LAPACK
+call; each grid axis gives its first and second differences from one set
+of neighbours (diff_pair).  The generalised cross product on the same
+planes (generalised_cross) is the 3D cross product for curves and, for
+membranes in R^4, the Hodge dual of the six Pluecker coordinates
+t1_a t2_b - t1_b t2_a of the tangent plane paired with v.  apply_j uses it,
+and so does the flow's stage kernel membrane.smc_rhs, which builds no
+ShapeField.
 
 J is the quarter-turn of the normal plane.  Its direction is fixed by the
 sign convention det[t_1, ..., t_n, v, Jv] < 0 in ambient coordinates; this
@@ -29,7 +36,6 @@ spectrally accurate for smooth periodic integrands.
 """
 
 import functools
-import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -200,13 +206,28 @@ def _pad_index(n, w):
     return idx
 
 
-def _neighbours(f, axis, w):
-    """at(k) = f(i + k) along a periodic grid axis, for |k| <= w; see `diff`."""
+def _neighbours(f, axis, order):
+    """at(k) = f(i + k) along a periodic grid axis, for |k| <= order/2; see `diff`."""
+    if order not in (2, 4):
+        raise ValueError(f"finite-difference order must be 2 or 4, got {order}")
+    w = order // 2
     if f.ndim <= 2 and axis == 0:
         n = f.shape[0]
         padded = f.take(_pad_index(n, w), axis=0)
         return lambda k: padded[w + k:w + k + n]
     return lambda k: f if k == 0 else np.roll(f, -k, axis)
+
+
+def _first(at, h, order):
+    if order == 2:
+        return (at(1) - at(-1)) / (2.0 * h)
+    return (-at(2) + 8.0 * at(1) - 8.0 * at(-1) + at(-2)) / (12.0 * h)
+
+
+def _second(at, h, order):
+    if order == 2:
+        return (at(1) - 2.0 * at(0) + at(-1)) / (h * h)
+    return (-at(2) + 16.0 * at(1) - 30.0 * at(0) + 16.0 * at(-1) - at(-2)) / (12.0 * h * h)
 
 
 def diff(f, axis, h, order=2):
@@ -217,25 +238,21 @@ def diff(f, axis, h, order=2):
     Every other axis keeps np.roll, which measured about twice as fast there
     at (4, 64, 64).  The two give bitwise identical results.
     """
-    if order == 2:
-        at = _neighbours(f, axis, 1)
-        return (at(1) - at(-1)) / (2.0 * h)
-    if order == 4:
-        at = _neighbours(f, axis, 2)
-        return (-at(2) + 8.0 * at(1) - 8.0 * at(-1) + at(-2)) / (12.0 * h)
-    raise ValueError(f"finite-difference order must be 2 or 4, got {order}")
+    return _first(_neighbours(f, axis, order), h, order)
 
 
 def diff2(f, axis, h, order=2):
     """Centered second derivative along a periodic grid axis; neighbours as in
     `diff`."""
-    if order == 2:
-        at = _neighbours(f, axis, 1)
-        return (at(1) - 2.0 * at(0) + at(-1)) / (h * h)
-    if order == 4:
-        at = _neighbours(f, axis, 2)
-        return (-at(2) + 16.0 * at(1) - 30.0 * at(0) + 16.0 * at(-1) - at(-2)) / (12.0 * h * h)
-    raise ValueError(f"finite-difference order must be 2 or 4, got {order}")
+    return _second(_neighbours(f, axis, order), h, order)
+
+
+def diff_pair(f, axis, h, order=2):
+    """(diff, diff2) of f along one axis, both from one set of neighbours;
+    bitwise equal to the two separate calls."""
+    at = _neighbours(f, axis, order)
+    shifted = {k: at(k) for k in range(-(order // 2), order // 2 + 1)}
+    return _first(shifted.get, h, order), _second(shifted.get, h, order)
 
 
 # ---------------------------------------------------------------------------
@@ -283,23 +300,15 @@ def _planes(a, k):
     return np.moveaxis(a, tuple(range(-k, 0)), tuple(range(k)))
 
 
-def shape_field(imm, order=2):
-    """Compute the full geometry bundle of an immersion.
+def metric_planes(t):
+    """Closed-form metric algebra of n <= 2 tangent planes t[i], each (d, *s).
 
-    The per-point algebra is elementwise arithmetic on contiguous component
-    planes: one (d, *s) copy of the points is differenced along the grid
-    axes, det g and g^-1 are the closed-form 1x1/2x2 expressions, and each
-    second derivative X_ij is projected with the dual tangents
-    t^k = g^kl t_l as A_ij = X_ij - sum_k (X_ij, t_k) t^k.  Results are
-    written straight into the per-point arrays of the returned ShapeField.
-
-    Raises DegenerateImmersionError when det(g) falls below G_MIN, naming the
+    Returns (g, det_g, g_inv, dual) with g and g_inv as nested n x n lists of
+    (*s,) planes and the dual tangents t^i = g^ij t_j.  Raises
+    DegenerateImmersionError when det(g) falls below G_MIN, naming the
     offending grid index.
     """
-    n, d, s, hs = imm.dim, imm.ambient_dim, imm.shape, imm.spacings
-    pts = np.ascontiguousarray(_planes(imm.points, 1))
-
-    t = [diff(pts, i + 1, hs[i], order) for i in range(n)]
+    n = len(t)
     g = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -318,6 +327,37 @@ def shape_field(imm, order=2):
         off = -g[0][1] / det_g
         g_inv = [[g[1][1] / det_g, off], [off, g[0][0] / det_g]]
         dual = [g_inv[i][0] * t[0] + g_inv[i][1] * t[1] for i in range(2)]
+    return g, det_g, g_inv, dual
+
+
+def project_planes(x, t, dual):
+    """Normal projection x - sum_k (x, t_k) t^k of a (d, *s) field, in place."""
+    coeffs = [_dot(x, tk) for tk in t]
+    for c, dk in zip(coeffs, dual):
+        x -= c * dk
+    return x
+
+
+def shape_field(imm, order=2):
+    """Compute the full geometry bundle of an immersion.
+
+    The per-point algebra is elementwise arithmetic on contiguous component
+    planes: one (d, *s) copy of the points is differenced along the grid
+    axes (first and second differences from one set of neighbours per
+    axis), det g and g^-1 are the closed-form 1x1/2x2 expressions of
+    `metric_planes`, and each second derivative X_ij is projected with the
+    dual tangents t^k = g^kl t_l as A_ij = X_ij - sum_k (X_ij, t_k) t^k.
+    Results are written straight into the per-point arrays of the returned
+    ShapeField.
+
+    Raises DegenerateImmersionError when det(g) falls below G_MIN, naming the
+    offending grid index.
+    """
+    n, d, s, hs = imm.dim, imm.ambient_dim, imm.shape, imm.spacings
+    pts = np.ascontiguousarray(_planes(imm.points, 1))
+
+    t, xx = zip(*(diff_pair(pts, i + 1, hs[i], order) for i in range(n)))
+    g, det_g, g_inv, dual = metric_planes(t)
 
     tangents = np.empty(s + (n, d))
     metric = np.empty(s + (n, n))
@@ -333,15 +373,10 @@ def shape_field(imm, order=2):
     norm_sq = None
     for i in range(n):
         for j in range(i, n):
-            if i == j:
-                x = diff2(pts, i + 1, hs[i], order)
-            else:
-                x = diff(t[i], j + 1, hs[j], order)
+            x = xx[i] if i == j else diff(t[i], j + 1, hs[j], order)
             x_sq = _dot(x, x)
             norm_sq = x_sq if norm_sq is None else np.maximum(norm_sq, x_sq)
-            coeffs = [_dot(x, t[k]) for k in range(n)]
-            for k in range(n):
-                x -= coeffs[k] * dual[k]
+            project_planes(x, t, dual)
             _planes(second_form, 3)[i, j] = x
             _planes(second_form, 3)[j, i] = x
             h += (g_inv[i][j] if i == j else 2.0 * g_inv[i][j]) * x
@@ -369,26 +404,36 @@ def shape_field(imm, order=2):
 # quarter turn J
 # ---------------------------------------------------------------------------
 
-# Levi-Civita tensors of R^3 and R^4: eps[i_1, ..., i_d] = det[e_i1, ..., e_id]
-_LEVI_CIVITA = {
-    d: np.linalg.det(np.eye(d)[list(itertools.product(range(d), repeat=d))]).reshape((d,) * d)
-    for d in (3, 4)
-}
+def generalised_cross(t, v):
+    """t_1 x ... x t_n x v for (d, *s) component planes, d = n + 2.
+
+    Component l is det[t_1, ..., t_n, v, e_l].  For n = 1 this is the cross
+    product of R^3.  For n = 2 it pairs v with the Hodge dual of the six
+    Pluecker coordinates p_ab = t1_a t2_b - t1_b t2_a of the tangent plane.
+    """
+    out = np.empty_like(v)
+    if len(t) == 1:
+        (a,) = t
+        out[0] = a[1] * v[2] - a[2] * v[1]
+        out[1] = a[2] * v[0] - a[0] * v[2]
+        out[2] = a[0] * v[1] - a[1] * v[0]
+        return out
+    a, b = t
+    p01, p02, p03 = (a[0] * b[k] - a[k] * b[0] for k in (1, 2, 3))
+    p12, p13, p23 = (a[i] * b[j] - a[j] * b[i] for i, j in ((1, 2), (1, 3), (2, 3)))
+    out[0] = p13 * v[2] - p23 * v[1] - p12 * v[3]
+    out[1] = p23 * v[0] - p03 * v[2] + p02 * v[3]
+    out[2] = p03 * v[1] - p13 * v[0] - p01 * v[3]
+    out[3] = p12 * v[0] - p02 * v[1] + p01 * v[2]
+    return out
 
 
 def apply_j(sf, v):
-    """Quarter-turn J of a normal vector field, Jv = -(t_1 x ... x t_n x v) / sqrt(det g).
-
-    (t_1 x ... x t_n x v)_l = det[t_1, ..., t_n, v, e_l]: the outer product of the
-    tangents contracted with the Levi-Civita tensor in one matmul, paired with v.
-    """
-    t = sf.tangents
-    n, d = t.shape[-2:]
-    outer = t[..., 0, :]
-    for i in range(1, n):
-        outer = (outer[..., :, None] * t[..., i, None, :]).reshape(outer.shape[:-1] + (-1,))
-    cross = (outer @ _LEVI_CIVITA[d].reshape(d ** n, d * d)).reshape(t.shape[:-2] + (d, d))
-    return -np.einsum("...c,...cl->...l", v, cross) / sf.sqrt_det_g[..., None]
+    """Quarter-turn J of a normal vector field, Jv = -(t_1 x ... x t_n x v) / sqrt(det g)."""
+    t = [_planes(sf.tangents, 2)[i] for i in range(sf.immersion.dim)]
+    jv = generalised_cross(t, _planes(v, 1))
+    jv /= -sf.sqrt_det_g
+    return np.moveaxis(jv, 0, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -62,9 +62,26 @@ class MembraneTrajectory(Trajectory):
         return self.shape_fields[i]
 
 
-def smc_rhs(sf):
-    """Marker velocity -J H per grid point."""
-    return -dg.apply_j(sf, sf.mean_curvature)
+def smc_rhs(points, spacings, order=2):
+    """Marker velocity -J H = (t_1 x ... x t_n x H) / sqrt(det g) per grid point.
+
+    The RK4 stage kernel: it works on the (d, *s) component planes of the
+    positions and builds no GridImmersion or ShapeField.  Each grid axis gives
+    its first and second differences from one set of neighbours; H is one
+    normal projection of g^ij X_ij, which equals g^ij A_ij up to roundoff
+    because the projection is linear.  Raises DegenerateImmersionError where
+    det g <= G_MIN.
+    """
+    x = np.ascontiguousarray(np.moveaxis(points, -1, 0))
+    t, xx = zip(*(dg.diff_pair(x, i + 1, h, order) for i, h in enumerate(spacings)))
+    _, det_g, g_inv, dual = dg.metric_planes(t)
+    y = g_inv[0][0] * xx[0]
+    if len(t) == 2:
+        y += g_inv[1][1] * xx[1]
+        y += 2.0 * g_inv[0][1] * dg.diff(t[0], 2, spacings[1], order)
+    v = dg.generalised_cross(t, dg.project_planes(y, t, dual))
+    v /= np.sqrt(det_g)
+    return np.moveaxis(v, 0, -1)
 
 
 def stability_limit(sf):
@@ -96,12 +113,10 @@ def evolve_membrane(imm, dt, t_final, stride=1, order=2):
     dt_max = stability_limit(fields[0])
     if dt > dt_max:
         raise ValueError(f"dt={dt:.3e} above the stability estimate {dt_max:.3e}")
-    periods = imm.param_periods
+    periods, spacings = imm.param_periods, imm.spacings
 
     def step(snap, i):
-        pts = rk4_step(
-            lambda p: smc_rhs(dg.shape_field(dg.GridImmersion(p, periods), order=order)),
-            snap.points, dt)
+        pts = rk4_step(lambda p: smc_rhs(p, spacings, order), snap.points, dt)
         if not np.all(np.isfinite(pts)):
             raise EvolutionAbort("non-finite coordinates", i * dt)
         snap = dg.GridImmersion(pts, periods)

@@ -30,9 +30,11 @@ def rk4_step(rhs, y, dt):
 
 def step_count(dt, t_final, stride=None):
     """Steps of size dt to t_final; ValueError unless that is a whole number
-    and a given stride divides it."""
+    and a given stride is non-negative and divides it."""
     if dt == 0:
         raise ValueError("dt must be nonzero")
+    if stride is not None and stride < 0:
+        raise ValueError(f"stride must be >= 0, got {stride}")
     nsteps = int(round(t_final / dt))
     if abs(nsteps * dt - t_final) > 1e-12 * max(1.0, abs(t_final)):
         raise ValueError("t_final must be an integer number of steps")

@@ -298,6 +298,42 @@ def test_membrane_frame_breakdown_exits_3_with_earlier_snapshots(tmp_path, monke
     assert np.array_equal(first.points, dg.torus_immersion(1.0, 2.0, (16, 16)).points)
 
 
+def test_membrane_non_finite_stage_exits_3_with_earlier_snapshots(tmp_path, capsys, monkeypatch):
+    from skewflow import membrane as mb
+
+    original, calls = mb.smc_rhs, [0]
+
+    def poisoned(*args, **kwargs):
+        calls[0] += 1
+        v = original(*args, **kwargs)
+        if calls[0] == 4 * 3 + 2:  # second stage of step 4
+            v = v.copy()
+            v[0, 0, 0] = np.inf
+        return v
+
+    monkeypatch.setattr(mb, "smc_rhs", poisoned)
+    out = tmp_path / "mem"
+    code = cli.main(["membrane-run", "surface=torus_product", "a=1", "b=2", "n1=16", "n2=16",
+                     "dt=1e-3", "T=0.01", "stride=2", "--out", str(out)])
+    assert code == 3
+    assert sorted(p.name for p in out.glob("snapshot_*")) == [
+        "snapshot_0000.txt", "snapshot_0001.txt"]
+    assert column(out / "diagnostics.csv", "t") == pytest.approx([0.0, 0.002])
+    assert abs(_abort_time(capsys.readouterr().err) - 0.004) < 1e-12
+
+
+@pytest.mark.parametrize("args", [
+    ["filament-run", "shape=circle", "N=64"],
+    ["membrane-run", "surface=torus_product", "a=1", "b=2", "n1=16", "n2=16"],
+])
+def test_negative_stride_exits_2(tmp_path, capsys, args):
+    out = tmp_path / "o"
+    code = cli.main(args + ["dt=1e-3", "T=0.01", "stride=-5", "--out", str(out)])
+    assert code == 2
+    assert "stride must be >= 0" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 def test_filament_abort_writes_recorded_trajectory(tmp_path, capsys, monkeypatch):
     from skewflow import filament as fl
 

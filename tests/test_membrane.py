@@ -31,8 +31,7 @@ def evolved_perturbed_trajectory(n, order=2):
 def test_smc_velocity_on_torus():
     a, b = 1.0, 2.0
     imm = dg.torus_immersion(a, b, (64, 64))
-    sf = dg.shape_field(imm)
-    v = mb.smc_rhs(sf)
+    v = mb.smc_rhs(imm.points, imm.spacings)
     th = np.arange(64) * 2 * np.pi / 64
     TH, PH = np.meshgrid(th, th, indexing="ij")
     n1 = np.stack([np.cos(TH), np.sin(TH), 0 * TH, 0 * TH], axis=-1)
@@ -44,9 +43,41 @@ def test_smc_velocity_on_torus():
 def test_smc_velocity_is_normal_isometry():
     imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (32, 32))
     sf = dg.shape_field(imm)
-    v = mb.smc_rhs(sf)
+    v = mb.smc_rhs(imm.points, imm.spacings)
     assert (dg.tangential_defect(sf, v) <= sf.tol_perp).all()
     assert np.abs(np.einsum("...d,...d->...", v, v) - sf.rho).max() < 1e-12
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_smc_rhs_matches_the_shape_field_path(order):
+    # n1 != n2 and unequal, non-2pi periods: an axis or spacing mix-up shows
+    base = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (24, 40))
+    imm = dg.GridImmersion(base.points, (3.0, 5.0))
+    sf = dg.shape_field(imm, order=order)
+    expected = -dg.apply_j(sf, sf.mean_curvature)
+    v = mb.smc_rhs(imm.points, imm.spacings, order)
+    assert v.shape == imm.points.shape
+    assert np.abs(v - expected).max() <= 1e-13 * np.abs(expected).max()
+    # and against det[t_1, t_2, H, e_l] / sqrt(det g), which shares no code
+    # with the Pluecker form that smc_rhs and apply_j both use
+    cols = np.concatenate([np.moveaxis(sf.tangents, -2, -1), sf.mean_curvature[..., None]], -1)
+    dets = [np.linalg.det(np.concatenate([cols, np.broadcast_to(e[:, None], cols.shape[:-1] + (1,))],
+                                         -1)) for e in np.eye(4)]
+    by_det = np.stack(dets, axis=-1) / sf.sqrt_det_g[..., None]
+    assert np.abs(v - by_det).max() <= 1e-13 * np.abs(by_det).max()
+
+
+def test_smc_rhs_rejects_a_collapsed_grid():
+    from skewflow.errors import DegenerateImmersionError
+
+    # rows 4-6 of the first grid axis collapse onto one circle: t_1 = 0 on row 5
+    imm = dg.torus_immersion(1.0, 2.0, (16, 16))
+    collapsed = imm.points.copy()
+    collapsed[5] = collapsed[6] = collapsed[4]
+    with pytest.raises(DegenerateImmersionError, match="grid index") as err:
+        mb.smc_rhs(collapsed, imm.spacings, 2)
+    assert err.value.grid_index == (5, 0)
+    assert err.value.det_value == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +335,9 @@ def test_diagnostics_computes_each_torsion_form_once(monkeypatch):
 
 @pytest.mark.parametrize("steps,stride", [(6, 1), (6, 3), (4, 4)])
 def test_each_snapshot_shape_field_is_computed_once(monkeypatch, steps, stride):
-    # four RK4 stages per step, the up-front stability estimate, and one
-    # field per recorded snapshot that the guard, diagnostics and the
-    # residuals all share
+    # the up-front stability estimate and one field per recorded snapshot,
+    # which the guard, diagnostics and the residuals all share; the RK4
+    # stages build none
     calls = [0]
     shape_field = dg.shape_field
 
@@ -318,7 +349,7 @@ def test_each_snapshot_shape_field_is_computed_once(monkeypatch, steps, stride):
     imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (16, 16))
     traj = mb.evolve_membrane(imm, 1e-3, steps * 1e-3, stride=stride, order=2)
     mb.diagnostics(traj)
-    assert calls[0] == 4 * steps + steps // stride + 1
+    assert calls[0] == steps // stride + 1
     assert all(traj.fields(i).immersion is snap for i, snap in enumerate(traj.snapshots))
 
 
@@ -327,11 +358,11 @@ def test_abort_carries_the_shape_fields_of_its_snapshots(monkeypatch):
 
     original, calls = mb.smc_rhs, [0]
 
-    def failing(sf):
+    def failing(points, spacings, order):
         calls[0] += 1
         if calls[0] > 4 * 5:  # step 6 fails
             raise DegenerateImmersionError((0, 0), 0.0)
-        return original(sf)
+        return original(points, spacings, order)
 
     monkeypatch.setattr(mb, "smc_rhs", failing)
     imm = dg.torus_immersion(1.0, 2.0, (16, 16))

@@ -44,7 +44,7 @@ def _moved(imm, points):
 
 
 def _velocity(imm, order):
-    return mb.smc_rhs(dg.shape_field(imm, order=order))
+    return mb.smc_rhs(imm.points, imm.spacings, order)
 
 
 def _gap(u, v):

@@ -94,6 +94,13 @@ def test_stride_must_divide_step_count(name):
 
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_negative_stride_is_rejected(name):
+    run, dt, _, _ = SOLVERS[name]
+    with pytest.raises(ValueError, match="stride must be >= 0, got -4"):
+        run(dt, 20 * dt, -4)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
 def test_abort_carries_recorded_snapshots(name, monkeypatch):
     run, dt, (module, attr), per_step = SOLVERS[name]
     full = run(dt, 20 * dt, 4)

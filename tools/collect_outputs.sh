@@ -9,8 +9,17 @@
 # The runs are the four curve solvers on the filament-square configuration,
 # the membrane-evolve configuration (both the benchmark's seed-0 entries) and
 # `skewflow validate`.  Manifests hold wall times, and the validate lines
-# printed to standard output lose their timing suffix; every other file must
-# match exactly.  Takes about a minute on a 2-core host.
+# printed to standard output lose their timing suffix; for a byte-identical
+# change every other file must
+# match exactly.  For a change that moves results by roundoff rather than
+# leaving them byte identical, compare the two trees with
+#
+#   python3 tools/compare_outputs.py /tmp/outputs-parent /tmp/outputs-change
+#
+# which prints the largest absolute and relative difference per CSV column
+# and per snapshot, and exits 1 on a structural mismatch (a missing file, a
+# different header or row count, a validate PASS/FAIL flip).  Takes about a
+# minute on a 2-core host.
 set -eu
 if [ $# -ne 2 ]; then
     echo "usage: $0 CHECKOUT OUTDIR" >&2
