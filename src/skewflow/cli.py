@@ -187,7 +187,7 @@ def write_manifest(outdir, subcommand, params, wall_time):
 
 def _curve_from_params(p):
     if p.get("curve_file"):
-        return fl.curve_from_immersion(dg.load_immersion(p["curve_file"]))
+        return dg.load_immersion(p["curve_file"])
     return fl.build_curve(p["shape"], p["N"], R=p["R"], eps=p["eps"], k=p["k"])
 
 

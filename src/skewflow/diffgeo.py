@@ -21,8 +21,8 @@ of neighbours (diff_pair).  The generalised cross product on the same
 planes (generalised_cross) is the 3D cross product for curves and, for
 membranes in R^4, the Hodge dual of the six Pluecker coordinates
 t1_a t2_b - t1_b t2_a of the tangent plane paired with v.  apply_j uses it,
-and so does the flow's stage kernel membrane.smc_rhs, which builds no
-ShapeField.
+and so do the flow's stage kernel membrane.smc_rhs, which builds no
+ShapeField, and the filament velocity filament.binormal_rhs.
 
 J is the quarter-turn of the normal plane.  Its direction is fixed by the
 sign convention det[t_1, ..., t_n, v, Jv] < 0 in ambient coordinates; this
@@ -131,20 +131,7 @@ class ShapeField:
 
 def _param_grid(shape):
     axes = [np.arange(N) * (2.0 * np.pi / N) for N in shape]
-    if len(axes) == 1:
-        return axes
     return np.meshgrid(*axes, indexing="ij")
-
-
-def circle_immersion(radius, n):
-    """Round circle of the given radius in the z=0 plane of R^3."""
-    if radius <= 0:
-        raise ValueError(f"circle radius must be positive, got {radius}")
-    (theta,) = _param_grid((n,))
-    pts = np.stack(
-        [radius * np.cos(theta), radius * np.sin(theta), np.zeros_like(theta)], axis=-1
-    )
-    return GridImmersion(pts, (2.0 * np.pi,))
 
 
 def torus_immersion(a, b, shape):
@@ -179,11 +166,8 @@ def perturbed_torus_immersion(a, b, eps, k1, k2, shape):
 
 
 def build_immersion(kind, shape, **params):
-    """Dispatch on a surface kind name; see the individual builders."""
-    if kind == "circle":
-        if len(shape) != 1:
-            raise ValueError("circle needs a 1D grid shape")
-        return circle_immersion(params.pop("R"), shape[0])
+    """Dispatch on a surface kind name; see the individual builders.  Curves
+    are built by filament.build_curve."""
     if kind == "torus_product":
         return torus_immersion(params.pop("a"), params.pop("b"), shape)
     if kind == "perturbed_torus":

@@ -18,6 +18,12 @@ Spatial derivatives are 4th-order centered differences by default; spectral
 binormal velocity is normal to the curve, so arclength parametrization only
 drifts by truncation; an optional periodic cubic resampling every few steps
 corrects it.
+
+A closed curve is a dim-1 diffgeo.GridImmersion: points of shape (N, 3) and
+one parameter period, which is the length once the curve is sampled by
+arclength.  The filament is the n = 1 case of the membrane flow, so curves
+and membranes share one type, one cross product (diffgeo.generalised_cross)
+and one snapshot format.
 """
 
 import functools
@@ -46,36 +52,8 @@ MIN_SAMPLES = 32
 
 
 # ---------------------------------------------------------------------------
-# curve containers and builders
+# curve builders
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ClosedCurve:
-    """Closed curve in R^3 sampled at uniform parameter spacing."""
-
-    points: np.ndarray   # (N, 3)
-    period: float        # parameter period; equals the length once arclength-sampled
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        object.__setattr__(self, "points", pts)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"curve points must be (N, 3), got {pts.shape}")
-        if pts.shape[0] < MIN_SAMPLES:
-            raise ValueError(f"need at least {MIN_SAMPLES} samples, got {pts.shape[0]}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("curve contains non-finite points")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-
-    @property
-    def n(self):
-        return self.points.shape[0]
-
-    @property
-    def spacing(self):
-        return self.period / self.n
-
 
 def circle_curve(radius, n):
     """Positively oriented round circle in the z = 0 plane."""
@@ -83,7 +61,7 @@ def circle_curve(radius, n):
         raise ValueError("radius must be positive")
     u = np.arange(n) * 2.0 * np.pi / n
     pts = np.stack([radius * np.cos(u), radius * np.sin(u), np.zeros_like(u)], axis=-1)
-    return ClosedCurve(pts, 2.0 * np.pi)
+    return dg.GridImmersion(pts, (2.0 * np.pi,))
 
 
 def perturbed_circle(radius, eps, k, n):
@@ -93,7 +71,7 @@ def perturbed_circle(radius, eps, k, n):
     u = np.arange(n) * 2.0 * np.pi / n
     r = radius * (1.0 + eps * np.cos(k * u))
     pts = np.stack([r * np.cos(u), r * np.sin(u), np.zeros_like(u)], axis=-1)
-    return ClosedCurve(pts, 2.0 * np.pi)
+    return dg.GridImmersion(pts, (2.0 * np.pi,))
 
 
 def twisted_circle(radius, eps, k, n):
@@ -104,7 +82,7 @@ def twisted_circle(radius, eps, k, n):
     r = radius * (1.0 + 0.3 * eps * np.cos((k + 1) * u))
     z = eps * np.sin(k * u) + 0.5 * eps * np.cos(u)
     pts = np.stack([r * np.cos(u), r * np.sin(u), z], axis=-1)
-    return ClosedCurve(pts, 2.0 * np.pi)
+    return dg.GridImmersion(pts, (2.0 * np.pi,))
 
 
 def build_curve(kind, n, **params):
@@ -151,38 +129,44 @@ def derivative(f, period, nu=1, scheme="fd4"):
 # arclength machinery
 # ---------------------------------------------------------------------------
 
-def arclength_resample(curve, n=None):
-    """Resample to uniform arclength with periodic cubic splines.
+def arclength_resample(curve):
+    """Resample a curve to uniform arclength with periodic cubic splines.
 
-    The first sample stays anchored; the returned period is the curve length.
+    Every curve reaches the 1D solvers through here, so this is where a dim-1
+    immersion in R^3 with at least MIN_SAMPLES samples is required.  The
+    first sample stays anchored; the returned period is the curve length.
     """
-    n_new = n or curve.n
-    u = np.linspace(0.0, curve.period, curve.n + 1)
+    if curve.dim != 1:
+        raise ValueError(f"need a dim-1 immersion in R^3, got dim={curve.dim}")
+    (n,), (period,) = curve.shape, curve.param_periods
+    if n < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
+    u = np.linspace(0.0, period, n + 1)
     pts = np.vstack([curve.points, curve.points[:1]])
     spline = CubicSpline(u, pts, axis=0, bc_type="periodic")
-    dense = np.linspace(0.0, curve.period, 4 * curve.n + 1)
+    dense = np.linspace(0.0, period, 4 * n + 1)
     speed = np.linalg.norm(spline(dense, 1), axis=1)
     if speed.min() <= 0:
         raise ValueError("curve is not immersed: vanishing tangent")
     s_dense = CubicSpline(dense, speed).antiderivative()(dense)
     length = float(s_dense[-1])
     u_of_s = CubicSpline(s_dense, dense)
-    targets = np.arange(n_new) * length / n_new
+    targets = np.arange(n) * length / n
     u_new = u_of_s(targets)
     u_new[0] = 0.0
-    return ClosedCurve(spline(u_new), length)
+    return dg.GridImmersion(spline(u_new), (length,))
 
 
 def curve_length(curve, scheme="fd4"):
     """Total length, Riemann sum of |gamma'| over the parameter."""
-    speed = np.linalg.norm(derivative(curve.points, curve.period, 1, scheme), axis=1)
-    return float(np.sum(speed) * curve.spacing)
+    speed = np.linalg.norm(derivative(curve.points, curve.param_periods[0], 1, scheme), axis=1)
+    return float(np.sum(speed) * curve.spacings[0])
 
 
 def willmore_1d(curve, scheme="fd4"):
     """Bending energy: Riemann sum of kappa^2 ds on the arclength grid."""
-    gpp = derivative(curve.points, curve.period, 2, scheme)
-    return float(np.sum(np.einsum("ij,ij->i", gpp, gpp)) * curve.spacing)
+    gpp = derivative(curve.points, curve.param_periods[0], 2, scheme)
+    return float(np.sum(np.einsum("ij,ij->i", gpp, gpp)) * curve.spacings[0])
 
 
 @functools.lru_cache(maxsize=16)
@@ -206,17 +190,10 @@ def min_nonneighbor_distance(points):
 # binormal flow
 # ---------------------------------------------------------------------------
 
-def _cross(u, v):
-    """Row-wise cross product of (N, 3) arrays; the same arithmetic as np.cross
-    without its per-call axis handling."""
-    u0, u1, u2 = u[:, 0], u[:, 1], u[:, 2]
-    v0, v1, v2 = v[:, 0], v[:, 1], v[:, 2]
-    return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0], axis=-1)
-
-
 def binormal_rhs(points, period, scheme="fd4"):
     """Velocity gamma' x gamma'' of the filament equation (arclength samples)."""
-    return _cross(derivative(points, period, 1, scheme), derivative(points, period, 2, scheme))
+    gp, gpp = derivative(points, period, 1, scheme), derivative(points, period, 2, scheme)
+    return dg.generalised_cross([gp.T], gpp.T).T
 
 
 def stability_limit(n, period, scheme="fd4"):
@@ -240,20 +217,21 @@ def evolve_filament(curve, dt, t_final, stride=None, reparam_every=10, scheme="f
     bound is rejected up front.
     """
     c = arclength_resample(curve)
-    d_min = D_MIN_FACTOR * c.period / c.n
+    (n,) = c.shape
+    d_min = D_MIN_FACTOR * c.param_periods[0] / n
     nsteps = step_count(dt, t_final, stride)
 
     def checks(c, t):
-        if np.max(np.abs(binormal_rhs(c.points, c.period, scheme))) > BLOWUP_CAP:
+        if np.max(np.abs(binormal_rhs(c.points, c.param_periods[0], scheme))) > BLOWUP_CAP:
             raise BlowUpAbort("binormal velocity exceeded the blow-up cap", t)
         if min_nonneighbor_distance(c.points) < d_min:
             raise SelfIntersectionAbort("non-neighbor samples closer than d_min", t)
 
     def step(c, i):
-        pts = rk4_step(lambda p: binormal_rhs(p, c.period, scheme), c.points, dt)
+        pts = rk4_step(lambda p: binormal_rhs(p, c.param_periods[0], scheme), c.points, dt)
         if not np.all(np.isfinite(pts)):
             raise BlowUpAbort("non-finite coordinates", i * dt)
-        c = ClosedCurve(pts, c.period)
+        c = dg.GridImmersion(pts, c.param_periods)
         reparam = reparam_every and i % reparam_every == 0
         if reparam:
             c = arclength_resample(c)
@@ -262,9 +240,9 @@ def evolve_filament(curve, dt, t_final, stride=None, reparam_every=10, scheme="f
         return c
 
     checks(c, 0.0)
-    dt_max = stability_limit(c.n, c.period, scheme)
+    dt_max = stability_limit(n, c.param_periods[0], scheme)
     if dt > dt_max:
-        raise ValueError(f"dt={dt:.3e} above the stability bound {dt_max:.3e} at N={c.n}")
+        raise ValueError(f"dt={dt:.3e} above the stability bound {dt_max:.3e} at N={n}")
     return integrate(step, c, dt, t_final, stride)
 
 
@@ -295,16 +273,16 @@ def frenet_data(curve, scheme="fd4"):
     Assumes a uniform-arclength curve.  Torsion is masked (set to zero with
     mask True) where kappa < KAPPA_MIN; no regularization is attempted.
     """
-    pts, period = curve.points, curve.period
+    pts, (period,) = curve.points, curve.param_periods
     gp = derivative(pts, period, 1, scheme)
     gpp = derivative(pts, period, 2, scheme)
     gppp = derivative(pts, period, 3, scheme)
     kappa = np.linalg.norm(gpp, axis=1)
     mask = kappa < KAPPA_MIN
-    gp_x_gpp = _cross(gp, gpp)
+    gp_x_gpp = dg.generalised_cross([gp.T], gpp.T).T
     denom = np.where(mask, 1.0, kappa ** 2)
     tau = np.where(mask, 0.0, np.einsum("ij,ij->i", gp_x_gpp, gppp) / denom)
-    s = np.arange(curve.n) * curve.spacing
+    s = np.arange(curve.shape[0]) * curve.spacings[0]
     return FrenetData(s=s, kappa=kappa, tau=tau, mask=mask, length=period)
 
 
@@ -460,22 +438,6 @@ def fluid_evolve(state, dt, t_final, stride=None, scheme="fd4"):
     y0 = np.stack([state.rho.astype(float), state.v.astype(float)])
     with np.errstate(all="ignore"):  # vacuum crossings are caught by the guards
         return integrate(step, guarded(y0, 0.0), dt, t_final, stride)
-
-
-# ---------------------------------------------------------------------------
-# shared snapshot format (dim 1, ambient 3)
-# ---------------------------------------------------------------------------
-
-def curve_to_immersion(curve):
-    """View a closed curve as a 1D grid immersion (shared snapshot format)."""
-    return dg.GridImmersion(curve.points, (curve.period,))
-
-
-def curve_from_immersion(imm):
-    """Closed curve from a dim-1 snapshot immersion."""
-    if imm.dim != 1 or imm.ambient_dim != 3:
-        raise ValueError(f"need a dim-1 immersion in R^3, got dim={imm.dim}")
-    return ClosedCurve(imm.points, imm.param_periods[0])
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,8 @@ def evolve_membrane(imm, dt, t_final, stride=1, order=2):
         return MembraneTrajectory(traj.times, traj.states, order=order, shape_fields=fields)
 
     try:
-        return with_fields(integrate(step, imm, dt, t_final, stride))
+        with np.errstate(all="ignore"):  # a non-finite stage is caught by the step-end check
+            return with_fields(integrate(step, imm, dt, t_final, stride))
     except EvolutionAbort as exc:
         exc.trajectory = with_fields(exc.trajectory)
         raise

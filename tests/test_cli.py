@@ -168,13 +168,36 @@ def test_curve_file_input(tmp_path):
 
     curve = fl.arclength_resample(fl.perturbed_circle(1.0, 0.05, 3, 128))
     snap = tmp_path / "curve.txt"
-    dg.save_immersion(fl.curve_to_immersion(curve), snap)
+    dg.save_immersion(curve, snap)
     out = tmp_path / "fil"
     code = cli.main(["filament-run", "shape=circle", f"curve_file={snap}",
                      "dt=2e-4", "T=0.01", "--out", str(out)])
     assert code == 0
     w = column(out / "diagnostics.csv", "willmore")
     assert abs(w[0] - fl.willmore_1d(curve)) < 1e-5
+
+
+def test_curve_below_sample_floor_exits_2(tmp_path, capsys):
+    code = cli.main(["filament-run", "shape=circle", "N=16", "dt=1e-3", "T=0.01",
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "need at least 32 samples, got 16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", ["filament-run", "darios-run"])
+def test_membrane_snapshot_as_curve_file_exits_2(tmp_path, capsys, sub):
+    snap = tmp_path / "torus.txt"
+    dg.save_immersion(dg.torus_immersion(1.0, 2.0, (16, 16)), snap)
+    code = cli.main([sub, "shape=circle", f"curve_file={snap}", "dt=1e-3", "T=0.01",
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "need a dim-1 immersion in R^3, got dim=2" in capsys.readouterr().err
+
+
+def test_membrane_run_circle_surface_exits_2(tmp_path):
+    code = cli.main(["membrane-run", "surface=circle", "a=1", "b=2", "dt=1e-3", "T=0.01",
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +321,7 @@ def test_membrane_frame_breakdown_exits_3_with_earlier_snapshots(tmp_path, monke
     assert np.array_equal(first.points, dg.torus_immersion(1.0, 2.0, (16, 16)).points)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_membrane_non_finite_stage_exits_3_with_earlier_snapshots(tmp_path, capsys, monkeypatch):
     from skewflow import membrane as mb
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from skewflow import diffgeo as dg
+from skewflow import filament as fl
 from skewflow.errors import (
     DegenerateImmersionError,
     UnsupportedDimensionError,
@@ -32,7 +33,7 @@ def test_torus_points_on_sphere():
 
 
 def test_circle_radius():
-    imm = dg.circle_immersion(2.0, 64)
+    imm = fl.circle_curve(2.0, 64)
     assert np.allclose(np.linalg.norm(imm.points, axis=-1), 2.0, atol=1e-14)
     assert imm.dim == 1 and imm.ambient_dim == 3
 
@@ -50,8 +51,6 @@ def test_builder_rejects_degenerate_specs():
     with pytest.raises(ValueError):
         dg.perturbed_torus_immersion(1.0, 2.0, 0.5, 2, 3, (16, 16))
     with pytest.raises(ValueError):
-        dg.circle_immersion(0.0, 64)
-    with pytest.raises(ValueError):
         dg.torus_immersion(1.0, 1.0, (4, 16))
     with pytest.raises(ValueError):
         dg.build_immersion("klein_bottle", (16, 16))
@@ -60,8 +59,9 @@ def test_builder_rejects_degenerate_specs():
 def test_build_immersion_dispatch():
     imm = dg.build_immersion("torus_product", (16, 16), a=1.0, b=2.0)
     assert imm.shape == (16, 16)
-    imm1 = dg.build_immersion("circle", (64,), R=1.5)
-    assert imm1.dim == 1
+    # surfaces only: curves come from filament.build_curve
+    with pytest.raises(ValueError, match="unknown surface kind 'circle'"):
+        dg.build_immersion("circle", (64,), R=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +123,7 @@ def test_equal_radii_torus_density():
 
 def test_circle_curvature():
     R = 2.0
-    sf = dg.shape_field(dg.circle_immersion(R, 256))
+    sf = dg.shape_field(fl.circle_curve(R, 256))
     e_r = sf.immersion.points / R
     assert np.abs(sf.mean_curvature + e_r / R).max() < 1e-4
     assert np.abs(np.sqrt(sf.rho) - 1.0 / R).max() < 1e-4
@@ -181,7 +181,7 @@ def test_j_is_isometric_quarter_turn():
 def test_j_matches_determinant_cross_product():
     # reference: (t_1 x ... x t_n x v)_l = det[t_1, ..., t_n, v, e_l], one det per component
     rng = np.random.default_rng(11)
-    curve = dg.circle_immersion(1.5, 32).points + 0.2 * rng.normal(size=(32, 3))
+    curve = fl.circle_curve(1.5, 32).points + 0.2 * rng.normal(size=(32, 3))
     for imm in (dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (16, 16)),
                 dg.GridImmersion(curve, (2 * np.pi,))):
         sf = dg.shape_field(imm)
@@ -204,7 +204,7 @@ def test_willmore_energy_values():
     assert abs(w12 / (10.0 * np.pi ** 2) - 1.0) < 5e-3
     w11 = dg.willmore_energy(dg.shape_field(dg.torus_immersion(1.0, 1.0, (64, 64))))
     assert abs(w11 / (8.0 * np.pi ** 2) - 1.0) < 5e-3
-    wc = dg.willmore_energy(dg.shape_field(dg.circle_immersion(2.0, 256), order=4))
+    wc = dg.willmore_energy(dg.shape_field(fl.circle_curve(2.0, 256), order=4))
     assert abs(wc - np.pi) < 1e-6
 
 
@@ -283,7 +283,7 @@ def test_source_term_values():
     imm = dg.torus_immersion(1.0, 1.0, (64, 64))
     assert np.abs(dg.source_term(dg.shape_field(imm))).max() < 1e-10
 
-    circ = dg.circle_immersion(2.0, 128)
+    circ = fl.circle_curve(2.0, 128)
     assert np.abs(dg.source_term(dg.shape_field(circ))).max() < 1e-12
 
 
@@ -299,7 +299,7 @@ def test_energy_rate_integrand():
     _, integral = dg.energy_derivative_integrand(dg.shape_field(imm))
     assert abs(integral) < 1e-10
 
-    circ = dg.circle_immersion(1.0, 128)
+    circ = fl.circle_curve(1.0, 128)
     _, integral = dg.energy_derivative_integrand(dg.shape_field(circ))
     assert abs(integral) < 1e-12
 
@@ -315,7 +315,7 @@ def test_curvature_check_zero_on_torus():
 
 
 def test_curvature_check_needs_2d():
-    circ = dg.circle_immersion(1.0, 64)
+    circ = fl.circle_curve(1.0, 64)
     with pytest.raises(UnsupportedDimensionError):
         dg.normal_curvature_check(dg.shape_field(circ))
 
@@ -349,7 +349,7 @@ def test_dtau_invariant_under_adding_edge_differential():
 # ---------------------------------------------------------------------------
 
 def test_mw_pairing_antisymmetry_and_degeneracy():
-    imm = dg.circle_immersion(2.0, 128)
+    imm = fl.circle_curve(2.0, 128)
     sf = dg.shape_field(imm)
     u = np.tile(np.array([0.3, -1.0, 0.4]), (128, 1))
     assert dg.mw_pairing(sf, u, u) == 0.0
@@ -359,7 +359,7 @@ def test_mw_pairing_antisymmetry_and_degeneracy():
 
 def test_mw_pairing_frenet_frame_of_circle():
     R = 2.0
-    imm = dg.circle_immersion(R, 256)
+    imm = fl.circle_curve(R, 256)
     sf = dg.shape_field(imm, order=4)
     th = np.arange(256) * 2 * np.pi / 256
     n = -np.stack([np.cos(th), np.sin(th), 0 * th], axis=-1)
@@ -400,7 +400,7 @@ def test_snapshot_roundtrip(tmp_path):
 
 
 def test_curve_snapshot_roundtrip(tmp_path):
-    imm = dg.circle_immersion(2.0, 64)
+    imm = fl.circle_curve(2.0, 64)
     path = tmp_path / "curve.txt"
     dg.save_immersion(imm, path)
     back = dg.load_immersion(path)

@@ -25,16 +25,22 @@ def planar_curve(n=256, eps=0.05, k=3):
 def test_arclength_resample_uniformizes():
     c = fl.arclength_resample(fl.perturbed_circle(1.0, 0.1, 2, 256))
     # unit speed in the new parameter (chord lengths still vary at O(h^2 k^2))
-    speed = np.linalg.norm(fl.derivative(c.points, c.period, 1), axis=1)
+    speed = np.linalg.norm(fl.derivative(c.points, c.param_periods[0], 1), axis=1)
     assert np.abs(speed - 1.0).max() < 1e-5
     # circle length is exact
     circ = fl.arclength_resample(fl.circle_curve(2.0, 128))
-    assert abs(circ.period - 4 * np.pi) < 1e-6
+    assert abs(circ.param_periods[0] - 4 * np.pi) < 1e-6
 
 
 def test_curve_validation():
-    with pytest.raises(ValueError):
-        fl.ClosedCurve(np.zeros((8, 3)), 2 * np.pi)
+    # curves enter the 1D solvers through arclength_resample, which needs
+    # MIN_SAMPLES samples of a dim-1 immersion
+    u = np.arange(8) * 2 * np.pi / 8
+    raw = dg.GridImmersion(np.stack([np.cos(u), np.sin(u), 0 * u], axis=-1), (2 * np.pi,))
+    with pytest.raises(ValueError, match="need at least 32 samples, got 8"):
+        fl.arclength_resample(raw)
+    with pytest.raises(ValueError, match=r"need a dim-1 immersion in R\^3, got dim=2"):
+        fl.arclength_resample(dg.torus_immersion(1.0, 2.0, (32, 32)))
     with pytest.raises(ValueError):
         fl.circle_curve(-1.0, 64)
     with pytest.raises(ValueError):
@@ -49,7 +55,7 @@ def test_willmore_1d_circle_value():
 def test_willmore_1d_scaling():
     c = planar_curve()
     lam = 2.5
-    scaled = fl.ClosedCurve(lam * c.points, lam * c.period)
+    scaled = dg.GridImmersion(lam * c.points, (lam * c.param_periods[0],))
     assert abs(fl.willmore_1d(scaled) - fl.willmore_1d(c) / lam) < 1e-10
 
 
@@ -59,22 +65,22 @@ def test_willmore_1d_scaling():
 
 def test_circle_velocity_is_axis_translation():
     c = fl.arclength_resample(fl.circle_curve(2.0, 128))
-    v = fl.binormal_rhs(c.points, c.period)
+    v = fl.binormal_rhs(c.points, c.param_periods[0])
     assert np.abs(v - np.array([0.0, 0.0, 0.5])).max() < 1e-6
 
 
 def test_velocity_orthogonal_to_curve():
     c = planar_curve()
-    v = fl.binormal_rhs(c.points, c.period)
-    gp = fl.derivative(c.points, c.period, 1)
-    gpp = fl.derivative(c.points, c.period, 2)
+    v = fl.binormal_rhs(c.points, c.param_periods[0])
+    gp = fl.derivative(c.points, c.param_periods[0], 1)
+    gpp = fl.derivative(c.points, c.param_periods[0], 2)
     assert np.abs(np.einsum("ij,ij->i", v, gp)).max() < 1e-13
     assert np.abs(np.einsum("ij,ij->i", v, gpp)).max() < 1e-13
 
 
 def test_planar_curve_moves_out_of_plane():
     c = planar_curve()
-    v = fl.binormal_rhs(c.points, c.period)
+    v = fl.binormal_rhs(c.points, c.param_periods[0])
     assert np.abs(v[:, :2]).max() < 1e-12
     assert np.abs(v[:, 2]).min() > 0.1
 
@@ -83,7 +89,12 @@ def test_cross_equals_np_cross_bitwise():
     rng = np.random.default_rng(7)
     for n in (1, 3, 256):
         u, v = rng.standard_normal((2, n, 3)) * 10.0 ** rng.integers(-3, 4, size=(2, n, 3))
-        assert np.array_equal(fl._cross(u, v), np.cross(u, v))
+        assert np.array_equal(dg.generalised_cross([u.T], v.T).T, np.cross(u, v))
+    # the filament velocity is that cross product of gamma' and gamma''
+    c = fl.arclength_resample(fl.twisted_circle(1.0, 0.3, 2, 256))
+    p, L = c.points, c.param_periods[0]
+    expected = np.cross(fl.derivative(p, L, 1), fl.derivative(p, L, 2))
+    assert np.array_equal(fl.binormal_rhs(p, L), expected)
 
 
 def _brute_min_nonneighbor(points):
@@ -123,7 +134,7 @@ def test_curve_solvers_make_no_roll_calls(monkeypatch):
     c = planar_curve(n=64)
     fr = fl.frenet_data(c)
     calls = _count_rolls(monkeypatch)
-    fl.binormal_rhs(c.points, c.period)
+    fl.binormal_rhs(c.points, c.param_periods[0])
     fl.darios_evolve(fr.kappa, fr.tau, fr.length, 1e-4, 1e-4)
     fl.fluid_evolve(fl.to_fluid(fr), 1e-4, 1e-4)
     assert len(calls) == 0
@@ -150,7 +161,7 @@ def test_self_intersection_abort():
     u = np.arange(64) * 2 * np.pi / 64
     pts = np.stack([np.cos(u), 1e-3 * np.sin(u), np.zeros_like(u)], axis=-1)
     with pytest.raises(SelfIntersectionAbort):
-        fl.evolve_filament(fl.ClosedCurve(pts, 2 * np.pi), 1e-4, 0.01)
+        fl.evolve_filament(dg.GridImmersion(pts, (2 * np.pi,)), 1e-4, 0.01)
 
 
 def test_stability_precondition():
@@ -163,11 +174,17 @@ def test_blowup_abort():
         fl.evolve_filament(fl.circle_curve(1e-7, 64), 1e-9, 1e-8)
 
 
-def test_curve_immersion_roundtrip():
-    c = fl.arclength_resample(fl.perturbed_circle(1.0, 0.05, 3, 64))
-    back = fl.curve_from_immersion(fl.curve_to_immersion(c))
-    assert back.period == c.period
-    assert np.array_equal(back.points, c.points)
+def test_curve_immersion_roundtrip(tmp_path):
+    # the states of a filament run are dim-1 immersions in R^3 and go through
+    # the membrane snapshot format unchanged
+    traj = fl.evolve_filament(planar_curve(n=64), 1e-3, 4e-3, stride=2)
+    for i, c in enumerate(traj.states):
+        assert isinstance(c, dg.GridImmersion) and c.dim == 1 and c.ambient_dim == 3
+        path = tmp_path / f"curve_{i}.txt"
+        dg.save_immersion(c, path)
+        back = dg.load_immersion(path)
+        assert back.param_periods == c.param_periods
+        assert np.array_equal(back.points, c.points)
 
 
 # ---------------------------------------------------------------------------
