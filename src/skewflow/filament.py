@@ -19,6 +19,13 @@ binormal velocity is normal to the curve, so arclength parametrization only
 drifts by truncation; an optional periodic cubic resampling every few steps
 corrects it.
 
+The package depends on numpy alone, so a CLI call starts without loading a
+larger library.  The resampling's cubic splines (a periodic one through the
+samples, not-a-knot ones for the speed and for the parameter against
+arclength) are built here from Hermite cubics and one tridiagonal solve each;
+the Hasimoto phase is a cumulative trapezoid sum, and the self-intersection
+guard's pairwise distances are summed coordinate by coordinate.
+
 A closed curve is a dim-1 diffgeo.GridImmersion: points of shape (N, 3) and
 one parameter period, which is the length once the curve is sampled by
 arclength.  The filament is the n = 1 case of the membrane flow, so curves
@@ -30,9 +37,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline
-from scipy.spatial.distance import cdist
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import diffgeo as dg
 from .errors import (
@@ -42,7 +47,7 @@ from .errors import (
     SelfIntersectionAbort,
     VacuumAbort,
 )
-from .stepping import integrate, rk4_step, step_count
+from .stepping import check_times, integrate, rk4_step, step_count
 
 KAPPA_MIN = 1e-8       # torsion mask / Da Rios singularity guard
 RHO_MIN = 1e-10        # vacuum guard for the fluid form
@@ -129,32 +134,161 @@ def derivative(f, period, nu=1, scheme="fd4"):
 # arclength machinery
 # ---------------------------------------------------------------------------
 
-def arclength_resample(curve):
-    """Resample a curve to uniform arclength with periodic cubic splines.
+# The cubic splines below are Hermite cubics on each interval, with the knot
+# slopes of the C^2 interpolant from a periodic or a not-a-knot tridiagonal
+# system (de Boor, A Practical Guide to Splines).
 
-    Every curve reaches the 1D solvers through here, so this is where a dim-1
-    immersion in R^3 with at least MIN_SAMPLES samples is required.  The
-    first sample stays anchored; the returned period is the curve length.
+_DOUBLING_TOL = 2.0 ** -140   # bound on the squared coefficients left out
+
+# d/dt of the Hermite cubic on [0, 1] at t = 0, 1/4, 1/2 and 3/4, as weights
+# on the secant (y1 - y0)/h and the end slopes m0, m1
+_QUARTER_WEIGHTS = np.array([
+    [0.0, 1.0, 0.0],
+    [9.0 / 8.0, 3.0 / 16.0, -5.0 / 16.0],
+    [1.5, -0.25, -0.25],
+    [9.0 / 8.0, -5.0 / 16.0, 3.0 / 16.0],
+])
+
+
+def _doubling_levels(g):
+    """Shifts and coefficients that solve x_0 = u_0, x_i = u_i + g_i x_{i-1}
+    (g_0 = 0) by recursive doubling.
+
+    The level with shift s adds its coefficient times x_{i-s} to each x_i,
+    after which x_i is exact back to u_{i-2s+1}.  The levels stop once the
+    coefficient products still left out are all below 2^-70.
+    """
+    levels, s = [], 1
+    while s < g.size and g.dot(g) > _DOUBLING_TOL:
+        levels.append((s, g))
+        g = np.concatenate((g[:s], g[s:] * g[:-s]))
+        s *= 2
+    return tuple(levels)
+
+
+def _run_levels(levels, u):
+    """The recurrence of _doubling_levels, run on u."""
+    x = u.copy()
+    for s, g in levels:
+        x[s:] += g[s:] * x[:-s]
+    return x
+
+
+def _tridiag_factor(a, b, c):
+    """LU factors of the tridiagonal matrix with sub-diagonal a, diagonal b and
+    super-diagonal c, without pivoting: the pivots and the doubling levels of
+    the forward and backward substitutions."""
+    q = (a * c).tolist()
+    p = float(b[0])
+    pivots = [p]
+    for bi, qi in zip(b[1:].tolist(), q):
+        p = bi - qi / p
+        pivots.append(p)
+    pivots = np.array(pivots)
+    forward = np.concatenate(([0.0], -a / pivots[:-1]))
+    backward = np.concatenate(([0.0], -(c / pivots[:-1])[::-1]))
+    return pivots, _doubling_levels(forward), _doubling_levels(backward)
+
+
+def _tridiag_solve(factors, d):
+    """Solution of the factored tridiagonal system for the right-hand side d."""
+    pivots, forward, backward = factors
+    y = _run_levels(forward, d) / pivots
+    return _run_levels(backward, y[::-1])[::-1]
+
+
+def _notaknot_system(x, y):
+    """Tridiagonal system (a, b, c) and right-hand side for the knot slopes of
+    the not-a-knot cubic spline through (x, y)."""
+    dx = np.diff(x)
+    if dx.min() <= 0:
+        raise ValueError("spline knots must be strictly increasing")
+    slope = np.diff(y) / dx
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    a = np.concatenate((dx[1:], [d1]))
+    b = np.concatenate(([dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]))
+    c = np.concatenate(([d0], dx[:-1]))
+    rhs = np.concatenate((
+        [((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0],
+        3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+        [(dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1],
+    ))
+    return (a, b, c), rhs
+
+
+@functools.lru_cache(maxsize=16)
+def _unit_notaknot_factors(m):
+    """Factors of the not-a-knot slope system on m unit-spaced knots; with
+    spacing h the matrix is h times this one."""
+    matrix, _ = _notaknot_system(np.arange(float(m)), np.zeros(m))
+    pivots, forward, backward = _tridiag_factor(*matrix)
+    for arr in [pivots] + [g for _, g in forward + backward]:
+        arr.flags.writeable = False
+    return pivots, forward, backward
+
+
+def _periodic_slopes(y, h):
+    """Slopes of the periodic cubic spline through y (rows) on knots spaced h:
+    the circulant system m_{i-1} + 4 m_i + m_{i+1} = 3 (y_{i+1} - y_{i-1})/h."""
+    n = y.shape[0]
+    rhs = (3.0 / h) * (np.roll(y, -1, axis=0) - np.roll(y, 1, axis=0))
+    eig = 4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)
+    return np.fft.irfft(np.fft.rfft(rhs, axis=0) / eig[:, None], n=n, axis=0)
+
+
+def _hermite(x, y, m, xq):
+    """Cubic with values y and slopes m at the knots x, evaluated at xq."""
+    i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
+    h = x[i + 1] - x[i]
+    t = (xq - x[i]) / h
+    if y.ndim > 1:
+        t, h = t[:, None], h[:, None]
+    t2 = t * t
+    t3 = t2 * t
+    return ((2.0 * t3 - 3.0 * t2 + 1.0) * y[i] + (t3 - 2.0 * t2 + t) * h * m[i]
+            + (3.0 * t2 - 2.0 * t3) * y[i + 1] + (t3 - t2) * h * m[i + 1])
+
+
+def arclength_resample(curve):
+    """Resample a curve to uniform arclength with cubic splines.
+
+    A periodic spline through the samples gives the speed at four points per
+    interval; the arclength at those points is the integral of their
+    not-a-knot speed spline, and a not-a-knot spline of the parameter against
+    arclength picks the new parameters.  Every curve reaches the 1D solvers
+    through here, so this is where a dim-1 immersion in R^3 with at least
+    MIN_SAMPLES samples is required.  The first sample stays anchored; the
+    returned period is the curve length.
     """
     if curve.dim != 1:
         raise ValueError(f"need a dim-1 immersion in R^3, got dim={curve.dim}")
     (n,), (period,) = curve.shape, curve.param_periods
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
+    h = period / n
     u = np.linspace(0.0, period, n + 1)
     pts = np.vstack([curve.points, curve.points[:1]])
-    spline = CubicSpline(u, pts, axis=0, bc_type="periodic")
-    dense = np.linspace(0.0, period, 4 * n + 1)
-    speed = np.linalg.norm(spline(dense, 1), axis=1)
+    m = _periodic_slopes(curve.points, h)
+    m = np.vstack([m, m[:1]])
+    secant = np.diff(pts, axis=0) / h
+    w = _QUARTER_WEIGHTS[:, :, None, None]
+    tangent = w[:, 0] * secant + w[:, 1] * m[:-1] + w[:, 2] * m[1:]
+    speed = np.linalg.norm(tangent.transpose(1, 0, 2).reshape(4 * n, 3), axis=1)
+    speed = np.append(speed, speed[0])
     if speed.min() <= 0:
         raise ValueError("curve is not immersed: vanishing tangent")
-    s_dense = CubicSpline(dense, speed).antiderivative()(dense)
+    dense = np.linspace(0.0, period, 4 * n + 1)
+    hd = period / (4 * n)
+    _, rhs = _notaknot_system(dense, speed)
+    ms = _tridiag_solve(_unit_notaknot_factors(4 * n + 1), rhs / hd)
+    pieces = hd * (speed[:-1] + speed[1:]) / 2.0 + hd * hd * (ms[:-1] - ms[1:]) / 12.0
+    s_dense = np.concatenate(([0.0], np.cumsum(pieces)))
     length = float(s_dense[-1])
-    u_of_s = CubicSpline(s_dense, dense)
-    targets = np.arange(n) * length / n
-    u_new = u_of_s(targets)
+    matrix, rhs = _notaknot_system(s_dense, dense)
+    mu = _tridiag_solve(_tridiag_factor(*matrix), rhs)
+    u_new = _hermite(s_dense, dense, mu, np.arange(n) * length / n)
     u_new[0] = 0.0
-    return dg.GridImmersion(spline(u_new), (length,))
+    return dg.GridImmersion(_hermite(u, pts, m, u_new), (length,))
 
 
 def curve_length(curve, scheme="fd4"):
@@ -169,21 +303,22 @@ def willmore_1d(curve, scheme="fd4"):
     return float(np.sum(np.einsum("ij,ij->i", gpp, gpp)) * curve.spacings[0])
 
 
-@functools.lru_cache(maxsize=16)
-def _neighbour_band(n):
-    """Read-only flat indices of the pairs (i, j) of an n x n matrix with
-    |i - j| <= 1 mod n."""
-    i = np.arange(n)[:, None]
-    flat = (i * n + (i + np.arange(-1, 2)) % n).ravel()
-    flat.flags.writeable = False
-    return flat
-
-
 def min_nonneighbor_distance(points):
-    """Smallest distance between samples more than one index apart."""
-    d = cdist(points, points)
-    np.put(d, _neighbour_band(points.shape[0]), np.inf)
-    return float(d.min())
+    """Smallest distance between samples more than one index apart (mod N).
+
+    Each pair is met at its index offset k = 2 .. N//2, and its squared
+    distance is summed over x, y, z in that order, so the value is the
+    Euclidean pairwise distance bit for bit.
+    """
+    n = points.shape[0]
+    xyz = np.ascontiguousarray(points.T)
+    ring = np.concatenate((xyz, xyz), axis=1)
+    d = sliding_window_view(ring, n, axis=1)[:, 2:n // 2 + 1] - xyz[:, None, :]
+    d *= d
+    d2 = d[0]
+    d2 += d[1]
+    d2 += d[2]
+    return float(np.sqrt(d2.min(initial=np.inf)))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +442,8 @@ def hasimoto(frenet, s0=0):
     when it is a multiple of 2 pi, otherwise the samples are the
     quasi-periodic representative and the mismatch is exactly the holonomy.
     """
-    phase = cumulative_trapezoid(frenet.tau, dx=frenet.ds, initial=0.0)
+    tau = frenet.tau
+    phase = np.concatenate(([0.0], np.cumsum(frenet.ds * (tau[1:] + tau[:-1]) / 2.0)))
     phase = phase - phase[s0]
     psi = frenet.kappa * np.exp(1j * phase)
     holonomy = frenet.total_torsion
@@ -333,6 +469,7 @@ def nls_evolve(wave, dt, t_final, stride=None):
     m = wave.m
     if m & (m - 1):
         raise ValueError(f"grid size must be a power of two, got {m}")
+    check_times(dt, t_final)  # before dt enters the linear propagator
     k = 2.0 * np.pi * np.fft.fftfreq(m, d=wave.L / m)
     linear = np.exp(-1j * dt * (k * k))
 
@@ -351,6 +488,13 @@ def nls_evolve(wave, dt, t_final, stride=None):
 # curvature/torsion evolution and its fluid form
 # ---------------------------------------------------------------------------
 
+def _fields(first, second):
+    """Fresh (2, N) array of two sampled fields (cheaper than np.stack)."""
+    out = np.empty((2, first.size))
+    out[0], out[1] = first, second
+    return out
+
+
 def darios_evolve(kappa, tau, length, dt, t_final, stride=None, scheme="fd4"):
     """Method-of-lines RK4 for the curvature/torsion system.
 
@@ -365,7 +509,7 @@ def darios_evolve(kappa, tau, length, dt, t_final, stride=None, scheme="fd4"):
         dtau = -2.0 * t * derivative(t, length, 1, scheme) + derivative(
             0.5 * k * k + derivative(k, length, 2, scheme) / k, length, 1, scheme
         )
-        return np.stack([dk, dtau])
+        return _fields(dk, dtau)
 
     def guarded(y, t):
         if y[0].min() <= KAPPA_MIN:
@@ -421,7 +565,7 @@ def fluid_evolve(state, dt, t_final, stride=None, scheme="fd4"):
         dv = -v * derivative(v, L, 1, scheme) + derivative(
             rho + 2.0 * derivative(sq, L, 2, scheme) / sq, L, 1, scheme
         )
-        return np.stack([drho, dv])
+        return _fields(drho, dv)
 
     def guarded(y, t):
         # before FluidState1D, which rejects rho <= 0 with a ValueError
@@ -430,7 +574,7 @@ def fluid_evolve(state, dt, t_final, stride=None, scheme="fd4"):
         return FluidState1D(y[0], y[1], L)
 
     def step(s, i):
-        y = rk4_step(rhs, np.stack([s.rho, s.v]), dt)
+        y = rk4_step(rhs, _fields(s.rho, s.v), dt)
         if not np.all(np.isfinite(y)):
             raise EvolutionAbort("fluid state became non-finite", i * dt)
         return guarded(y, i * dt)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import CollapseError, EvolutionAbort, UnsupportedDimensionError
 from .diffgeo import torus_immersion
+from .stepping import check_times
 
 A_STOP_DEFAULT = 1e-3   # default radius floor for run-to-collapse mode
 
@@ -186,12 +187,14 @@ def _halving_rk4(state, dt, record_every, done, t_end=math.inf, max_steps=math.i
 
 def evolve_numeric(state, dt, t_final, record_every=1):
     """RK4 trajectory over [0, t_final] with step-halving near collapse."""
+    check_times(dt, t_final)
     return _halving_rk4(state, dt, record_every,
                         lambda t, a: t >= t_final - 1e-15 * max(1.0, t_final), t_end=t_final)
 
 
 def run_to_collapse(state, dt, a_stop=A_STOP_DEFAULT, record_every=1, max_steps=10 ** 8):
     """Integrate until a <= a_stop; the last recorded time is the stop time."""
+    check_times(dt)
     return _halving_rk4(state, dt, record_every, lambda t, a: a <= a_stop, max_steps=max_steps)
 
 

@@ -5,6 +5,7 @@ Each solver hands `integrate` a per-step function that keeps its own guards;
 and the snapshots an abort carries.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import DegenerateImmersionError, EvolutionAbort
@@ -28,11 +29,20 @@ def rk4_step(rhs, y, dt):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def check_times(dt, t_final=0.0):
+    """ValueError unless the step dt is finite and > 0 and the horizon
+    t_final (the CLI's T) is finite and >= 0."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    if not (math.isfinite(t_final) and t_final >= 0):
+        raise ValueError(f"T must be finite and >= 0, got {t_final}")
+
+
 def step_count(dt, t_final, stride=None):
-    """Steps of size dt to t_final; ValueError unless that is a whole number
-    and a given stride is non-negative and divides it."""
-    if dt == 0:
-        raise ValueError("dt must be nonzero")
+    """Steps of size dt to t_final; ValueError unless dt and t_final pass
+    check_times, the count is a whole number and a given stride is
+    non-negative and divides it."""
+    check_times(dt, t_final)
     if stride is not None and stride < 0:
         raise ValueError(f"stride must be >= 0, got {stride}")
     nsteps = int(round(t_final / dt))

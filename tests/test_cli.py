@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line front end."""
 
 import csv
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,9 +264,44 @@ def test_entry_point_version():
     assert "skewflow" in res.stdout
 
 
+def test_cli_import_loads_no_scipy():
+    # every CLI call pays this import before it does any work
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, skewflow.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # exit codes and what an abort leaves behind
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("args,message", [
+    (["filament-run", "shape=circle", "N=64", "dt=-1e-3", "T=0.01"], "dt must be finite and > 0"),
+    (["filament-run", "shape=circle", "N=64", "dt=1e-3", "T=-0.01"], "T must be finite and >= 0"),
+    (["filament-run", "shape=circle", "N=64", "dt=nan", "T=0.01"], "dt must be finite and > 0"),
+    (["membrane-run", "surface=torus_product", "a=1", "b=2", "n1=16", "n2=16", "dt=-1e-3",
+      "T=0.01"], "dt must be finite and > 0"),
+    (["darios-run", "shape=perturbed_circle", "N=64", "dt=-1e-4"], "dt must be finite and > 0"),
+    (["fluid-run", "shape=perturbed_circle", "N=64", "T=-0.001"], "T must be finite and >= 0"),
+    (["nls-run", "source=plane", "M=64", "dt=-1e-3"], "dt must be finite and > 0"),
+    (["sphere-run", "m=1", "l=1", "a=1", "b=2", "T=-0.01"], "T must be finite and >= 0"),
+    (["sphere-run", "m=1", "l=1", "a=1", "b=2", "T=0.01", "dt=nan"], "dt must be finite and > 0"),
+], ids=["filament-dt", "filament-T", "filament-nan", "membrane-dt", "darios-dt", "fluid-T",
+        "nls-dt", "sphere-T", "sphere-nan"])
+def test_bad_step_or_horizon_exits_2(tmp_path, capsys, args, message):
+    out = tmp_path / "o"
+    code = cli.main(args + ["--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
 
 def _abort_time(err):
     return float(re.search(r"aborted at t=([-0-9.e+]+)", err).group(1))

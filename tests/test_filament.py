@@ -4,6 +4,8 @@ the curvature/torsion system, and the fluid form."""
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
+from scipy.interpolate import CubicSpline
+from scipy.spatial.distance import cdist
 
 from skewflow import diffgeo as dg
 from skewflow import filament as fl
@@ -30,6 +32,59 @@ def test_arclength_resample_uniformizes():
     # circle length is exact
     circ = fl.arclength_resample(fl.circle_curve(2.0, 128))
     assert abs(circ.param_periods[0] - 4 * np.pi) < 1e-6
+
+
+def _scipy_resample(curve):
+    """The arclength resampling written with scipy's CubicSpline: the
+    reference the numpy splines of arclength_resample must reproduce."""
+    (n,), (period,) = curve.shape, curve.param_periods
+    u = np.linspace(0.0, period, n + 1)
+    pts = np.vstack([curve.points, curve.points[:1]])
+    spline = CubicSpline(u, pts, axis=0, bc_type="periodic")
+    dense = np.linspace(0.0, period, 4 * n + 1)
+    speed = np.linalg.norm(spline(dense, 1), axis=1)
+    s_dense = CubicSpline(dense, speed).antiderivative()(dense)
+    length = float(s_dense[-1])
+    u_new = CubicSpline(s_dense, dense)(np.arange(n) * length / n)
+    u_new[0] = 0.0
+    return spline(u_new), length
+
+
+@pytest.mark.parametrize("curve", [
+    fl.perturbed_circle(1.0, 0.05, 3, 256),
+    fl.twisted_circle(1.0, 0.3, 2, 128),
+    fl.perturbed_circle(1.0, 0.3, 5, 64),
+    fl.perturbed_circle(1.0, 0.05, 3, 33),
+    fl.twisted_circle(1.0, 0.3, 2, 100),
+], ids=["acceptance-256", "twisted-128", "eps0.3-64", "odd-33", "twisted-100"])
+def test_arclength_resample_matches_scipy_splines(curve):
+    points, length = _scipy_resample(curve)
+    got = fl.arclength_resample(curve)
+    assert np.abs(got.points - points).max() <= 1e-13
+    assert abs(got.param_periods[0] - length) <= 1e-13
+
+
+def _notaknot_like_system(rng, n):
+    """Spline-shaped tridiagonal system on random knots: not-a-knot end rows,
+    interior diagonal 2(dx_{i-1} + dx_i) scaled up by a random factor > 1."""
+    x = np.cumsum(rng.uniform(0.1, 1.0, n))
+    dx = np.diff(x)
+    matrix = np.zeros((n, n))
+    for i in range(1, n - 1):
+        matrix[i, i - 1:i + 2] = dx[i], 2.0 * (dx[i - 1] + dx[i]) * rng.uniform(1.05, 2.0), dx[i - 1]
+    matrix[0, :2] = dx[1], x[2] - x[0]
+    matrix[-1, -2:] = x[-1] - x[-3], dx[-2]
+    return matrix, rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("n", list(range(3, 41)) + [1025])
+def test_tridiag_solve_matches_dense_solve(n):
+    rng = np.random.default_rng(n)
+    matrix, rhs = _notaknot_like_system(rng, n)
+    a, b, c = np.diag(matrix, -1), np.diag(matrix), np.diag(matrix, 1)
+    got = fl._tridiag_solve(fl._tridiag_factor(a, b, c), rhs)
+    want = np.linalg.solve(matrix, rhs)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_curve_validation():
@@ -114,6 +169,19 @@ def test_min_nonneighbor_distance_equals_double_loop(n):
     circle = np.stack([np.cos(u), np.sin(u), np.zeros_like(u)], axis=-1)
     for pts in (rng.standard_normal((n, 3)), circle):
         assert fl.min_nonneighbor_distance(pts) == _brute_min_nonneighbor(pts)
+
+
+@pytest.mark.parametrize("n", [32, 33, 100, 256, 257])
+def test_min_nonneighbor_distance_equals_cdist(n):
+    rng = np.random.default_rng(n)
+    u = np.arange(n) * 2 * np.pi / n
+    circle = np.stack([np.cos(u), np.sin(u), np.zeros_like(u)], axis=-1)
+    i = np.arange(n)
+    for pts in (rng.standard_normal((n, 3)), circle):
+        d = cdist(pts, pts)
+        for shift in (-1, 0, 1):
+            d[i, (i + shift) % n] = np.inf
+        assert fl.min_nonneighbor_distance(pts) == d.min()
 
 
 def _count_rolls(monkeypatch):
@@ -308,11 +376,13 @@ def test_darios_matches_filament():
 
 
 def test_darios_time_reversal():
+    # the system is reversible under (kappa, tau, t) -> (kappa, -tau, -t), so
+    # running (kappa, -tau) forward runs (kappa, tau) backward
     fr = fl.frenet_data(planar_curve())
     k1, t1 = fl.darios_evolve(fr.kappa, fr.tau, fr.length, 1e-4, 0.1).final
-    k0, t0 = fl.darios_evolve(k1, t1, fr.length, -1e-4, -0.1).final
+    k0, minus_t0 = fl.darios_evolve(k1, -t1, fr.length, 1e-4, 0.1).final
     assert np.abs(k0 - fr.kappa).max() <= 1e-8
-    assert np.abs(t0 - fr.tau).max() <= 1e-8
+    assert np.abs(-minus_t0 - fr.tau).max() <= 1e-8
 
 
 def test_darios_aborts_at_vanishing_curvature():
@@ -353,6 +423,14 @@ def test_to_fluid_needs_positive_curvature():
 # ---------------------------------------------------------------------------
 # Madelung transform
 # ---------------------------------------------------------------------------
+
+def test_hasimoto_phase_is_cumulative_trapezoid_bitwise():
+    fr = fl.frenet_data(fl.arclength_resample(fl.twisted_circle(1.0, 0.3, 2, 256)))
+    assert np.abs(fr.tau).min() > 0.0
+    phase = cumulative_trapezoid(fr.tau, dx=fr.ds, initial=0.0)
+    wave, _ = fl.hasimoto(fr)
+    assert np.array_equal(wave.psi, fr.kappa * np.exp(1j * phase))
+
 
 def test_madelung_identities():
     assert np.abs(fl.madelung(np.ones(8), np.zeros(8)) - 1.0).max() == 0.0

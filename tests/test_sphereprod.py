@@ -118,6 +118,21 @@ def test_aborts_carry_absolute_time_and_recorded_rows():
     assert err.value.trajectory.times == pytest.approx(0.5 + 1e-3 * np.arange(6))
 
 
+@pytest.mark.parametrize("run,message", [
+    (lambda s: sp.run_to_collapse(s, -1e-3, max_steps=1000), "dt must be finite and > 0"),
+    (lambda s: sp.run_to_collapse(s, 0.0, max_steps=1000), "dt must be finite and > 0"),
+    (lambda s: sp.evolve_numeric(s, -1e-3, 0.01), "dt must be finite and > 0"),
+    (lambda s: sp.evolve_numeric(s, float("nan"), 0.01), "dt must be finite and > 0"),
+    (lambda s: sp.evolve_numeric(s, 1e-3, -0.01), "T must be finite and >= 0"),
+    (lambda s: sp.evolve_numeric(s, 1e-3, float("inf")), "T must be finite and >= 0"),
+], ids=["collapse-negative-dt", "collapse-zero-dt", "fixed-negative-dt", "fixed-nan-dt",
+        "fixed-negative-T", "fixed-infinite-T"])
+def test_bad_step_or_horizon_is_rejected(run, message):
+    # a negative dt used to walk away from collapse until max_steps
+    with pytest.raises(ValueError, match=message):
+        run(sp.SphereProductState(1, 1, 1.0, 2.0))
+
+
 @pytest.mark.parametrize("run", [
     lambda s: sp.evolve_numeric(s, 1e-2, 2.0),
     lambda s: sp.run_to_collapse(s, 1e-2, a_stop=0.0),

@@ -25,7 +25,7 @@ def test_snapshot_cadence_and_absolute_times():
 
 
 def test_zero_step_is_rejected():
-    with pytest.raises(ValueError, match="dt must be nonzero"):
+    with pytest.raises(ValueError, match=r"dt must be finite and > 0, got 0\.0"):
         step_count(0.0, 1.0)
 
 
@@ -98,6 +98,22 @@ def test_negative_stride_is_rejected(name):
     run, dt, _, _ = SOLVERS[name]
     with pytest.raises(ValueError, match="stride must be >= 0, got -4"):
         run(dt, 20 * dt, -4)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+@pytest.mark.parametrize("dt_factor,steps,message", [
+    (-1.0, 20, "dt must be finite and > 0"),
+    (0.0, 20, "dt must be finite and > 0"),
+    (np.nan, 20, "dt must be finite and > 0"),
+    (np.inf, 20, "dt must be finite and > 0"),
+    (1.0, -20, "T must be finite and >= 0"),
+    (1.0, np.nan, "T must be finite and >= 0"),
+    (1.0, np.inf, "T must be finite and >= 0"),
+])
+def test_bad_step_or_horizon_is_rejected(name, dt_factor, steps, message):
+    run, dt, _, _ = SOLVERS[name]
+    with pytest.raises(ValueError, match=message):
+        run(dt_factor * dt, steps * dt, None)
 
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))

@@ -11,7 +11,10 @@
 # three filament runs that reach the curve builders and the snapshot reader
 # (a round circle at N = 100, which is not a power of two, a twisted circle,
 # and a curve read with curve_file= from a snapshot this script writes with
-# plain python3) and `skewflow validate`.  Manifests hold wall times, and the validate lines
+# plain python3), an NLS run on the twisted circle (nonzero torsion, so the
+# Hasimoto phase integral sees more than zeros), a filament run on a strongly
+# perturbed circle (eps 0.3, k 5, N 64: arclength knots far from uniform) and
+# `skewflow validate`.  Manifests hold wall times, and the validate lines
 # printed to standard output lose their timing suffix; for a byte-identical
 # change every other file must
 # match exactly.  For a change that moves results by roundoff rather than
@@ -46,6 +49,10 @@ skewflow membrane-run surface=perturbed_torus a=1 b=2 eps=0.05 k1=2 k2=3 \
 skewflow filament-run shape=circle R=1 N=100 dt=1e-3 T=0.1 --out "$out/circle" >/dev/null
 skewflow filament-run shape=twisted_circle R=1 eps=0.3 k=2 N=128 dt=5e-4 T=0.05 \
     --out "$out/twisted" >/dev/null
+skewflow nls-run source=curve shape=twisted_circle R=1 eps=0.3 k=2 N=128 dt=5e-4 T=0.05 \
+    --out "$out/nls_twisted" >/dev/null
+skewflow filament-run shape=perturbed_circle R=1 eps=0.3 k=5 N=64 dt=1e-4 T=0.01 \
+    --out "$out/wobbly" >/dev/null
 mkdir -p "$out/curve_file"
 python3 - "$out/curve_file/input.txt" <<'PY'
 import math
