@@ -315,10 +315,10 @@ def run_crosscheck(p, outdir, tol_scale=1.0):
     failed = False
     p = dict(p, tol=p["tol"] * tol_scale, tol_radii=p["tol_radii"] * tol_scale)
     if p["mode"] == "filament-square":
-        c0 = fl.arclength_resample(fl.build_curve("perturbed_circle", p["N"], R=p["R"], eps=p["eps"], k=p["k"]))
-        fr0 = fl.frenet_data(c0)
+        raw = fl.build_curve("perturbed_circle", p["N"], R=p["R"], eps=p["eps"], k=p["k"])
+        fr0 = fl.frenet_data(fl.arclength_resample(raw))
         profiles, status = {}, {}
-        profiles["filament"] = fl.frenet_data(fl.evolve_filament(c0, p["dt"], p["T"]).final).kappa
+        profiles["filament"] = fl.frenet_data(fl.evolve_filament(raw, p["dt"], p["T"]).final).kappa
         status["filament"] = "ok"
         try:
             profiles["darios"] = fl.darios_evolve(fr0.kappa, fr0.tau, fr0.length, p["dt"], p["T"]).final[0]

@@ -15,14 +15,25 @@ The metric algebra is closed-form for n <= 2: det g and g^-1 are the
 explicit 1x1/2x2 expressions (metric_planes), and normal projection
 subtracts (X, t_i) t^i with the dual tangents t^i = g^ij t_j
 (project_planes).  shape_field evaluates all of it as elementwise
-arithmetic on contiguous (d, *s) component planes, with no per-point LAPACK
-call; each grid axis gives its first and second differences from one set
-of neighbours (diff_pair).  The generalised cross product on the same
-planes (generalised_cross) is the 3D cross product for curves and, for
-membranes in R^4, the Hodge dual of the six Pluecker coordinates
-t1_a t2_b - t1_b t2_a of the tangent plane paired with v.  apply_j uses it,
-and so do the flow's stage kernel membrane.smc_rhs, which builds no
-ShapeField, and the filament velocity filament.binormal_rhs.
+arithmetic on (d, *s) component planes, with no per-point LAPACK call.  The
+positions are copied once into a buffer wrapped past both ends of every
+grid axis, so each axis reads its +-1/+-2 neighbours as slices, with no
+np.roll copy, and takes its first and second differences from that one set
+(plane_derivatives).  The generalised cross product on the same planes
+(generalised_cross) is the 3D cross product for curves and, for membranes
+in R^4, the Hodge dual of the six Pluecker coordinates t1_a t2_b - t1_b t2_a
+of the tangent plane paired with v.  apply_j uses it, and so do the flow's
+stage kernel membrane.smc_rhs, which builds no ShapeField, and the filament
+velocity filament.binormal_rhs.
+
+The plane kernels (plane_derivatives, metric_planes, project_planes,
+generalised_cross, shape_field) fill their intermediate planes with out=
+ufuncs in a workspace ws: a Workspace of named arrays, made once and
+reused, or by default a fresh array per request.  evolve_membrane keeps one
+Workspace per run, so its RK4 stages and snapshot fields work in the same
+buffers and allocate only their results.  Every stencil, product and sum
+keeps the operation order of the plain expression, so the results are
+bitwise those of allocating code.
 
 J is the quarter-turn of the normal plane.  Its direction is fixed by the
 sign convention det[t_1, ..., t_n, v, Jv] < 0 in ambient coordinates; this
@@ -190,37 +201,104 @@ def _pad_index(n, w):
     return idx
 
 
+class Workspace:
+    """Named float arrays, made on the first request for a name and handed
+    out again on every later one: ws(name, shape).
+
+    membrane.evolve_membrane keeps one per run, so its RK4 stages and
+    snapshot fields allocate only their results.  An array a kernel returns
+    from here holds its values until the next request under the same name;
+    "tmp" and "scalar_tmp" are scratch that any kernel may overwrite.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+
+    def __call__(self, name, shape):
+        a = self._arrays.get(name)
+        if a is None or a.shape != shape:
+            a = self._arrays[name] = np.empty(shape)
+        return a
+
+
+def _fresh(name, shape):
+    """Workspace stand-in that allocates a new array on every request."""
+    return np.empty(shape)
+
+
+def _wrap(p, axis, w):
+    """Fill the w entries past both ends of `axis` of a padded array with the
+    periodic continuation of the n >= w entries between them."""
+    n = p.shape[axis] - 2 * w
+    lead = (slice(None),) * axis
+    p[lead + (slice(0, w),)] = p[lead + (slice(n, n + w),)]
+    p[lead + (slice(n + w, n + 2 * w),)] = p[lead + (slice(w, 2 * w),)]
+
+
+def _padded_neighbours(p, w, axis, padded_axes):
+    """at(k) = f(i + k) along `axis`, as a view of p: a copy of f wrapped w
+    entries past both ends of each axis in padded_axes (axis among them)."""
+    index = [slice(w, -w) if a in padded_axes else slice(None) for a in range(p.ndim)]
+    n = p.shape[axis] - 2 * w
+
+    def at(k):
+        index[axis] = slice(w + k, w + k + n)
+        return p[tuple(index)]
+    return at
+
+
 def _neighbours(f, axis, order):
     """at(k) = f(i + k) along a periodic grid axis, for |k| <= order/2; see `diff`."""
     if order not in (2, 4):
         raise ValueError(f"finite-difference order must be 2 or 4, got {order}")
-    w = order // 2
-    if f.ndim <= 2 and axis == 0:
-        n = f.shape[0]
-        padded = f.take(_pad_index(n, w), axis=0)
-        return lambda k: padded[w + k:w + k + n]
-    return lambda k: f if k == 0 else np.roll(f, -k, axis)
+    w, n = order // 2, f.shape[axis]
+    padded = f.take(_pad_index(n, w), axis=axis)
+    lead = (slice(None),) * axis
+    return lambda k: padded[lead + (slice(w + k, w + k + n),)]
 
 
-def _first(at, h, order):
+def _first(at, h, order, out=None, tmp=None):
+    """Centered first difference from the neighbours at(k), written into out
+    if given (tmp: scratch of out's shape).  Terms are taken left to right as in
+    -f(2) + 8 f(1) - 8 f(-1) + f(-2); b - a equals -a + b exactly, so the
+    result is bitwise that of the plain expression."""
     if order == 2:
-        return (at(1) - at(-1)) / (2.0 * h)
-    return (-at(2) + 8.0 * at(1) - 8.0 * at(-1) + at(-2)) / (12.0 * h)
+        out = np.subtract(at(1), at(-1), out=out)
+        out /= 2.0 * h
+        return out
+    out = np.multiply(at(1), 8.0, out=out)
+    out -= at(2)
+    out -= np.multiply(at(-1), 8.0, out=tmp)
+    out += at(-2)
+    out /= 12.0 * h
+    return out
 
 
-def _second(at, h, order):
+def _second(at, h, order, out=None, tmp=None):
+    """Centered second difference from the neighbours at(k), written into out;
+    terms left to right as in -f(2) + 16 f(1) - 30 f(0) + 16 f(-1) - f(-2)."""
     if order == 2:
-        return (at(1) - 2.0 * at(0) + at(-1)) / (h * h)
-    return (-at(2) + 16.0 * at(1) - 30.0 * at(0) + 16.0 * at(-1) - at(-2)) / (12.0 * h * h)
+        out = np.subtract(at(1), np.multiply(at(0), 2.0, out=tmp), out=out)
+        out += at(-1)
+        out /= h * h
+        return out
+    out = np.multiply(at(1), 16.0, out=out)
+    out -= at(2)
+    out -= np.multiply(at(0), 30.0, out=tmp)
+    out += np.multiply(at(-1), 16.0, out=tmp)
+    out -= at(-2)
+    out /= 12.0 * h * h
+    return out
 
 
 def diff(f, axis, h, order=2):
     """Centered first derivative along a periodic grid axis.
 
-    A 1D-grid field, f.ndim <= 2 along axis 0 ((N,), (N, 3), or an (n1, n2)
-    scalar), takes its neighbours as slices of one wrapped, padded copy.
-    Every other axis keeps np.roll, which measured about twice as fast there
-    at (4, 64, 64).  The two give bitwise identical results.
+    The neighbours are slices of one copy of f wrapped order/2 entries past
+    both ends of the axis.  The membrane stage and shape_field difference
+    the positions through plane_derivatives instead, which pads both grid
+    axes of a (d, *s) plane stack at once into a reused buffer; both give
+    results bitwise equal to the np.roll form of the same stencil.
     """
     return _first(_neighbours(f, axis, order), h, order)
 
@@ -231,12 +309,41 @@ def diff2(f, axis, h, order=2):
     return _second(_neighbours(f, axis, order), h, order)
 
 
-def diff_pair(f, axis, h, order=2):
-    """(diff, diff2) of f along one axis, both from one set of neighbours;
-    bitwise equal to the two separate calls."""
-    at = _neighbours(f, axis, order)
-    shifted = {k: at(k) for k in range(-(order // 2), order // 2 + 1)}
-    return _first(shifted.get, h, order), _second(shifted.get, h, order)
+def plane_derivatives(points, spacings, order, ws=_fresh):
+    """Differences of the positions, as (d, *s) component planes held in ws.
+
+    Returns (t, xx, mixed): the tangents t_i = dF/dx_i, the second
+    derivatives X_ii and, for n = 2, X_12 = d t_1/dx_2 (None for n = 1).
+    The points are copied once into a buffer wrapped order/2 entries past
+    both ends of every grid axis, so each axis takes its +-1/+-2 neighbours
+    as slices and one set of neighbours serves both stencils; the same buffer
+    then holds t_1, wrapped along the last axis, for the mixed difference.
+    Bitwise equal to diff/diff2 of the planes.
+    """
+    if order not in (2, 4):
+        raise ValueError(f"finite-difference order must be 2 or 4, got {order}")
+    s, d, w = points.shape[:-1], points.shape[-1], order // 2
+    n, plane = len(s), (d,) + s
+    axes = tuple(range(1, n + 1))
+    padded = ws("padded", (d,) + tuple(N + 2 * w for N in s))
+    padded[(slice(None),) + (slice(w, -w),) * n] = np.moveaxis(points, -1, 0)
+    for a in axes:
+        _wrap(padded, a, w)
+    tmp = ws("tmp", plane)
+    t = [ws(f"t{a}", plane) for a in axes]
+    xx = [ws(f"xx{a}", plane) for a in axes]
+    for i, a in enumerate(axes):
+        at = _padded_neighbours(padded, w, a, axes)
+        _first(at, spacings[i], order, t[i], tmp)
+        _second(at, spacings[i], order, xx[i], tmp)
+    if n == 1:
+        return t, xx, None
+    # the positions are done with: pad t_1 along the last axis in their place
+    t1_padded = padded[:, w:-w]
+    t1_padded[:, :, w:-w] = t[0]
+    _wrap(t1_padded, 2, w)
+    at = _padded_neighbours(t1_padded, w, 2, (2,))
+    return t, xx, _first(at, spacings[1], order, ws("mixed", plane), tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +378,12 @@ def _require_normal(sf, X, what):
         )
 
 
-def _dot(u, v):
-    """Pointwise inner product of two (d, *s) stacks of component planes."""
-    acc = u[0] * v[0]
+def _dot(u, v, out=None, tmp=None):
+    """Pointwise inner product of two (d, *s) stacks of component planes,
+    into out (tmp: scratch of out's shape)."""
+    acc = np.multiply(u[0], v[0], out=out)
     for k in range(1, len(u)):
-        acc += u[k] * v[k]
+        acc += np.multiply(u[k], v[k], out=tmp)
     return acc
 
 
@@ -284,64 +392,69 @@ def _planes(a, k):
     return np.moveaxis(a, tuple(range(-k, 0)), tuple(range(k)))
 
 
-def metric_planes(t):
+def metric_planes(t, ws=_fresh):
     """Closed-form metric algebra of n <= 2 tangent planes t[i], each (d, *s).
 
     Returns (g, det_g, g_inv, dual) with g and g_inv as nested n x n lists of
-    (*s,) planes and the dual tangents t^i = g^ij t_j.  Raises
-    DegenerateImmersionError when det(g) falls below G_MIN, naming the
-    offending grid index.
+    (*s,) planes and the dual tangents t^i = g^ij t_j, all held in the
+    workspace ws.  Raises DegenerateImmersionError when det(g) falls below
+    G_MIN, naming the offending grid index.
     """
-    n = len(t)
+    n, s, plane = len(t), t[0].shape[1:], t[0].shape
+    tmp = ws("scalar_tmp", s)
     g = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            g[i][j] = g[j][i] = _dot(t[i], t[j])
+            g[i][j] = g[j][i] = _dot(t[i], t[j], ws(f"g_{i + 1}{j + 1}", s), tmp)
     if n == 1:
         det_g = g[0][0]
     else:
-        det_g = g[0][0] * g[1][1] - g[0][1] * g[0][1]
+        det_g = np.multiply(g[0][0], g[1][1], out=ws("det_g", s))
+        det_g -= np.multiply(g[0][1], g[0][1], out=tmp)
     if det_g.min() <= G_MIN:
         idx = np.unravel_index(np.argmin(det_g), det_g.shape)
         raise DegenerateImmersionError(idx, det_g[idx])
     if n == 1:
-        g_inv = [[1.0 / det_g]]
-        dual = [g_inv[0][0] * t[0]]
-    else:
-        off = -g[0][1] / det_g
-        g_inv = [[g[1][1] / det_g, off], [off, g[0][0] / det_g]]
-        dual = [g_inv[i][0] * t[0] + g_inv[i][1] * t[1] for i in range(2)]
+        g_inv = [[np.divide(1.0, det_g, out=ws("g^11", s))]]
+        dual = [np.multiply(g_inv[0][0], t[0], out=ws("dual1", plane))]
+        return g, det_g, g_inv, dual
+    off = np.negative(g[0][1], out=ws("g^12", s))
+    off /= det_g
+    g_inv = [[np.divide(g[1][1], det_g, out=ws("g^11", s)), off],
+             [off, np.divide(g[0][0], det_g, out=ws("g^22", s))]]
+    dual = []
+    for i in range(2):
+        dual.append(np.multiply(g_inv[i][0], t[0], out=ws(f"dual{i + 1}", plane)))
+        dual[i] += np.multiply(g_inv[i][1], t[1], out=ws("tmp", plane))
     return g, det_g, g_inv, dual
 
 
-def project_planes(x, t, dual):
+def project_planes(x, t, dual, ws=_fresh):
     """Normal projection x - sum_k (x, t_k) t^k of a (d, *s) field, in place."""
-    coeffs = [_dot(x, tk) for tk in t]
+    s = x.shape[1:]
+    coeffs = [_dot(x, tk, ws(f"coeff{k}", s), ws("scalar_tmp", s)) for k, tk in enumerate(t)]
     for c, dk in zip(coeffs, dual):
-        x -= c * dk
+        x -= np.multiply(c, dk, out=ws("tmp", x.shape))
     return x
 
 
-def shape_field(imm, order=2):
+def shape_field(imm, order=2, ws=_fresh):
     """Compute the full geometry bundle of an immersion.
 
-    The per-point algebra is elementwise arithmetic on contiguous component
-    planes: one (d, *s) copy of the points is differenced along the grid
-    axes (first and second differences from one set of neighbours per
-    axis), det g and g^-1 are the closed-form 1x1/2x2 expressions of
-    `metric_planes`, and each second derivative X_ij is projected with the
-    dual tangents t^k = g^kl t_l as A_ij = X_ij - sum_k (X_ij, t_k) t^k.
-    Results are written straight into the per-point arrays of the returned
-    ShapeField.
+    The per-point algebra is elementwise arithmetic on component planes:
+    one padded (d, *s) copy of the points is differenced along the grid axes
+    (`plane_derivatives`), det g and g^-1 are the closed-form 1x1/2x2
+    expressions of `metric_planes`, and each second derivative X_ij is
+    projected with the dual tangents t^k = g^kl t_l as
+    A_ij = X_ij - sum_k (X_ij, t_k) t^k.  The intermediate planes live in
+    the workspace ws; the returned ShapeField holds only arrays of its own.
 
     Raises DegenerateImmersionError when det(g) falls below G_MIN, naming the
     offending grid index.
     """
     n, d, s, hs = imm.dim, imm.ambient_dim, imm.shape, imm.spacings
-    pts = np.ascontiguousarray(_planes(imm.points, 1))
-
-    t, xx = zip(*(diff_pair(pts, i + 1, hs[i], order) for i in range(n)))
-    g, det_g, g_inv, dual = metric_planes(t)
+    t, xx, mixed = plane_derivatives(imm.points, hs, order, ws)
+    g, det_g, g_inv, dual = metric_planes(t, ws)
 
     tangents = np.empty(s + (n, d))
     metric = np.empty(s + (n, n))
@@ -357,10 +470,10 @@ def shape_field(imm, order=2):
     norm_sq = None
     for i in range(n):
         for j in range(i, n):
-            x = xx[i] if i == j else diff(t[i], j + 1, hs[j], order)
+            x = xx[i] if i == j else mixed
             x_sq = _dot(x, x)
             norm_sq = x_sq if norm_sq is None else np.maximum(norm_sq, x_sq)
-            project_planes(x, t, dual)
+            project_planes(x, t, dual, ws)
             _planes(second_form, 3)[i, j] = x
             _planes(second_form, 3)[j, i] = x
             h += (g_inv[i][j] if i == j else 2.0 * g_inv[i][j]) * x
@@ -375,7 +488,7 @@ def shape_field(imm, order=2):
         tangents=tangents,
         metric=metric,
         metric_inv=metric_inv,
-        det_g=det_g,
+        det_g=det_g.copy(),
         sqrt_det_g=np.sqrt(det_g),
         second_form=second_form,
         mean_curvature=H,
@@ -388,27 +501,43 @@ def shape_field(imm, order=2):
 # quarter turn J
 # ---------------------------------------------------------------------------
 
-def generalised_cross(t, v):
-    """t_1 x ... x t_n x v for (d, *s) component planes, d = n + 2.
+def generalised_cross(t, v, out=None, ws=_fresh):
+    """t_1 x ... x t_n x v for (d, *s) component planes, d = n + 2, into out.
 
     Component l is det[t_1, ..., t_n, v, e_l].  For n = 1 this is the cross
     product of R^3.  For n = 2 it pairs v with the Hodge dual of the six
-    Pluecker coordinates p_ab = t1_a t2_b - t1_b t2_a of the tangent plane.
+    Pluecker coordinates p_ab = t1_a t2_b - t1_b t2_a of the tangent plane,
+    which are held in the workspace ws.
     """
-    out = np.empty_like(v)
+    out = np.empty_like(v) if out is None else out
+    s = v.shape[1:]
+    tmp = ws("scalar_tmp", s)
+
+    def minor(x, y, z, u, into):
+        """x y - z u into `into`."""
+        np.multiply(x, y, out=into)
+        into -= np.multiply(z, u, out=tmp)
+        return into
+
+    o = list(out)  # views of the component planes
     if len(t) == 1:
         (a,) = t
-        out[0] = a[1] * v[2] - a[2] * v[1]
-        out[1] = a[2] * v[0] - a[0] * v[2]
-        out[2] = a[0] * v[1] - a[1] * v[0]
+        minor(a[1], v[2], a[2], v[1], o[0])
+        minor(a[2], v[0], a[0], v[2], o[1])
+        minor(a[0], v[1], a[1], v[0], o[2])
         return out
     a, b = t
-    p01, p02, p03 = (a[0] * b[k] - a[k] * b[0] for k in (1, 2, 3))
-    p12, p13, p23 = (a[i] * b[j] - a[j] * b[i] for i, j in ((1, 2), (1, 3), (2, 3)))
-    out[0] = p13 * v[2] - p23 * v[1] - p12 * v[3]
-    out[1] = p23 * v[0] - p03 * v[2] + p02 * v[3]
-    out[2] = p03 * v[1] - p13 * v[0] - p01 * v[3]
-    out[3] = p12 * v[0] - p02 * v[1] + p01 * v[2]
+    p01, p02, p03 = (minor(a[0], b[k], a[k], b[0], ws(f"p0{k}", s)) for k in (1, 2, 3))
+    p12, p13, p23 = (minor(a[i], b[j], a[j], b[i], ws(f"p{i}{j}", s))
+                     for i, j in ((1, 2), (1, 3), (2, 3)))
+    minor(p13, v[2], p23, v[1], o[0])
+    o[0] -= np.multiply(p12, v[3], out=tmp)
+    minor(p23, v[0], p03, v[2], o[1])
+    o[1] += np.multiply(p02, v[3], out=tmp)
+    minor(p03, v[1], p13, v[0], o[2])
+    o[2] -= np.multiply(p01, v[3], out=tmp)
+    minor(p12, v[0], p02, v[1], o[3])
+    o[3] += np.multiply(p01, v[2], out=tmp)
     return out
 
 

@@ -62,26 +62,33 @@ class MembraneTrajectory(Trajectory):
         return self.shape_fields[i]
 
 
-def smc_rhs(points, spacings, order=2):
+def smc_rhs(points, spacings, order=2, ws=None):
     """Marker velocity -J H = (t_1 x ... x t_n x H) / sqrt(det g) per grid point.
 
-    The RK4 stage kernel: it works on the (d, *s) component planes of the
-    positions and builds no GridImmersion or ShapeField.  Each grid axis gives
-    its first and second differences from one set of neighbours; H is one
-    normal projection of g^ij X_ij, which equals g^ij A_ij up to roundoff
-    because the projection is linear.  Raises DegenerateImmersionError where
-    det g <= G_MIN.
+    The RK4 stage kernel: it works on (d, *s) component planes of the
+    positions and builds no GridImmersion or ShapeField.  Each grid axis takes
+    its first and second differences from one set of padded-slice neighbours
+    (dg.plane_derivatives); H is one normal projection of g^ij X_ij, which
+    equals g^ij A_ij up to roundoff because the projection is linear.  Every
+    intermediate plane lives in the workspace ws, which evolve_membrane keeps
+    for all stages of a run; without one the call starts a fresh workspace.
+    The returned velocity is always a new array.  Raises
+    DegenerateImmersionError where det g <= G_MIN.
     """
-    x = np.ascontiguousarray(np.moveaxis(points, -1, 0))
-    t, xx = zip(*(dg.diff_pair(x, i + 1, h, order) for i, h in enumerate(spacings)))
-    _, det_g, g_inv, dual = dg.metric_planes(t)
-    y = g_inv[0][0] * xx[0]
+    ws = dg.Workspace() if ws is None else ws
+    t, xx, mixed = dg.plane_derivatives(points, spacings, order, ws)
+    _, det_g, g_inv, dual = dg.metric_planes(t, ws)
+    scalar_tmp = ws("scalar_tmp", det_g.shape)
+    y = xx[0]  # g^ij X_ij, summed in the buffer of X_11
+    y *= g_inv[0][0]
     if len(t) == 2:
-        y += g_inv[1][1] * xx[1]
-        y += 2.0 * g_inv[0][1] * dg.diff(t[0], 2, spacings[1], order)
-    v = dg.generalised_cross(t, dg.project_planes(y, t, dual))
-    v /= np.sqrt(det_g)
-    return np.moveaxis(v, 0, -1)
+        y += np.multiply(g_inv[1][1], xx[1], out=xx[1])
+        y += np.multiply(np.multiply(2.0, g_inv[0][1], out=scalar_tmp), mixed, out=mixed)
+    v = np.empty(points.shape)
+    planes = np.moveaxis(v, -1, 0)
+    dg.generalised_cross(t, dg.project_planes(y, t, dual, ws), planes, ws)
+    planes /= np.sqrt(det_g, out=scalar_tmp)
+    return v
 
 
 def stability_limit(sf):
@@ -109,19 +116,20 @@ def evolve_membrane(imm, dt, t_final, stride=1, order=2):
     the stability estimate was taken from at each snapshot.
     """
     nsteps = step_count(dt, t_final, stride)
-    fields = [dg.shape_field(imm, order=order)]
+    ws = dg.Workspace()  # every stage and snapshot field of this run works in it
+    fields = [dg.shape_field(imm, order=order, ws=ws)]
     dt_max = stability_limit(fields[0])
     if dt > dt_max:
         raise ValueError(f"dt={dt:.3e} above the stability estimate {dt_max:.3e}")
     periods, spacings = imm.param_periods, imm.spacings
 
     def step(snap, i):
-        pts = rk4_step(lambda p: smc_rhs(p, spacings, order), snap.points, dt)
+        pts = rk4_step(lambda p: smc_rhs(p, spacings, order, ws), snap.points, dt)
         if not np.all(np.isfinite(pts)):
             raise EvolutionAbort("non-finite coordinates", i * dt)
         snap = dg.GridImmersion(pts, periods)
         if (stride and i % stride == 0) or i == nsteps:
-            sf = dg.shape_field(snap, order=order)
+            sf = dg.shape_field(snap, order=order, ws=ws)
             if dt > stability_limit(sf):
                 raise EvolutionAbort("dt no longer within the stability estimate", i * dt)
             fields.append(sf)

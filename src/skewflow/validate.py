@@ -134,11 +134,12 @@ def check_willmore_1d(ctx):
 
 def check_hasimoto_square(ctx):
     """Filament / curvature-torsion / wave / fluid curvature profiles at t=0.2."""
-    c0 = fl.arclength_resample(ctx.acceptance_curve())
-    fr0 = fl.frenet_data(c0)
+    raw = ctx.acceptance_curve()
+    fr0 = fl.frenet_data(fl.arclength_resample(raw))
     dt, horizon = 1e-4, 0.2
 
-    traj = fl.evolve_filament(c0, dt, horizon, reparam_every=10)
+    # evolve_filament resamples its input itself, so it gets the raw curve
+    traj = fl.evolve_filament(raw, dt, horizon, reparam_every=10)
     k_filament = fl.frenet_data(traj.final).kappa
     k_darios, tau_darios = fl.darios_evolve(fr0.kappa, fr0.tau, fr0.length, dt, horizon).final
     wave0, holonomy = fl.hasimoto(fr0)

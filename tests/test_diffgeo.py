@@ -87,6 +87,8 @@ def _roll_diff2(f, axis, h, order):
     *(((n,), 0) for n in (1, 2, 3, 4, 5, 32, 257)),
     *(((n, 3), 0) for n in (1, 2, 3, 4, 5, 32, 257)),
     ((6, 5), 0), ((6, 5), 1), ((2, 3, 4), 0), ((3, 5, 4), 1),
+    # (d, *s) plane stacks as the membrane stage pads them
+    ((4, 24, 40), 1), ((4, 24, 40), 2), ((2, 3, 4), 2),
 ])
 def test_stencils_equal_the_roll_reference_bitwise(shape, axis, order):
     # grids shorter than the stencil width (N <= 2) must wrap more than once
@@ -94,6 +96,26 @@ def test_stencils_equal_the_roll_reference_bitwise(shape, axis, order):
     h = 0.37
     assert np.array_equal(dg.diff(f, axis, h, order), _roll_diff(f, axis, h, order))
     assert np.array_equal(dg.diff2(f, axis, h, order), _roll_diff2(f, axis, h, order))
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("shape", [(24, 40, 4), (8, 9, 4), (64, 3), (8, 3)])
+def test_plane_derivatives_equal_the_roll_reference_bitwise(shape, order):
+    # the stage's padded-slice path, into a workspace reused across two fields
+    rng = np.random.default_rng(sum(shape) + order)
+    spacings = (0.37, 0.21)[:len(shape) - 1]
+    ws = dg.Workspace()
+    for _ in range(2):
+        pts = rng.standard_normal(shape)
+        x = np.moveaxis(pts, -1, 0)
+        t, xx, mixed = dg.plane_derivatives(pts, spacings, order, ws)
+        for i, h in enumerate(spacings):
+            assert np.array_equal(t[i], _roll_diff(x, i + 1, h, order))
+            assert np.array_equal(xx[i], _roll_diff2(x, i + 1, h, order))
+        if len(spacings) == 2:
+            assert np.array_equal(mixed, _roll_diff(t[0], 2, spacings[1], order))
+        else:
+            assert mixed is None
 
 
 # ---------------------------------------------------------------------------

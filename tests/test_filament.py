@@ -206,9 +206,6 @@ def test_curve_solvers_make_no_roll_calls(monkeypatch):
     fl.darios_evolve(fr.kappa, fr.tau, fr.length, 1e-4, 1e-4)
     fl.fluid_evolve(fl.to_fluid(fr), 1e-4, 1e-4)
     assert len(calls) == 0
-    # the membrane's axis-1/2 stencils keep np.roll, faster there than a pad
-    dg.shape_field(dg.torus_immersion(1.0, 2.0, (16, 16)), order=4)
-    assert len(calls) > 0
 
 
 def test_circle_translates_rigidly():

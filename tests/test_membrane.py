@@ -9,6 +9,7 @@ from skewflow import diffgeo as dg
 from skewflow import filament as fl
 from skewflow import membrane as mb
 from skewflow import sphereprod as sp
+from skewflow.stepping import integrate, rk4_step
 
 
 def exact_torus_trajectory(a, b, dt, shape, order):
@@ -78,6 +79,102 @@ def test_smc_rhs_rejects_a_collapsed_grid():
         mb.smc_rhs(collapsed, imm.spacings, 2)
     assert err.value.grid_index == (5, 0)
     assert err.value.det_value == 0.0
+
+
+def _roll_stage(points, spacings, order):
+    """The stage as plain expressions on np.roll neighbours: the reference the
+    workspace stage must equal bit for bit."""
+    def at(f, axis, k):
+        return np.roll(f, -k, axis)
+
+    def first(f, axis, h):
+        if order == 2:
+            return (at(f, axis, 1) - at(f, axis, -1)) / (2.0 * h)
+        return (-at(f, axis, 2) + 8.0 * at(f, axis, 1) - 8.0 * at(f, axis, -1)
+                + at(f, axis, -2)) / (12.0 * h)
+
+    def second(f, axis, h):
+        if order == 2:
+            return (at(f, axis, 1) - 2.0 * f + at(f, axis, -1)) / (h * h)
+        return (-at(f, axis, 2) + 16.0 * at(f, axis, 1) - 30.0 * f + 16.0 * at(f, axis, -1)
+                - at(f, axis, -2)) / (12.0 * h * h)
+
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
+
+    x = np.ascontiguousarray(np.moveaxis(points, -1, 0))
+    (h1, h2) = spacings
+    t1, t2 = first(x, 1, h1), first(x, 2, h2)
+    g11, g12, g22 = dot(t1, t1), dot(t1, t2), dot(t2, t2)
+    det = g11 * g22 - g12 * g12
+    off = -g12 / det
+    gi11, gi22 = g22 / det, g11 / det
+    y = gi11 * second(x, 1, h1)
+    y += gi22 * second(x, 2, h2)
+    y += 2.0 * off * first(t1, 2, h2)
+    c1, c2 = dot(y, t1), dot(y, t2)
+    y -= c1 * (gi11 * t1 + off * t2)
+    y -= c2 * (off * t1 + gi22 * t2)
+    a, b = t1, t2
+    p01, p02, p03 = (a[0] * b[k] - a[k] * b[0] for k in (1, 2, 3))
+    p12, p13, p23 = (a[i] * b[j] - a[j] * b[i] for i, j in ((1, 2), (1, 3), (2, 3)))
+    v = np.stack([
+        p13 * y[2] - p23 * y[1] - p12 * y[3],
+        p23 * y[0] - p03 * y[2] + p02 * y[3],
+        p03 * y[1] - p13 * y[0] - p01 * y[3],
+        p12 * y[0] - p02 * y[1] + p01 * y[2],
+    ])
+    return np.moveaxis(v / np.sqrt(det), 0, -1)
+
+
+def _skewed_grid(periods=(3.0, 5.0)):
+    # n1 != n2 and non-2pi periods: an axis mix-up shows; (3, 5) gives both
+    # axes the spacing 0.125, so a spacing mix-up shows only with (3, 7)
+    base = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (24, 40))
+    return dg.GridImmersion(base.points, periods)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("periods", [(3.0, 5.0), (3.0, 7.0)])
+def test_evolution_equals_the_roll_reference_stage_bitwise(order, stride, periods):
+    imm = _skewed_grid(periods)
+    dt, steps = 2e-3, 6
+    traj = mb.evolve_membrane(imm, dt, steps * dt, stride=stride, order=order)
+    ref = integrate(
+        lambda pts, i: rk4_step(lambda p: _roll_stage(p, imm.spacings, order), pts, dt),
+        imm.points, dt, steps * dt, stride)
+    assert len(traj.snapshots) == len(ref.states) == steps // stride + 1
+    for snap, pts in zip(traj.snapshots, ref.states):
+        assert np.array_equal(snap.points, pts)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_stages_sharing_a_workspace_do_not_alias(order):
+    imm = _skewed_grid()
+    other = dg.perturbed_torus_immersion(1.0, 2.0, 0.08, 3, 1, (24, 40)).points
+    ws = dg.Workspace()
+    first = mb.smc_rhs(imm.points, imm.spacings, order, ws)
+    kept = first.copy()
+    second = mb.smc_rhs(other, imm.spacings, order, ws)
+    assert np.array_equal(first, kept)
+    assert np.array_equal(first, mb.smc_rhs(imm.points, imm.spacings, order))
+    assert np.array_equal(second, mb.smc_rhs(other, imm.spacings, order))
+    assert np.array_equal(first, _roll_stage(imm.points, imm.spacings, order))
+
+
+def test_stage_and_shape_field_make_no_roll_calls(monkeypatch):
+    calls = []
+    real_roll = np.roll
+
+    def counting_roll(*args, **kwargs):
+        calls.append(1)
+        return real_roll(*args, **kwargs)
+
+    monkeypatch.setattr(np, "roll", counting_roll)
+    imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (16, 16))
+    mb.evolve_membrane(imm, 1e-3, 2e-3, stride=1, order=4)
+    assert len(calls) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +437,9 @@ def test_each_snapshot_shape_field_is_computed_once(monkeypatch, steps, stride):
     calls = [0]
     shape_field = dg.shape_field
 
-    def counted(imm, order=2):
+    def counted(imm, order=2, **kwargs):
         calls[0] += 1
-        return shape_field(imm, order=order)
+        return shape_field(imm, order=order, **kwargs)
 
     monkeypatch.setattr(dg, "shape_field", counted)
     imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (16, 16))
@@ -357,11 +454,11 @@ def test_abort_carries_the_shape_fields_of_its_snapshots(monkeypatch):
 
     original, calls = mb.smc_rhs, [0]
 
-    def failing(points, spacings, order):
+    def failing(points, spacings, order, ws):
         calls[0] += 1
         if calls[0] > 4 * 5:  # step 6 fails
             raise DegenerateImmersionError((0, 0), 0.0)
-        return original(points, spacings, order)
+        return original(points, spacings, order, ws)
 
     monkeypatch.setattr(mb, "smc_rhs", failing)
     imm = dg.torus_immersion(1.0, 2.0, (16, 16))

@@ -7,18 +7,20 @@
 #   diff -r -x manifest.txt /tmp/outputs-parent /tmp/outputs-change
 #
 # The runs are the four curve solvers on the filament-square configuration,
-# the membrane-evolve configuration (both the benchmark's seed-0 entries),
-# three filament runs that reach the curve builders and the snapshot reader
-# (a round circle at N = 100, which is not a power of two, a twisted circle,
-# and a curve read with curve_file= from a snapshot this script writes with
-# plain python3), an NLS run on the twisted circle (nonzero torsion, so the
-# Hasimoto phase integral sees more than zeros), a filament run on a strongly
-# perturbed circle (eps 0.3, k 5, N 64: arclength knots far from uniform) and
-# `skewflow validate`.  Manifests hold wall times, and the validate lines
-# printed to standard output lose their timing suffix; for a byte-identical
-# change every other file must
-# match exactly.  For a change that moves results by roundoff rather than
-# leaving them byte identical, compare the two trees with
+# the membrane-evolve configuration (both the benchmark's seed-0 entries), an
+# order-2 membrane run on a non-square 24 x 40 grid (so the padded stencils
+# of the two grid axes and their spacings are told apart), a surface_file=
+# restart of it from its middle snapshot, three filament runs that reach the
+# curve builders and the snapshot reader (a round circle at N = 100, which is
+# not a power of two, a twisted circle, and a curve read with curve_file=
+# from a snapshot this script writes with plain python3), an NLS run on the
+# twisted circle (nonzero torsion, so the Hasimoto phase integral sees more
+# than zeros), a filament run on a strongly perturbed circle (eps 0.3, k 5,
+# N 64: arclength knots far from uniform) and `skewflow validate`.
+# Manifests hold wall times, and the validate lines printed to standard
+# output lose their timing suffix; for a byte-identical change every other
+# file must match exactly.  For a change that moves results by roundoff
+# rather than leaving them byte identical, compare the two trees with
 #
 #   python3 tools/compare_outputs.py /tmp/outputs-parent /tmp/outputs-change
 #
@@ -46,6 +48,11 @@ skewflow nls-run source=curve $curve --out "$out/nls" >/dev/null
 skewflow fluid-run $curve --out "$out/fluid" >/dev/null
 skewflow membrane-run surface=perturbed_torus a=1 b=2 eps=0.05 k1=2 k2=3 \
     n1=64 n2=64 order=4 dt=1e-3 T=0.1 stride=10 --out "$out/membrane" >/dev/null
+skewflow membrane-run surface=perturbed_torus a=1 b=2 eps=0.05 k1=2 k2=3 \
+    n1=24 n2=40 order=2 dt=2e-3 T=0.04 stride=5 --out "$out/membrane_o2" >/dev/null
+skewflow membrane-run surface=perturbed_torus a=1 b=2 eps=0.05 k1=2 k2=3 \
+    n1=24 n2=40 order=2 dt=2e-3 T=0.02 stride=5 \
+    surface_file="$out/membrane_o2/snapshot_0002.txt" --out "$out/membrane_o2_restart" >/dev/null
 skewflow filament-run shape=circle R=1 N=100 dt=1e-3 T=0.1 --out "$out/circle" >/dev/null
 skewflow filament-run shape=twisted_circle R=1 eps=0.3 k=2 N=128 dt=5e-4 T=0.05 \
     --out "$out/twisted" >/dev/null
