@@ -59,6 +59,19 @@ def _as_bool(s):
 # key -> (parser, default); REQUIRED marks keys without defaults
 REQUIRED = object()
 
+# the perturbed circle of the curve runs and of crosscheck's filament square,
+# which hands one curve to all four corners, so the defaults agree
+_CIRCLE = {"R": (float, 1.0), "eps": (float, 0.05), "k": (_as_int, 3)}
+
+
+def _curve_schema(N=256, dt=1e-4, T=0.2, shape=REQUIRED, **extra):
+    """Keys of a curve run: the curve, the grid and the steps, then `extra`."""
+    return {
+        "shape": (str, shape), **_CIRCLE, "N": (_as_int, N), "dt": (float, dt),
+        "T": (float, T), "stride": (_as_int, 0), **extra, "curve_file": (str, None),
+    }
+
+
 SCHEMAS = {
     "sphere-run": {
         "m": (_as_int, REQUIRED), "l": (_as_int, REQUIRED),
@@ -66,29 +79,16 @@ SCHEMAS = {
         "dt": (float, 1e-4), "T": (float, None), "mode": (str, "fixed"),
         "a_stop": (float, sp.A_STOP_DEFAULT), "stride": (_as_int, 1),
     },
-    "filament-run": {
-        "shape": (str, REQUIRED), "R": (float, 1.0), "eps": (float, 0.05),
-        "k": (_as_int, 3), "N": (_as_int, 128), "dt": (float, 1e-3),
-        "T": (float, 1.0), "stride": (_as_int, 0), "reparam_every": (_as_int, 10),
-        "scheme": (str, "fd4"), "curve_file": (str, None),
-    },
-    "darios-run": {
-        "shape": (str, REQUIRED), "R": (float, 1.0), "eps": (float, 0.05),
-        "k": (_as_int, 3), "N": (_as_int, 256), "dt": (float, 1e-4),
-        "T": (float, 0.2), "stride": (_as_int, 0), "curve_file": (str, None),
-    },
+    "filament-run": _curve_schema(
+        N=128, dt=1e-3, T=1.0, reparam_every=(_as_int, 10), scheme=(str, "fd4"),
+    ),
+    "darios-run": _curve_schema(),
     "nls-run": {
         "source": (str, "plane"), "A": (float, 1.0), "M": (_as_int, 256),
-        "L": (float, 2.0 * np.pi), "shape": (str, "perturbed_circle"),
-        "R": (float, 1.0), "eps": (float, 0.05), "k": (_as_int, 3),
-        "N": (_as_int, 256), "dt": (float, 1e-3), "T": (float, 1.0),
-        "stride": (_as_int, 0), "curve_file": (str, None),
+        "L": (float, 2.0 * np.pi),
+        **_curve_schema(dt=1e-3, T=1.0, shape="perturbed_circle"),
     },
-    "fluid-run": {
-        "shape": (str, REQUIRED), "R": (float, 1.0), "eps": (float, 0.05),
-        "k": (_as_int, 3), "N": (_as_int, 256), "dt": (float, 1e-4),
-        "T": (float, 0.2), "stride": (_as_int, 0), "curve_file": (str, None),
-    },
+    "fluid-run": _curve_schema(),
     "membrane-run": {
         "surface": (str, REQUIRED), "a": (float, REQUIRED), "b": (float, REQUIRED),
         "eps": (float, 0.0), "k1": (_as_int, 2), "k2": (_as_int, 3),
@@ -97,8 +97,7 @@ SCHEMAS = {
         "snapshots": (_as_bool, True), "surface_file": (str, None),
     },
     "crosscheck": {
-        "mode": (str, REQUIRED), "R": (float, 1.0), "eps": (float, 0.05),
-        "k": (_as_int, 3), "N": (_as_int, 256), "a": (float, 1.0),
+        "mode": (str, REQUIRED), **_CIRCLE, "N": (_as_int, 256), "a": (float, 1.0),
         "b": (float, 2.0), "n1": (_as_int, 64), "n2": (_as_int, 64),
         "dt": (float, 1e-4), "T": (float, 0.2), "order": (_as_int, 4),
         "tol": (float, 5e-3), "tol_radii": (float, 1e-2),
@@ -107,9 +106,6 @@ SCHEMAS = {
         "suite": (str, "all"),
     },
 }
-
-_FLAG_KEYS = {"dt": "dt", "T": "T", "stride": "stride"}
-
 
 def parse_params(subcommand, pairs, config_path=None, flag_overrides=None):
     """Merge config-file section, key=value pairs, and common flags; strict."""
@@ -209,9 +205,7 @@ def run_sphere(p, outdir):
         raise ConfigError(f"unknown mode {p['mode']!r}")
     traj, code = _evolve("sphere-product", run)
     table = sp.trajectory_table(traj)
-    cols = ["t", "a", "b", "hamiltonian", "volume", "willmore", "dW_dt"]
-    rows = zip(*(table[c] for c in cols))
-    write_csv(os.path.join(outdir, "sphere.csv"), cols, rows)
+    write_csv(os.path.join(outdir, "sphere.csv"), list(table), zip(*table.values()))
     return code
 
 
@@ -268,7 +262,7 @@ def run_nls(p, outdir):
     elif p["source"] == "curve":
         fr = fl.frenet_data(fl.arclength_resample(_curve_from_params(p)))
         wave, holonomy = fl.hasimoto(fr)
-        if fl.holonomy_defect(holonomy) > 1e-8:
+        if fl.holonomy_defect(holonomy) > fl.HOLONOMY_TOL:
             sys.stderr.write(
                 f"warning: holonomy angle {holonomy:.6g} is not a multiple of 2*pi; "
                 "wave samples are the quasi-periodic representative\n"
@@ -316,37 +310,15 @@ def run_crosscheck(p, outdir, tol_scale=1.0):
     p = dict(p, tol=p["tol"] * tol_scale, tol_radii=p["tol_radii"] * tol_scale)
     if p["mode"] == "filament-square":
         raw = fl.build_curve("perturbed_circle", p["N"], R=p["R"], eps=p["eps"], k=p["k"])
-        fr0 = fl.frenet_data(fl.arclength_resample(raw))
-        profiles, status = {}, {}
-        profiles["filament"] = fl.frenet_data(fl.evolve_filament(raw, p["dt"], p["T"]).final).kappa
-        status["filament"] = "ok"
-        try:
-            profiles["darios"] = fl.darios_evolve(fr0.kappa, fr0.tau, fr0.length, p["dt"], p["T"]).final[0]
-            status["darios"] = "ok"
-        except EvolutionAbort as exc:
-            status["darios"] = f"singular ({type(exc).__name__})"
-        wave0, holonomy = fl.hasimoto(fr0)
-        if fl.holonomy_defect(holonomy) > 1e-8:
-            status["nls"] = "skipped (holonomy obstruction)"
-        else:
-            profiles["nls"] = np.abs(fl.nls_evolve(wave0, p["dt"], p["T"]).final.psi)
-            status["nls"] = "ok"
-        try:
-            profiles["fluid"] = np.sqrt(fl.fluid_evolve(fl.to_fluid(fr0), p["dt"], p["T"]).final.rho)
-            status["fluid"] = "ok"
-        except (EvolutionAbort, ValueError) as exc:
-            status["fluid"] = f"singular ({type(exc).__name__})"
-        names = ["filament", "darios", "nls", "fluid"]
-        for i, u in enumerate(names):
-            for v in names[i + 1:]:
-                if u in profiles and v in profiles:
-                    gap = float(np.max(np.abs(profiles[u] - profiles[v])))
-                    ok = gap <= p["tol"]
-                    failed = failed or not ok
-                    rows.append((f"{u}/{v}", _fmt(gap), _fmt(p["tol"]), "pass" if ok else "fail"))
-                else:
-                    rows.append((f"{u}/{v}", "nan", _fmt(p["tol"]),
-                                 f"skipped: {status[u]}; {status[v]}"))
+        profiles, status = fl.square_profiles(raw, p["dt"], p["T"], fl.HOLONOMY_TOL)
+        for (u, v), gap in fl.square_gaps(profiles).items():
+            if gap is None:
+                rows.append((f"{u}/{v}", "nan", _fmt(p["tol"]),
+                             f"skipped: {status[u]}; {status[v]}"))
+            else:
+                ok = gap <= p["tol"]
+                failed = failed or not ok
+                rows.append((f"{u}/{v}", _fmt(gap), _fmt(p["tol"]), "pass" if ok else "fail"))
     elif p["mode"] == "sphere-membrane":
         imm = dg.torus_immersion(p["a"], p["b"], (p["n1"], p["n2"]))
         traj = mb.evolve_membrane(imm, p["dt"], p["T"], stride=None, order=p["order"])
@@ -412,9 +384,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     name = args.subcommand
-    flag_overrides = {key: getattr(args, attr) for key, attr in _FLAG_KEYS.items()}
-    if name == "validate":
-        flag_overrides = {}
+    flag_overrides = {key: getattr(args, key) for key in ("dt", "T", "stride")}
     try:
         params = parse_params(name, args.params, args.config, flag_overrides)
     except (ConfigError, OSError) as exc:

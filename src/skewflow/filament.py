@@ -13,11 +13,11 @@ The curvature/torsion and fluid right-hand sides are grouped so that the two
 discretizations are exactly conjugate under (rho, v) = (kappa^2, 2 tau), and
 the conservative form -(rho v)' makes the discrete total mass exact.
 
-Spatial derivatives are 4th-order centered differences by default; spectral
-(FFT) differentiation is selectable.  Time stepping is classical RK4.  The
-binormal velocity is normal to the curve, so arclength parametrization only
-drifts by truncation; an optional periodic cubic resampling every few steps
-corrects it.
+Spatial derivatives are 4th-order centered differences; the filament run
+and the Frenet data can take spectral (FFT) differentiation instead.  Time
+stepping is classical RK4.  The binormal velocity is normal to the curve, so
+arclength parametrization only drifts by truncation; an optional periodic
+cubic resampling every few steps corrects it.
 
 The package depends on numpy alone, so a CLI call starts without loading a
 larger library.  The resampling's cubic splines (a periodic one through the
@@ -53,6 +53,7 @@ KAPPA_MIN = 1e-8       # torsion mask / Da Rios singularity guard
 RHO_MIN = 1e-10        # vacuum guard for the fluid form
 D_MIN_FACTOR = 0.2     # self-intersection proxy, fraction of mean sample spacing
 BLOWUP_CAP = 1e6       # abort when max |velocity| exceeds this
+HOLONOMY_TOL = 1e-8    # torsion holonomy treated as a multiple of 2 pi
 MIN_SAMPLES = 32
 
 
@@ -291,15 +292,15 @@ def arclength_resample(curve):
     return dg.GridImmersion(_hermite(u, pts, m, u_new), (length,))
 
 
-def curve_length(curve, scheme="fd4"):
+def curve_length(curve):
     """Total length, Riemann sum of |gamma'| over the parameter."""
-    speed = np.linalg.norm(derivative(curve.points, curve.param_periods[0], 1, scheme), axis=1)
+    speed = np.linalg.norm(derivative(curve.points, curve.param_periods[0], 1), axis=1)
     return float(np.sum(speed) * curve.spacings[0])
 
 
-def willmore_1d(curve, scheme="fd4"):
+def willmore_1d(curve):
     """Bending energy: Riemann sum of kappa^2 ds on the arclength grid."""
-    gpp = derivative(curve.points, curve.param_periods[0], 2, scheme)
+    gpp = derivative(curve.points, curve.param_periods[0], 2)
     return float(np.sum(np.einsum("ij,ij->i", gpp, gpp)) * curve.spacings[0])
 
 
@@ -495,7 +496,7 @@ def _fields(first, second):
     return out
 
 
-def darios_evolve(kappa, tau, length, dt, t_final, stride=None, scheme="fd4"):
+def darios_evolve(kappa, tau, length, dt, t_final, stride=None):
     """Method-of-lines RK4 for the curvature/torsion system.
 
     Returns a stepping.Trajectory of stacked (kappa, tau) arrays.  Aborts when
@@ -505,9 +506,9 @@ def darios_evolve(kappa, tau, length, dt, t_final, stride=None, scheme="fd4"):
 
     def rhs(state):
         k, t = state
-        dk = -derivative(k * k * t, length, 1, scheme) / k
-        dtau = -2.0 * t * derivative(t, length, 1, scheme) + derivative(
-            0.5 * k * k + derivative(k, length, 2, scheme) / k, length, 1, scheme
+        dk = -derivative(k * k * t, length, 1) / k
+        dtau = -2.0 * t * derivative(t, length, 1) + derivative(
+            0.5 * k * k + derivative(k, length, 2) / k, length, 1
         )
         return _fields(dk, dtau)
 
@@ -548,7 +549,7 @@ def to_fluid(frenet):
     return FluidState1D(frenet.kappa ** 2, 2.0 * frenet.tau, frenet.length)
 
 
-def fluid_evolve(state, dt, t_final, stride=None, scheme="fd4"):
+def fluid_evolve(state, dt, t_final, stride=None):
     """Conservative method-of-lines RK4 for the barotropic pair (rho, v).
 
     rho_t = -(rho v)' keeps the discrete total mass exact; the velocity
@@ -561,9 +562,9 @@ def fluid_evolve(state, dt, t_final, stride=None, scheme="fd4"):
     def rhs(y):
         rho, v = y
         sq = np.sqrt(rho)
-        drho = -derivative(rho * v, L, 1, scheme)
-        dv = -v * derivative(v, L, 1, scheme) + derivative(
-            rho + 2.0 * derivative(sq, L, 2, scheme) / sq, L, 1, scheme
+        drho = -derivative(rho * v, L, 1)
+        dv = -v * derivative(v, L, 1) + derivative(
+            rho + 2.0 * derivative(sq, L, 2) / sq, L, 1
         )
         return _fields(drho, dv)
 
@@ -604,3 +605,52 @@ def madelung_inverse(psi):
     if rho.min() <= RHO_MIN:
         raise ValueError("wave function touches vacuum; phase undefined")
     return rho, 2.0 * np.unwrap(np.angle(psi))
+
+
+# ---------------------------------------------------------------------------
+# the four corners on one curve
+# ---------------------------------------------------------------------------
+
+SQUARE_CORNERS = ("filament", "darios", "nls", "fluid")
+
+
+def square_profiles(raw, dt, t_final, holonomy_tol):
+    """Final curvature profiles of the four corners of the square on one curve.
+
+    The filament runs from the raw curve (evolve_filament resamples it); the
+    other three start from the Frenet data of its arclength resampling.
+    Returns (profiles, status): the final curvature of each corner that ran,
+    and for every corner "ok", "singular (<abort>)" or, when the holonomy is
+    more than holonomy_tol from a multiple of 2 pi, "skipped (holonomy
+    obstruction)".
+    """
+    fr0 = frenet_data(arclength_resample(raw))
+    profiles = {"filament": frenet_data(evolve_filament(raw, dt, t_final).final).kappa}
+    status = {"filament": "ok"}
+    try:
+        profiles["darios"] = darios_evolve(fr0.kappa, fr0.tau, fr0.length, dt, t_final).final[0]
+        status["darios"] = "ok"
+    except EvolutionAbort as exc:
+        status["darios"] = f"singular ({type(exc).__name__})"
+    wave0, holonomy = hasimoto(fr0)
+    if holonomy_defect(holonomy) > holonomy_tol:
+        status["nls"] = "skipped (holonomy obstruction)"
+    else:
+        profiles["nls"] = np.abs(nls_evolve(wave0, dt, t_final).final.psi)
+        status["nls"] = "ok"
+    try:
+        profiles["fluid"] = np.sqrt(fluid_evolve(to_fluid(fr0), dt, t_final).final.rho)
+        status["fluid"] = "ok"
+    except (EvolutionAbort, ValueError) as exc:
+        status["fluid"] = f"singular ({type(exc).__name__})"
+    return profiles, status
+
+
+def square_gaps(profiles):
+    """L_inf gap of every pair of corners, in SQUARE_CORNERS order; None for a
+    pair with a corner that did not run."""
+    return {
+        (u, v): float(np.max(np.abs(profiles[u] - profiles[v])))
+        if u in profiles and v in profiles else None
+        for i, u in enumerate(SQUARE_CORNERS) for v in SQUARE_CORNERS[i + 1:]
+    }

@@ -198,37 +198,26 @@ def run_to_collapse(state, dt, a_stop=A_STOP_DEFAULT, record_every=1, max_steps=
     return _halving_rk4(state, dt, record_every, lambda t, a: a <= a_stop, max_steps=max_steps)
 
 
-def willmore_series(state, times):
-    """Closed-form table t, a, b, hamiltonian, volume, willmore, dW_dt.
+def _table(states):
+    """Columns t, a, b, hamiltonian, volume, willmore, dW_dt of a sequence of
+    states; dW_dt is NaN unless m = l = 1."""
+    columns = {
+        "t": lambda s: s.t, "a": lambda s: s.a, "b": lambda s: s.b,
+        "hamiltonian": hamiltonian, "volume": volume, "willmore": willmore,
+        "dW_dt": willmore_rate,
+    }
+    return {name: np.array([f(s) for s in states]) for name, f in columns.items()}
 
-    dW_dt is populated for m = l = 1 and NaN otherwise.  All requested times
-    must lie before the collapse time.
-    """
-    rows = {k: [] for k in ("t", "a", "b", "hamiltonian", "volume", "willmore", "dW_dt")}
-    for t in times:
-        s = closed_form(state, t)
-        rows["t"].append(s.t)
-        rows["a"].append(s.a)
-        rows["b"].append(s.b)
-        rows["hamiltonian"].append(hamiltonian(s))
-        rows["volume"].append(volume(s))
-        rows["willmore"].append(willmore(s))
-        rows["dW_dt"].append(willmore_rate(s))
-    return {k: np.array(v) for k, v in rows.items()}
+
+def willmore_series(state, times):
+    """Closed-form table at the given elapsed times, all before the collapse
+    time (see _table for the columns)."""
+    return _table([closed_form(state, t) for t in times])
 
 
 def trajectory_table(traj):
     """Same columns as willmore_series, evaluated along a numeric trajectory."""
-    states = [traj.state(i) for i in range(len(traj.times))]
-    return {
-        "t": traj.times.copy(),
-        "a": traj.a.copy(),
-        "b": traj.b.copy(),
-        "hamiltonian": np.array([hamiltonian(s) for s in states]),
-        "volume": np.array([volume(s) for s in states]),
-        "willmore": np.array([willmore(s) for s in states]),
-        "dW_dt": np.array([willmore_rate(s) for s in states]),
-    }
+    return _table([traj.state(i) for i in range(len(traj.times))])
 
 
 def embed(state, shape):

@@ -32,7 +32,7 @@ class CheckResult:
 
 
 class ValidationContext:
-    """Caches the expensive shared runs (membrane evolution, 1D curves)."""
+    """Caches the expensive shared runs (membrane evolution, sphere products)."""
 
     def __init__(self, tol_scale=1.0):
         self.tol_scale = tol_scale
@@ -49,6 +49,15 @@ class ValidationContext:
                 imm, 1e-3, 0.2, stride=10, order=4
             )
         return self._cache["membrane"]
+
+    def sphere_run(self, s0):
+        """RK4 run of a sphere product at dt=5e-4 to 0.8 of its collapse time
+        (to t=2 when it never collapses)."""
+        if s0 not in self._cache:
+            t_star = sp.collapse_time(s0)
+            horizon = 0.8 * t_star if math.isfinite(t_star) else 2.0
+            self._cache[s0] = sp.evolve_numeric(s0, 5e-4, horizon)
+        return self._cache[s0]
 
     def acceptance_curve(self):
         """Planar perturbed circle with kappa bounded well away from zero."""
@@ -71,9 +80,7 @@ def check_closed_form_agreement(ctx):
     worst = 0.0
     for (m, l, a, b) in [(1, 1, 1.0, 2.0), (1, 2, 1.0, 1.0), (2, 1, 1.0, 1.0), (2, 3, 2.0, 3.0)]:
         s0 = sp.SphereProductState(m, l, a, b)
-        t_star = sp.collapse_time(s0)
-        horizon = 0.8 * t_star if math.isfinite(t_star) else 2.0
-        traj = sp.evolve_numeric(s0, 5e-4, horizon)
+        traj = ctx.sphere_run(s0)
         for i in range(0, traj.times.size, max(1, traj.times.size // 16)):
             ex = sp.closed_form(s0, traj.times[i])
             worst = max(worst, abs(traj.a[i] - ex.a), abs(traj.b[i] - ex.b))
@@ -85,10 +92,7 @@ def check_conservation(ctx):
     """ln(a^m b^l) along RK4 runs; membrane volume drift over T=0.2."""
     worst_h = 0.0
     for (m, l, a, b) in [(1, 1, 1.0, 2.0), (1, 2, 1.0, 1.0), (2, 3, 2.0, 3.0)]:
-        s0 = sp.SphereProductState(m, l, a, b)
-        t_star = sp.collapse_time(s0)
-        horizon = 0.8 * t_star if math.isfinite(t_star) else 2.0
-        traj = sp.evolve_numeric(s0, 5e-4, horizon)
+        traj = ctx.sphere_run(sp.SphereProductState(m, l, a, b))
         ham = [sp.hamiltonian(traj.state(i)) for i in range(traj.times.size)]
         worst_h = max(worst_h, max(ham) - min(ham))
     traj = ctx.membrane_run()
@@ -134,28 +138,10 @@ def check_willmore_1d(ctx):
 
 def check_hasimoto_square(ctx):
     """Filament / curvature-torsion / wave / fluid curvature profiles at t=0.2."""
-    raw = ctx.acceptance_curve()
-    fr0 = fl.frenet_data(fl.arclength_resample(raw))
-    dt, horizon = 1e-4, 0.2
-
-    # evolve_filament resamples its input itself, so it gets the raw curve
-    traj = fl.evolve_filament(raw, dt, horizon, reparam_every=10)
-    k_filament = fl.frenet_data(traj.final).kappa
-    k_darios, tau_darios = fl.darios_evolve(fr0.kappa, fr0.tau, fr0.length, dt, horizon).final
-    wave0, holonomy = fl.hasimoto(fr0)
-    if fl.holonomy_defect(holonomy) > 1e-10:
-        return False, f"holonomy obstruction {holonomy:.3e} on the acceptance curve"
-    k_wave = np.abs(fl.nls_evolve(wave0, dt, horizon).final.psi)
-    k_fluid = np.sqrt(fl.fluid_evolve(fl.to_fluid(fr0), dt, horizon).final.rho)
-
-    profiles = {
-        "filament": k_filament, "darios": k_darios, "nls": k_wave, "fluid": k_fluid,
-    }
-    names = list(profiles)
-    worst = max(
-        float(np.max(np.abs(profiles[u] - profiles[v])))
-        for i, u in enumerate(names) for v in names[i + 1:]
-    )
+    profiles, status = fl.square_profiles(ctx.acceptance_curve(), 1e-4, 0.2, holonomy_tol=1e-10)
+    if len(profiles) < len(fl.SQUARE_CORNERS):
+        return False, "; ".join(f"{c} {s}" for c, s in status.items() if s != "ok")
+    worst = max(fl.square_gaps(profiles).values())
     tol = ctx.tol(5e-3)
     return worst <= tol, f"worst pairwise L_inf gap {worst:.2e} (tol {tol:.0e})"
 

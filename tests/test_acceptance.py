@@ -21,6 +21,9 @@ printing one PASS/FAIL line per criterion (visible with pytest -s / -rA).
 
 import pytest
 
+from skewflow import diffgeo as dg
+from skewflow import membrane as mb
+from skewflow import sphereprod as sp
 from skewflow import validate
 
 
@@ -85,3 +88,16 @@ def test_criterion_11_normal_bundle_curvature(results):
 
 def test_criterion_12_nls_invariants(results):
     _assert(results, "12-nls-invariants")
+
+
+def test_checks_2_and_3_run_each_sphere_product_once(monkeypatch):
+    runs = []
+    evolve_numeric = sp.evolve_numeric
+    monkeypatch.setattr(sp, "evolve_numeric",
+                        lambda s0, *args: runs.append(s0) or evolve_numeric(s0, *args))
+    ctx = validate.ValidationContext()
+    small = mb.evolve_membrane(dg.torus_immersion(1.0, 2.0, (16, 16)), 1e-3, 0.01, stride=5)
+    monkeypatch.setattr(ctx, "membrane_run", lambda: small)
+    assert validate.check_closed_form_agreement(ctx)[0]
+    assert validate.check_conservation(ctx)[0]
+    assert len(runs) == len(set(runs)) == 4

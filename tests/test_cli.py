@@ -255,6 +255,14 @@ def test_validate_subset(tmp_path, capsys):
     assert [r[2] for r in rows] == ["pass"] * 3
 
 
+@pytest.mark.parametrize("flag", [["--dt", "5"], ["--T", "1"], ["--stride", "3"]])
+def test_validate_rejects_step_flags(tmp_path, capsys, flag):
+    code = cli.main(["validate", "suite=12", *flag, "--out", str(tmp_path / "val")])
+    assert code == 2
+    assert f"unknown keys for validate: {flag[0][2:]}" in capsys.readouterr().err
+    assert not (tmp_path / "val").exists()
+
+
 def test_entry_point_version():
     res = subprocess.run(
         [sys.executable, "-m", "skewflow.cli", "--version"],

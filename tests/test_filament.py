@@ -476,3 +476,21 @@ def test_four_corner_agreement_quick():
         for v in names[i + 1:]:
             gap = np.abs(profiles[u] - profiles[v]).max()
             assert gap <= 5e-3, f"{u}/{v}: {gap:.2e}"
+
+
+def test_square_profiles_skip_the_wave_corner_above_the_holonomy_tol():
+    raw = fl.twisted_circle(1.0, 0.1, 2, 64)
+    holonomy = fl.hasimoto(fl.frenet_data(fl.arclength_resample(raw)))[1]
+    defect = fl.holonomy_defect(holonomy)
+    assert defect > 1e-4
+    profiles, status = fl.square_profiles(raw, 1e-3, 0.01, holonomy_tol=0.5 * defect)
+    assert status == {"filament": "ok", "darios": "ok", "nls": "skipped (holonomy obstruction)",
+                      "fluid": "ok"}
+    gaps = fl.square_gaps(profiles)
+    assert list(gaps) == [(u, v) for i, u in enumerate(fl.SQUARE_CORNERS)
+                          for v in fl.SQUARE_CORNERS[i + 1:]]
+    assert all((gap is None) == ("nls" in pair) for pair, gap in gaps.items())
+    # the same curve with the tolerance above its defect runs all four
+    profiles, status = fl.square_profiles(raw, 1e-3, 0.01, holonomy_tol=2.0 * defect)
+    assert set(status.values()) == {"ok"}
+    assert max(fl.square_gaps(profiles).values()) <= 5e-3

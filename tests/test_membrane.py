@@ -51,14 +51,20 @@ def test_smc_velocity_is_normal_isometry():
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_smc_rhs_matches_the_shape_field_path(order):
-    # n1 != n2 and unequal, non-2pi periods: an axis or spacing mix-up shows
+    # n1 != n2 and unequal, non-2pi periods with unequal spacings 3/24, 7/40
     base = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (24, 40))
-    imm = dg.GridImmersion(base.points, (3.0, 5.0))
+    imm = dg.GridImmersion(base.points, (3.0, 7.0))
     sf = dg.shape_field(imm, order=order)
     expected = -dg.apply_j(sf, sf.mean_curvature)
     v = mb.smc_rhs(imm.points, imm.spacings, order)
     assert v.shape == imm.points.shape
     assert np.abs(v - expected).max() <= 1e-13 * np.abs(expected).max()
+    # the velocity does not see a linear change of parameters, so the same
+    # points with 2pi periods move alike; smc_rhs and shape_field share
+    # plane_derivatives, and this datum is what shows a stencil that takes one
+    # axis's spacing for the other's in some of its differences
+    v_2pi = mb.smc_rhs(base.points, base.spacings, order)
+    assert np.abs(v - v_2pi).max() <= 1e-13 * np.abs(v_2pi).max()
     # and against det[t_1, t_2, H, e_l] / sqrt(det g), which shares no code
     # with the Pluecker form that smc_rhs and apply_j both use
     cols = np.concatenate([np.moveaxis(sf.tangents, -2, -1), sf.mean_curvature[..., None]], -1)

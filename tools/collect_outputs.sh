@@ -16,18 +16,23 @@
 # from a snapshot this script writes with plain python3), an NLS run on the
 # twisted circle (nonzero torsion, so the Hasimoto phase integral sees more
 # than zeros), a filament run on a strongly perturbed circle (eps 0.3, k 5,
-# N 64: arclength knots far from uniform) and `skewflow validate`.
-# Manifests hold wall times, and the validate lines printed to standard
-# output lose their timing suffix; for a byte-identical change every other
-# file must match exactly.  For a change that moves results by roundoff
+# N 64: arclength knots far from uniform), `crosscheck mode=filament-square`
+# on a passing curve and on a singular one (eps (1 + k^2) = 1: curvature
+# touches zero, so the curvature/torsion and fluid corners abort),
+# `crosscheck mode=sphere-membrane` on a 16 x 16 torus, both `sphere-run`
+# examples of the README (to collapse and over a fixed horizon) and
+# `skewflow validate`.  The reports crosscheck prints to standard output are
+# kept beside its CSVs.  Manifests hold wall times, and the validate lines
+# printed to standard output lose their timing suffix; for a byte-identical
+# change every other file must match exactly.  For a change that moves results by roundoff
 # rather than leaving them byte identical, compare the two trees with
 #
 #   python3 tools/compare_outputs.py /tmp/outputs-parent /tmp/outputs-change
 #
 # which prints the largest absolute and relative difference per CSV column
 # and per snapshot, and exits 1 on a structural mismatch (a missing file, a
-# different header or row count, a validate PASS/FAIL flip).  Takes about a
-# minute on a 2-core host.
+# different header or row count, a validate PASS/FAIL flip).  Takes about
+# 15 s on a 2-core host.
 set -eu
 if [ $# -ne 2 ]; then
     echo "usage: $0 CHECKOUT OUTDIR" >&2
@@ -77,4 +82,14 @@ with open(sys.argv[1], "w") as fh:
 PY
 skewflow filament-run shape=circle curve_file="$out/curve_file/input.txt" dt=2e-4 T=0.02 \
     --out "$out/curve_file/run" >/dev/null
+skewflow crosscheck mode=filament-square N=128 dt=2e-4 T=0.02 \
+    --out "$out/crosscheck_square" >"$out/crosscheck_square.stdout"
+skewflow crosscheck mode=filament-square eps=0.1 k=3 N=256 dt=1e-4 T=0.05 \
+    --out "$out/crosscheck_singular" >"$out/crosscheck_singular.stdout"
+skewflow crosscheck mode=sphere-membrane n1=16 n2=16 order=2 dt=1e-3 T=0.02 \
+    --out "$out/crosscheck_sphere" >"$out/crosscheck_sphere.stdout"
+skewflow sphere-run m=1 l=2 a=1 b=1 dt=1e-4 mode=to-collapse a_stop=1e-10 \
+    --out "$out/sphere_collapse" >/dev/null
+skewflow sphere-run m=1 l=1 a=1 b=2 T=1.0 dt=1e-3 stride=100 \
+    --out "$out/sphere_fixed" >/dev/null
 skewflow validate --out "$out/validate" | sed 's/ *\[[0-9.]*s\]$//' >"$out/validate/stdout.txt"
