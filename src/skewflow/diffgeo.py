@@ -30,10 +30,12 @@ The plane kernels (plane_derivatives, metric_planes, project_planes,
 generalised_cross, shape_field) fill their intermediate planes with out=
 ufuncs in a workspace ws: a Workspace of named arrays, made once and
 reused, or by default a fresh array per request.  evolve_membrane keeps one
-Workspace per run, so its RK4 stages and snapshot fields work in the same
-buffers and allocate only their results.  Every stencil, product and sum
-keeps the operation order of the plain expression, so the results are
-bitwise those of allocating code.
+Workspace per run, so its RK4 stages and stability estimates work in the
+same buffers and allocate only their results.  Every stencil, product and
+sum keeps the operation order of the plain expression, so the results are
+bitwise those of allocating code.  In the same way plane_einsum writes the
+2x2 index contractions of the membrane residuals as sums over component
+planes, in np.einsum's own order.
 
 J is the quarter-turn of the normal plane.  Its direction is fixed by the
 sign convention det[t_1, ..., t_n, v, Jv] < 0 in ambient coordinates; this
@@ -47,6 +49,7 @@ spectrally accurate for smooth periodic integrands.
 """
 
 import functools
+import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -135,6 +138,22 @@ class ShapeField:
     tau: np.ndarray | None = field(default=None)      # (*s, n), set by torsion_form
     tau_mask: np.ndarray | None = field(default=None)  # True where |H| < H_MIN
 
+    @functools.cached_property
+    def jh(self):
+        """J H, (*s, d): computed on first use and kept, read-only."""
+        return _read_only(apply_j(self, self.mean_curvature))
+
+    @functools.cached_property
+    def source(self):
+        """source_term of this field, (*s,): computed on first use and kept,
+        read-only."""
+        return _read_only(source_term(self))
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
 
 # ---------------------------------------------------------------------------
 # immersion builders
@@ -206,7 +225,7 @@ class Workspace:
     out again on every later one: ws(name, shape).
 
     membrane.evolve_membrane keeps one per run, so its RK4 stages and
-    snapshot fields allocate only their results.  An array a kernel returns
+    stability estimates allocate only their results.  An array a kernel returns
     from here holds its values until the next request under the same name;
     "tmp" and "scalar_tmp" are scratch that any kernel may overwrite.
     """
@@ -649,13 +668,64 @@ def willmore_gradient(sf):
     return 2.0 * half
 
 
+def plane_einsum(spec, *operands):
+    """np.einsum(spec, *operands), bitwise, as explicit sums of per-point
+    products of contiguous component planes.
+
+    For the contractions of per-point n x n and n-vector fields in the
+    membrane residuals: every subscript starts with '...', and the output has
+    no label, or one label and two summed labels.  The terms are taken in
+    np.einsum's own order (numpy 2.x, no `optimize`).  Each term multiplies
+    its factors left to right.  A scalar output adds the terms one by one,
+    the summed labels running in alphabetical order with the last innermost.
+    A vector output sums over the last summed label for each value of the
+    first, then adds those partial sums.
+    """
+    lhs, out = spec.replace("...", "").split("->")
+    subs = lhs.split(",")
+    summed = sorted(set(lhs) - set(out) - {","})
+    if len(operands) != len(subs) or len(out) > 1 or (out and len(summed) != 2):
+        raise ValueError(f"unsupported contraction {spec!r}")
+    size, planes = {}, []
+    for sub, op in zip(subs, operands):
+        tail = op.shape[op.ndim - len(sub):]
+        size.update(zip(sub, tail))
+        planes.append({k: np.ascontiguousarray(op[(Ellipsis,) + k]) for k in np.ndindex(tail)})
+
+    def total(fixed, labels):
+        """Sum over `labels`, the last innermost, of the terms with `fixed` set."""
+        acc = term = None
+        for values in itertools.product(*(range(size[c]) for c in labels)):
+            at = dict(fixed, **dict(zip(labels, values)))
+            factors = [p[tuple(at[c] for c in sub)] for p, sub in zip(planes, subs)]
+            term = np.multiply(factors[0], factors[1], out=term)
+            for f in factors[2:]:
+                term *= f
+            if acc is None:  # 0 + term, as np.einsum starts: -0.0 becomes +0.0
+                acc, term = np.add(term, 0.0, out=term), None
+            else:
+                acc += term
+        return acc
+
+    if not out:
+        return total({}, summed)
+    first, last = summed
+    components = []
+    for o in range(size[out]):
+        acc = total({out: o, first: 0}, last)
+        for k in range(1, size[first]):
+            acc += total({out: o, first: k}, last)
+        components.append(acc)
+    return np.stack(components, axis=-1)
+
+
 def source_term(sf):
     """Source of the curvature-density continuity equation at every grid point,
-    -2 g^ik g^jl (A_ij, H)(A_kl, JH)."""
-    jh = apply_j(sf, sf.mean_curvature)
+    -2 g^ik g^jl (A_ij, H)(A_kl, JH).  sf.source keeps it per shape field."""
     s = np.einsum("...ijd,...d->...ij", sf.second_form, sf.mean_curvature)
-    p = np.einsum("...ijd,...d->...ij", sf.second_form, jh)
-    return -2.0 * np.einsum("...ik,...jl,...ij,...kl->...", sf.metric_inv, sf.metric_inv, s, p)
+    p = np.einsum("...ijd,...d->...ij", sf.second_form, sf.jh)
+    return -2.0 * plane_einsum("...ik,...jl,...ij,...kl->...",
+                               sf.metric_inv, sf.metric_inv, s, p)
 
 
 def energy_derivative_integrand(sf):
@@ -664,7 +734,7 @@ def energy_derivative_integrand(sf):
     Returns (source_term * sqrt(det g), integral): the integrand is the
     continuity source itself, so the two quadratures agree identically.
     """
-    density = source_term(sf) * sf.sqrt_det_g
+    density = sf.source * sf.sqrt_det_g
     return density, grid_integral(sf.immersion, density)
 
 

@@ -178,14 +178,21 @@ def _run_levels(levels, u):
 def _tridiag_factor(a, b, c):
     """LU factors of the tridiagonal matrix with sub-diagonal a, diagonal b and
     super-diagonal c, without pivoting: the pivots and the doubling levels of
-    the forward and backward substitutions."""
-    q = (a * c).tolist()
-    p = float(b[0])
-    pivots = [p]
-    for bi, qi in zip(b[1:].tolist(), q):
-        p = bi - qi / p
-        pivots.append(p)
-    pivots = np.array(pivots)
+    the forward and backward substitutions.
+
+    The pivots p_i = b_i - a_{i-1} c_{i-1} / p_{i-1} come from whole-array
+    sweeps of that map, from p = b.  Sweep k makes p_0..p_k final, and the
+    float map has one fixed point once p_0 is fixed, so the first sweep that
+    changes nothing, or sweep b.size at the latest, leaves the recurrence's
+    values bitwise.
+    """
+    q = a * c
+    pivots = b.astype(float)
+    for _ in range(b.size):
+        swept = b[1:] - q / pivots[:-1]
+        if not (swept != pivots[1:]).any():
+            break
+        pivots[1:] = swept
     forward = np.concatenate(([0.0], -a / pivots[:-1]))
     backward = np.concatenate(([0.0], -(c / pivots[:-1])[::-1]))
     return pivots, _doubling_levels(forward), _doubling_levels(backward)

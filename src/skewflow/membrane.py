@@ -31,15 +31,20 @@ from .stepping import Trajectory, integrate, rk4_step, step_count
 
 RK4_IMAG_STABILITY = 2.0   # conservative fraction of the RK4 imaginary-axis limit
 _FD_SECOND_MAX = {2: 4.0, 4: 16.0 / 3.0}
+FIELD_WINDOW = 3           # shape fields a MembraneTrajectory keeps: one residual triple
 
 
 @dataclass
 class MembraneTrajectory(Trajectory):
-    """Snapshot times (strictly increasing), a GridImmersion per time, and the
-    shape field of each snapshot, computed at most once."""
+    """Snapshot times (strictly increasing) and a GridImmersion per time.
+
+    fields(i) builds the shape field of snapshot i on demand and keeps the
+    FIELD_WINDOW most recently built ones, so a forward pass over the
+    snapshots (diagnostics) builds each field once and holds at most three.
+    """
 
     order: int = 2               # finite-difference order used throughout
-    shape_fields: list = field(default=None, repr=False, compare=False)  # None: not yet computed
+    _window: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -47,19 +52,19 @@ class MembraneTrajectory(Trajectory):
             raise ValueError("snapshot times must be strictly increasing")
         if len(self.states) != self.times.size:
             raise ValueError("one snapshot per time required")
-        if self.shape_fields is None:
-            self.shape_fields = [None] * len(self.states)
-        if len(self.shape_fields) != len(self.states):
-            raise ValueError("one shape field slot per snapshot required")
 
     @property
     def snapshots(self):
         return self.states
 
     def fields(self, i):
-        if self.shape_fields[i] is None:
-            self.shape_fields[i] = dg.shape_field(self.snapshots[i], order=self.order)
-        return self.shape_fields[i]
+        i = range(len(self.states))[i]  # fields(-1) and fields(m - 1) share a slot
+        sf = self._window.get(i)
+        if sf is None:
+            if len(self._window) == FIELD_WINDOW:  # drop the oldest before building
+                del self._window[next(iter(self._window))]
+            sf = self._window[i] = dg.shape_field(self.snapshots[i], order=self.order)
+        return sf
 
 
 def smc_rhs(points, spacings, order=2, ws=None):
@@ -91,16 +96,22 @@ def smc_rhs(points, spacings, order=2, ws=None):
     return v
 
 
-def stability_limit(sf):
+def stability_limit(imm, order=2, ws=None):
     """Estimated RK4 step bound for the dispersive (Schrodinger-like) flow.
 
     The stiffest linearized mode oscillates at roughly
     c_ord * sum_i max(g^ii) / h_i^2 with c_ord the peak symbol of the second
     difference; the usable step is a conservative fraction of 2.83 over that.
+    g^ii is read from the metric planes of the immersion (plane_derivatives
+    and metric_planes, in the workspace ws), the planes shape_field copies
+    into metric_inv, so the bound is bitwise that of the full shape field.
+    Raises DegenerateImmersionError where det g <= G_MIN.
     """
-    imm = sf.immersion
+    ws = dg.Workspace() if ws is None else ws
+    t, _, _ = dg.plane_derivatives(imm.points, imm.spacings, order, ws)
+    _, _, g_inv, _ = dg.metric_planes(t, ws)
     lam = sum(
-        _FD_SECOND_MAX[sf.order] * sf.metric_inv[..., i, i].max() / imm.spacings[i] ** 2
+        _FD_SECOND_MAX[order] * g_inv[i][i].max() / imm.spacings[i] ** 2
         for i in range(imm.dim)
     )
     return RK4_IMAG_STABILITY / lam
@@ -112,13 +123,13 @@ def evolve_membrane(imm, dt, t_final, stride=1, order=2):
     Raises ValueError for a step size above the stability estimate, and
     EvolutionAbort on metric degeneration, non-finite coordinates,
     or a snapshot whose stability estimate has dropped below dt.  The
-    returned trajectory, and the one an abort carries, hold the shape field
-    the stability estimate was taken from at each snapshot.
+    estimates read the metric planes alone, so the run builds no shape field:
+    the returned trajectory, and the one an abort carries, hold snapshots,
+    whose fields MembraneTrajectory.fields builds on demand.
     """
     nsteps = step_count(dt, t_final, stride)
-    ws = dg.Workspace()  # every stage and snapshot field of this run works in it
-    fields = [dg.shape_field(imm, order=order, ws=ws)]
-    dt_max = stability_limit(fields[0])
+    ws = dg.Workspace()  # every stage and stability estimate of this run works in it
+    dt_max = stability_limit(imm, order, ws)
     if dt > dt_max:
         raise ValueError(f"dt={dt:.3e} above the stability estimate {dt_max:.3e}")
     periods, spacings = imm.param_periods, imm.spacings
@@ -128,21 +139,18 @@ def evolve_membrane(imm, dt, t_final, stride=1, order=2):
         if not np.all(np.isfinite(pts)):
             raise EvolutionAbort("non-finite coordinates", i * dt)
         snap = dg.GridImmersion(pts, periods)
-        if (stride and i % stride == 0) or i == nsteps:
-            sf = dg.shape_field(snap, order=order, ws=ws)
-            if dt > stability_limit(sf):
-                raise EvolutionAbort("dt no longer within the stability estimate", i * dt)
-            fields.append(sf)
+        if ((stride and i % stride == 0) or i == nsteps) and dt > stability_limit(snap, order, ws):
+            raise EvolutionAbort("dt no longer within the stability estimate", i * dt)
         return snap
 
-    def with_fields(traj):
-        return MembraneTrajectory(traj.times, traj.states, order=order, shape_fields=fields)
+    def as_membrane(traj):
+        return MembraneTrajectory(traj.times, traj.states, order=order)
 
     try:
         with np.errstate(all="ignore"):  # a non-finite stage is caught by the step-end check
-            return with_fields(integrate(step, imm, dt, t_final, stride))
+            return as_membrane(integrate(step, imm, dt, t_final, stride))
     except EvolutionAbort as exc:
-        exc.trajectory = with_fields(exc.trajectory)
+        exc.trajectory = as_membrane(exc.trajectory)
         raise
 
 
@@ -179,7 +187,7 @@ def continuity_residual(traj, i):
     d_rho = (sfp.rho - sfm.rho) / span
     tau, chi = _torsion(sf0)
     div = dg.metric_divergence(sf0, sf0.rho[..., None] * chi)
-    resid = d_rho + div - dg.source_term(sf0)
+    resid = d_rho + div - sf0.source
     return resid, float(np.nanmax(np.abs(resid)))
 
 
@@ -232,22 +240,22 @@ def momentum_residual(traj, i):
     def grad(scalar):
         return np.stack([dg.diff(scalar, k, hs[k], sf0.order) for k in range(n)], axis=-1)
 
-    tau_sq = np.einsum("...ij,...i,...j->...", sf0.metric_inv, tau0, tau0)
+    tau_sq = dg.plane_einsum("...ij,...i,...j->...", sf0.metric_inv, tau0, tau0)
     absH = np.sqrt(sf0.rho)
     lap_term = grad(dg.laplace_beltrami(sf0, absH) / absH)
 
-    jh = dg.apply_j(sf0, sf0.mean_curvature)
+    jh = sf0.jh
     p = np.einsum("...ijd,...d->...ij", sf0.second_form, jh)      # (A_ij, JH)
     s = np.einsum("...ijd,...d->...ij", sf0.second_form, sf0.mean_curvature)
-    q = np.einsum("...mk,...jl,...mj,...kl->...", sf0.metric_inv, sf0.metric_inv, p, p)
+    q = dg.plane_einsum("...mk,...jl,...mj,...kl->...", sf0.metric_inv, sf0.metric_inv, p, p)
     grad_q = grad(q / sf0.rho)
 
     djh = np.stack([dg.normal_derivative(sf0, jh, k) for k in range(n)], axis=-2)
     u = np.einsum("...ld,...d->...l", djh, jh)                    # (D_l JH, JH)
     w = np.einsum("...kd,...d->...k", djh, sf0.mean_curvature)    # (D_k JH, H)
     frame_term = (
-        np.einsum("...kl,...ik,...l->...i", sf0.metric_inv, s, u)
-        - np.einsum("...kl,...il,...k->...i", sf0.metric_inv, p, w)
+        dg.plane_einsum("...kl,...ik,...l->...i", sf0.metric_inv, s, u)
+        - dg.plane_einsum("...kl,...il,...k->...i", sf0.metric_inv, p, w)
     ) / sf0.rho[..., None]
 
     resid = d_tau + grad(tau_sq) - lap_term - grad_q - frame_term
@@ -265,7 +273,11 @@ def energy_identity_check(traj, i):
 def diagnostics(traj):
     """Per-snapshot table: t, willmore, volume, extracted radii, max residuals.
 
-    Residual columns need both neighbors and are NaN at the endpoints.
+    One forward pass: it builds the shape field of snapshot i, fills that
+    snapshot's columns, then the residual columns of snapshot i - 1, whose
+    triple is then complete.  traj.fields keeps the last three fields, so
+    each is built once and at most three are alive.  Residual columns need
+    both neighbors and are NaN at the endpoints.
     """
     m = len(traj.snapshots)
     cols = {
@@ -283,8 +295,8 @@ def diagnostics(traj):
         a, b = extract_radii(sf.immersion)
         cols["a_extracted"][i] = a
         cols["b_extracted"][i] = b
-    for i in range(1, m - 1):
-        cols["max_continuity_residual"][i] = continuity_residual(traj, i)[1]
-        cols["max_momentum_residual"][i] = momentum_residual(traj, i)[1]
-        cols["energy_gap"][i] = energy_identity_check(traj, i)[2]
+        if i >= 2:
+            cols["max_continuity_residual"][i - 1] = continuity_residual(traj, i - 1)[1]
+            cols["max_momentum_residual"][i - 1] = momentum_residual(traj, i - 1)[1]
+            cols["energy_gap"][i - 1] = energy_identity_check(traj, i - 1)[2]
     return cols

@@ -244,7 +244,7 @@ def _evolved_momentum_residual(n):
     """Momentum residual after one step on an n x n perturbed torus; the
     trajectory and its shape fields are dropped before the next grid runs."""
     imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (n, n))
-    dt = 0.25 * mb.stability_limit(dg.shape_field(imm, order=2))
+    dt = 0.25 * mb.stability_limit(imm, order=2)
     traj = mb.evolve_membrane(imm, dt, 2 * dt, stride=1, order=2)
     return mb.momentum_residual(traj, 1)[1]
 

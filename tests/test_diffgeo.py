@@ -326,6 +326,83 @@ def test_energy_rate_integrand():
     assert abs(integral) < 1e-12
 
 
+# the contractions of the continuity source and the momentum residual, with
+# the shape-field operands they are applied to
+CONTRACTIONS = {
+    "...ik,...jl,...ij,...kl->...": ("g_inv", "g_inv", "s", "p"),
+    "...ij,...i,...j->...": ("g_inv", "tau", "tau"),
+    "...mk,...jl,...mj,...kl->...": ("g_inv", "g_inv", "p", "p"),
+    "...kl,...ik,...l->...i": ("g_inv", "s", "u"),
+    "...kl,...il,...k->...i": ("g_inv", "p", "w"),
+}
+
+
+def _residual_operands(sf):
+    """The operands of CONTRACTIONS, as membrane.momentum_residual builds them."""
+    jh = dg.apply_j(sf, sf.mean_curvature)
+    tau, _ = dg.torsion_form(sf)
+    djh = np.stack([dg.normal_derivative(sf, jh, k) for k in range(2)], axis=-2)
+    return {
+        "g_inv": sf.metric_inv,
+        "s": np.einsum("...ijd,...d->...ij", sf.second_form, sf.mean_curvature),
+        "p": np.einsum("...ijd,...d->...ij", sf.second_form, jh),
+        "tau": tau,
+        "u": np.einsum("...ld,...d->...l", djh, jh),
+        "w": np.einsum("...kd,...d->...k", djh, sf.mean_curvature),
+    }
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("spec", list(CONTRACTIONS))
+def test_plane_einsum_equals_einsum_bitwise(spec):
+    # random operands are neither symmetric nor sign-definite, so a transposed
+    # operand or a reordered sum shows; the shape field gives the data the
+    # residuals contract
+    rng = np.random.default_rng(7)
+    operands = [rng.standard_normal((24, 40) + (2,) * len(sub))
+                for sub in spec.split("->")[0].replace("...", "").split(",")]
+    assert _same_bits(dg.plane_einsum(spec, *operands), np.einsum(spec, *operands))
+
+    imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (24, 40))
+    fields = _residual_operands(dg.shape_field(imm, order=4))
+    operands = [fields[name] for name in CONTRACTIONS[spec]]
+    assert _same_bits(dg.plane_einsum(spec, *operands), np.einsum(spec, *operands))
+
+
+def test_plane_einsum_keeps_the_sign_of_zero_sums():
+    # np.einsum adds the terms to a zero start, so a sum of -0.0 terms is +0.0
+    rng = np.random.default_rng(8)
+    for spec in CONTRACTIONS:
+        subs = spec.split("->")[0].replace("...", "").split(",")
+        for _ in range(50):
+            operands = [rng.choice([-0.0, 0.0, 1.0, -1.0], size=(9,) + (2,) * len(sub))
+                        for sub in subs]
+            assert _same_bits(dg.plane_einsum(spec, *operands), np.einsum(spec, *operands))
+
+
+def test_plane_einsum_rejects_other_contractions():
+    g, v = np.ones((8, 2, 2)), np.ones((8, 2))
+    for spec, operands in [("...ij,...j->...i", (g, v)), ("...ij,...kl->...ik", (g, g)),
+                           ("...ij,...j->...", (g,))]:
+        with pytest.raises(ValueError, match="unsupported contraction"):
+            dg.plane_einsum(spec, *operands)
+
+
+def test_source_term_and_its_kept_copy_equal_the_einsum_form():
+    imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (24, 40))
+    sf = dg.shape_field(imm, order=4)
+    ops = _residual_operands(sf)
+    want = -2.0 * np.einsum("...ik,...jl,...ij,...kl->...", ops["g_inv"], ops["g_inv"],
+                            ops["s"], ops["p"])
+    assert _same_bits(dg.source_term(sf), want)
+    assert _same_bits(sf.jh, dg.apply_j(sf, sf.mean_curvature))
+    assert sf.source is sf.source and _same_bits(sf.source, want)
+    assert not sf.source.flags.writeable and not sf.jh.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # normal-bundle curvature vs torsion
 # ---------------------------------------------------------------------------

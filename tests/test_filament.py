@@ -87,6 +87,40 @@ def test_tridiag_solve_matches_dense_solve(n):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def _loop_pivots(a, b, c):
+    """The pivot recurrence p_i = b_i - a_{i-1} c_{i-1} / p_{i-1}, one row at a
+    time: the reference for _tridiag_factor's sweeps."""
+    q = (a * c).tolist()
+    p = float(b[0])
+    pivots = [p]
+    for bi, qi in zip(b[1:].tolist(), q):
+        p = bi - qi / p
+        pivots.append(p)
+    return np.array(pivots)
+
+
+def test_tridiag_pivots_equal_the_loop_recurrence(monkeypatch):
+    systems, factor = [], fl._tridiag_factor
+
+    def recorded(a, b, c):
+        systems.append((a, b, c))
+        return factor(a, b, c)
+
+    monkeypatch.setattr(fl, "_tridiag_factor", recorded)
+    fl._unit_notaknot_factors.cache_clear()
+    fl.arclength_resample(fl.perturbed_circle(1.0, 0.3, 5, 64))
+    assert [b.size for _, b, _ in systems] == [257, 257]  # unit and arclength knots
+    rng = np.random.default_rng(11)
+    for n in (3, 4, 17, 1025):
+        matrix, _ = _notaknot_like_system(rng, n)
+        systems.append((np.diag(matrix, -1), np.diag(matrix), np.diag(matrix, 1)))
+        a, c = rng.uniform(-1.0, 1.0, (2, n - 1))
+        systems.append((a, rng.uniform(2.0, 3.0, n) * rng.choice([-1.0, 1.0], n), c))
+    for a, b, c in systems:
+        pivots, _, _ = factor(a, b, c)
+        assert pivots.tobytes() == _loop_pivots(a, b, c).tobytes()
+
+
 def test_curve_validation():
     # curves enter the 1D solvers through arclength_resample, which needs
     # MIN_SAMPLES samples of a dim-1 immersion

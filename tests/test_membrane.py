@@ -1,6 +1,8 @@
 """Tests for the membrane flow and its diagnostic residuals."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ def exact_torus_trajectory(a, b, dt, shape, order):
 
 def evolved_perturbed_trajectory(n, order=2):
     imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (n, n))
-    dt = 0.25 * mb.stability_limit(dg.shape_field(imm, order=order))
+    dt = 0.25 * mb.stability_limit(imm, order)
     return mb.evolve_membrane(imm, dt, 2 * dt, stride=1, order=order)
 
 
@@ -189,7 +191,7 @@ def test_stage_and_shape_field_make_no_roll_calls(monkeypatch):
 
 def test_stability_guard():
     imm = dg.torus_immersion(1.0, 2.0, (32, 32))
-    dt_max = mb.stability_limit(dg.shape_field(imm))
+    dt_max = mb.stability_limit(imm)
     with pytest.raises(ValueError, match="stability"):
         mb.evolve_membrane(imm, 2.0 * dt_max, 10 * dt_max, stride=1)
 
@@ -437,9 +439,9 @@ def test_diagnostics_computes_each_torsion_form_once(monkeypatch):
 
 @pytest.mark.parametrize("steps,stride", [(6, 1), (6, 3), (4, 4)])
 def test_each_snapshot_shape_field_is_computed_once(monkeypatch, steps, stride):
-    # the up-front stability estimate and one field per recorded snapshot,
-    # which the guard, diagnostics and the residuals all share; the RK4
-    # stages build none
+    # one field per snapshot, the initial one included, which diagnostics
+    # builds and its residuals share; the RK4 stages and the stability
+    # guard build none
     calls = [0]
     shape_field = dg.shape_field
 
@@ -455,7 +457,41 @@ def test_each_snapshot_shape_field_is_computed_once(monkeypatch, steps, stride):
     assert all(traj.fields(i).immersion is snap for i, snap in enumerate(traj.snapshots))
 
 
-def test_abort_carries_the_shape_fields_of_its_snapshots(monkeypatch):
+def _recorded_shape_fields(monkeypatch):
+    """Patch dg.shape_field to keep a weak reference to every field it builds.
+
+    Returns (refs, peak): peak[0] is the most fields alive right after any
+    build, which bounds the count at every other moment."""
+    refs, peak, shape_field = [], [0], dg.shape_field
+
+    def recorded(imm, order=2, **kwargs):
+        sf = shape_field(imm, order=order, **kwargs)
+        refs.append(weakref.ref(sf))
+        peak[0] = max(peak[0], sum(r() is not None for r in refs))
+        return sf
+
+    monkeypatch.setattr(dg, "shape_field", recorded)
+    return refs, peak
+
+
+def _live_shape_fields():
+    gc.collect()
+    return sum(isinstance(obj, dg.ShapeField) for obj in gc.get_objects())
+
+
+def test_diagnostics_streams_through_three_shape_fields(monkeypatch):
+    refs, peak = _recorded_shape_fields(monkeypatch)
+    imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (16, 16))
+    live = _live_shape_fields()
+    traj = mb.evolve_membrane(imm, 1e-3, 8e-3, stride=1, order=2)
+    assert len(traj.snapshots) == 9
+    assert refs == [] and _live_shape_fields() == live  # the trajectory holds no fields
+    mb.diagnostics(traj)
+    assert len(refs) == 9 and peak[0] == mb.FIELD_WINDOW == 3
+    assert traj.fields(-1) is traj.fields(8) and len(refs) == 9
+
+
+def test_abort_trajectory_diagnostics_equal_a_clean_run(monkeypatch):
     from skewflow.errors import DegenerateImmersionError, EvolutionAbort
 
     original, calls = mb.smc_rhs, [0]
@@ -467,11 +503,21 @@ def test_abort_carries_the_shape_fields_of_its_snapshots(monkeypatch):
         return original(points, spacings, order, ws)
 
     monkeypatch.setattr(mb, "smc_rhs", failing)
-    imm = dg.torus_immersion(1.0, 2.0, (16, 16))
+    imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (16, 16))
     with pytest.raises(EvolutionAbort) as err:
         mb.evolve_membrane(imm, 1e-3, 0.01, stride=2, order=2)
+    monkeypatch.setattr(mb, "smc_rhs", original)
     traj = err.value.trajectory
     assert isinstance(traj, mb.MembraneTrajectory)
-    assert len(traj.snapshots) == 3
-    assert all(sf is not None and sf.immersion is snap
-               for sf, snap in zip(traj.shape_fields, traj.snapshots))
+    assert list(traj.times) == [0.0, 2e-3, 4e-3] and len(traj.snapshots) == 3
+
+    refs, _ = _recorded_shape_fields(monkeypatch)
+    cols = mb.diagnostics(traj)
+    assert len(refs) == 3
+    assert all(r().immersion is snap for r, snap in zip(refs, traj.snapshots))
+
+    clean = mb.diagnostics(mb.evolve_membrane(imm, 1e-3, 4e-3, stride=2, order=2))
+    assert list(cols) == list(clean)
+    for key in cols:
+        assert cols[key].tobytes() == clean[key].tobytes(), key
+    assert np.isfinite(cols["max_momentum_residual"][1])
