@@ -50,6 +50,7 @@ spectrally accurate for smooth periodic integrands.
 
 import functools
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -861,7 +862,10 @@ def save_immersion(imm, path):
 
 
 def load_immersion(path):
-    """Read a snapshot written by save_immersion; ValueError names a missing header key."""
+    """Read a snapshot written by save_immersion; ValueError names a missing
+    header key, and is raised for a row count other than the shape's product
+    or rows of unequal length.  np.loadtxt parses the rows in one call and
+    gives the values of Python's float() bit for bit."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     header, data_start = {}, 0
@@ -880,6 +884,12 @@ def load_immersion(path):
     ambient = int(header["ambient"][0])
     if len(shape) != dim or ambient != dim + 2:
         raise ValueError(f"inconsistent snapshot header: {header}")
-    rows = np.array([[float(x) for x in line.split()] for line in lines[data_start:]])
+    data = lines[data_start:]
+    if len(data) != math.prod(shape) or not data:
+        raise ValueError(f"snapshot {path}: {len(data)} data rows for shape {shape}")
+    try:
+        rows = np.loadtxt(data, dtype=float, comments=None, ndmin=2)
+    except ValueError as exc:  # ragged rows or a token that is not a number
+        raise ValueError(f"snapshot {path}: {exc}") from exc
     pts = rows.reshape(shape + (ambient,))
     return GridImmersion(pts, periods)

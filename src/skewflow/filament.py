@@ -621,18 +621,23 @@ def madelung_inverse(psi):
 SQUARE_CORNERS = ("filament", "darios", "nls", "fluid")
 
 
-def square_profiles(raw, dt, t_final, holonomy_tol):
+def square_profiles(raw, dt, t_final, holonomy_tol, filament=None):
     """Final curvature profiles of the four corners of the square on one curve.
 
     The filament runs from the raw curve (evolve_filament resamples it); the
-    other three start from the Frenet data of its arclength resampling.
+    other three start from the Frenet data of its arclength resampling.  A
+    caller that has already run evolve_filament(raw, dt, ...) through t_final,
+    with the default resampling, passes the curve at t_final as `filament`,
+    and the filament corner reads it instead of running again.
     Returns (profiles, status): the final curvature of each corner that ran,
     and for every corner "ok", "singular (<abort>)" or, when the holonomy is
     more than holonomy_tol from a multiple of 2 pi, "skipped (holonomy
     obstruction)".
     """
     fr0 = frenet_data(arclength_resample(raw))
-    profiles = {"filament": frenet_data(evolve_filament(raw, dt, t_final).final).kappa}
+    if filament is None:
+        filament = evolve_filament(raw, dt, t_final).final
+    profiles = {"filament": frenet_data(filament).kappa}
     status = {"filament": "ok"}
     try:
         profiles["darios"] = darios_evolve(fr0.kappa, fr0.tau, fr0.length, dt, t_final).final[0]

@@ -162,11 +162,9 @@ def extract_radii(imm):
     return a, b
 
 
-def _torsion(sf):
-    """(tau, chi) of a shape field; tau is computed once and then read from sf.tau."""
-    if sf.tau is None:
-        return dg.torsion_form(sf)
-    return sf.tau, 2.0 * np.einsum("...ij,...j->...i", sf.metric_inv, sf.tau)
+def _tau(sf):
+    """Torsion form of a shape field: computed once, then read from sf.tau."""
+    return dg.torsion_form(sf)[0] if sf.tau is None else sf.tau
 
 
 def _triple(traj, i):
@@ -185,7 +183,10 @@ def continuity_residual(traj, i):
     """
     (sfm, sf0, sfp), span = _triple(traj, i)
     d_rho = (sfp.rho - sfm.rho) / span
-    tau, chi = _torsion(sf0)
+    if sf0.tau is None:  # torsion_form makes chi = 2 tau^sharp along with tau
+        _, chi = dg.torsion_form(sf0)
+    else:
+        chi = 2.0 * np.einsum("...ij,...j->...i", sf0.metric_inv, sf0.tau)
     div = dg.metric_divergence(sf0, sf0.rho[..., None] * chi)
     resid = d_rho + div - sf0.source
     return resid, float(np.nanmax(np.abs(resid)))
@@ -195,7 +196,7 @@ def corollary_residual(traj, i):
     """Normal-vector residual of the contracted continuity form at snapshot i."""
     (sfm, sf0, sfp), span = _triple(traj, i)
     dH = dg.project_normal(sf0, (sfp.mean_curvature - sfm.mean_curvature) / span)
-    tau, _ = _torsion(sf0)
+    tau = _tau(sf0)
     gradH = np.stack(
         [dg.normal_derivative(sf0, sf0.mean_curvature, j) for j in range(2)], axis=-2
     )
@@ -203,8 +204,7 @@ def corollary_residual(traj, i):
     div_tau = dg.metric_divergence(
         sf0, np.einsum("...ij,...j->...i", sf0.metric_inv, tau)
     )
-    jh = dg.apply_j(sf0, sf0.mean_curvature)
-    p = np.einsum("...ijd,...d->...ij", sf0.second_form, jh)
+    p = np.einsum("...ijd,...d->...ij", sf0.second_form, sf0.jh)
     quad = np.einsum(
         "...ik,...jl,...kl,...ijd->...d",
         sf0.metric_inv, sf0.metric_inv, p, sf0.second_form,
@@ -232,9 +232,7 @@ def momentum_residual(traj, i):
     imm = sf0.immersion
     n, hs = imm.dim, imm.spacings
 
-    taum, _ = _torsion(sfm)
-    tau0, _ = _torsion(sf0)
-    taup, _ = _torsion(sfp)
+    taum, tau0, taup = _tau(sfm), _tau(sf0), _tau(sfp)
     d_tau = (taup - taum) / span
 
     def grad(scalar):

@@ -3,7 +3,9 @@
 Each check reproduces one analytic target at a stated tolerance and returns a
 CheckResult; run_all executes them in order and is the single implementation
 behind both `skewflow validate` and tests/test_acceptance.py.  The strict
-tolerance profile halves every tolerance.
+tolerance profile halves every tolerance.  A ValidationContext makes each
+solve that several checks share once per suite, so the checks read one
+membrane run, one filament run and one run per sphere product.
 """
 
 import math
@@ -32,7 +34,14 @@ class CheckResult:
 
 
 class ValidationContext:
-    """Caches the expensive shared runs (membrane evolution, sphere products)."""
+    """Makes each shared solve once per suite and keeps it:
+
+    - the membrane run of checks 3, 4 and 9, and the volume, Willmore energy
+      and energy rate of each of its snapshots (membrane_series: numbers
+      only, no shape fields);
+    - the filament run of checks 5 and 6;
+    - the sphere-product runs of checks 2 and 3.
+    """
 
     def __init__(self, tol_scale=1.0):
         self.tol_scale = tol_scale
@@ -49,6 +58,40 @@ class ValidationContext:
                 imm, 1e-3, 0.2, stride=10, order=4
             )
         return self._cache["membrane"]
+
+    def membrane_series(self):
+        """Volume, Willmore energy and energy rate (the integral of
+        dg.energy_derivative_integrand) of every membrane_run snapshot.
+
+        One forward pass builds each snapshot's shape field once; the window
+        of MembraneTrajectory.fields drops the fields, and only the three
+        lists of floats are kept.
+        """
+        if "membrane_series" not in self._cache:
+            traj = self.membrane_run()
+            series = {"volume": [], "willmore": [], "rate": []}
+            for i in range(len(traj.snapshots)):
+                sf = traj.fields(i)
+                series["volume"].append(dg.integrate_density(sf, np.ones_like(sf.rho)))
+                series["willmore"].append(dg.willmore_energy(sf))
+                series["rate"].append(dg.energy_derivative_integrand(sf)[1])
+            self._cache["membrane_series"] = series
+        return self._cache["membrane_series"]
+
+    def filament_run(self):
+        """The acceptance curve under the binormal flow at dt=1e-4 to T=1, a
+        snapshot every 2000 steps: t = 0, 0.2, ..., 1.  It resamples every 10
+        steps, evolve_filament's default, so its t = 0.2 snapshot is bit for
+        bit the curve that fl.square_profiles's own run to 0.2 ends on."""
+        if "filament" not in self._cache:
+            self._cache["filament"] = fl.evolve_filament(
+                self.acceptance_curve(), 1e-4, 1.0, stride=2000
+            )
+        return self._cache["filament"]
+
+    def made_filament_run(self):
+        """filament_run's trajectory if this suite has made it, else None."""
+        return self._cache.get("filament")
 
     def sphere_run(self, s0):
         """RK4 run of a sphere product at dt=5e-4 to 0.8 of its collapse time
@@ -95,9 +138,7 @@ def check_conservation(ctx):
         traj = ctx.sphere_run(sp.SphereProductState(m, l, a, b))
         ham = [sp.hamiltonian(traj.state(i)) for i in range(traj.times.size)]
         worst_h = max(worst_h, max(ham) - min(ham))
-    traj = ctx.membrane_run()
-    fields = map(traj.fields, range(len(traj.snapshots)))
-    vols = [dg.integrate_density(sf, np.ones_like(sf.rho)) for sf in fields]
+    vols = ctx.membrane_series()["volume"]
     vol_drift = max(abs(v / vols[0] - 1.0) for v in vols)
     tol_h, tol_v = ctx.tol(1e-8), ctx.tol(2e-3)
     ok = worst_h <= tol_h and vol_drift <= tol_v
@@ -107,17 +148,15 @@ def check_conservation(ctx):
 def check_willmore_noninvariance(ctx):
     """Membrane Willmore series vs 4pi^2(b/a e^(2t/ab) + a/b e^(-2t/ab)); >5% change."""
     traj = ctx.membrane_run()
+    willmore = ctx.membrane_series()["willmore"]
     s0 = sp.SphereProductState(1, 1, 1.0, 2.0)
     worst_w = worst_r = 0.0
-    for i, (t, snap) in enumerate(zip(traj.times, traj.snapshots)):
+    for t, snap, w in zip(traj.times, traj.snapshots, willmore):
         ex = sp.closed_form(s0, t)
-        w = dg.willmore_energy(traj.fields(i))
         worst_w = max(worst_w, abs(w / sp.willmore(ex) - 1.0))
         a, b = mb.extract_radii(snap)
         worst_r = max(worst_r, abs(a / ex.a - 1.0), abs(b / ex.b - 1.0))
-    w0 = dg.willmore_energy(traj.fields(0))
-    wT = dg.willmore_energy(traj.fields(-1))
-    change = abs(wT / w0 - 1.0)
+    change = abs(willmore[-1] / willmore[0] - 1.0)
     tol_w, tol_r = ctx.tol(1e-2), ctx.tol(1e-2)
     ok = worst_w <= tol_w and worst_r <= tol_r and change > 0.05
     return ok, (
@@ -128,7 +167,7 @@ def check_willmore_noninvariance(ctx):
 
 def check_willmore_1d(ctx):
     """Bending-energy drift of the binormal flow over T=1 at N=256, dt=1e-4."""
-    traj = fl.evolve_filament(ctx.acceptance_curve(), 1e-4, 1.0, reparam_every=10)
+    traj = ctx.filament_run()
     w0 = fl.willmore_1d(traj.states[0])
     wT = fl.willmore_1d(traj.final)
     drift = abs(wT / w0 - 1.0)
@@ -138,7 +177,10 @@ def check_willmore_1d(ctx):
 
 def check_hasimoto_square(ctx):
     """Filament / curvature-torsion / wave / fluid curvature profiles at t=0.2."""
-    profiles, status = fl.square_profiles(ctx.acceptance_curve(), 1e-4, 0.2, holonomy_tol=1e-10)
+    run = ctx.made_filament_run()  # check 5's run; without it the filament runs to 0.2 alone
+    evolved = None if run is None else run.states[1]  # its t = 0.2 snapshot
+    profiles, status = fl.square_profiles(ctx.acceptance_curve(), 1e-4, 0.2, holonomy_tol=1e-10,
+                                          filament=evolved)
     if len(profiles) < len(fl.SQUARE_CORNERS):
         return False, "; ".join(f"{c} {s}" for c, s in status.items() if s != "ok")
     worst = max(fl.square_gaps(profiles).values())
@@ -225,13 +267,15 @@ def check_continuity_source(ctx):
 
 def check_energy_identity(ctx):
     """Centered dW/dt vs -2 int (A,H)(A,JH) dvol along the membrane run."""
-    traj = ctx.membrane_run()
+    times = ctx.membrane_run().times
+    series = ctx.membrane_series()
+    w, rate = series["willmore"], series["rate"]
     worst_rel = 0.0
-    for i in range(1, len(traj.snapshots) - 1):
-        lhs, rhs, gap = mb.energy_identity_check(traj, i)
-        worst_rel = max(worst_rel, abs(gap) / abs(rhs))
-    _, rhs0 = dg.energy_derivative_integrand(traj.fields(0))
-    hand = abs(rhs0 / (8.0 * math.pi ** 2 * 0.75) - 1.0)
+    for i in range(1, len(times) - 1):
+        # the arithmetic of mb.energy_identity_check, on the kept numbers
+        gap = (w[i + 1] - w[i - 1]) / (times[i + 1] - times[i - 1]) - rate[i]
+        worst_rel = max(worst_rel, abs(gap) / abs(rate[i]))
+    hand = abs(rate[0] / (8.0 * math.pi ** 2 * 0.75) - 1.0)
     tol_rel, tol_hand = ctx.tol(1e-2), ctx.tol(5e-3)
     ok = worst_rel <= tol_rel and hand <= tol_hand
     return ok, (

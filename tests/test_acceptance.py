@@ -22,9 +22,11 @@ printing one PASS/FAIL line per criterion (visible with pytest -s / -rA).
 import pytest
 
 from skewflow import diffgeo as dg
+from skewflow import filament as fl
 from skewflow import membrane as mb
 from skewflow import sphereprod as sp
 from skewflow import validate
+from skewflow.errors import SelfIntersectionAbort
 
 
 @pytest.fixture(scope="module")
@@ -101,3 +103,39 @@ def test_checks_2_and_3_run_each_sphere_product_once(monkeypatch):
     assert validate.check_closed_form_agreement(ctx)[0]
     assert validate.check_conservation(ctx)[0]
     assert len(runs) == len(set(runs)) == 4
+
+
+def test_check_6_alone_runs_the_filament_only_to_its_own_horizon(results, monkeypatch):
+    horizons = []
+    evolve_filament = fl.evolve_filament
+    monkeypatch.setattr(fl, "evolve_filament",
+                        lambda c, dt, t, **kw: horizons.append(t) or evolve_filament(c, dt, t, **kw))
+    (alone,) = validate.run_all(only=["6"])
+    assert alone.details == results["6-hasimoto-square"].details
+    assert horizons == [0.2]
+
+
+def test_check_6_runs_its_own_filament_when_check_5s_run_aborts(results, monkeypatch):
+    evolve_filament = fl.evolve_filament
+
+    def aborting(c, dt, t, **kw):
+        if t > 0.2:
+            raise SelfIntersectionAbort("injected", 0.0)
+        return evolve_filament(c, dt, t, **kw)
+
+    monkeypatch.setattr(fl, "evolve_filament", aborting)
+    five, six = validate.run_all(only=["5", "6"])
+    assert not five.passed and "SelfIntersectionAbort" in five.details
+    assert six.details == results["6-hasimoto-square"].details
+
+
+def test_checks_3_4_and_9_build_each_membrane_field_once(results, monkeypatch):
+    built = []
+    shape_field = dg.shape_field
+    monkeypatch.setattr(dg, "shape_field",
+                        lambda imm, **kw: built.append(imm) or shape_field(imm, **kw))
+    out = validate.run_all(only=["3", "4", "9"])
+    assert [r.details for r in out] == [
+        results[c].details for c in ("3-conservation", "4-willmore-2d", "9-energy-identity")
+    ]
+    assert len(built) == 21  # one per snapshot of the shared run

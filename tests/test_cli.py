@@ -456,6 +456,19 @@ def test_headerless_surface_file_exits_2(tmp_path, capsys):
     assert "'dim'" in capsys.readouterr().err
 
 
+def test_surface_file_with_ragged_rows_exits_2(tmp_path, capsys):
+    snap = tmp_path / "ragged.txt"
+    dg.save_immersion(dg.torus_immersion(1.0, 2.0, (16, 16)), snap)
+    lines = snap.read_text().splitlines()
+    first, second = lines[4].split(), lines[5].split()
+    lines[4], lines[5] = " ".join(first[:3]), " ".join([first[3]] + second)
+    snap.write_text("\n".join(lines) + "\n")
+    code = cli.main(["membrane-run", "surface=torus_product", "a=1", "b=2",
+                     f"surface_file={snap}", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"config error: snapshot {snap}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("periods", ["-6.2831853071795862 6.2831853071795862",
                                      "0 6.2831853071795862"])
 def test_bad_param_periods_in_surface_file_exit_2(tmp_path, capsys, periods):

@@ -518,6 +518,39 @@ def test_snapshot_rows_are_17_digit_text(tmp_path):
     assert text.endswith("\n")
 
 
+def test_snapshot_rows_read_as_python_floats_bitwise(tmp_path):
+    # 200k doubles from random bit patterns: every exponent from subnormal to
+    # 1e308, both signs; plus the zeros and the subnormal extremes
+    rng = np.random.default_rng(2024)
+    values = np.frombuffer(rng.bytes(8 * 200_000), dtype=float).copy()
+    values[~np.isfinite(values)] = 1.0
+    values[:6] = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300]
+    path = tmp_path / "snap.txt"
+    dg.save_immersion(dg.GridImmersion(values.reshape(250, 200, 4), (1.0, 2.0)), path)
+    tokens = " ".join(path.read_text().splitlines()[4:]).split()
+    expected = np.array([float(x) for x in tokens])
+    back = dg.load_immersion(path).points.ravel()
+    assert np.array_equal(back.view(np.uint64), expected.view(np.uint64))
+    assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
+
+
+def test_snapshot_rows_of_unequal_length_are_rejected(tmp_path):
+    imm = dg.torus_immersion(1.0, 2.0, (8, 8))
+    path = tmp_path / "snap.txt"
+    dg.save_immersion(imm, path)
+    lines = path.read_text().splitlines()
+    # the first two rows hold 3 and 5 values: same total, same row count
+    first, second = lines[4].split(), lines[5].split()
+    lines[4], lines[5] = " ".join(first[:3]), " ".join([first[3]] + second)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        dg.load_immersion(path)
+    # a row too few or too many
+    path.write_text("\n".join(lines[:4] + lines[6:]) + "\n")
+    with pytest.raises(ValueError, match="data rows"):
+        dg.load_immersion(path)
+
+
 def test_failed_snapshot_write_leaves_no_file_under_its_name(tmp_path, monkeypatch):
     def interrupted(src, dst):
         raise OSError("interrupted before the rename")

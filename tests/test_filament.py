@@ -512,6 +512,22 @@ def test_four_corner_agreement_quick():
             assert gap <= 5e-3, f"{u}/{v}: {gap:.2e}"
 
 
+def test_a_longer_run_passes_bitwise_through_a_shorter_runs_final_state():
+    # both runs resample at steps 10 and 20, so step 20 of the longer run is
+    # the shorter run's final curve bit for bit
+    raw = fl.perturbed_circle(1.0, 0.05, 3, 64)
+    short = fl.evolve_filament(raw, 1e-3, 0.02)
+    longer = fl.evolve_filament(raw, 1e-3, 0.06, stride=20)
+    assert longer.times[1] == short.times[-1]
+    assert np.array_equal(longer.states[1].points, short.final.points)
+    assert longer.states[1].param_periods == short.final.param_periods
+    # so square_profiles may read that snapshot instead of running the filament
+    own, _ = fl.square_profiles(raw, 1e-3, 0.02, holonomy_tol=1e-10)
+    read, _ = fl.square_profiles(raw, 1e-3, 0.02, holonomy_tol=1e-10, filament=longer.states[1])
+    assert list(read) == list(own)
+    assert all(np.array_equal(read[c], own[c]) for c in own)
+
+
 def test_square_profiles_skip_the_wave_corner_above_the_holonomy_tol():
     raw = fl.twisted_circle(1.0, 0.1, 2, 64)
     holonomy = fl.hasimoto(fl.frenet_data(fl.arclength_resample(raw)))[1]

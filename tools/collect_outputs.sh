@@ -22,19 +22,24 @@
 # on a passing curve and on a singular one (eps (1 + k^2) = 1: curvature
 # touches zero, so the curvature/torsion and fluid corners abort),
 # `crosscheck mode=sphere-membrane` on a 16 x 16 torus, both `sphere-run`
-# examples of the README (to collapse and over a fixed horizon) and
-# `skewflow validate`.  The reports crosscheck prints to standard output are
-# kept beside its CSVs.  Manifests hold wall times, and the validate lines
-# printed to standard output lose their timing suffix; for a byte-identical
-# change every other file must match exactly.  For a change that moves results by roundoff
-# rather than leaving them byte identical, compare the two trees with
+# examples of the README (to collapse and over a fixed horizon),
+# `skewflow validate`, and `validate suite=6` and `suite=3,4,9`.  The full
+# suite shares one filament run between checks 5 and 6 and one pass over the
+# membrane snapshots among checks 3, 4 and 9; the two subsets take the other
+# paths: check 6 runs its own filament, and the membrane pass is made for
+# those three checks alone.  The reports crosscheck prints to standard
+# output are kept beside its CSVs.  Manifests hold wall times, and the
+# validate lines printed to standard output lose their timing suffix; for a
+# byte-identical change every other file must match exactly.  For a change
+# that moves results by roundoff rather than leaving them byte identical,
+# compare the two trees with
 #
 #   python3 tools/compare_outputs.py /tmp/outputs-parent /tmp/outputs-change
 #
 # which prints the largest absolute and relative difference per CSV column
 # and per snapshot, and exits 1 on a structural mismatch (a missing file, a
 # different header or row count, a validate PASS/FAIL flip).  Takes about
-# 25 s on a 2-core host.
+# 30 s on a 2-core host.
 set -eu
 if [ $# -ne 2 ]; then
     echo "usage: $0 CHECKOUT OUTDIR" >&2
@@ -42,7 +47,7 @@ if [ $# -ne 2 ]; then
 fi
 src=$(cd "$1" && pwd)/src
 out=$2
-mkdir -p "$out/validate"
+mkdir -p "$out/validate" "$out/validate_6" "$out/validate_3_4_9"
 
 skewflow() {
     PYTHONPATH="$src" python3 -m skewflow.cli "$@"
@@ -97,3 +102,7 @@ skewflow sphere-run m=1 l=2 a=1 b=1 dt=1e-4 mode=to-collapse a_stop=1e-10 \
 skewflow sphere-run m=1 l=1 a=1 b=2 T=1.0 dt=1e-3 stride=100 \
     --out "$out/sphere_fixed" >/dev/null
 skewflow validate --out "$out/validate" | sed 's/ *\[[0-9.]*s\]$//' >"$out/validate/stdout.txt"
+skewflow validate suite=6 --out "$out/validate_6" | sed 's/ *\[[0-9.]*s\]$//' \
+    >"$out/validate_6/stdout.txt"
+skewflow validate suite=3,4,9 --out "$out/validate_3_4_9" | sed 's/ *\[[0-9.]*s\]$//' \
+    >"$out/validate_3_4_9/stdout.txt"
