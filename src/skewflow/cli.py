@@ -80,7 +80,7 @@ SCHEMAS = {
         "a_stop": (float, sp.A_STOP_DEFAULT), "stride": (_as_int, 1),
     },
     "filament-run": _curve_schema(
-        N=128, dt=1e-3, T=1.0, reparam_every=(_as_int, 10), scheme=(str, "fd4"),
+        N=128, dt=1e-3, T=1.0, reparam_every=(_as_int, 10),
     ),
     "darios-run": _curve_schema(),
     "nls-run": {
@@ -240,7 +240,7 @@ def run_filament(p, outdir):
     return _run_1d(
         p, outdir, "filament",
         lambda stride: fl.evolve_filament(curve, p["dt"], p["T"], stride=stride,
-                                          reparam_every=p["reparam_every"], scheme=p["scheme"]),
+                                          reparam_every=p["reparam_every"]),
         "trajectory.csv", ["x", "y", "z"], lambda c: c.points,
         ["length", "willmore"], lambda c: (fl.curve_length(c), fl.willmore_1d(c)),
     )
@@ -304,13 +304,15 @@ def run_membrane(p, outdir):
     return code
 
 
-def run_crosscheck(p, outdir, tol_scale=1.0):
+def run_crosscheck(p, outdir, tol_scale):
     rows = []
     failed = False
     p = dict(p, tol=p["tol"] * tol_scale, tol_radii=p["tol_radii"] * tol_scale)
     if p["mode"] == "filament-square":
         raw = fl.build_curve("perturbed_circle", p["N"], R=p["R"], eps=p["eps"], k=p["k"])
-        profiles, status = fl.square_profiles(raw, p["dt"], p["T"], fl.HOLONOMY_TOL)
+        run = fl.evolve_filament(raw, p["dt"], p["T"])
+        profiles, status = fl.square_profiles(run.states[0], run.final, p["dt"], p["T"],
+                                              fl.HOLONOMY_TOL)
         for (u, v), gap in fl.square_gaps(profiles).items():
             if gap is None:
                 rows.append((f"{u}/{v}", "nan", _fmt(p["tol"]),
@@ -342,9 +344,8 @@ def run_validate(p, outdir, tol_scale):
     results = val.run_all(tol_scale=tol_scale, only=only)
     for r in results:
         print(f"{r.line()}   [{r.seconds:.1f}s]")
-    if outdir:
-        rows = [(r.check_id, r.name, "pass" if r.passed else "fail", r.details) for r in results]
-        write_csv(os.path.join(outdir, "validate.csv"), ["check", "name", "status", "details"], rows)
+    rows = [(r.check_id, r.name, "pass" if r.passed else "fail", r.details) for r in results]
+    write_csv(os.path.join(outdir, "validate.csv"), ["check", "name", "status", "details"], rows)
     return 0 if results and all(r.passed for r in results) else 1
 
 
@@ -355,6 +356,13 @@ RUNNERS = {
     "nls-run": run_nls,
     "fluid-run": run_fluid,
     "membrane-run": run_membrane,
+}
+
+# the subcommands that compare results with tolerances, which
+# --tol-profile strict halves
+CHECKERS = {
+    "crosscheck": run_crosscheck,
+    "validate": run_validate,
 }
 
 
@@ -377,7 +385,8 @@ def build_parser():
         s.add_argument("--dt", default=None)
         s.add_argument("--T", default=None)
         s.add_argument("--stride", default=None)
-        s.add_argument("--tol-profile", choices=("strict", "default"), default="default")
+        if name in CHECKERS:
+            s.add_argument("--tol-profile", choices=("strict", "default"), default="default")
     return parser
 
 
@@ -395,11 +404,8 @@ def main(argv=None):
     started = time.perf_counter()
     try:
         os.makedirs(outdir, exist_ok=True)
-        tol_scale = 0.5 if args.tol_profile == "strict" else 1.0
-        if name == "validate":
-            code = run_validate(params, outdir, tol_scale)
-        elif name == "crosscheck":
-            code = run_crosscheck(params, outdir, tol_scale)
+        if name in CHECKERS:
+            code = CHECKERS[name](params, outdir, 0.5 if args.tol_profile == "strict" else 1.0)
         else:
             code = RUNNERS[name](params, outdir)
         write_manifest(outdir, name, params, time.perf_counter() - started)

@@ -37,6 +37,11 @@ bitwise those of allocating code.  In the same way plane_einsum writes the
 2x2 index contractions of the membrane residuals as sums over component
 planes, in np.einsum's own order.
 
+A ShapeField keeps what the membrane residuals read from several places:
+J H (jh), the continuity source (source) and the torsion form (tau) are each
+computed on first use and kept as read-only arrays, so a field computes each
+once however many residuals read it.
+
 J is the quarter-turn of the normal plane.  Its direction is fixed by the
 sign convention det[t_1, ..., t_n, v, Jv] < 0 in ambient coordinates; this
 is the convention under which a curve's binormal velocity is -J(kappa n) =
@@ -52,7 +57,7 @@ import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,8 +141,6 @@ class ShapeField:
     mean_curvature: np.ndarray  # (*s, d)
     rho: np.ndarray             # (*s,), |H|^2
     tol_perp: np.ndarray        # (*s,)
-    tau: np.ndarray | None = field(default=None)      # (*s, n), set by torsion_form
-    tau_mask: np.ndarray | None = field(default=None)  # True where |H| < H_MIN
 
     @functools.cached_property
     def jh(self):
@@ -149,6 +152,12 @@ class ShapeField:
         """source_term of this field, (*s,): computed on first use and kept,
         read-only."""
         return _read_only(source_term(self))
+
+    @functools.cached_property
+    def tau(self):
+        """torsion_form of this field, (*s, n): computed on first use and
+        kept, read-only."""
+        return _read_only(torsion_form(self))
 
 
 def _read_only(a):
@@ -596,16 +605,16 @@ def willmore_energy(sf):
 
 
 def torsion_form(sf):
-    """Torsion 1-form of the normalized mean-curvature frame, chi = 2 tau^sharp.
+    """Torsion 1-form tau of the normalized mean-curvature frame.
 
     tau_i measures the rotation rate of (h, Jh), h = H/|H|, along the i-th
     coordinate: tau_i = -(D_i h, J h), i.e. the pairing uses the transpose
     rotation -J.  This is the sign under which tau reduces to the classical
     torsion of a space curve (and the curvature-density transport below runs
-    the right way); pairing with +J instead negates tau and chi.
+    the right way); pairing with +J instead negates tau.
 
-    Points with |H| < H_MIN are masked (NaN components, mask returned on the
-    shape field as tau_mask); the frame rotation rate is undefined there.
+    Points with |H| < H_MIN are masked with NaN components; the frame
+    rotation rate is undefined there.  sf.tau keeps it per shape field.
     """
     absH = np.sqrt(sf.rho)
     mask = absH < H_MIN
@@ -619,10 +628,7 @@ def torsion_form(sf):
     )
     if mask.any():
         tau[mask] = np.nan
-    chi = 2.0 * np.einsum("...ij,...j->...i", sf.metric_inv, tau)
-    sf.tau = tau
-    sf.tau_mask = mask
-    return tau, chi
+    return tau
 
 
 def normal_laplacian(sf, V):
@@ -774,9 +780,7 @@ def normal_curvature_check(sf):
     imm = sf.immersion
     if imm.dim != 2:
         raise UnsupportedDimensionError("plaquette 2-forms need a 2D grid")
-    if sf.tau is None:
-        torsion_form(sf)
-    if sf.tau_mask is not None and sf.tau_mask.any():
+    if np.isnan(sf.tau).any():
         raise FrameDegeneracyError("torsion form is masked; curvature check unavailable")
 
     e1, e2 = _edge_integrals(sf.tau, imm.spacings)

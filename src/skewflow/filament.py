@@ -13,11 +13,10 @@ The curvature/torsion and fluid right-hand sides are grouped so that the two
 discretizations are exactly conjugate under (rho, v) = (kappa^2, 2 tau), and
 the conservative form -(rho v)' makes the discrete total mass exact.
 
-Spatial derivatives are 4th-order centered differences; the filament run
-and the Frenet data can take spectral (FFT) differentiation instead.  Time
-stepping is classical RK4.  The binormal velocity is normal to the curve, so
-arclength parametrization only drifts by truncation; an optional periodic
-cubic resampling every few steps corrects it.
+Spatial derivatives are 4th-order centered differences (diffgeo's periodic
+stencils); time stepping is classical RK4.  The binormal velocity is normal
+to the curve, so arclength parametrization only drifts by truncation; an
+optional periodic cubic resampling every few steps corrects it.
 
 The package depends on numpy alone, so a CLI call starts without loading a
 larger library.  The resampling's cubic splines (a periodic one through the
@@ -102,33 +101,20 @@ def build_curve(kind, n, **params):
 
 
 # ---------------------------------------------------------------------------
-# periodic differentiation (FD4 default, spectral selectable)
+# periodic differentiation
 # ---------------------------------------------------------------------------
 
-def _spectral_derivative(f, period, nu):
-    n = f.shape[0]
-    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=period / n)
-    mult = (1j * k) ** nu
-    if nu % 2 == 1 and n % 2 == 0:
-        mult[-1] = 0.0  # odd derivative has no consistent Nyquist mode
-    shape = (-1,) + (1,) * (f.ndim - 1)
-    return np.fft.irfft(np.fft.rfft(f, axis=0) * mult.reshape(shape), n=n, axis=0)
-
-
-def derivative(f, period, nu=1, scheme="fd4"):
-    """nu-th derivative of a periodic sampled field (columns differentiated)."""
-    if scheme == "fd4":
-        h = period / f.shape[0]
-        if nu == 1:
-            return dg.diff(f, 0, h, 4)
-        if nu == 2:
-            return dg.diff2(f, 0, h, 4)
-        if nu == 3:
-            return dg.diff(dg.diff2(f, 0, h, 4), 0, h, 4)
-        raise ValueError("fd4 supports 1 <= nu <= 3")
-    if scheme == "spectral":
-        return _spectral_derivative(f, period, nu)
-    raise ValueError(f"unknown scheme {scheme!r}")
+def derivative(f, period, nu=1):
+    """nu-th derivative of a periodic sampled field (columns differentiated)
+    by diffgeo's order-4 centered differences."""
+    h = period / f.shape[0]
+    if nu == 1:
+        return dg.diff(f, 0, h, 4)
+    if nu == 2:
+        return dg.diff2(f, 0, h, 4)
+    if nu == 3:
+        return dg.diff(dg.diff2(f, 0, h, 4), 0, h, 4)
+    raise ValueError(f"nu must be 1, 2 or 3, got {nu}")
 
 
 # ---------------------------------------------------------------------------
@@ -333,23 +319,19 @@ def min_nonneighbor_distance(points):
 # binormal flow
 # ---------------------------------------------------------------------------
 
-def binormal_rhs(points, period, scheme="fd4"):
+def binormal_rhs(points, period):
     """Velocity gamma' x gamma'' of the filament equation (arclength samples)."""
-    gp, gpp = derivative(points, period, 1, scheme), derivative(points, period, 2, scheme)
+    gp, gpp = derivative(points, period, 1), derivative(points, period, 2)
     return dg.generalised_cross([gp.T], gpp.T).T
 
 
-def stability_limit(n, period, scheme="fd4"):
+def stability_limit(n, period):
     """RK4 step bound for the binormal flow's k^2 dispersion at grid scale."""
     h = period / n
-    if scheme == "spectral":
-        peak = (np.pi / h) ** 2
-    else:
-        peak = (16.0 / 3.0) / (h * h)
-    return 2.82 / peak
+    return 2.82 / ((16.0 / 3.0) / (h * h))
 
 
-def evolve_filament(curve, dt, t_final, stride=None, reparam_every=10, scheme="fd4"):
+def evolve_filament(curve, dt, t_final, stride=None, reparam_every=10):
     """RK4 evolution under the binormal flow; returns a stepping.Trajectory.
 
     The input is resampled to uniform arclength first; every reparam_every
@@ -365,13 +347,13 @@ def evolve_filament(curve, dt, t_final, stride=None, reparam_every=10, scheme="f
     nsteps = step_count(dt, t_final, stride)
 
     def checks(c, t):
-        if np.max(np.abs(binormal_rhs(c.points, c.param_periods[0], scheme))) > BLOWUP_CAP:
+        if np.max(np.abs(binormal_rhs(c.points, c.param_periods[0]))) > BLOWUP_CAP:
             raise BlowUpAbort("binormal velocity exceeded the blow-up cap", t)
         if min_nonneighbor_distance(c.points) < d_min:
             raise SelfIntersectionAbort("non-neighbor samples closer than d_min", t)
 
     def step(c, i):
-        pts = rk4_step(lambda p: binormal_rhs(p, c.param_periods[0], scheme), c.points, dt)
+        pts = rk4_step(lambda p: binormal_rhs(p, c.param_periods[0]), c.points, dt)
         if not np.all(np.isfinite(pts)):
             raise BlowUpAbort("non-finite coordinates", i * dt)
         c = dg.GridImmersion(pts, c.param_periods)
@@ -383,7 +365,7 @@ def evolve_filament(curve, dt, t_final, stride=None, reparam_every=10, scheme="f
         return c
 
     checks(c, 0.0)
-    dt_max = stability_limit(n, c.param_periods[0], scheme)
+    dt_max = stability_limit(n, c.param_periods[0])
     if dt > dt_max:
         raise ValueError(f"dt={dt:.3e} above the stability bound {dt_max:.3e} at N={n}")
     return integrate(step, c, dt, t_final, stride)
@@ -410,16 +392,16 @@ class FrenetData:
         return float(np.sum(self.tau) * self.ds)
 
 
-def frenet_data(curve, scheme="fd4"):
+def frenet_data(curve):
     """Curvature kappa = |gamma''| and torsion (gamma' x gamma'', gamma''')/kappa^2.
 
     Assumes a uniform-arclength curve.  Torsion is masked (set to zero with
     mask True) where kappa < KAPPA_MIN; no regularization is attempted.
     """
     pts, (period,) = curve.points, curve.param_periods
-    gp = derivative(pts, period, 1, scheme)
-    gpp = derivative(pts, period, 2, scheme)
-    gppp = derivative(pts, period, 3, scheme)
+    gp = derivative(pts, period, 1)
+    gpp = derivative(pts, period, 2)
+    gppp = derivative(pts, period, 3)
     kappa = np.linalg.norm(gpp, axis=1)
     mask = kappa < KAPPA_MIN
     gp_x_gpp = dg.generalised_cross([gp.T], gpp.T).T
@@ -621,22 +603,19 @@ def madelung_inverse(psi):
 SQUARE_CORNERS = ("filament", "darios", "nls", "fluid")
 
 
-def square_profiles(raw, dt, t_final, holonomy_tol, filament=None):
+def square_profiles(start, filament, dt, t_final, holonomy_tol):
     """Final curvature profiles of the four corners of the square on one curve.
 
-    The filament runs from the raw curve (evolve_filament resamples it); the
-    other three start from the Frenet data of its arclength resampling.  A
-    caller that has already run evolve_filament(raw, dt, ...) through t_final,
-    with the default resampling, passes the curve at t_final as `filament`,
-    and the filament corner reads it instead of running again.
+    `start` and `filament` are the first state and the state at t_final of
+    one evolve_filament(raw, dt, ...) run: start is arclength_resample(raw),
+    and the filament corner reads its profile from `filament`.  The other
+    three corners run from the Frenet data of start.
     Returns (profiles, status): the final curvature of each corner that ran,
     and for every corner "ok", "singular (<abort>)" or, when the holonomy is
     more than holonomy_tol from a multiple of 2 pi, "skipped (holonomy
     obstruction)".
     """
-    fr0 = frenet_data(arclength_resample(raw))
-    if filament is None:
-        filament = evolve_filament(raw, dt, t_final).final
+    fr0 = frenet_data(start)
     profiles = {"filament": frenet_data(filament).kappa}
     status = {"filament": "ok"}
     try:

@@ -162,11 +162,6 @@ def extract_radii(imm):
     return a, b
 
 
-def _tau(sf):
-    """Torsion form of a shape field: computed once, then read from sf.tau."""
-    return dg.torsion_form(sf)[0] if sf.tau is None else sf.tau
-
-
 def _triple(traj, i):
     if not 0 < i < len(traj.snapshots) - 1:
         raise IndexError("residuals need snapshots on both sides of i")
@@ -176,17 +171,15 @@ def _triple(traj, i):
 
 def continuity_residual(traj, i):
     """Pointwise residual of the curvature-density continuity equation at
-    snapshot i: centered d/dt of rho + div(rho chi) - source.
+    snapshot i: centered d/dt of rho + div(rho chi) - source, with the
+    transport velocity chi = 2 tau^sharp = 2 g^-1 tau.
 
     Points where |H| is masked (and their stencil neighbors) carry NaN in the
     returned field and are excluded from the max norm.
     """
     (sfm, sf0, sfp), span = _triple(traj, i)
     d_rho = (sfp.rho - sfm.rho) / span
-    if sf0.tau is None:  # torsion_form makes chi = 2 tau^sharp along with tau
-        _, chi = dg.torsion_form(sf0)
-    else:
-        chi = 2.0 * np.einsum("...ij,...j->...i", sf0.metric_inv, sf0.tau)
+    chi = 2.0 * np.einsum("...ij,...j->...i", sf0.metric_inv, sf0.tau)
     div = dg.metric_divergence(sf0, sf0.rho[..., None] * chi)
     resid = d_rho + div - sf0.source
     return resid, float(np.nanmax(np.abs(resid)))
@@ -196,13 +189,12 @@ def corollary_residual(traj, i):
     """Normal-vector residual of the contracted continuity form at snapshot i."""
     (sfm, sf0, sfp), span = _triple(traj, i)
     dH = dg.project_normal(sf0, (sfp.mean_curvature - sfm.mean_curvature) / span)
-    tau = _tau(sf0)
     gradH = np.stack(
         [dg.normal_derivative(sf0, sf0.mean_curvature, j) for j in range(2)], axis=-2
     )
-    advect = 2.0 * np.einsum("...ij,...i,...jd->...d", sf0.metric_inv, tau, gradH)
+    advect = 2.0 * np.einsum("...ij,...i,...jd->...d", sf0.metric_inv, sf0.tau, gradH)
     div_tau = dg.metric_divergence(
-        sf0, np.einsum("...ij,...j->...i", sf0.metric_inv, tau)
+        sf0, np.einsum("...ij,...j->...i", sf0.metric_inv, sf0.tau)
     )
     p = np.einsum("...ijd,...d->...ij", sf0.second_form, sf0.jh)
     quad = np.einsum(
@@ -232,13 +224,12 @@ def momentum_residual(traj, i):
     imm = sf0.immersion
     n, hs = imm.dim, imm.spacings
 
-    taum, tau0, taup = _tau(sfm), _tau(sf0), _tau(sfp)
-    d_tau = (taup - taum) / span
+    d_tau = (sfp.tau - sfm.tau) / span
 
     def grad(scalar):
         return np.stack([dg.diff(scalar, k, hs[k], sf0.order) for k in range(n)], axis=-1)
 
-    tau_sq = dg.plane_einsum("...ij,...i,...j->...", sf0.metric_inv, tau0, tau0)
+    tau_sq = dg.plane_einsum("...ij,...i,...j->...", sf0.metric_inv, sf0.tau, sf0.tau)
     absH = np.sqrt(sf0.rho)
     lap_term = grad(dg.laplace_beltrami(sf0, absH) / absH)
 

@@ -82,7 +82,7 @@ class ValidationContext:
         """The acceptance curve under the binormal flow at dt=1e-4 to T=1, a
         snapshot every 2000 steps: t = 0, 0.2, ..., 1.  It resamples every 10
         steps, evolve_filament's default, so its t = 0.2 snapshot is bit for
-        bit the curve that fl.square_profiles's own run to 0.2 ends on."""
+        bit the curve that a run to 0.2 alone ends on."""
         if "filament" not in self._cache:
             self._cache["filament"] = fl.evolve_filament(
                 self.acceptance_curve(), 1e-4, 1.0, stride=2000
@@ -177,10 +177,11 @@ def check_willmore_1d(ctx):
 
 def check_hasimoto_square(ctx):
     """Filament / curvature-torsion / wave / fluid curvature profiles at t=0.2."""
-    run = ctx.made_filament_run()  # check 5's run; without it the filament runs to 0.2 alone
-    evolved = None if run is None else run.states[1]  # its t = 0.2 snapshot
-    profiles, status = fl.square_profiles(ctx.acceptance_curve(), 1e-4, 0.2, holonomy_tol=1e-10,
-                                          filament=evolved)
+    # check 5's run, whose second state is its t = 0.2 snapshot; without it
+    # the filament runs to 0.2 alone
+    run = ctx.made_filament_run() or fl.evolve_filament(ctx.acceptance_curve(), 1e-4, 0.2)
+    profiles, status = fl.square_profiles(run.states[0], run.states[1], 1e-4, 0.2,
+                                          holonomy_tol=1e-10)
     if len(profiles) < len(fl.SQUARE_CORNERS):
         return False, "; ".join(f"{c} {s}" for c, s in status.items() if s != "ok")
     worst = max(fl.square_gaps(profiles).values())

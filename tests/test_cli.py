@@ -217,6 +217,25 @@ def test_crosscheck_filament_square(tmp_path):
     assert len(rows) == 6
 
 
+def test_crosscheck_filament_square_resamples_once_per_run_step(tmp_path, monkeypatch):
+    # the filament run's first state is the curve the other corners start
+    # from: one resample to start and one every 10 of its 100 steps
+    from skewflow import filament as fl
+
+    calls = [0]
+    resample = fl.arclength_resample
+
+    def counted(curve):
+        calls[0] += 1
+        return resample(curve)
+
+    monkeypatch.setattr(fl, "arclength_resample", counted)
+    code = cli.main(["crosscheck", "mode=filament-square", "N=128", "dt=2e-4",
+                     "T=0.02", "--out", str(tmp_path / "cc")])
+    assert code == 0
+    assert calls[0] == 11
+
+
 def test_crosscheck_degenerate_marks_singular_exit_zero(tmp_path):
     # eps (1 + k^2) = 1: curvature touches zero, the curvature/torsion and
     # fluid corners abort, the wave corner survives, exit stays 0
@@ -241,6 +260,17 @@ def test_crosscheck_sphere_membrane(tmp_path):
     assert all(r[3] == "pass" for r in rows)
 
 
+def test_crosscheck_strict_profile_halves_the_tolerances(tmp_path):
+    args = ["crosscheck", "mode=sphere-membrane", "a=1", "b=2", "n1=16", "n2=16",
+            "dt=1e-3", "T=0.02", "order=2"]
+    tols = []
+    for name, flags in [("default", []), ("strict", ["--tol-profile", "strict"])]:
+        assert cli.main(args + flags + ["--out", str(tmp_path / name)]) == 0
+        tols.append(column(tmp_path / name / "crosscheck.csv", "tol"))
+    assert tols[0] == [1e-2, 1e-2]
+    assert tols[1] == [0.5 * t for t in tols[0]]
+
+
 # ---------------------------------------------------------------------------
 # validate subcommand (cheap subset; the full suite runs in test_acceptance)
 # ---------------------------------------------------------------------------
@@ -253,6 +283,22 @@ def test_validate_subset(tmp_path, capsys):
     assert captured.count("PASS") == 3
     header, rows = read_csv(out / "validate.csv")
     assert [r[2] for r in rows] == ["pass"] * 3
+
+
+def test_validate_strict_profile_halves_the_tolerance(tmp_path, capsys):
+    code = cli.main(["validate", "suite=12", "--tol-profile", "strict",
+                     "--out", str(tmp_path / "val")])
+    assert code == 0
+    assert "tol 5e-11" in capsys.readouterr().out
+
+
+def test_tol_profile_only_on_the_checking_subcommands(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["filament-run", "shape=circle", "N=64", "dt=1e-3", "T=0.01",
+                  "--tol-profile", "strict", "--out", str(tmp_path / "fil")])
+    assert exc.value.code == 2
+    assert "--tol-profile" in capsys.readouterr().err
+    assert not (tmp_path / "fil").exists()
 
 
 @pytest.mark.parametrize("flag", [["--dt", "5"], ["--T", "1"], ["--stride", "3"]])
@@ -401,6 +447,14 @@ def test_negative_stride_exits_2(tmp_path, capsys, args):
     assert code == 2
     assert "stride must be >= 0" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+def test_filament_run_has_no_scheme_key(tmp_path, capsys):
+    code = cli.main(["filament-run", "shape=circle", "N=64", "dt=1e-3", "T=0.01",
+                     "scheme=spectral", "--out", str(tmp_path / "fil")])
+    assert code == 2
+    assert "unknown keys for filament-run: scheme" in capsys.readouterr().err
+    assert not (tmp_path / "fil").exists()
 
 
 def test_filament_abort_writes_recorded_trajectory(tmp_path, capsys, monkeypatch):

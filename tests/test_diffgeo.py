@@ -7,8 +7,10 @@ import pytest
 
 from skewflow import diffgeo as dg
 from skewflow import filament as fl
+from skewflow import membrane as mb
 from skewflow.errors import (
     DegenerateImmersionError,
+    FrameDegeneracyError,
     UnsupportedDimensionError,
 )
 
@@ -232,17 +234,15 @@ def test_willmore_energy_values():
 
 def test_torsion_vanishes_on_products_of_circles():
     imm = dg.torus_immersion(1.0, 2.0, (64, 64))
-    sf = dg.shape_field(imm)
-    tau, chi = dg.torsion_form(sf)
+    tau = dg.torsion_form(dg.shape_field(imm))
     assert np.abs(tau).max() < 1e-10
-    assert np.abs(chi).max() < 1e-10
 
 
 def test_torsion_nonzero_on_perturbed_torus():
     peaks = []
     for n in (64, 128):
         imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (n, n))
-        tau, _ = dg.torsion_form(dg.shape_field(imm))
+        tau = dg.torsion_form(dg.shape_field(imm))
         peaks.append(np.abs(tau).max())
     # a genuinely nonzero limit, far above the FD tolerance, stable under refinement
     assert peaks[-1] > 1e-2
@@ -250,12 +250,37 @@ def test_torsion_nonzero_on_perturbed_torus():
 
 
 def test_torsion_metric_duality():
+    # the continuity residual transports rho with chi = 2 tau^sharp: on a
+    # frozen trajectory (d rho/dt = 0) it is div(rho chi) - source, with chi
+    # here the solution of g chi = 2 tau rather than a product with g^-1
+    imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (32, 32))
+    frozen = mb.MembraneTrajectory(np.array([0.0, 1e-3, 2e-3]), [imm, imm, imm], order=2)
+    resid, _ = mb.continuity_residual(frozen, 1)
+    sf = dg.shape_field(imm)
+    chi = 2.0 * np.linalg.solve(sf.metric, sf.tau[..., None])[..., 0]
+    expected = dg.metric_divergence(sf, sf.rho[..., None] * chi) - sf.source
+    assert np.abs(expected).max() > 1e-2
+    assert np.abs(resid - expected).max() < 1e-10
+
+
+def test_shape_field_keeps_its_torsion_form_read_only(monkeypatch):
+    calls = []
+    torsion_form = dg.torsion_form
+
+    def counted(sf):
+        calls.append(sf)
+        return torsion_form(sf)
+
+    monkeypatch.setattr(dg, "torsion_form", counted)
     imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (32, 32))
     sf = dg.shape_field(imm)
-    tau, chi = dg.torsion_form(sf)
-    lhs = np.einsum("...i,...ij,...j->...", chi, sf.metric, chi)
-    rhs = 4.0 * np.einsum("...ij,...i,...j->...", sf.metric_inv, tau, tau)
-    assert np.abs(lhs - rhs).max() < 1e-12
+    tau = sf.tau
+    assert sf.tau is tau
+    assert len(calls) == 1 and calls[0] is sf
+    assert not tau.flags.writeable
+    with pytest.raises(ValueError):
+        tau[0, 0, 0] = 1.0
+    assert np.array_equal(tau, torsion_form(dg.shape_field(imm)))
 
 
 def test_normal_laplacian_zero_modes_on_torus():
@@ -340,7 +365,7 @@ CONTRACTIONS = {
 def _residual_operands(sf):
     """The operands of CONTRACTIONS, as membrane.momentum_residual builds them."""
     jh = dg.apply_j(sf, sf.mean_curvature)
-    tau, _ = dg.torsion_form(sf)
+    tau = dg.torsion_form(sf)
     djh = np.stack([dg.normal_derivative(sf, jh, k) for k in range(2)], axis=-2)
     return {
         "g_inv": sf.metric_inv,
@@ -413,6 +438,14 @@ def test_curvature_check_zero_on_torus():
     assert resid < 1e-10
 
 
+def test_curvature_check_refuses_a_masked_torsion_form(monkeypatch):
+    monkeypatch.setattr(dg, "H_MIN", 1e9)  # every point below the |H| floor
+    sf = dg.shape_field(dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (16, 16)))
+    assert np.isnan(sf.tau).all()
+    with pytest.raises(FrameDegeneracyError):
+        dg.normal_curvature_check(sf)
+
+
 def test_curvature_check_needs_2d():
     circ = fl.circle_curve(1.0, 64)
     with pytest.raises(UnsupportedDimensionError):
@@ -433,7 +466,7 @@ def test_plaquette_derivative_kills_edge_differences():
 def test_dtau_invariant_under_adding_edge_differential():
     imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (32, 32))
     sf = dg.shape_field(imm)
-    tau, _ = dg.torsion_form(sf)
+    tau = dg.torsion_form(sf)
     e1, e2 = dg._edge_integrals(tau, imm.spacings)
     rng = np.random.default_rng(3)
     phi = rng.normal(size=(32, 32))

@@ -310,13 +310,6 @@ def test_frenet_perturbed_circle_matches_polar_formula():
     assert np.abs(fr.tau).max() < 1e-12  # exactly planar data
 
 
-def test_spectral_scheme_agrees():
-    c = planar_curve()
-    f4 = fl.frenet_data(c, scheme="fd4")
-    fs = fl.frenet_data(c, scheme="spectral")
-    assert np.abs(f4.kappa - fs.kappa).max() < 1e-5
-
-
 # ---------------------------------------------------------------------------
 # wave map and its gauge structure
 # ---------------------------------------------------------------------------
@@ -521,19 +514,23 @@ def test_a_longer_run_passes_bitwise_through_a_shorter_runs_final_state():
     assert longer.times[1] == short.times[-1]
     assert np.array_equal(longer.states[1].points, short.final.points)
     assert longer.states[1].param_periods == short.final.param_periods
-    # so square_profiles may read that snapshot instead of running the filament
-    own, _ = fl.square_profiles(raw, 1e-3, 0.02, holonomy_tol=1e-10)
-    read, _ = fl.square_profiles(raw, 1e-3, 0.02, holonomy_tol=1e-10, filament=longer.states[1])
+    # and each run's first state is the resampled raw curve
+    assert np.array_equal(longer.states[0].points, fl.arclength_resample(raw).points)
+    # so square_profiles may read that snapshot in place of a run to 0.02
+    own, _ = fl.square_profiles(short.states[0], short.final, 1e-3, 0.02, holonomy_tol=1e-10)
+    read, _ = fl.square_profiles(longer.states[0], longer.states[1], 1e-3, 0.02,
+                                 holonomy_tol=1e-10)
     assert list(read) == list(own)
     assert all(np.array_equal(read[c], own[c]) for c in own)
 
 
 def test_square_profiles_skip_the_wave_corner_above_the_holonomy_tol():
-    raw = fl.twisted_circle(1.0, 0.1, 2, 64)
-    holonomy = fl.hasimoto(fl.frenet_data(fl.arclength_resample(raw)))[1]
+    run = fl.evolve_filament(fl.twisted_circle(1.0, 0.1, 2, 64), 1e-3, 0.01)
+    start, final = run.states[0], run.final
+    holonomy = fl.hasimoto(fl.frenet_data(start))[1]
     defect = fl.holonomy_defect(holonomy)
     assert defect > 1e-4
-    profiles, status = fl.square_profiles(raw, 1e-3, 0.01, holonomy_tol=0.5 * defect)
+    profiles, status = fl.square_profiles(start, final, 1e-3, 0.01, holonomy_tol=0.5 * defect)
     assert status == {"filament": "ok", "darios": "ok", "nls": "skipped (holonomy obstruction)",
                       "fluid": "ok"}
     gaps = fl.square_gaps(profiles)
@@ -541,6 +538,6 @@ def test_square_profiles_skip_the_wave_corner_above_the_holonomy_tol():
                           for v in fl.SQUARE_CORNERS[i + 1:]]
     assert all((gap is None) == ("nls" in pair) for pair, gap in gaps.items())
     # the same curve with the tolerance above its defect runs all four
-    profiles, status = fl.square_profiles(raw, 1e-3, 0.01, holonomy_tol=2.0 * defect)
+    profiles, status = fl.square_profiles(start, final, 1e-3, 0.01, holonomy_tol=2.0 * defect)
     assert set(status.values()) == {"ok"}
     assert max(fl.square_gaps(profiles).values()) <= 5e-3

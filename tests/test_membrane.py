@@ -276,7 +276,7 @@ def test_corollary_contraction_matches_continuity_identically():
     # continuity residual in the expanded grouping the contraction produces
     span = traj.times[2] - traj.times[0]
     dH = dg.project_normal(sf0, (sfp.mean_curvature - sfm.mean_curvature) / span)
-    tau, _ = dg.torsion_form(sf0)
+    tau = dg.torsion_form(sf0)
     gradH = np.stack(
         [dg.normal_derivative(sf0, sf0.mean_curvature, j) for j in range(2)], axis=-2
     )
@@ -313,7 +313,7 @@ def test_corollary_vector_form_fails_off_torus():
     jh = dg.apply_j(sf0, h_sec)
     res_h = np.einsum("...d,...d->...", res, h_sec)
     res_jh = np.einsum("...d,...d->...", res, jh)
-    tau, _ = dg.torsion_form(sf0)
+    tau = dg.torsion_form(sf0)
     tau_sq = np.einsum("...ij,...i,...j->...", sf0.metric_inv, tau, tau)
     predicted = -(dg.laplace_beltrami(sf0, absH) + absH * tau_sq)
     assert np.abs(res_jh - predicted).max() < 0.15      # the defect field
@@ -438,6 +438,18 @@ def test_diagnostics_computes_each_torsion_form_once(monkeypatch):
     mb.diagnostics(traj)
     assert len(calls) == len(set(calls)) == len(traj.snapshots)
     assert set(calls) == {id(snap) for snap in traj.snapshots}
+
+
+def test_curvature_check_reads_the_same_torsion_on_fresh_and_used_fields():
+    imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (32, 32))
+    traj = mb.evolve_membrane(imm, 1e-3, 0.004, stride=1, order=2)
+    mb.diagnostics(traj)
+    used = traj.fields(-2)  # still in the window; the residuals read its torsion
+    fresh = dg.shape_field(traj.snapshots[-2], order=traj.order)
+    assert "tau" in vars(used) and "tau" not in vars(fresh)
+    for a, b in zip(dg.normal_curvature_check(fresh), dg.normal_curvature_check(used)):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    assert fresh.tau.tobytes() == used.tau.tobytes()
 
 
 @pytest.mark.parametrize("steps,stride", [(6, 1), (6, 3), (4, 4)])

@@ -10,20 +10,24 @@
 # the membrane-evolve configuration (both the benchmark's seed-0 entries), an
 # order-2 membrane run on a non-square 24 x 40 grid (so the padded stencils
 # of the two grid axes and their spacings are told apart), a surface_file=
-# restart of it from its middle snapshot, a stride-1 order-4 membrane run on a
+# restart of it from its middle snapshot, the same run with snapshots=0
+# (diagnostics only), a stride-1 order-4 membrane run on a
 # 32 x 40 perturbed torus (a snapshot every step, so every triple of the
 # streamed diagnostics pass reaches its CSV), three filament runs that reach the
 # curve builders and the snapshot reader (a round circle at N = 100, which is
 # not a power of two, a twisted circle, and a curve read with curve_file=
-# from a snapshot this script writes with plain python3), an NLS run on the
+# from a snapshot this script writes with plain python3), the twisted circle
+# again with reparam_every=0 (no resampling after the first), an NLS run on the
 # twisted circle (nonzero torsion, so the Hasimoto phase integral sees more
 # than zeros), a filament run on a strongly perturbed circle (eps 0.3, k 5,
 # N 64: arclength knots far from uniform), `crosscheck mode=filament-square`
 # on a passing curve and on a singular one (eps (1 + k^2) = 1: curvature
 # touches zero, so the curvature/torsion and fluid corners abort),
-# `crosscheck mode=sphere-membrane` on a 16 x 16 torus, both `sphere-run`
+# `crosscheck mode=sphere-membrane` on a 16 x 16 torus, once with the default
+# tolerances and once with --tol-profile strict, both `sphere-run`
 # examples of the README (to collapse and over a fixed horizon),
-# `skewflow validate`, and `validate suite=6` and `suite=3,4,9`.  The full
+# `skewflow validate`, `validate suite=6` and `suite=3,4,9`, and
+# `validate suite=1,12 --tol-profile strict`.  The full
 # suite shares one filament run between checks 5 and 6 and one pass over the
 # membrane snapshots among checks 3, 4 and 9; the two subsets take the other
 # paths: check 6 runs its own filament, and the membrane pass is made for
@@ -39,7 +43,7 @@
 # which prints the largest absolute and relative difference per CSV column
 # and per snapshot, and exits 1 on a structural mismatch (a missing file, a
 # different header or row count, a validate PASS/FAIL flip).  Takes about
-# 30 s on a 2-core host.
+# 25 s on a 2-core host.
 set -eu
 if [ $# -ne 2 ]; then
     echo "usage: $0 CHECKOUT OUTDIR" >&2
@@ -47,7 +51,7 @@ if [ $# -ne 2 ]; then
 fi
 src=$(cd "$1" && pwd)/src
 out=$2
-mkdir -p "$out/validate" "$out/validate_6" "$out/validate_3_4_9"
+mkdir -p "$out/validate" "$out/validate_6" "$out/validate_3_4_9" "$out/validate_1_12_strict"
 
 skewflow() {
     PYTHONPATH="$src" python3 -m skewflow.cli "$@"
@@ -66,10 +70,15 @@ skewflow membrane-run surface=perturbed_torus a=1 b=2 eps=0.05 k1=2 k2=3 \
     n1=24 n2=40 order=2 dt=2e-3 T=0.02 stride=5 \
     surface_file="$out/membrane_o2/snapshot_0002.txt" --out "$out/membrane_o2_restart" >/dev/null
 skewflow membrane-run surface=perturbed_torus a=1 b=2 eps=0.05 k1=2 k2=3 \
+    n1=24 n2=40 order=2 dt=2e-3 T=0.04 stride=5 snapshots=0 \
+    --out "$out/membrane_o2_nosnap" >/dev/null
+skewflow membrane-run surface=perturbed_torus a=1 b=2 eps=0.05 k1=2 k2=3 \
     n1=32 n2=40 order=4 dt=1e-3 T=0.01 stride=1 --out "$out/membrane_stride1" >/dev/null
 skewflow filament-run shape=circle R=1 N=100 dt=1e-3 T=0.1 --out "$out/circle" >/dev/null
 skewflow filament-run shape=twisted_circle R=1 eps=0.3 k=2 N=128 dt=5e-4 T=0.05 \
     --out "$out/twisted" >/dev/null
+skewflow filament-run shape=twisted_circle R=1 eps=0.3 k=2 N=128 dt=5e-4 T=0.05 \
+    reparam_every=0 --out "$out/twisted_noreparam" >/dev/null
 skewflow nls-run source=curve shape=twisted_circle R=1 eps=0.3 k=2 N=128 dt=5e-4 T=0.05 \
     --out "$out/nls_twisted" >/dev/null
 skewflow filament-run shape=perturbed_circle R=1 eps=0.3 k=5 N=64 dt=1e-4 T=0.01 \
@@ -97,6 +106,9 @@ skewflow crosscheck mode=filament-square eps=0.1 k=3 N=256 dt=1e-4 T=0.05 \
     --out "$out/crosscheck_singular" >"$out/crosscheck_singular.stdout"
 skewflow crosscheck mode=sphere-membrane n1=16 n2=16 order=2 dt=1e-3 T=0.02 \
     --out "$out/crosscheck_sphere" >"$out/crosscheck_sphere.stdout"
+skewflow crosscheck mode=sphere-membrane n1=16 n2=16 order=2 dt=1e-3 T=0.02 \
+    --tol-profile strict --out "$out/crosscheck_sphere_strict" \
+    >"$out/crosscheck_sphere_strict.stdout"
 skewflow sphere-run m=1 l=2 a=1 b=1 dt=1e-4 mode=to-collapse a_stop=1e-10 \
     --out "$out/sphere_collapse" >/dev/null
 skewflow sphere-run m=1 l=1 a=1 b=2 T=1.0 dt=1e-3 stride=100 \
@@ -106,3 +118,5 @@ skewflow validate suite=6 --out "$out/validate_6" | sed 's/ *\[[0-9.]*s\]$//' \
     >"$out/validate_6/stdout.txt"
 skewflow validate suite=3,4,9 --out "$out/validate_3_4_9" | sed 's/ *\[[0-9.]*s\]$//' \
     >"$out/validate_3_4_9/stdout.txt"
+skewflow validate suite=1,12 --tol-profile strict --out "$out/validate_1_12_strict" \
+    | sed 's/ *\[[0-9.]*s\]$//' >"$out/validate_1_12_strict/stdout.txt"
