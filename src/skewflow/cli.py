@@ -391,7 +391,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # 2 for a bad command line, 0 after --help or --version
+        return exc.code
     name = args.subcommand
     flag_overrides = {key: getattr(args, key) for key in ("dt", "T", "stride")}
     try:

@@ -1,9 +1,9 @@
-"""Fixed-step time integration shared by the five grid solvers.
+"""The time loop of all six solvers: fixed steps for the five grid solvers,
+variable ones from a step-size rule for the sphere-product radii.
 
 Each solver hands `integrate` a per-step function that keeps its own guards;
-`integrate` owns the step count, the snapshot cadence, absolute abort times
-and the snapshots an abort carries.
-"""
+`integrate` owns the step count, the stop tests, the snapshot cadence, absolute
+abort times and the snapshots an abort carries."""
 
 import math
 from dataclasses import dataclass, field
@@ -53,27 +53,45 @@ def step_count(dt, t_final, stride=None):
     return nsteps
 
 
-def integrate(step, y0, dt, t_final, stride=None):
-    """Advance y0 by y = step(y, i) for i = 1..nsteps, step i ending at i*dt.
+def integrate(step, y0, dt, t_final, stride=None, done=None, step_size=None,
+              max_steps=math.inf, t0=0.0):
+    """Advance y0 from time t0 to t0 + t_final (None: no horizon) or until done(t, y).
 
-    Records y0, every stride-th state (stride None or 0: none) and the last.
-    An EvolutionAbort from a step leaves with the record so far as
-    `exc.trajectory`; a degenerate immersion inside a step becomes such an
-    abort.
-    """
-    nsteps = step_count(dt, t_final, stride)
-    traj = Trajectory([0.0], [y0])
-    y = y0
-    for i in range(1, nsteps + 1):
-        try:
-            y = step(y, i)
-        except DegenerateImmersionError as exc:
-            raise EvolutionAbort(f"geometry degenerated inside a step: {exc}", i * dt,
-                                 traj) from exc
-        except EvolutionAbort as exc:
-            exc.trajectory = traj
-            raise
-        if (stride and i % stride == 0) or i == nsteps:
-            traj.times.append(i * dt)
-            traj.states.append(y)
+    Fixed steps: y = step(y, i) for i = 1, 2, ..., step i ending at t0 + i*dt.
+    Variable steps: y = step(y, t, h) from time t with h = step_size(y, t), cut
+    short to end at the horizon; t is the running sum of the steps.
+    Records y0, every stride-th state (stride None or 0: none) and the state the
+    run stops on.  An EvolutionAbort from a callback, or max_steps taken without
+    a stop, leaves with the record so far as `exc.trajectory`; a degenerate
+    immersion inside a step becomes such an abort at the step's end."""
+    fixed = step_size is None
+    if fixed:
+        nsteps, t_end = step_count(dt, t_final, stride), math.inf
+    else:
+        check_times(dt, t_final or 0.0)
+        nsteps, t_end = None, math.inf if t_final is None else t0 + t_final
+    # a step cut short to end at t_end may end an ulp short of it
+    t_near = t_end - 1e-15 * max(1.0, t_end) if t_end < math.inf else t_end
+    traj = Trajectory([t0], [y0])
+    y, t, i = y0, t0, 0
+    stop = i == nsteps or t >= t_near or (done is not None and done(t, y))
+    try:
+        while not stop:
+            if i >= max_steps:
+                raise EvolutionAbort(f"no stop within max_steps={max_steps}", t)
+            i += 1
+            h = dt if fixed else min(step_size(y, t), t_end - t)
+            t_next = t0 + i * dt if fixed else t + h
+            try:
+                y = step(y, i) if fixed else step(y, t, h)
+            except DegenerateImmersionError as exc:
+                raise EvolutionAbort(f"geometry degenerated inside a step: {exc}", t_next) from exc
+            t = t_next
+            stop = i == nsteps or t >= t_near or (done is not None and done(t, y))
+            if (stride and i % stride == 0) or stop:
+                traj.times.append(t)
+                traj.states.append(y)
+    except EvolutionAbort as exc:
+        exc.trajectory = traj
+        raise
     return traj

@@ -293,10 +293,9 @@ def test_validate_strict_profile_halves_the_tolerance(tmp_path, capsys):
 
 
 def test_tol_profile_only_on_the_checking_subcommands(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["filament-run", "shape=circle", "N=64", "dt=1e-3", "T=0.01",
-                  "--tol-profile", "strict", "--out", str(tmp_path / "fil")])
-    assert exc.value.code == 2
+    code = cli.main(["filament-run", "shape=circle", "N=64", "dt=1e-3", "T=0.01",
+                     "--tol-profile", "strict", "--out", str(tmp_path / "fil")])
+    assert code == 2
     assert "--tol-profile" in capsys.readouterr().err
     assert not (tmp_path / "fil").exists()
 
@@ -307,6 +306,17 @@ def test_validate_rejects_step_flags(tmp_path, capsys, flag):
     assert code == 2
     assert f"unknown keys for validate: {flag[0][2:]}" in capsys.readouterr().err
     assert not (tmp_path / "val").exists()
+
+
+def test_missing_subcommand_returns_2(capsys):
+    assert cli.main([]) == 2
+    assert "required: subcommand" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_return_0(flag, capsys):
+    assert cli.main([flag]) == 0
+    assert "skewflow" in capsys.readouterr().out
 
 
 def test_entry_point_version():

@@ -11,12 +11,12 @@ from skewflow.errors import CollapseError, EvolutionAbort, UnsupportedDimensionE
 
 
 def test_ode_rhs_values():
-    assert sp.ode_rhs(sp.SphereProductState(1, 2, 1.0, 1.0)) == (-2.0, 1.0)
-    assert sp.ode_rhs(sp.SphereProductState(1, 1, 1.0, 2.0)) == (-0.5, 1.0)
+    assert sp.ode_rhs(1, 2, 1.0, 1.0) == (-2.0, 1.0)
+    assert sp.ode_rhs(1, 1, 1.0, 2.0) == (-0.5, 1.0)
 
 
 def test_equal_dimensions_symmetry():
-    da, db = sp.ode_rhs(sp.SphereProductState(2, 2, 1.3, 1.3))
+    da, db = sp.ode_rhs(2, 2, 1.3, 1.3)
     assert da == -db
 
 
@@ -61,7 +61,7 @@ def test_closed_form_satisfies_ode():
         sm, s1, spp = (sp.closed_form(s0, t + q) for q in (-eps, 0.0, eps))
         da = (spp.a - sm.a) / (2 * eps)
         db = (spp.b - sm.b) / (2 * eps)
-        ex_da, ex_db = sp.ode_rhs(s1)
+        ex_da, ex_db = sp.ode_rhs(m, l, s1.a, s1.b)
         assert abs(da - ex_da) < 1e-8 and abs(db - ex_db) < 1e-8
 
 
@@ -178,7 +178,22 @@ def test_willmore_series_growth():
     assert abs(factor[0] - 5.0) < 1e-12
     assert abs(factor[1] - 17.0) < 1e-12
     assert abs(table["volume"][1] / table["volume"][0] - 1.0) < 1e-12
-    assert np.isnan(table["dW_dt"]).all()  # closed form only for m = l = 1
+    # dW/dt = 2 m l V (m/(a^3 b) - l/(a b^3)) with V = 8 pi^2 a b^2: -32 pi^2 at
+    # (a, b) = (1, 1), 32 pi^2 (32 - 1) at (1/4, 2)
+    assert table["dW_dt"] == pytest.approx([-32.0 * math.pi ** 2, 992.0 * math.pi ** 2],
+                                           rel=1e-13)
+
+
+@pytest.mark.parametrize("m,l,a,b", [(1, 1, 1.0, 2.0), (1, 2, 1.0, 1.0), (2, 1, 1.0, 1.0),
+                                     (2, 3, 2.0, 3.0)])
+def test_willmore_rate_is_the_derivative_along_closed_forms(m, l, a, b):
+    s0 = sp.SphereProductState(m, l, a, b)
+    for t in (0.0, 0.3):
+        eps = 1e-5
+        fd = (sp.willmore(sp.closed_form(s0, t + eps))
+              - sp.willmore(sp.closed_form(s0, t - eps))) / (2 * eps)
+        rate = sp.willmore_rate(sp.closed_form(s0, t))
+        assert abs(rate - fd) <= 1e-7 * max(1.0, abs(fd)), (m, l, t, rate, fd)
 
 
 def test_equal_radii_not_invariant():

@@ -1,4 +1,5 @@
-"""The shared fixed-step loop and the contract it gives every grid solver."""
+"""The shared time loop, its fixed and variable steps, and the contract it
+gives every solver."""
 
 import numpy as np
 import pytest
@@ -38,6 +39,57 @@ def test_abort_keeps_the_snapshots_before_it():
     with pytest.raises(EvolutionAbort, match="aborted at t=1.75") as err:
         integrate(step, 0, 0.25, 2.0, stride=2)
     assert err.value.trajectory.states == [0, 2, 4, 6]
+
+
+# ---------------------------------------------------------------------------
+# variable steps, stop predicates and max_steps on a clock y' = 1
+# ---------------------------------------------------------------------------
+
+def _clock(y, t, h):
+    return y + h
+
+
+@pytest.mark.parametrize("stride", [1, 3, None])
+def test_done_stops_the_run_and_records_the_state_it_stops_on(stride):
+    traj = integrate(_clock, 0.0, 0.25, None, stride, done=lambda t, y: y >= 1.0,
+                     step_size=lambda y, t: 0.25)
+    assert traj.final == 1.0 and traj.times[-1] == 1.0
+    assert traj.times == {1: [0.0, 0.25, 0.5, 0.75, 1.0], 3: [0.0, 0.75, 1.0],
+                          None: [0.0, 1.0]}[stride]
+    fixed = integrate(lambda y, i: y + 1, 0, 0.25, 3.0, stride, done=lambda t, y: y == 5)
+    assert fixed.final == 5 and fixed.times[-1] == 1.25
+
+
+def test_last_variable_step_is_cut_to_end_at_t_final():
+    sizes = []
+
+    def step(y, t, h):
+        sizes.append(h)
+        return y + h
+
+    traj = integrate(step, 0.0, 0.375, 1.0, 1, step_size=lambda y, t: 0.375, t0=2.0)
+    assert sizes == [0.375, 0.375, 0.25]
+    assert traj.times == [2.0, 2.375, 2.75, 3.0] and traj.states == [0.0, 0.375, 0.75, 1.0]
+
+
+def test_max_steps_aborts_with_the_record_so_far():
+    with pytest.raises(EvolutionAbort, match="max_steps=3") as err:
+        integrate(_clock, 0.0, 0.25, None, 1, done=lambda t, y: False,
+                  step_size=lambda y, t: 0.25, max_steps=3)
+    assert err.value.t == 0.75
+    assert err.value.trajectory.times == [0.0, 0.25, 0.5, 0.75]
+
+
+def test_step_size_abort_carries_the_time_its_step_would_have_started():
+    def step_size(y, t):
+        if y >= 0.5:
+            raise EvolutionAbort("step too small", t)
+        return 0.25
+
+    with pytest.raises(EvolutionAbort, match="step too small") as err:
+        integrate(_clock, 0.0, 0.25, 2.0, 1, step_size=step_size, t0=1.0)
+    assert err.value.t == 1.5
+    assert err.value.trajectory.times == [1.0, 1.25, 1.5]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,11 @@
 # touches zero, so the curvature/torsion and fluid corners abort),
 # `crosscheck mode=sphere-membrane` on a 16 x 16 torus, once with the default
 # tolerances and once with --tol-profile strict, both `sphere-run`
-# examples of the README (to collapse and over a fixed horizon),
+# examples of the README (to collapse and over a fixed horizon), the run to
+# collapse again with stride=7 (so the stop is recorded off the stride), a
+# fixed-horizon sphere run past the collapse time (its step underflows: the
+# run exits 3 with the rows recorded so far, and its standard error and exit
+# status are kept),
 # `skewflow validate`, `validate suite=6` and `suite=3,4,9`, and
 # `validate suite=1,12 --tol-profile strict`.  The full
 # suite shares one filament run between checks 5 and 6 and one pass over the
@@ -43,7 +47,7 @@
 # which prints the largest absolute and relative difference per CSV column
 # and per snapshot, and exits 1 on a structural mismatch (a missing file, a
 # different header or row count, a validate PASS/FAIL flip).  Takes about
-# 25 s on a 2-core host.
+# 30 s on a 2-core host.
 set -eu
 if [ $# -ne 2 ]; then
     echo "usage: $0 CHECKOUT OUTDIR" >&2
@@ -51,7 +55,8 @@ if [ $# -ne 2 ]; then
 fi
 src=$(cd "$1" && pwd)/src
 out=$2
-mkdir -p "$out/validate" "$out/validate_6" "$out/validate_3_4_9" "$out/validate_1_12_strict"
+mkdir -p "$out/validate" "$out/validate_6" "$out/validate_3_4_9" "$out/validate_1_12_strict" \
+    "$out/sphere_underflow"
 
 skewflow() {
     PYTHONPATH="$src" python3 -m skewflow.cli "$@"
@@ -113,6 +118,12 @@ skewflow sphere-run m=1 l=2 a=1 b=1 dt=1e-4 mode=to-collapse a_stop=1e-10 \
     --out "$out/sphere_collapse" >/dev/null
 skewflow sphere-run m=1 l=1 a=1 b=2 T=1.0 dt=1e-3 stride=100 \
     --out "$out/sphere_fixed" >/dev/null
+skewflow sphere-run m=1 l=2 a=1 b=1 dt=1e-4 mode=to-collapse a_stop=1e-10 stride=7 \
+    --out "$out/sphere_collapse_stride7" >/dev/null
+status=0
+skewflow sphere-run m=1 l=2 a=1 b=1 mode=fixed T=2 dt=1e-2 --out "$out/sphere_underflow" \
+    >/dev/null 2>"$out/sphere_underflow/stderr.txt" || status=$?
+echo "exit $status" >>"$out/sphere_underflow/stderr.txt"
 skewflow validate --out "$out/validate" | sed 's/ *\[[0-9.]*s\]$//' >"$out/validate/stdout.txt"
 skewflow validate suite=6 --out "$out/validate_6" | sed 's/ *\[[0-9.]*s\]$//' \
     >"$out/validate_6/stdout.txt"
