@@ -161,10 +161,24 @@ def _fmt(x):
 
 
 def write_csv(path, header, rows):
+    """Write a header line and the rows, each as long as the header.
+
+    A table of numbers is formatted by one "%.17g" row template joined across
+    the rows, as save_immersion writes a snapshot; for floats (NaN and inf
+    included) and for ints of magnitude up to 2^53, which "%g" reads as floats
+    exactly, that gives the cells of _fmt.  A table with a string cell goes
+    through csv.writer, which quotes where needed."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([_fmt(x) for x in row] for row in rows)
+    rows = list(rows)
+    template = ",".join(["%.17g"] * len(header))
+    try:
+        body = "\n".join([template] * len(rows)) % tuple(x for row in rows for x in row)
+    except TypeError:  # "%g" takes no string
+        writer.writerows([_fmt(x) for x in row] for row in rows)
+    else:
+        buf.write(body + "\n" if rows else "")
     dg.atomic_write(path, buf.getvalue())
 
 

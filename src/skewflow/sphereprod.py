@@ -37,8 +37,8 @@ class SphereProductState:
     def __post_init__(self):
         if self.m < 1 or self.l < 1:
             raise ValueError(f"sphere dimensions must be >= 1, got ({self.m}, {self.l})")
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError(f"radii must be positive, got ({self.a}, {self.b})")
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):  # NaN fails both
+            raise ValueError(f"radii must be finite and positive, got ({self.a}, {self.b})")
 
 
 @dataclass

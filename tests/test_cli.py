@@ -108,6 +108,17 @@ def test_sphere_run_stride_below_one_exits_2(tmp_path, capsys, stride):
     assert "stride" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("radii", [("a=nan", "b=1"), ("a=inf", "b=1"), ("a=1", "b=nan")],
+                         ids=["a-nan", "a-inf", "b-nan"])
+def test_sphere_run_non_finite_radius_exits_2(tmp_path, capsys, radii):
+    # NaN fails no `<= 0` test, so the radii are checked for finiteness too
+    out = tmp_path / "o"
+    code = cli.main(["sphere-run", "m=1", "l=2", *radii, "T=0.01", "dt=1e-3", "--out", str(out)])
+    assert code == 2
+    assert "radii must be finite and positive" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 def test_filament_run_willmore_column_constant(tmp_path):
     out = tmp_path / "fil"
     code = cli.main(["filament-run", "shape=circle", "R=1", "T=1", "dt=1e-3",
@@ -559,6 +570,26 @@ def test_validate_csv_reads_back(tmp_path, capsys):
     for r in rows:
         assert None not in r and r["status"] == "pass"
         assert f"{r['check']:<22s} {r['details']}   [" in printed
+
+
+def test_write_csv_numeric_template_matches_csv_writer(tmp_path):
+    # the "%.17g" row template of a numeric table gives the bytes of csv.writer
+    # over cli._fmt's cells: ints up to 2^53 (a larger int goes through a float),
+    # NaN, both infinities, -0.0, subnormals and 17-digit floats
+    rows = [
+        (0, 7, 0.1, -0.0),
+        (np.int64(12), 2 ** 53 - 1, np.nan, np.inf),
+        (np.float64(1 / 3), -np.inf, 1e-310, -2.5e300),
+        (2, np.float64(-0.0), 5e-324, 123456789.123456789),
+    ]
+    path = tmp_path / "t.csv"
+    cli.write_csv(path, ["a", "b", "c", "d"], iter(rows))
+    expected = "a,b,c,d\n" + "".join(",".join(cli._fmt(x) for x in row) + "\n" for row in rows)
+    assert path.read_text() == expected
+    assert expected.splitlines()[2] == "12,9007199254740991,nan,inf"
+    assert expected.splitlines()[1].endswith(",-0")
+    cli.write_csv(path, ["a", "b"], [])
+    assert path.read_text() == "a,b\n"
 
 
 def test_write_csv_quotes_only_when_needed(tmp_path):

@@ -1,8 +1,12 @@
 """Tests for the 1D filament stack: binormal flow, Frenet data, the wave map,
 the curvature/torsion system, and the fluid form."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 from scipy.spatial.distance import cdist
@@ -186,6 +190,16 @@ def test_cross_equals_np_cross_bitwise():
     assert np.array_equal(fl.binormal_rhs(p, L), expected)
 
 
+@pytest.mark.parametrize("n", [100, 256])
+def test_binormal_rhs_is_the_cross_of_the_two_derivatives(n):
+    # one wrapped copy feeds both stencils; the velocity is bitwise that of
+    # two separate derivative calls
+    c = fl.arclength_resample(fl.twisted_circle(1.0, 0.3, 2, n))
+    p, L = c.points, c.param_periods[0]
+    expected = dg.generalised_cross([fl.derivative(p, L, 1).T], fl.derivative(p, L, 2).T).T
+    assert np.array_equal(fl.binormal_rhs(p, L), expected)
+
+
 def _brute_min_nonneighbor(points):
     n = len(points)
     best = np.inf
@@ -194,6 +208,66 @@ def _brute_min_nonneighbor(points):
             if min(abs(i - j), n - abs(i - j)) > 1:
                 best = min(best, float(np.sqrt(np.sum((points[i] - points[j]) ** 2))))
     return best
+
+
+@st.composite
+def guard_inputs(draw):
+    """Point sets for the self-intersection guard: random clouds, circles, and
+    pinched closed curves whose closest non-neighbour pair lies at a large
+    index offset (a crushed ellipse; two strands of a figure eight lifted
+    apart by a small gap), each scaled, rotated and shifted."""
+    n = draw(st.sampled_from([5, 8, 33, 64, 256, 257]))
+    # figure eights drawn twice as often: their closest pair sits at offset n/2
+    kind = draw(st.sampled_from(["cloud", "circle", "crushed", "strands", "strands"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = np.arange(n) * 2.0 * np.pi / n + draw(st.floats(0.0, 1.0))
+    if kind == "cloud":
+        pts = rng.standard_normal((n, 3))
+    elif kind == "circle":
+        pts = np.stack([np.cos(u), np.sin(u), np.zeros_like(u)], axis=-1)
+    else:
+        # strands within a few sample spacings 2 pi / n of each other, or farther apart
+        gap = 2.0 * np.pi / n * 10.0 ** draw(st.floats(-2.0, 0.5))
+        if kind == "crushed":
+            pts = np.stack([np.cos(u), gap * np.sin(u), np.zeros_like(u)], axis=-1)
+        else:
+            pts = np.stack([np.cos(u), np.sin(2.0 * u) / 2.0, gap * np.sin(u)], axis=-1)
+    pts += draw(st.floats(0.0, 1e-2)) * rng.standard_normal((n, 3))
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return scale * pts @ q.T + rng.standard_normal(3)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(guard_inputs())
+def test_min_nonneighbor_distance_equals_double_loop_property(pts):
+    assert fl.min_nonneighbor_distance(pts) == _brute_min_nonneighbor(pts)
+
+
+@pytest.mark.parametrize("n", [256, 257])
+@pytest.mark.parametrize("gap", [1e-3, 1e-2])
+def test_min_nonneighbor_distance_finds_a_crossing_at_half_the_loop(n, gap):
+    # the strands of a figure eight pass within 2 gap of each other at index
+    # offset n/2, past offsets whose closest pairs are far apart: a pruning
+    # bound that skips too far misses that pair
+    u = np.arange(n) * 2.0 * np.pi / n
+    pts = np.stack([np.cos(u), np.sin(2.0 * u) / 2.0, gap * np.sin(u)], axis=-1)
+    d = fl.min_nonneighbor_distance(pts)
+    assert d == _brute_min_nonneighbor(pts)
+    assert d < 2.0 * np.pi / n
+
+
+def test_min_nonneighbor_distance_peak_allocation():
+    # one (3, N) difference per offset, not a (3, N/2 - 1, N) block (780 KB at N = 256)
+    pts = planar_curve().points
+    fl.min_nonneighbor_distance(pts)
+    tracemalloc.start()
+    try:
+        fl.min_nonneighbor_distance(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
 
 
 @pytest.mark.parametrize("n", [3, 4, 32, 257])

@@ -123,7 +123,7 @@ def _nls(dt, T, stride):
 
 # solver, step size, the function one step calls and how often
 SOLVERS = {
-    "filament": (_filament, 1e-3, (fl, "derivative"), 8),
+    "filament": (_filament, 1e-3, (fl, "binormal_rhs"), 4),
     "membrane": (_membrane, 1e-3, (mb, "smc_rhs"), 4),
     "darios": (_darios, 2e-4, (fl, "derivative"), 16),
     "fluid": (_fluid, 2e-4, (fl, "derivative"), 16),

@@ -29,7 +29,11 @@
 # collapse again with stride=7 (so the stop is recorded off the stride), a
 # fixed-horizon sphere run past the collapse time (its step underflows: the
 # run exits 3 with the rows recorded so far, and its standard error and exit
-# status are kept),
+# status are kept), a filament run on a pinched curve that this script writes
+# with python3 (a crushed ellipse, N = 96, read with curve_file=) whose
+# strands close in until the self-intersection guard aborts the run at
+# t = 0.01 (exit 3; its standard error and exit status are kept, so the
+# abort time and the rows recorded before it are compared too),
 # `skewflow validate`, `validate suite=6` and `suite=3,4,9`, and
 # `validate suite=1,12 --tol-profile strict`.  The full
 # suite shares one filament run between checks 5 and 6 and one pass over the
@@ -47,7 +51,7 @@
 # which prints the largest absolute and relative difference per CSV column
 # and per snapshot, and exits 1 on a structural mismatch (a missing file, a
 # different header or row count, a validate PASS/FAIL flip).  Takes about
-# 30 s on a 2-core host.
+# 32 s on a 2-core host.
 set -eu
 if [ $# -ne 2 ]; then
     echo "usage: $0 CHECKOUT OUTDIR" >&2
@@ -56,7 +60,7 @@ fi
 src=$(cd "$1" && pwd)/src
 out=$2
 mkdir -p "$out/validate" "$out/validate_6" "$out/validate_3_4_9" "$out/validate_1_12_strict" \
-    "$out/sphere_underflow"
+    "$out/sphere_underflow" "$out/pinched"
 
 skewflow() {
     PYTHONPATH="$src" python3 -m skewflow.cli "$@"
@@ -124,6 +128,23 @@ status=0
 skewflow sphere-run m=1 l=2 a=1 b=1 mode=fixed T=2 dt=1e-2 --out "$out/sphere_underflow" \
     >/dev/null 2>"$out/sphere_underflow/stderr.txt" || status=$?
 echo "exit $status" >>"$out/sphere_underflow/stderr.txt"
+python3 - "$out/pinched/input.txt" <<'PY'
+import math
+import sys
+
+n = 96
+rows = []
+for i in range(n):
+    u = 2.0 * math.pi * i / n
+    rows.append("%.17g %.17g %.17g" % (math.cos(u), 0.02 * math.sin(u), 0.002 * math.sin(3.0 * u)))
+with open(sys.argv[1], "w") as fh:
+    fh.write("dim 1\nshape %d\nparam_periods %.17g\nambient 3\n" % (n, 2.0 * math.pi))
+    fh.write("\n".join(rows) + "\n")
+PY
+status=0
+skewflow filament-run shape=circle curve_file="$out/pinched/input.txt" dt=2e-4 T=0.05 stride=10 \
+    --out "$out/pinched/run" >/dev/null 2>"$out/pinched/stderr.txt" || status=$?
+echo "exit $status" >>"$out/pinched/stderr.txt"
 skewflow validate --out "$out/validate" | sed 's/ *\[[0-9.]*s\]$//' >"$out/validate/stdout.txt"
 skewflow validate suite=6 --out "$out/validate_6" | sed 's/ *\[[0-9.]*s\]$//' \
     >"$out/validate_6/stdout.txt"
