@@ -160,25 +160,31 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
-def write_csv(path, header, rows):
-    """Write a header line and the rows, each as long as the header.
+def _exact_as_g(x):
+    """Whether "%.17g" % x is the cell _fmt(x) writes: a float (NaN and inf
+    included) or an int of magnitude up to 2^53, which "%g" reads as a float
+    exactly."""
+    return isinstance(x, float) or isinstance(x, (int, np.integer)) and -2 ** 53 <= x <= 2 ** 53
 
-    A table of numbers is formatted by one "%.17g" row template joined across
-    the rows, as save_immersion writes a snapshot; for floats (NaN and inf
-    included) and for ints of magnitude up to 2^53, which "%g" reads as floats
-    exactly, that gives the cells of _fmt.  A table with a string cell goes
-    through csv.writer, which quotes where needed."""
+
+def write_csv(path, header, rows):
+    """Write a header line and the rows.
+
+    A table whose rows are as long as the header and whose cells are all
+    _exact_as_g is formatted by one "%.17g" row template joined across the
+    rows, as save_immersion writes a snapshot, which gives the cells of _fmt.
+    Any other table (a string cell, a large int, a row of another length)
+    goes through csv.writer over _fmt, which quotes where needed."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    rows = list(rows)
-    template = ",".join(["%.17g"] * len(header))
-    try:
-        body = "\n".join([template] * len(rows)) % tuple(x for row in rows for x in row)
-    except TypeError:  # "%g" takes no string
-        writer.writerows([_fmt(x) for x in row] for row in rows)
+    rows, width = list(rows), len(header)
+    cells = [x for row in rows for x in row]
+    if rows and all(len(row) == width for row in rows) and all(map(_exact_as_g, cells)):
+        template = ",".join(["%.17g"] * width)
+        buf.write("\n".join([template] * len(rows)) % tuple(cells) + "\n")
     else:
-        buf.write(body + "\n" if rows else "")
+        writer.writerows([_fmt(x) for x in row] for row in rows)
     dg.atomic_write(path, buf.getvalue())
 
 

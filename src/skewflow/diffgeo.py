@@ -338,6 +338,13 @@ def diff2(f, axis, h, order=2):
     return _second(_neighbours(f, axis, order), h, order)
 
 
+def diff_pair(f, axis, h, order=2):
+    """First and second centered derivatives along a periodic grid axis, both
+    from one wrapped copy of f; bitwise equal to (diff(...), diff2(...))."""
+    at = _neighbours(f, axis, order)
+    return _first(at, h, order), _second(at, h, order)
+
+
 def plane_derivatives(points, spacings, order, ws=_fresh):
     """Differences of the positions, as (d, *s) component planes held in ws.
 

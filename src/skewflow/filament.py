@@ -16,19 +16,22 @@ the conservative form -(rho v)' makes the discrete total mass exact.
 Spatial derivatives are 4th-order centered differences (diffgeo's periodic
 stencils); time stepping is classical RK4.  An RK4 stage of the filament
 copies the points once, wrapped two samples past both ends, and takes
-gamma' and gamma'' from that one copy.  The binormal velocity is normal to
-the curve, so arclength parametrization only drifts by truncation; an
-optional periodic cubic resampling every few steps corrects it.
+gamma' and gamma'' from that one copy (diffgeo.diff_pair).  The binormal
+velocity is normal to the curve, so arclength parametrization only drifts
+by truncation; an optional periodic cubic resampling every few steps
+corrects it.
 
 The package depends on numpy alone, so a CLI call starts without loading a
 larger library.  The resampling's cubic splines (a periodic one through the
 samples, not-a-knot ones for the speed and for the parameter against
 arclength) are built here from Hermite cubics and one tridiagonal solve each;
 the Hasimoto phase is a cumulative trapezoid sum.  The self-intersection
-guard sums the squared pairwise distances coordinate by coordinate, one
-index offset at a time, and skips the offsets that the triangle inequality
-along the curve rules out; on a smooth curve it computes about ten of the
-N/2 - 1 offsets and returns the minimum of the full search bit for bit.
+guard sums the squared pairwise distances coordinate by coordinate, a block
+of index offsets at a time, and skips the offsets that the triangle
+inequality along the curve rules out; it returns the minimum of the full
+search bit for bit, computes about a fifth of the offsets on a round curve,
+and costs about one and a half full passes where strands are in near
+contact, so that little can be skipped.
 
 A closed curve is a dim-1 diffgeo.GridImmersion: points of shape (N, 3) and
 one parameter period, which is the length once the curve is sampled by
@@ -65,6 +68,9 @@ MIN_SAMPLES = 32
 # distances lose relative accuracy
 _PRUNE_SLACK = 1e-9
 _TINY = np.finfo(float).tiny
+# index offsets in the self-intersection guard's first and widest blocks
+_FIRST_BLOCK = 4
+_GUARD_BLOCK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +124,14 @@ def build_curve(kind, n, **params):
 def derivative(f, period, nu=1):
     """nu-th derivative of a periodic sampled field (columns differentiated)
     by diffgeo's order-4 centered differences."""
-    if nu not in (1, 2, 3):
-        raise ValueError(f"nu must be 1, 2 or 3, got {nu}")
     h = period / f.shape[0]
-    if nu > 1:
-        f = dg._second(dg._neighbours(f, 0, 4), h, 4)
-    return f if nu == 2 else dg._first(dg._neighbours(f, 0, 4), h, 4)
+    if nu == 1:
+        return dg.diff(f, 0, h, 4)
+    if nu == 2:
+        return dg.diff2(f, 0, h, 4)
+    if nu == 3:
+        return dg.diff(dg.diff2(f, 0, h, 4), 0, h, 4)
+    raise ValueError(f"nu must be 1, 2 or 3, got {nu}")
 
 
 # ---------------------------------------------------------------------------
@@ -326,40 +334,64 @@ def min_nonneighbor_distance(points):
 
     Each pair is met at its index offset k = 2 .. N//2, and its squared
     distance is summed over x, y, z in that order, so the value is the
-    Euclidean pairwise distance bit for bit.  The offsets are visited in
-    increasing order, one (3, N) difference each, and an offset is skipped
+    Euclidean pairwise distance bit for bit.  The offsets are walked upwards
+    in blocks, each one (3, block, N) difference, and an offset is skipped
     when the triangle inequality along the curve rules it out: p(i+k+j) lies
     within j e of p(i+k), e the longest edge, so no pair at offset k + j is
     closer than d_k - j e, d_k the closest pair at offset k.  The bound is
     shrunk by _PRUNE_SLACK against rounding, and pruning is off where a
     square could underflow or overflow, so a skipped offset never holds the
-    minimum and the value is that of the full search.  On a round curve at
-    N = 256 about ten of the 127 offsets are computed; on a cloud with no
-    curve-like order every offset is.
+    minimum and the value is that of the full search.
+
+    The first block holds _FIRST_BLOCK offsets, and a block that skips no
+    more offsets than it computed doubles the next one, up to _GUARD_BLOCK.
+    On a round curve at N = 256 four blocks of at most 8 offsets compute 28
+    of the 127.  Where little can be skipped (strands in near contact, a
+    cloud) the blocks soon reach full width: the call then takes about one
+    and a half times one pass over every offset, and its largest temporary
+    is under half of that pass's (3, N/2 - 1, N) difference.
     """
     n = points.shape[0]
-    ring = np.concatenate((points.T, points.T), axis=1)
-    xyz, delta, d2 = ring[:, :n], np.empty((3, n)), np.empty(n)
+    if n < 4:
+        return math.inf   # no pair is more than one index apart
+    xyz = np.ascontiguousarray(points.T, dtype=float)
+    ring = np.concatenate((xyz, xyz), axis=1)
+    # windows[:, k] = ring[:, k:k + n], built directly: sliding_window_view
+    # costs more than a small block's arithmetic
+    windows = np.ndarray((3, n + 1, n), float, ring, 0, (ring.strides[0], 8, 8))
+    xyz, last, delta = xyz[:, None, :], n // 2, np.empty((3, 0, n))
 
-    def squared(k):
-        np.subtract(ring[:, k:k + n], xyz, out=delta)
-        np.multiply(delta, delta, out=delta)
-        np.add(delta[0], delta[1], out=d2)
-        return np.add(d2, delta[2], out=d2)
+    def squared(k, stop):
+        """Squared distances of the pairs at offsets k .. stop - 1, one row each."""
+        nonlocal delta
+        if delta.shape[1] < stop - k:
+            delta = None   # free the narrower buffer first
+            delta = np.empty((3, stop - k, n))
+        diff = np.subtract(windows[:, k:stop], xyz, out=delta[:, :stop - k])
+        np.multiply(diff, diff, out=diff)
+        sq = np.add(diff[0], diff[1], out=diff[0])
+        return np.add(sq, diff[2], out=sq)
 
-    edge2 = squared(1).max()
+    edge2 = squared(1, 2).max()   # offset 1 pairs the neighbours: the edges
     prune = _TINY <= edge2 < np.inf
     edge = math.sqrt(edge2) * (1.0 + _PRUNE_SLACK) if prune else 0.0
-    best2, k = np.inf, 2
-    while k <= n // 2:
-        dk2 = squared(k).min()
-        if dk2 < best2 or dk2 != dk2:  # a NaN stays, as in one min over all pairs
-            best2 = dk2
-        k += 1
-        if prune and _TINY <= best2 and dk2 < np.inf:
-            gap = math.sqrt(dk2) * (1.0 - _PRUNE_SLACK) - math.sqrt(best2) * (1.0 + _PRUNE_SLACK)
-            if gap > 0.0:
-                k += math.ceil(gap / edge) - 1  # the offsets k + j with j e < gap
+    best2, k, size = np.inf, 2, _FIRST_BLOCK
+    while k <= last:
+        start, stop = k, min(k + size, last + 1)
+        minima = squared(start, stop).min(axis=1).tolist()   # closest pair per offset
+        block_best = math.nan if math.isnan(sum(minima)) else min(minima)
+        if block_best < best2 or block_best != block_best:  # a NaN stays, as in one min
+            best2 = block_best
+        k = stop
+        if prune and _TINY <= best2 < np.inf:
+            # offset i rules out i + j for j e < gap_i, so up to i + ceil(gap_i / e);
+            # the farthest offset of the block reaches furthest
+            far2 = max(minima)
+            gap = math.sqrt(far2) * (1.0 - _PRUNE_SLACK) - math.sqrt(best2) * (1.0 + _PRUNE_SLACK)
+            if 0.0 < gap < np.inf:
+                k = max(k, start + minima.index(far2) + math.ceil(gap / edge))
+        if k - stop <= stop - start:
+            size = min(2 * size, _GUARD_BLOCK)
     return float(np.sqrt(best2))
 
 
@@ -368,14 +400,9 @@ def min_nonneighbor_distance(points):
 # ---------------------------------------------------------------------------
 
 def binormal_rhs(points, period):
-    """Velocity gamma' x gamma'' of the filament equation (arclength samples).
-
-    One copy of the points, wrapped two samples past both ends, feeds both
-    stencils; bitwise equal to the cross product of derivative(points, period,
-    1) and derivative(points, period, 2)."""
-    h = period / points.shape[0]
-    at = dg._neighbours(points, 0, 4)
-    gp, gpp = dg._first(at, h, 4), dg._second(at, h, 4)
+    """Velocity gamma' x gamma'' of the filament equation (arclength samples);
+    both derivatives come from one wrapped copy of the points."""
+    gp, gpp = dg.diff_pair(points, 0, period / points.shape[0], 4)
     return dg.generalised_cross([gp.T], gpp.T).T
 
 

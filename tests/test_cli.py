@@ -592,6 +592,18 @@ def test_write_csv_numeric_template_matches_csv_writer(tmp_path):
     assert path.read_text() == "a,b\n"
 
 
+@pytest.mark.parametrize("rows", [
+    [(0, 2 ** 53 + 1), (np.int64(-(2 ** 62) - 1), 0.5)],   # ints a float would round
+    [(1.0, 2.0, 3.0), (4.0,)],                             # rows of other lengths
+    [(1.0,), (2.0, 3.0, 4.0)],
+])
+def test_write_csv_writes_rows_the_template_cannot_as_given(tmp_path, rows):
+    path = tmp_path / "t.csv"
+    cli.write_csv(path, ["a", "b"], rows)
+    expected = "a,b\n" + "".join(",".join(cli._fmt(x) for x in row) + "\n" for row in rows)
+    assert path.read_text() == expected
+
+
 def test_write_csv_quotes_only_when_needed(tmp_path):
     path = tmp_path / "t.csv"
     cli.write_csv(path, ["a", "b"], [(0.5, 'x, "y"'), (2, "z")])

@@ -98,6 +98,9 @@ def test_stencils_equal_the_roll_reference_bitwise(shape, axis, order):
     h = 0.37
     assert np.array_equal(dg.diff(f, axis, h, order), _roll_diff(f, axis, h, order))
     assert np.array_equal(dg.diff2(f, axis, h, order), _roll_diff2(f, axis, h, order))
+    first, second = dg.diff_pair(f, axis, h, order)
+    assert np.array_equal(first, _roll_diff(f, axis, h, order))
+    assert np.array_equal(second, _roll_diff2(f, axis, h, order))
 
 
 @pytest.mark.parametrize("order", [2, 4])

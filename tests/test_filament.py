@@ -192,8 +192,8 @@ def test_cross_equals_np_cross_bitwise():
 
 @pytest.mark.parametrize("n", [100, 256])
 def test_binormal_rhs_is_the_cross_of_the_two_derivatives(n):
-    # one wrapped copy feeds both stencils; the velocity is bitwise that of
-    # two separate derivative calls
+    # diffgeo.diff_pair takes both stencils from one wrapped copy; the
+    # velocity is bitwise that of two separate derivative calls
     c = fl.arclength_resample(fl.twisted_circle(1.0, 0.3, 2, n))
     p, L = c.points, c.param_periods[0]
     expected = dg.generalised_cross([fl.derivative(p, L, 1).T], fl.derivative(p, L, 2).T).T
@@ -244,22 +244,47 @@ def test_min_nonneighbor_distance_equals_double_loop_property(pts):
     assert fl.min_nonneighbor_distance(pts) == _brute_min_nonneighbor(pts)
 
 
+@pytest.mark.parametrize("resample", [False, True])
 @pytest.mark.parametrize("n", [256, 257])
 @pytest.mark.parametrize("gap", [1e-3, 1e-2])
-def test_min_nonneighbor_distance_finds_a_crossing_at_half_the_loop(n, gap):
+def test_min_nonneighbor_distance_finds_a_crossing_at_half_the_loop(n, gap, resample):
     # the strands of a figure eight pass within 2 gap of each other at index
     # offset n/2, past offsets whose closest pairs are far apart: a pruning
-    # bound that skips too far misses that pair
+    # bound that skips too far misses that pair.  Sampled by arclength, the
+    # closest pairs per offset fall at nearly one edge per offset towards
+    # the crossing, as fast as the bound allows
     u = np.arange(n) * 2.0 * np.pi / n
     pts = np.stack([np.cos(u), np.sin(2.0 * u) / 2.0, gap * np.sin(u)], axis=-1)
+    if resample:
+        pts = fl.arclength_resample(dg.GridImmersion(pts, (2.0 * np.pi,))).points
     d = fl.min_nonneighbor_distance(pts)
     assert d == _brute_min_nonneighbor(pts)
     assert d < 2.0 * np.pi / n
 
 
-def test_min_nonneighbor_distance_peak_allocation():
-    # one (3, N) difference per offset, not a (3, N/2 - 1, N) block (780 KB at N = 256)
-    pts = planar_curve().points
+@pytest.mark.parametrize("n", [17, 33])
+def test_min_nonneighbor_distance_equals_double_loop_on_seeded_clouds(n):
+    # on a few of these clouds the pruning bound lands exactly on the offset
+    # of the closest pair: a skip one offset longer misses it
+    for seed in range(200):
+        pts = np.random.default_rng(seed).standard_normal((n, 3))
+        assert fl.min_nonneighbor_distance(pts) == _brute_min_nonneighbor(pts), seed
+
+
+def _crushed_ellipse(n, width):
+    u = 2.0 * np.pi * np.arange(n) / n
+    return np.stack([np.cos(u), width * np.sin(u), 0.1 * width * np.sin(3.0 * u)], axis=1)
+
+
+@pytest.mark.parametrize("curve, limit", [
+    # a round curve is searched in a few narrow blocks
+    (lambda: planar_curve().points, 200_000),
+    # strands in near contact rule out few offsets, so the blocks reach full
+    # width; still under half the (3, N/2 - 1, N) block of one pass (780 KB)
+    (lambda: _crushed_ellipse(256, 0.02), 400_000),
+])
+def test_min_nonneighbor_distance_peak_allocation(curve, limit):
+    pts = curve()
     fl.min_nonneighbor_distance(pts)
     tracemalloc.start()
     try:
@@ -267,7 +292,7 @@ def test_min_nonneighbor_distance_peak_allocation():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 200_000
+    assert peak < limit
 
 
 @pytest.mark.parametrize("n", [3, 4, 32, 257])
