@@ -16,15 +16,23 @@ explicit 1x1/2x2 expressions (metric_planes), and normal projection
 subtracts (X, t_i) t^i with the dual tangents t^i = g^ij t_j
 (project_planes).  shape_field evaluates all of it as elementwise
 arithmetic on (d, *s) component planes, with no per-point LAPACK call.  The
-positions are copied once into a buffer wrapped past both ends of every
-grid axis, so each axis reads its +-1/+-2 neighbours as slices, with no
-np.roll copy, and takes its first and second differences from that one set
-(plane_derivatives).  The generalised cross product on the same planes
-(generalised_cross) is the 3D cross product for curves and, for membranes
-in R^4, the Hodge dual of the six Pluecker coordinates t1_a t2_b - t1_b t2_a
-of the tangent plane paired with v.  apply_j uses it, and so do the flow's
-stage kernel membrane.smc_rhs, which builds no ShapeField, and the filament
-velocity filament.binormal_rhs.
+positions are held as padded planes: wrapped order/2 entries past both ends
+of every grid axis (pad_planes), so the halo is the periodic wrap.  Each
+axis reads its +-1/+-2 neighbours as flat shifted slices of that buffer,
+with no np.roll copy, and takes its first and second differences from that
+one set (plane_derivatives).  The results are band planes: the interior
+rows, halo columns included, one contiguous stretch of memory per
+component, so every stencil and product is one pass over it.  The halo
+columns of a band plane hold no geometry; every reduction (the det g floor,
+a maximum of g^ii, a finiteness check) reads the interior alone.  The
+membrane RK4 state stays in this layout from stage to stage
+(membrane.smc_rhs returns its velocity with the halo wrapped), and a
+snapshot is the interior copied out.  The generalised cross product on
+the same planes (generalised_cross) is the 3D cross product for curves and,
+for membranes in R^4, the Hodge dual of the six Pluecker coordinates
+t1_a t2_b - t1_b t2_a of the tangent plane paired with v.  apply_j uses it,
+and so do the flow's stage kernel membrane.smc_rhs, which builds no
+ShapeField, and the filament velocity filament.binormal_rhs.
 
 The plane kernels (plane_derivatives, metric_planes, project_planes,
 generalised_cross, shape_field) fill their intermediate planes with out=
@@ -102,11 +110,11 @@ class GridImmersion:
             )
         if len(self.param_periods) != n:
             raise ValueError("need one parameter period per grid axis")
-        if not all(np.isfinite(p) and p > 0 for p in self.param_periods):
+        if not all(math.isfinite(p) and p > 0 for p in self.param_periods):
             raise ValueError(f"param_periods must be finite and > 0, got {self.param_periods}")
         if any(N < MIN_GRID for N in pts.shape[:-1]):
             raise ValueError(f"grid sizes must be >= {MIN_GRID}, got {pts.shape[:-1]}")
-        if not np.all(np.isfinite(pts)):
+        if not all_finite(pts):
             raise ValueError("immersion contains non-finite points")
 
     @property
@@ -158,6 +166,15 @@ class ShapeField:
         """torsion_form of this field, (*s, n): computed on first use and
         kept, read-only."""
         return _read_only(torsion_form(self))
+
+
+def all_finite(a):
+    """np.isfinite(a).all(), from one dot product where that suffices: a NaN
+    or an infinity in a makes a . a non-finite, so only a dot product that
+    overflows (an entry beyond about 1e154 in size) takes the elementwise
+    pass.  The squares are never negative, so no inf - inf arises, and
+    np.vdot raises no overflow warning."""
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
 
 
 def _read_only(a):
@@ -255,27 +272,6 @@ def _fresh(name, shape):
     return np.empty(shape)
 
 
-def _wrap(p, axis, w):
-    """Fill the w entries past both ends of `axis` of a padded array with the
-    periodic continuation of the n >= w entries between them."""
-    n = p.shape[axis] - 2 * w
-    lead = (slice(None),) * axis
-    p[lead + (slice(0, w),)] = p[lead + (slice(n, n + w),)]
-    p[lead + (slice(n + w, n + 2 * w),)] = p[lead + (slice(w, 2 * w),)]
-
-
-def _padded_neighbours(p, w, axis, padded_axes):
-    """at(k) = f(i + k) along `axis`, as a view of p: a copy of f wrapped w
-    entries past both ends of each axis in padded_axes (axis among them)."""
-    index = [slice(w, -w) if a in padded_axes else slice(None) for a in range(p.ndim)]
-    n = p.shape[axis] - 2 * w
-
-    def at(k):
-        index[axis] = slice(w + k, w + k + n)
-        return p[tuple(index)]
-    return at
-
-
 def _neighbours(f, axis, order):
     """at(k) = f(i + k) along a periodic grid axis, for |k| <= order/2; see `diff`."""
     if order not in (2, 4):
@@ -325,9 +321,9 @@ def diff(f, axis, h, order=2):
 
     The neighbours are slices of one copy of f wrapped order/2 entries past
     both ends of the axis.  The membrane stage and shape_field difference
-    the positions through plane_derivatives instead, which pads both grid
-    axes of a (d, *s) plane stack at once into a reused buffer; both give
-    results bitwise equal to the np.roll form of the same stencil.
+    the positions through plane_derivatives instead, which reads padded
+    (d, *s) planes as flat shifted slices; both give results bitwise equal to
+    the np.roll form of the same stencil.
     """
     return _first(_neighbours(f, axis, order), h, order)
 
@@ -345,41 +341,88 @@ def diff_pair(f, axis, h, order=2):
     return _first(at, h, order), _second(at, h, order)
 
 
-def plane_derivatives(points, spacings, order, ws=_fresh):
-    """Differences of the positions, as (d, *s) component planes held in ws.
+def pad_planes(points, order, ws=_fresh):
+    """The (d, *s) component planes of points (*s, d), padded: wrapped
+    order/2 entries past both ends of every grid axis (wrap_halo), in the
+    workspace buffer "padded".  This is the layout plane_derivatives and
+    membrane.smc_rhs read; interior_points undoes it."""
+    padded = ws("padded", points.shape[-1:] + tuple(N + order for N in points.shape[:-1]))
+    interior(padded, order)[...] = np.moveaxis(points, -1, 0)
+    return wrap_halo(padded, order)
 
-    Returns (t, xx, mixed): the tangents t_i = dF/dx_i, the second
-    derivatives X_ii and, for n = 2, X_12 = d t_1/dx_2 (None for n = 1).
-    The points are copied once into a buffer wrapped order/2 entries past
-    both ends of every grid axis, so each axis takes its +-1/+-2 neighbours
-    as slices and one set of neighbours serves both stencils; the same buffer
-    then holds t_1, wrapped along the last axis, for the mixed difference.
-    Bitwise equal to diff/diff2 of the planes.
+
+def wrap_halo(padded, order):
+    """Fill the halo of (d, *s) planes padded by order/2, every entry outside
+    their interior, with the periodic wrap of the interior; in place.  Each
+    grid axis in turn copies its n >= w interior entries' ends past the
+    opposite ends, whole slabs at a time, so the corners wrap too."""
+    w = order // 2
+    for axis in range(1, padded.ndim):
+        n = padded.shape[axis] - 2 * w
+        lead = (slice(None),) * axis
+        padded[lead + (slice(0, w),)] = padded[lead + (slice(n, n + w),)]
+        padded[lead + (slice(n + w, n + 2 * w),)] = padded[lead + (slice(w, 2 * w),)]
+    return padded
+
+
+def interior(padded, order):
+    """The (d, *s) interior of planes padded by order/2, as a view."""
+    w = order // 2
+    return padded[(slice(None),) + (slice(w, -w),) * (padded.ndim - 1)]
+
+
+def interior_points(padded, order):
+    """The points (*s, d) whose padded planes these are, as a new C-ordered
+    array."""
+    return np.ascontiguousarray(np.moveaxis(interior(padded, order), 0, -1))
+
+
+def plane_derivatives(padded, spacings, order, ws=_fresh):
+    """Differences of the positions, from their padded planes (pad_planes).
+
+    Returns (t, xx, mixed, inner): the tangents t_i = dF/dx_i, the second
+    derivatives X_ii and, for n = 2, X_12 = d t_1/dx_2 (None for n = 1), as
+    band planes held in ws, and the index of a band plane's interior.  The
+    band is padded[:, w:-w] (w = order/2): the interior rows of the grid,
+    halo columns included, one contiguous stretch of each flattened
+    component plane.  So every neighbour is one flat shifted slice of the
+    padded buffer, +-k (n2 + 2w) along axis 1 and +-k along axis 2, and each
+    stencil pass runs over one contiguous run of memory per component.  t_1
+    is kept with w spare entries at both ends of its flat planes, so the
+    mixed difference reads its neighbours the same way.
+
+    A band plane's halo columns hold differences taken across the ends of
+    rows: they are no geometry, may hold any value, and whatever reads the
+    band reduces over band[inner] alone.  On the interior the results are
+    bitwise diff/diff2 of the unpadded planes.
     """
     if order not in (2, 4):
         raise ValueError(f"finite-difference order must be 2 or 4, got {order}")
-    s, d, w = points.shape[:-1], points.shape[-1], order // 2
-    n, plane = len(s), (d,) + s
-    axes = tuple(range(1, n + 1))
-    padded = ws("padded", (d,) + tuple(N + 2 * w for N in s))
-    padded[(slice(None),) + (slice(w, -w),) * n] = np.moveaxis(points, -1, 0)
-    for a in axes:
-        _wrap(padded, a, w)
-    tmp = ws("tmp", plane)
-    t = [ws(f"t{a}", plane) for a in axes]
-    xx = [ws(f"xx{a}", plane) for a in axes]
-    for i, a in enumerate(axes):
-        at = _padded_neighbours(padded, w, a, axes)
+    w, d, n = order // 2, padded.shape[0], padded.ndim - 1
+    band = (d, padded.shape[1] - 2 * w) + padded.shape[2:]
+    row = math.prod(padded.shape[2:])  # flat stride of grid axis 1; axis 2's is 1
+    size = math.prod(band[1:])
+
+    def shifted(flat, start, stride):
+        views = {k: flat[:, start + k * stride:start + k * stride + size].reshape(band)
+                 for k in range(-w, w + 1)}
+        return views.__getitem__
+
+    flat = padded.reshape(d, -1)
+    tmp = ws("tmp", band)
+    t1_flat = ws("t1", (d, size + 2 * w))
+    t = [t1_flat[:, w:w + size].reshape(band)] + [ws(f"t{a}", band) for a in range(2, n + 1)]
+    xx = [ws(f"xx{a}", band) for a in range(1, n + 1)]
+    for i, stride in enumerate((row, 1)[:n]):
+        at = shifted(flat, w * row, stride)
         _first(at, spacings[i], order, t[i], tmp)
         _second(at, spacings[i], order, xx[i], tmp)
     if n == 1:
-        return t, xx, None
-    # the positions are done with: pad t_1 along the last axis in their place
-    t1_padded = padded[:, w:-w]
-    t1_padded[:, :, w:-w] = t[0]
-    _wrap(t1_padded, 2, w)
-    at = _padded_neighbours(t1_padded, w, 2, (2,))
-    return t, xx, _first(at, spacings[1], order, ws("mixed", plane), tmp)
+        return t, xx, None, (Ellipsis,)
+    # the spare entries feed only halo columns; keep them finite
+    t1_flat[:, :w] = t1_flat[:, -w:] = 0.0
+    mixed = _first(shifted(t1_flat, w, 1), spacings[1], order, ws("mixed", band), tmp)
+    return t, xx, mixed, (Ellipsis, slice(w, padded.shape[2] - w))
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +471,16 @@ def _planes(a, k):
     return np.moveaxis(a, tuple(range(-k, 0)), tuple(range(k)))
 
 
-def metric_planes(t, ws=_fresh):
+def metric_planes(t, ws=_fresh, inner=(Ellipsis,)):
     """Closed-form metric algebra of n <= 2 tangent planes t[i], each (d, *s).
 
     Returns (g, det_g, g_inv, dual) with g and g_inv as nested n x n lists of
     (*s,) planes and the dual tangents t^i = g^ij t_j, all held in the
-    workspace ws.  Raises DegenerateImmersionError when det(g) falls below
-    G_MIN, naming the offending grid index.
+    workspace ws.  For the band planes of plane_derivatives, inner is the
+    index it returns: the det g floor reads the interior alone, and the
+    band's halo columns, which hold no geometry, raise no floating-point
+    warning.  Raises DegenerateImmersionError when det(g) falls below G_MIN,
+    naming the offending grid index of the interior.
     """
     n, s, plane = len(t), t[0].shape[1:], t[0].shape
     tmp = ws("scalar_tmp", s)
@@ -447,21 +493,23 @@ def metric_planes(t, ws=_fresh):
     else:
         det_g = np.multiply(g[0][0], g[1][1], out=ws("det_g", s))
         det_g -= np.multiply(g[0][1], g[0][1], out=tmp)
-    if det_g.min() <= G_MIN:
-        idx = np.unravel_index(np.argmin(det_g), det_g.shape)
-        raise DegenerateImmersionError(idx, det_g[idx])
-    if n == 1:
-        g_inv = [[np.divide(1.0, det_g, out=ws("g^11", s))]]
-        dual = [np.multiply(g_inv[0][0], t[0], out=ws("dual1", plane))]
-        return g, det_g, g_inv, dual
-    off = np.negative(g[0][1], out=ws("g^12", s))
-    off /= det_g
-    g_inv = [[np.divide(g[1][1], det_g, out=ws("g^11", s)), off],
-             [off, np.divide(g[0][0], det_g, out=ws("g^22", s))]]
-    dual = []
-    for i in range(2):
-        dual.append(np.multiply(g_inv[i][0], t[0], out=ws(f"dual{i + 1}", plane)))
-        dual[i] += np.multiply(g_inv[i][1], t[1], out=ws("tmp", plane))
+    det_inner = det_g[inner]
+    if det_inner.min() <= G_MIN:
+        idx = np.unravel_index(np.argmin(det_inner), det_inner.shape)
+        raise DegenerateImmersionError(idx, det_inner[idx])
+    with np.errstate(all="ignore"):
+        if n == 1:
+            g_inv = [[np.divide(1.0, det_g, out=ws("g^11", s))]]
+            dual = [np.multiply(g_inv[0][0], t[0], out=ws("dual1", plane))]
+            return g, det_g, g_inv, dual
+        off = np.negative(g[0][1], out=ws("g^12", s))
+        off /= det_g
+        g_inv = [[np.divide(g[1][1], det_g, out=ws("g^11", s)), off],
+                 [off, np.divide(g[0][0], det_g, out=ws("g^22", s))]]
+        dual = []
+        for i in range(2):
+            dual.append(np.multiply(g_inv[i][0], t[0], out=ws(f"dual{i + 1}", plane)))
+            dual[i] += np.multiply(g_inv[i][1], t[1], out=ws("tmp", plane))
     return g, det_g, g_inv, dual
 
 
@@ -478,45 +526,49 @@ def shape_field(imm, order=2, ws=_fresh):
     """Compute the full geometry bundle of an immersion.
 
     The per-point algebra is elementwise arithmetic on component planes:
-    one padded (d, *s) copy of the points is differenced along the grid axes
-    (`plane_derivatives`), det g and g^-1 are the closed-form 1x1/2x2
+    the points are padded once (`pad_planes`) and differenced along the grid
+    axes (`plane_derivatives`), det g and g^-1 are the closed-form 1x1/2x2
     expressions of `metric_planes`, and each second derivative X_ij is
     projected with the dual tangents t^k = g^kl t_l as
-    A_ij = X_ij - sum_k (X_ij, t_k) t^k.  The intermediate planes live in
-    the workspace ws; the returned ShapeField holds only arrays of its own.
+    A_ij = X_ij - sum_k (X_ij, t_k) t^k.  All of it runs on the band planes
+    of plane_derivatives, in the workspace ws; the returned ShapeField holds
+    arrays of its own, copied from the interior.
 
     Raises DegenerateImmersionError when det(g) falls below G_MIN, naming the
     offending grid index.
     """
     n, d, s, hs = imm.dim, imm.ambient_dim, imm.shape, imm.spacings
-    t, xx, mixed = plane_derivatives(imm.points, hs, order, ws)
-    g, det_g, g_inv, dual = metric_planes(t, ws)
+    t, xx, mixed, inner = plane_derivatives(pad_planes(imm.points, order, ws), hs, order, ws)
+    g, det_g, g_inv, dual = metric_planes(t, ws, inner)
+
+    second_form = np.empty(s + (n, n, d))
+    h = np.zeros(t[0].shape)
+    norm_sq = None
+    with np.errstate(all="ignore"):  # the band's halo columns hold no geometry
+        for i in range(n):
+            for j in range(i, n):
+                x = xx[i] if i == j else mixed
+                x_sq = _dot(x, x)
+                norm_sq = x_sq if norm_sq is None else np.maximum(norm_sq, x_sq)
+                project_planes(x, t, dual, ws)
+                _planes(second_form, 3)[i, j] = x[inner]
+                _planes(second_form, 3)[j, i] = x[inner]
+                h += (g_inv[i][j] if i == j else 2.0 * g_inv[i][j]) * x
+    h = h[inner]
+    del xx, mixed, x  # copied out: without a workspace their planes are freed here
 
     tangents = np.empty(s + (n, d))
     metric = np.empty(s + (n, n))
     metric_inv = np.empty(s + (n, n))
     for i in range(n):
-        _planes(tangents, 2)[i] = t[i]
+        _planes(tangents, 2)[i] = t[i][inner]
         for j in range(n):
-            _planes(metric, 2)[i, j] = g[i][j]
-            _planes(metric_inv, 2)[i, j] = g_inv[i][j]
-
-    second_form = np.empty(s + (n, n, d))
-    h = np.zeros((d,) + s)
-    norm_sq = None
-    for i in range(n):
-        for j in range(i, n):
-            x = xx[i] if i == j else mixed
-            x_sq = _dot(x, x)
-            norm_sq = x_sq if norm_sq is None else np.maximum(norm_sq, x_sq)
-            project_planes(x, t, dual, ws)
-            _planes(second_form, 3)[i, j] = x
-            _planes(second_form, 3)[j, i] = x
-            h += (g_inv[i][j] if i == j else 2.0 * g_inv[i][j]) * x
+            _planes(metric, 2)[i, j] = g[i][j][inner]
+            _planes(metric_inv, 2)[i, j] = g_inv[i][j][inner]
     H = np.empty(s + (d,))
     _planes(H, 1)[...] = h
 
-    tol_perp = np.maximum(TOL_PERP_FACTOR * np.sqrt(norm_sq), TOL_PERP_FACTOR)
+    tol_perp = np.maximum(TOL_PERP_FACTOR * np.sqrt(norm_sq[inner]), TOL_PERP_FACTOR)
 
     return ShapeField(
         immersion=imm,
@@ -524,8 +576,8 @@ def shape_field(imm, order=2, ws=_fresh):
         tangents=tangents,
         metric=metric,
         metric_inv=metric_inv,
-        det_g=det_g.copy(),
-        sqrt_det_g=np.sqrt(det_g),
+        det_g=det_g[inner].copy(),
+        sqrt_det_g=np.sqrt(det_g[inner]),
         second_form=second_form,
         mean_curvature=H,
         rho=_dot(h, h),

@@ -67,33 +67,37 @@ class MembraneTrajectory(Trajectory):
         return sf
 
 
-def smc_rhs(points, spacings, order=2, ws=None):
+def smc_rhs(padded, spacings, order=2, ws=None):
     """Marker velocity -J H = (t_1 x ... x t_n x H) / sqrt(det g) per grid point.
 
-    The RK4 stage kernel: it works on (d, *s) component planes of the
-    positions and builds no GridImmersion or ShapeField.  Each grid axis takes
-    its first and second differences from one set of padded-slice neighbours
-    (dg.plane_derivatives); H is one normal projection of g^ij X_ij, which
-    equals g^ij A_ij up to roundoff because the projection is linear.  Every
-    intermediate plane lives in the workspace ws, which evolve_membrane keeps
-    for all stages of a run; without one the call starts a fresh workspace.
-    The returned velocity is always a new array.  Raises
-    DegenerateImmersionError where det g <= G_MIN.
+    The RK4 stage kernel.  It takes the positions as padded (d, *s) component
+    planes whose halo is the periodic wrap (dg.pad_planes), and returns the
+    velocity in the same layout, halo wrapped, so y + c dt k of two such
+    arrays is one as well; it builds no GridImmersion or ShapeField.  The
+    input is differenced where it lies, each neighbour one flat shifted slice
+    of it (dg.plane_derivatives), and all arithmetic runs over the band of
+    interior rows; the det g floor reads the interior alone.  H is one normal
+    projection of g^ij X_ij, which equals g^ij A_ij up to roundoff because the
+    projection is linear.  Every intermediate plane lives in the workspace
+    ws, which evolve_membrane keeps for all stages of a run; without one the
+    call starts a fresh workspace.  The returned velocity is always a new
+    array.  Raises DegenerateImmersionError where det g <= G_MIN.
     """
     ws = dg.Workspace() if ws is None else ws
-    t, xx, mixed = dg.plane_derivatives(points, spacings, order, ws)
-    _, det_g, g_inv, dual = dg.metric_planes(t, ws)
+    t, xx, mixed, inner = dg.plane_derivatives(padded, spacings, order, ws)
+    _, det_g, g_inv, dual = dg.metric_planes(t, ws, inner)
     scalar_tmp = ws("scalar_tmp", det_g.shape)
-    y = xx[0]  # g^ij X_ij, summed in the buffer of X_11
-    y *= g_inv[0][0]
-    if len(t) == 2:
-        y += np.multiply(g_inv[1][1], xx[1], out=xx[1])
-        y += np.multiply(np.multiply(2.0, g_inv[0][1], out=scalar_tmp), mixed, out=mixed)
-    v = np.empty(points.shape)
-    planes = np.moveaxis(v, -1, 0)
-    dg.generalised_cross(t, dg.project_planes(y, t, dual, ws), planes, ws)
-    planes /= np.sqrt(det_g, out=scalar_tmp)
-    return v
+    v, w = np.empty(padded.shape), order // 2
+    with np.errstate(all="ignore"):  # the band's halo columns hold no geometry
+        y = xx[0]  # g^ij X_ij, summed in the buffer of X_11
+        y *= g_inv[0][0]
+        if len(t) == 2:
+            y += np.multiply(g_inv[1][1], xx[1], out=xx[1])
+            y += np.multiply(np.multiply(2.0, g_inv[0][1], out=scalar_tmp), mixed, out=mixed)
+        band = v[:, w:-w]
+        dg.generalised_cross(t, dg.project_planes(y, t, dual, ws), band, ws)
+        band /= np.sqrt(det_g, out=scalar_tmp)
+    return dg.wrap_halo(v, order)
 
 
 def stability_limit(imm, order=2, ws=None):
@@ -102,16 +106,18 @@ def stability_limit(imm, order=2, ws=None):
     The stiffest linearized mode oscillates at roughly
     c_ord * sum_i max(g^ii) / h_i^2 with c_ord the peak symbol of the second
     difference; the usable step is a conservative fraction of 2.83 over that.
-    g^ii is read from the metric planes of the immersion (plane_derivatives
-    and metric_planes, in the workspace ws), the planes shape_field copies
-    into metric_inv, so the bound is bitwise that of the full shape field.
-    Raises DegenerateImmersionError where det g <= G_MIN.
+    g^ii is read from the metric planes of the immersion, padded once
+    (dg.pad_planes, dg.plane_derivatives and dg.metric_planes, in the
+    workspace ws), the planes shape_field copies into metric_inv, and its
+    maximum is taken over their interior, so the bound is bitwise that of the
+    full shape field.  Raises DegenerateImmersionError where det g <= G_MIN.
     """
     ws = dg.Workspace() if ws is None else ws
-    t, _, _ = dg.plane_derivatives(imm.points, imm.spacings, order, ws)
-    _, _, g_inv, _ = dg.metric_planes(t, ws)
+    padded = dg.pad_planes(imm.points, order, ws)
+    t, _, _, inner = dg.plane_derivatives(padded, imm.spacings, order, ws)
+    _, _, g_inv, _ = dg.metric_planes(t, ws, inner)
     lam = sum(
-        _FD_SECOND_MAX[order] * g_inv[i][i].max() / imm.spacings[i] ** 2
+        _FD_SECOND_MAX[order] * g_inv[i][i][inner].max() / imm.spacings[i] ** 2
         for i in range(imm.dim)
     )
     return RK4_IMAG_STABILITY / lam
@@ -120,12 +126,16 @@ def stability_limit(imm, order=2, ws=None):
 def evolve_membrane(imm, dt, t_final, stride=1, order=2):
     """RK4 Lagrangian-marker evolution, snapshots every `stride` steps.
 
-    Raises ValueError for a step size above the stability estimate, and
-    EvolutionAbort on metric degeneration, non-finite coordinates,
-    or a snapshot whose stability estimate has dropped below dt.  The
-    estimates read the metric planes alone, so the run builds no shape field:
-    the returned trajectory, and the one an abort carries, hold snapshots,
-    whose fields MembraneTrajectory.fields builds on demand.
+    The RK4 state is the padded planes of smc_rhs, so a stage needs no copy
+    in, wrap or transpose out; the finiteness check reads their interior.
+    Only the steps that the trajectory records build a snapshot, a
+    GridImmersion of the interior, and the next step pads it again.  Raises
+    ValueError for a step size above the stability estimate, and
+    EvolutionAbort on metric degeneration, non-finite coordinates, or a
+    snapshot whose stability estimate has dropped below dt.  The estimates
+    read the metric planes alone, so the run builds no shape field: the
+    returned trajectory, and the one an abort carries, hold snapshots, whose
+    fields MembraneTrajectory.fields builds on demand.
     """
     nsteps = step_count(dt, t_final, stride)
     ws = dg.Workspace()  # every stage and stability estimate of this run works in it
@@ -134,12 +144,16 @@ def evolve_membrane(imm, dt, t_final, stride=1, order=2):
         raise ValueError(f"dt={dt:.3e} above the stability estimate {dt_max:.3e}")
     periods, spacings = imm.param_periods, imm.spacings
 
-    def step(snap, i):
-        pts = rk4_step(lambda p: smc_rhs(p, spacings, order, ws), snap.points, dt)
-        if not np.all(np.isfinite(pts)):
+    def step(y, i):
+        if isinstance(y, dg.GridImmersion):  # the initial state or a recorded snapshot
+            y = dg.pad_planes(y.points, order)
+        y = rk4_step(lambda p: smc_rhs(p, spacings, order, ws), y, dt)
+        if not dg.all_finite(dg.interior(y, order)):
             raise EvolutionAbort("non-finite coordinates", i * dt)
-        snap = dg.GridImmersion(pts, periods)
-        if ((stride and i % stride == 0) or i == nsteps) and dt > stability_limit(snap, order, ws):
+        if not ((stride and i % stride == 0) or i == nsteps):
+            return y
+        snap = dg.GridImmersion(dg.interior_points(y, order), periods)
+        if dt > stability_limit(snap, order, ws):
             raise EvolutionAbort("dt no longer within the stability estimate", i * dt)
         return snap
 

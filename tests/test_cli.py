@@ -330,10 +330,18 @@ def test_help_and_version_return_0(flag, capsys):
     assert "skewflow" in capsys.readouterr().out
 
 
+def _child_env():
+    """The environment of a child python that imports this checkout's package:
+    its src directory, then the inherited PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_entry_point_version():
     res = subprocess.run(
         [sys.executable, "-m", "skewflow.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert res.returncode == 0
     assert "skewflow" in res.stdout
@@ -341,13 +349,10 @@ def test_entry_point_version():
 
 def test_cli_import_loads_no_scipy():
     # every CLI call pays this import before it does any work
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     res = subprocess.run(
         [sys.executable, "-c",
          "import sys, skewflow.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
@@ -444,7 +449,7 @@ def test_membrane_non_finite_stage_exits_3_with_earlier_snapshots(tmp_path, caps
         v = original(*args, **kwargs)
         if calls[0] == 4 * 3 + 2:  # second stage of step 4
             v = v.copy()
-            v[0, 0, 0] = np.inf
+            v[0, 2, 2] = np.inf  # an interior point of the padded planes
         return v
 
     monkeypatch.setattr(mb, "smc_rhs", poisoned)

@@ -58,6 +58,28 @@ def test_builder_rejects_degenerate_specs():
         dg.build_immersion("klein_bottle", (16, 16))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value,finite", [
+    (np.nan, False), (np.inf, False), (-np.inf, False), (1e300, True), (-1.7e308, True),
+])
+@pytest.mark.parametrize("period", [2.0 * np.pi, np.nan, np.inf, 0.0])
+def test_immersion_finiteness_checks_are_exact(value, finite, period):
+    # 1e200 makes the points' dot product overflow, so the elementwise pass decides
+    pts = dg.torus_immersion(1.0, 2.0, (8, 9)).points.copy()
+    pts[0, 0, 0] = 1e200
+    pts[3, 5, 2] = value
+    if period != 2.0 * np.pi:
+        with pytest.raises(ValueError, match="param_periods must be finite and > 0"):
+            dg.GridImmersion(pts, (2.0 * np.pi, period))
+    elif finite:
+        assert dg.GridImmersion(pts, (2.0 * np.pi, period)).points[3, 5, 2] == value
+    else:
+        with pytest.raises(ValueError, match="non-finite points"):
+            dg.GridImmersion(pts, (2.0 * np.pi, period))
+    assert dg.all_finite(pts) == bool(np.isfinite(pts).all())
+    assert dg.all_finite(pts[:, ::2]) == bool(np.isfinite(pts[:, ::2]).all())
+
+
 def test_build_immersion_dispatch():
     imm = dg.build_immersion("torus_product", (16, 16), a=1.0, b=2.0)
     assert imm.shape == (16, 16)
@@ -106,19 +128,21 @@ def test_stencils_equal_the_roll_reference_bitwise(shape, axis, order):
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("shape", [(24, 40, 4), (8, 9, 4), (64, 3), (8, 3)])
 def test_plane_derivatives_equal_the_roll_reference_bitwise(shape, order):
-    # the stage's padded-slice path, into a workspace reused across two fields
+    # the stage's flat-shift path on padded planes, into a workspace reused
+    # across two fields; the interior of each band plane is compared
     rng = np.random.default_rng(sum(shape) + order)
     spacings = (0.37, 0.21)[:len(shape) - 1]
     ws = dg.Workspace()
     for _ in range(2):
         pts = rng.standard_normal(shape)
         x = np.moveaxis(pts, -1, 0)
-        t, xx, mixed = dg.plane_derivatives(pts, spacings, order, ws)
+        t, xx, mixed, inner = dg.plane_derivatives(dg.pad_planes(pts, order), spacings, order, ws)
         for i, h in enumerate(spacings):
-            assert np.array_equal(t[i], _roll_diff(x, i + 1, h, order))
-            assert np.array_equal(xx[i], _roll_diff2(x, i + 1, h, order))
+            assert np.array_equal(t[i][inner], _roll_diff(x, i + 1, h, order))
+            assert np.array_equal(xx[i][inner], _roll_diff2(x, i + 1, h, order))
         if len(spacings) == 2:
-            assert np.array_equal(mixed, _roll_diff(t[0], 2, spacings[1], order))
+            t1 = _roll_diff(x, 1, spacings[0], order)
+            assert np.array_equal(mixed[inner], _roll_diff(t1, 2, spacings[1], order))
         else:
             assert mixed is None
 

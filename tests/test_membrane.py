@@ -27,6 +27,13 @@ def evolved_perturbed_trajectory(n, order=2):
     return mb.evolve_membrane(imm, dt, 2 * dt, stride=1, order=order)
 
 
+def stage(points, spacings, order=2, ws=None):
+    """smc_rhs on points (*s, d), padded as evolve_membrane pads them; the
+    velocity's interior, as (*s, d)."""
+    padded = dg.pad_planes(points, order)
+    return dg.interior_points(mb.smc_rhs(padded, spacings, order, ws), order)
+
+
 # ---------------------------------------------------------------------------
 # velocity field
 # ---------------------------------------------------------------------------
@@ -34,7 +41,7 @@ def evolved_perturbed_trajectory(n, order=2):
 def test_smc_velocity_on_torus():
     a, b = 1.0, 2.0
     imm = dg.torus_immersion(a, b, (64, 64))
-    v = mb.smc_rhs(imm.points, imm.spacings)
+    v = stage(imm.points, imm.spacings)
     th = np.arange(64) * 2 * np.pi / 64
     TH, PH = np.meshgrid(th, th, indexing="ij")
     n1 = np.stack([np.cos(TH), np.sin(TH), 0 * TH, 0 * TH], axis=-1)
@@ -46,7 +53,7 @@ def test_smc_velocity_on_torus():
 def test_smc_velocity_is_normal_isometry():
     imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (32, 32))
     sf = dg.shape_field(imm)
-    v = mb.smc_rhs(imm.points, imm.spacings)
+    v = stage(imm.points, imm.spacings)
     assert (dg.tangential_defect(sf, v) <= sf.tol_perp).all()
     assert np.abs(np.einsum("...d,...d->...", v, v) - sf.rho).max() < 1e-12
 
@@ -58,14 +65,14 @@ def test_smc_rhs_matches_the_shape_field_path(order):
     imm = dg.GridImmersion(base.points, (3.0, 7.0))
     sf = dg.shape_field(imm, order=order)
     expected = -dg.apply_j(sf, sf.mean_curvature)
-    v = mb.smc_rhs(imm.points, imm.spacings, order)
+    v = stage(imm.points, imm.spacings, order)
     assert v.shape == imm.points.shape
     assert np.abs(v - expected).max() <= 1e-13 * np.abs(expected).max()
     # the velocity does not see a linear change of parameters, so the same
     # points with 2pi periods move alike; smc_rhs and shape_field share
     # plane_derivatives, and this datum is what shows a stencil that takes one
     # axis's spacing for the other's in some of its differences
-    v_2pi = mb.smc_rhs(base.points, base.spacings, order)
+    v_2pi = stage(base.points, base.spacings, order)
     assert np.abs(v - v_2pi).max() <= 1e-13 * np.abs(v_2pi).max()
     # and against det[t_1, t_2, H, e_l] / sqrt(det g), which shares no code
     # with the Pluecker form that smc_rhs and apply_j both use
@@ -84,42 +91,48 @@ def test_smc_rhs_rejects_a_collapsed_grid():
     collapsed = imm.points.copy()
     collapsed[5] = collapsed[6] = collapsed[4]
     with pytest.raises(DegenerateImmersionError, match="grid index") as err:
-        mb.smc_rhs(collapsed, imm.spacings, 2)
+        mb.smc_rhs(dg.pad_planes(collapsed, 2), imm.spacings, 2)
     assert err.value.grid_index == (5, 0)
     assert err.value.det_value == 0.0
+    # the kernels that pad an immersion report the same interior index
+    for kernel in (mb.stability_limit, dg.shape_field):
+        with pytest.raises(DegenerateImmersionError) as err:
+            kernel(dg.GridImmersion(collapsed, imm.param_periods), 2)
+        assert err.value.grid_index == (5, 0)
+
+
+def _roll_first(f, axis, h, order):
+    def at(k):
+        return np.roll(f, -k, axis)
+    if order == 2:
+        return (at(1) - at(-1)) / (2.0 * h)
+    return (-at(2) + 8.0 * at(1) - 8.0 * at(-1) + at(-2)) / (12.0 * h)
+
+
+def _roll_second(f, axis, h, order):
+    def at(k):
+        return np.roll(f, -k, axis)
+    if order == 2:
+        return (at(1) - 2.0 * f + at(-1)) / (h * h)
+    return (-at(2) + 16.0 * at(1) - 30.0 * f + 16.0 * at(-1) - at(-2)) / (12.0 * h * h)
 
 
 def _roll_stage(points, spacings, order):
     """The stage as plain expressions on np.roll neighbours: the reference the
     workspace stage must equal bit for bit."""
-    def at(f, axis, k):
-        return np.roll(f, -k, axis)
-
-    def first(f, axis, h):
-        if order == 2:
-            return (at(f, axis, 1) - at(f, axis, -1)) / (2.0 * h)
-        return (-at(f, axis, 2) + 8.0 * at(f, axis, 1) - 8.0 * at(f, axis, -1)
-                + at(f, axis, -2)) / (12.0 * h)
-
-    def second(f, axis, h):
-        if order == 2:
-            return (at(f, axis, 1) - 2.0 * f + at(f, axis, -1)) / (h * h)
-        return (-at(f, axis, 2) + 16.0 * at(f, axis, 1) - 30.0 * f + 16.0 * at(f, axis, -1)
-                - at(f, axis, -2)) / (12.0 * h * h)
-
     def dot(u, v):
         return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
 
     x = np.ascontiguousarray(np.moveaxis(points, -1, 0))
     (h1, h2) = spacings
-    t1, t2 = first(x, 1, h1), first(x, 2, h2)
+    t1, t2 = _roll_first(x, 1, h1, order), _roll_first(x, 2, h2, order)
     g11, g12, g22 = dot(t1, t1), dot(t1, t2), dot(t2, t2)
     det = g11 * g22 - g12 * g12
     off = -g12 / det
     gi11, gi22 = g22 / det, g11 / det
-    y = gi11 * second(x, 1, h1)
-    y += gi22 * second(x, 2, h2)
-    y += 2.0 * off * first(t1, 2, h2)
+    y = gi11 * _roll_second(x, 1, h1, order)
+    y += gi22 * _roll_second(x, 2, h2, order)
+    y += 2.0 * off * _roll_first(t1, 2, h2, order)
     c1, c2 = dot(y, t1), dot(y, t2)
     y -= c1 * (gi11 * t1 + off * t2)
     y -= c2 * (off * t1 + gi22 * t2)
@@ -133,6 +146,84 @@ def _roll_stage(points, spacings, order):
         p12 * y[0] - p02 * y[1] + p01 * y[2],
     ])
     return np.moveaxis(v / np.sqrt(det), 0, -1)
+
+
+def _unpadded_stage(points, spacings, order):
+    """The stage on unpadded (d, *s) planes, as it ran before it read padded
+    ones: np.roll differences, then dg.metric_planes, dg.project_planes and
+    dg.generalised_cross; the velocity as (*s, d)."""
+    x = np.ascontiguousarray(np.moveaxis(points, -1, 0))
+    t = [_roll_first(x, a + 1, h, order) for a, h in enumerate(spacings)]
+    xx = [_roll_second(x, a + 1, h, order) for a, h in enumerate(spacings)]
+    mixed = _roll_first(t[0], 2, spacings[1], order)
+    _, det_g, g_inv, dual = dg.metric_planes(t)
+    y = xx[0] * g_inv[0][0]
+    y += g_inv[1][1] * xx[1]
+    y += (2.0 * g_inv[0][1]) * mixed
+    v = dg.generalised_cross(t, dg.project_planes(y, t, dual))
+    v /= np.sqrt(det_g)
+    return np.ascontiguousarray(np.moveaxis(v, 0, -1))
+
+
+def _random_grid(shape, seed):
+    # a perturbed torus moved by random noise, with unequal non-2pi periods
+    base = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, shape)
+    noise = 0.01 * np.random.default_rng(seed).standard_normal(base.points.shape)
+    return dg.GridImmersion(base.points + noise, (3.0, 7.0))
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("shape", [(8, 8), (8, 9), (9, 12), (64, 64)])
+def test_padded_stage_equals_the_unpadded_pipeline_bitwise(shape, order):
+    ws = dg.Workspace()
+    for seed in range(2):  # the second field reuses the workspace
+        imm = _random_grid(shape, seed)
+        v = mb.smc_rhs(dg.pad_planes(imm.points, order), imm.spacings, order, ws)
+        assert v.shape == (4,) + tuple(N + order for N in shape)
+        expected = _unpadded_stage(imm.points, imm.spacings, order)
+        assert np.array_equal(dg.interior_points(v, order), expected)
+        assert np.array_equal(v, dg.wrap_halo(v.copy(), order))  # the halo is the wrap
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("order", [2, 4])
+def test_poisoned_workspace_planes_change_no_result(poison, order):
+    # the band planes' halo columns hold no geometry, and a workspace plane may
+    # hold anything between calls: no result and no warning may depend on it
+    imm = _random_grid((8, 9), 2)
+    padded = dg.pad_planes(imm.points, order)
+    ws = dg.Workspace()
+    v = mb.smc_rhs(padded, imm.spacings, order, ws)
+    dt_max = mb.stability_limit(imm, order, ws)
+    sf = dg.shape_field(imm, order, ws)
+
+    def poisoned():
+        for a in ws._arrays.values():  # every workspace plane, halo included
+            a.fill(poison)
+        return ws
+
+    assert np.array_equal(mb.smc_rhs(padded, imm.spacings, order, poisoned()), v)
+    assert mb.stability_limit(imm, order, poisoned()) == dt_max
+    again = dg.shape_field(imm, order, poisoned())
+    for key in ("tangents", "metric", "metric_inv", "det_g", "sqrt_det_g", "second_form",
+                "mean_curvature", "rho", "tol_perp"):
+        assert np.array_equal(getattr(again, key), getattr(sf, key)), key
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("shape", [(8, 8), (8, 9), (9, 12)])
+def test_five_steps_equal_the_unpadded_stage_stepped_bitwise(shape, order):
+    imm = _random_grid(shape, 3)
+    dt = 0.25 * mb.stability_limit(imm, order)
+    traj = mb.evolve_membrane(imm, dt, 5 * dt, stride=1, order=order)
+    ref = integrate(
+        lambda pts, i: rk4_step(lambda p: _unpadded_stage(p, imm.spacings, order), pts, dt),
+        imm.points, dt, 5 * dt, 1)
+    assert len(traj.snapshots) == len(ref.states) == 6
+    for snap, pts in zip(traj.snapshots, ref.states):
+        assert snap.points.flags.c_contiguous
+        assert snap.points.tobytes() == pts.tobytes()
 
 
 def _skewed_grid(periods=(3.0, 5.0)):
@@ -162,12 +253,12 @@ def test_stages_sharing_a_workspace_do_not_alias(order):
     imm = _skewed_grid()
     other = dg.perturbed_torus_immersion(1.0, 2.0, 0.08, 3, 1, (24, 40)).points
     ws = dg.Workspace()
-    first = mb.smc_rhs(imm.points, imm.spacings, order, ws)
+    first = stage(imm.points, imm.spacings, order, ws)
     kept = first.copy()
-    second = mb.smc_rhs(other, imm.spacings, order, ws)
+    second = stage(other, imm.spacings, order, ws)
     assert np.array_equal(first, kept)
-    assert np.array_equal(first, mb.smc_rhs(imm.points, imm.spacings, order))
-    assert np.array_equal(second, mb.smc_rhs(other, imm.spacings, order))
+    assert np.array_equal(first, stage(imm.points, imm.spacings, order))
+    assert np.array_equal(second, stage(other, imm.spacings, order))
     assert np.array_equal(first, _roll_stage(imm.points, imm.spacings, order))
 
 

@@ -44,7 +44,8 @@ def _moved(imm, points):
 
 
 def _velocity(imm, order):
-    return mb.smc_rhs(imm.points, imm.spacings, order)
+    padded = dg.pad_planes(imm.points, order)
+    return dg.interior_points(mb.smc_rhs(padded, imm.spacings, order), order)
 
 
 def _gap(u, v):

@@ -13,7 +13,9 @@
 # restart of it from its middle snapshot, the same run with snapshots=0
 # (diagnostics only), a stride-1 order-4 membrane run on a
 # 32 x 40 perturbed torus (a snapshot every step, so every triple of the
-# streamed diagnostics pass reaches its CSV), three filament runs that reach the
+# streamed diagnostics pass reaches its CSV), a stride-1 order-4 membrane run
+# on the smallest legal non-square grid, 8 x 9 (its padded rows are 13 long,
+# so the halo is a third of each one), three filament runs that reach the
 # curve builders and the snapshot reader (a round circle at N = 100, which is
 # not a power of two, a twisted circle, and a curve read with curve_file=
 # from a snapshot this script writes with plain python3), the twisted circle
@@ -51,7 +53,7 @@
 # which prints the largest absolute and relative difference per CSV column
 # and per snapshot, and exits 1 on a structural mismatch (a missing file, a
 # different header or row count, a validate PASS/FAIL flip).  Takes about
-# 32 s on a 2-core host.
+# 25 s on a 2-core host.
 set -eu
 if [ $# -ne 2 ]; then
     echo "usage: $0 CHECKOUT OUTDIR" >&2
@@ -83,6 +85,8 @@ skewflow membrane-run surface=perturbed_torus a=1 b=2 eps=0.05 k1=2 k2=3 \
     --out "$out/membrane_o2_nosnap" >/dev/null
 skewflow membrane-run surface=perturbed_torus a=1 b=2 eps=0.05 k1=2 k2=3 \
     n1=32 n2=40 order=4 dt=1e-3 T=0.01 stride=1 --out "$out/membrane_stride1" >/dev/null
+skewflow membrane-run surface=perturbed_torus a=1 b=2 eps=0.05 k1=2 k2=3 \
+    n1=8 n2=9 order=4 dt=1e-3 T=0.01 stride=1 --out "$out/membrane_8x9" >/dev/null
 skewflow filament-run shape=circle R=1 N=100 dt=1e-3 T=0.1 --out "$out/circle" >/dev/null
 skewflow filament-run shape=twisted_circle R=1 eps=0.3 k=2 N=128 dt=5e-4 T=0.05 \
     --out "$out/twisted" >/dev/null
