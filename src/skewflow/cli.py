@@ -316,9 +316,9 @@ def run_membrane(p, outdir):
     traj, code = _evolve("membrane", lambda: mb.evolve_membrane(
         imm, p["dt"], p["T"], stride=p["stride"], order=p["order"]))
     if p["snapshots"]:
-        for i, snap in enumerate(traj.snapshots):
+        for i, snap in enumerate(traj.states):
             dg.save_immersion(snap, os.path.join(outdir, f"snapshot_{i:04d}.txt"))
-    cols = mb.diagnostics(traj)
+    cols = mb.diagnostics(traj, p["order"])
     names = list(cols)
     write_csv(os.path.join(outdir, "diagnostics.csv"), names, zip(*(cols[k] for k in names)))
     return code

@@ -272,10 +272,14 @@ def _fresh(name, shape):
     return np.empty(shape)
 
 
-def _neighbours(f, axis, order):
-    """at(k) = f(i + k) along a periodic grid axis, for |k| <= order/2; see `diff`."""
+def _check_order(order):
     if order not in (2, 4):
         raise ValueError(f"finite-difference order must be 2 or 4, got {order}")
+
+
+def _neighbours(f, axis, order):
+    """at(k) = f(i + k) along a periodic grid axis, for |k| <= order/2; see `diff`."""
+    _check_order(order)
     w, n = order // 2, f.shape[axis]
     padded = f.take(_pad_index(n, w), axis=axis)
     lead = (slice(None),) * axis
@@ -345,7 +349,9 @@ def pad_planes(points, order, ws=_fresh):
     """The (d, *s) component planes of points (*s, d), padded: wrapped
     order/2 entries past both ends of every grid axis (wrap_halo), in the
     workspace buffer "padded".  This is the layout plane_derivatives and
-    membrane.smc_rhs read; interior_points undoes it."""
+    membrane.smc_rhs read; interior_points undoes it.  The order is checked
+    here, before it sizes the halo, for every reader of the planes."""
+    _check_order(order)
     padded = ws("padded", points.shape[-1:] + tuple(N + order for N in points.shape[:-1]))
     interior(padded, order)[...] = np.moveaxis(points, -1, 0)
     return wrap_halo(padded, order)
@@ -394,10 +400,9 @@ def plane_derivatives(padded, spacings, order, ws=_fresh):
     A band plane's halo columns hold differences taken across the ends of
     rows: they are no geometry, may hold any value, and whatever reads the
     band reduces over band[inner] alone.  On the interior the results are
-    bitwise diff/diff2 of the unpadded planes.
+    bitwise diff/diff2 of the unpadded planes.  The order is the one the
+    planes were padded with, which pad_planes has checked.
     """
-    if order not in (2, 4):
-        raise ValueError(f"finite-difference order must be 2 or 4, got {order}")
     w, d, n = order // 2, padded.shape[0], padded.ndim - 1
     band = (d, padded.shape[1] - 2 * w) + padded.shape[2:]
     row = math.prod(padded.shape[2:])  # flat stride of grid axis 1; axis 2's is 1

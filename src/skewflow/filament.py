@@ -417,11 +417,13 @@ def evolve_filament(curve, dt, t_final, stride=None, reparam_every=10):
 
     The input is resampled to uniform arclength first; every reparam_every
     steps the parametrization is refreshed by periodic cubic resampling
-    (reparam_every = 0 disables this).  Snapshots are recorded every `stride`
-    steps (default: initial and final only).  Aborts on the self-intersection
-    proxy and on velocity blow-up; a step size above the dispersion stability
-    bound is rejected up front.
+    (reparam_every = 0 disables this; a negative value is a ValueError).
+    Snapshots are recorded every `stride` steps (default: initial and final
+    only).  Aborts on the self-intersection proxy and on velocity blow-up; a
+    step size above the dispersion stability bound is rejected up front.
     """
+    if reparam_every < 0:
+        raise ValueError(f"reparam_every must be >= 0, got {reparam_every}")
     c = arclength_resample(curve)
     (n,) = c.shape
     d_min = D_MIN_FACTOR * c.param_periods[0] / n
@@ -534,12 +536,15 @@ def nls_evolve(wave, dt, t_final, stride=None):
     """i psi_t + psi'' + |psi|^2 psi / 2 = 0 by spectral Strang splitting.
 
     Half-step nonlinear phase, full linear step exp(-i dt k^2) in frequency
-    space, half-step nonlinear.  Mass is conserved to roundoff.  The grid
-    size must be a power of two.  Returns a stepping.Trajectory of WaveFields.
+    space, half-step nonlinear.  Mass is conserved to roundoff.  Returns a
+    stepping.Trajectory of WaveFields.  ValueError unless the grid size is a
+    power of two (1 included) and the domain length L is finite and > 0.
     """
     m = wave.m
-    if m & (m - 1):
+    if m < 1 or m & (m - 1):
         raise ValueError(f"grid size must be a power of two, got {m}")
+    if not (math.isfinite(wave.L) and wave.L > 0):
+        raise ValueError(f"domain length L must be finite and > 0, got {wave.L}")
     check_times(dt, t_final)  # before dt enters the linear propagator
     k = 2.0 * np.pi * np.fft.fftfreq(m, d=wave.L / m)
     linear = np.exp(-1j * dt * (k * k))

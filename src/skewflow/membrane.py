@@ -17,54 +17,23 @@ the membrane analogues of the 1D curvature/torsion system:
                        + g^kl/|H|^2 [ (A_ik,H)(D_l JH, JH) - (A_il,JH)(D_k JH, H) ]
     energy rate  d/dt W = -2 int g^ik g^jl (A_ij,H)(A_kl,JH) dvol
 
-Time derivatives in the residuals are centered 3-point differences across
-consecutive snapshots, matching the O(dt^2) budget of the RK4 snapshots.
+Each residual is a function of the shape fields of three consecutive
+snapshots (i - 1, i, i + 1) and the time span between the outer two; the
+energy identity needs only the Willmore energies on either side of i, that
+span and the rate at i.  Time derivatives are centered 3-point differences
+across the triple, matching the O(dt^2) budget of the RK4 snapshots.
+diagnostics builds the fields of a trajectory's snapshots in one forward
+pass, each once, and holds at most three.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import diffgeo as dg
 from .errors import EvolutionAbort
-from .stepping import Trajectory, integrate, rk4_step, step_count
+from .stepping import integrate, rk4_step, step_count
 
 RK4_IMAG_STABILITY = 2.0   # conservative fraction of the RK4 imaginary-axis limit
 _FD_SECOND_MAX = {2: 4.0, 4: 16.0 / 3.0}
-FIELD_WINDOW = 3           # shape fields a MembraneTrajectory keeps: one residual triple
-
-
-@dataclass
-class MembraneTrajectory(Trajectory):
-    """Snapshot times (strictly increasing) and a GridImmersion per time.
-
-    fields(i) builds the shape field of snapshot i on demand and keeps the
-    FIELD_WINDOW most recently built ones, so a forward pass over the
-    snapshots (diagnostics) builds each field once and holds at most three.
-    """
-
-    order: int = 2               # finite-difference order used throughout
-    _window: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("snapshot times must be strictly increasing")
-        if len(self.states) != self.times.size:
-            raise ValueError("one snapshot per time required")
-
-    @property
-    def snapshots(self):
-        return self.states
-
-    def fields(self, i):
-        i = range(len(self.states))[i]  # fields(-1) and fields(m - 1) share a slot
-        sf = self._window.get(i)
-        if sf is None:
-            if len(self._window) == FIELD_WINDOW:  # drop the oldest before building
-                del self._window[next(iter(self._window))]
-            sf = self._window[i] = dg.shape_field(self.snapshots[i], order=self.order)
-        return sf
 
 
 def smc_rhs(padded, spacings, order=2, ws=None):
@@ -134,8 +103,8 @@ def evolve_membrane(imm, dt, t_final, stride=1, order=2):
     EvolutionAbort on metric degeneration, non-finite coordinates, or a
     snapshot whose stability estimate has dropped below dt.  The estimates
     read the metric planes alone, so the run builds no shape field: the
-    returned trajectory, and the one an abort carries, hold snapshots, whose
-    fields MembraneTrajectory.fields builds on demand.
+    returned stepping.Trajectory, and the one an abort carries, hold
+    snapshots only.
     """
     nsteps = step_count(dt, t_final, stride)
     ws = dg.Workspace()  # every stage and stability estimate of this run works in it
@@ -157,15 +126,8 @@ def evolve_membrane(imm, dt, t_final, stride=1, order=2):
             raise EvolutionAbort("dt no longer within the stability estimate", i * dt)
         return snap
 
-    def as_membrane(traj):
-        return MembraneTrajectory(traj.times, traj.states, order=order)
-
-    try:
-        with np.errstate(all="ignore"):  # a non-finite stage is caught by the step-end check
-            return as_membrane(integrate(step, imm, dt, t_final, stride))
-    except EvolutionAbort as exc:
-        exc.trajectory = as_membrane(exc.trajectory)
-        raise
+    with np.errstate(all="ignore"):  # a non-finite stage is caught by the step-end check
+        return integrate(step, imm, dt, t_final, stride)
 
 
 def extract_radii(imm):
@@ -176,22 +138,16 @@ def extract_radii(imm):
     return a, b
 
 
-def _triple(traj, i):
-    if not 0 < i < len(traj.snapshots) - 1:
-        raise IndexError("residuals need snapshots on both sides of i")
-    span = traj.times[i + 1] - traj.times[i - 1]
-    return (traj.fields(i - 1), traj.fields(i), traj.fields(i + 1)), span
-
-
-def continuity_residual(traj, i):
-    """Pointwise residual of the curvature-density continuity equation at
-    snapshot i: centered d/dt of rho + div(rho chi) - source, with the
-    transport velocity chi = 2 tau^sharp = 2 g^-1 tau.
+def continuity_residual(fields, span):
+    """Pointwise residual of the curvature-density continuity equation at the
+    middle of the shape fields (i - 1, i, i + 1), span apart end to end:
+    centered d/dt of rho + div(rho chi) - source, with the transport
+    velocity chi = 2 tau^sharp = 2 g^-1 tau.
 
     Points where |H| is masked (and their stencil neighbors) carry NaN in the
     returned field and are excluded from the max norm.
     """
-    (sfm, sf0, sfp), span = _triple(traj, i)
+    sfm, sf0, sfp = fields
     d_rho = (sfp.rho - sfm.rho) / span
     chi = 2.0 * np.einsum("...ij,...j->...i", sf0.metric_inv, sf0.tau)
     div = dg.metric_divergence(sf0, sf0.rho[..., None] * chi)
@@ -199,9 +155,10 @@ def continuity_residual(traj, i):
     return resid, float(np.nanmax(np.abs(resid)))
 
 
-def corollary_residual(traj, i):
-    """Normal-vector residual of the contracted continuity form at snapshot i."""
-    (sfm, sf0, sfp), span = _triple(traj, i)
+def corollary_residual(fields, span):
+    """Normal-vector residual of the contracted continuity form at the middle
+    of the shape fields (i - 1, i, i + 1), span apart end to end."""
+    sfm, sf0, sfp = fields
     dH = dg.project_normal(sf0, (sfp.mean_curvature - sfm.mean_curvature) / span)
     gradH = np.stack(
         [dg.normal_derivative(sf0, sf0.mean_curvature, j) for j in range(2)], axis=-2
@@ -219,8 +176,9 @@ def corollary_residual(traj, i):
     return resid, float(np.nanmax(np.linalg.norm(resid, axis=-1)))
 
 
-def momentum_residual(traj, i):
-    """Covector residual of the torsion momentum equation at snapshot i.
+def momentum_residual(fields, span):
+    """Covector residual of the torsion momentum equation at the middle of the
+    shape fields (i - 1, i, i + 1), span apart end to end.
 
     The equation checked is
 
@@ -234,7 +192,7 @@ def momentum_residual(traj, i):
     still vanishing on products of circles (where that scalar is constant),
     which is how the sign was pinned; see tests/test_membrane.py.
     """
-    (sfm, sf0, sfp), span = _triple(traj, i)
+    sfm, sf0, sfp = fields
     imm = sf0.immersion
     n, hs = imm.dim, imm.spacings
 
@@ -265,24 +223,27 @@ def momentum_residual(traj, i):
     return resid, float(np.nanmax(np.abs(resid)))
 
 
-def energy_identity_check(traj, i):
-    """(lhs, rhs, gap): centered d/dt of the Willmore energy vs the rate integral."""
-    (sfm, sf0, sfp), span = _triple(traj, i)
-    lhs = (dg.willmore_energy(sfp) - dg.willmore_energy(sfm)) / span
-    _, rhs = dg.energy_derivative_integrand(sf0)
-    return lhs, rhs, lhs - rhs
+def energy_identity_check(w_before, w_after, span, rate):
+    """(lhs, rhs, gap): the centered d/dt of the Willmore energy, from its
+    values w_before and w_after at snapshots i - 1 and i + 1, span apart,
+    against the rate integral at i (dg.energy_derivative_integrand)."""
+    lhs = (w_after - w_before) / span
+    return lhs, rate, lhs - rate
 
 
-def diagnostics(traj):
+def diagnostics(traj, order):
     """Per-snapshot table: t, willmore, volume, extracted radii, max residuals.
 
-    One forward pass: it builds the shape field of snapshot i, fills that
-    snapshot's columns, then the residual columns of snapshot i - 1, whose
-    triple is then complete.  traj.fields keeps the last three fields, so
-    each is built once and at most three are alive.  Residual columns need
-    both neighbors and are NaN at the endpoints.
+    One forward pass over the snapshots of traj, differenced at the given
+    finite-difference order: it builds the shape field of snapshot i, fills
+    that snapshot's columns, then the residual columns of snapshot i - 1,
+    whose triple is then complete.  The last three fields are a local list
+    that drops the oldest before the next is built, so each field is built
+    once, at most three are alive, and none outlives the call.  The energy
+    gap reads the Willmore column.  Residual columns need both neighbors and
+    are NaN at the endpoints.
     """
-    m = len(traj.snapshots)
+    m = len(traj.states)
     cols = {
         key: np.full(m, np.nan)
         for key in (
@@ -290,16 +251,20 @@ def diagnostics(traj):
             "max_continuity_residual", "max_momentum_residual", "energy_gap",
         )
     }
-    for i in range(m):
-        sf = traj.fields(i)
+    willmore, fields = cols["willmore"], []
+    for i, snap in enumerate(traj.states):
+        del fields[:-2]  # drop the oldest before the next is built
+        sf = dg.shape_field(snap, order=order)
+        fields.append(sf)
         cols["t"][i] = traj.times[i]
-        cols["willmore"][i] = dg.willmore_energy(sf)
+        willmore[i] = dg.willmore_energy(sf)
         cols["volume"][i] = dg.integrate_density(sf, np.ones_like(sf.rho))
-        a, b = extract_radii(sf.immersion)
-        cols["a_extracted"][i] = a
-        cols["b_extracted"][i] = b
+        cols["a_extracted"][i], cols["b_extracted"][i] = extract_radii(snap)
         if i >= 2:
-            cols["max_continuity_residual"][i - 1] = continuity_residual(traj, i - 1)[1]
-            cols["max_momentum_residual"][i - 1] = momentum_residual(traj, i - 1)[1]
-            cols["energy_gap"][i - 1] = energy_identity_check(traj, i - 1)[2]
+            span = traj.times[i] - traj.times[i - 2]
+            cols["max_continuity_residual"][i - 1] = continuity_residual(fields, span)[1]
+            cols["max_momentum_residual"][i - 1] = momentum_residual(fields, span)[1]
+            rate = dg.energy_derivative_integrand(fields[1])[1]
+            cols["energy_gap"][i - 1] = energy_identity_check(
+                willmore[i - 2], willmore[i], span, rate)[2]
     return cols

@@ -172,7 +172,11 @@ def evolve_numeric(state, dt, t_final, record_every=1):
 
 
 def run_to_collapse(state, dt, a_stop=A_STOP_DEFAULT, record_every=1, max_steps=10 ** 8):
-    """Integrate until a <= a_stop; the last recorded time is the stop time."""
+    """Integrate until a <= a_stop; the last recorded time is the stop time.
+    ValueError unless a_stop is finite and > 0: a stays positive, so a run to
+    an a_stop <= 0 or NaN would never stop."""
+    if not (math.isfinite(a_stop) and a_stop > 0):
+        raise ValueError(f"a_stop must be finite and > 0, got {a_stop}")
     return _run(state, dt, record_every, done=lambda t, y: y.real <= a_stop, max_steps=max_steps)
 
 

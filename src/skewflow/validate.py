@@ -19,6 +19,8 @@ from . import filament as fl
 from . import membrane as mb
 from . import sphereprod as sp
 
+MEMBRANE_ORDER = 4  # finite-difference order of the shared membrane run
+
 
 @dataclass
 class CheckResult:
@@ -55,7 +57,7 @@ class ValidationContext:
         if "membrane" not in self._cache:
             imm = dg.torus_immersion(1.0, 2.0, (64, 64))
             self._cache["membrane"] = mb.evolve_membrane(
-                imm, 1e-3, 0.2, stride=10, order=4
+                imm, 1e-3, 0.2, stride=10, order=MEMBRANE_ORDER
             )
         return self._cache["membrane"]
 
@@ -63,15 +65,13 @@ class ValidationContext:
         """Volume, Willmore energy and energy rate (the integral of
         dg.energy_derivative_integrand) of every membrane_run snapshot.
 
-        One forward pass builds each snapshot's shape field once; the window
-        of MembraneTrajectory.fields drops the fields, and only the three
-        lists of floats are kept.
+        One forward pass builds each snapshot's shape field once and drops
+        it; only the three lists of floats are kept.
         """
         if "membrane_series" not in self._cache:
-            traj = self.membrane_run()
             series = {"volume": [], "willmore": [], "rate": []}
-            for i in range(len(traj.snapshots)):
-                sf = traj.fields(i)
+            for snap in self.membrane_run().states:
+                sf = dg.shape_field(snap, order=MEMBRANE_ORDER)
                 series["volume"].append(dg.integrate_density(sf, np.ones_like(sf.rho)))
                 series["willmore"].append(dg.willmore_energy(sf))
                 series["rate"].append(dg.energy_derivative_integrand(sf)[1])
@@ -151,7 +151,7 @@ def check_willmore_noninvariance(ctx):
     willmore = ctx.membrane_series()["willmore"]
     s0 = sp.SphereProductState(1, 1, 1.0, 2.0)
     worst_w = worst_r = 0.0
-    for t, snap, w in zip(traj.times, traj.snapshots, willmore):
+    for t, snap, w in zip(traj.times, traj.states, willmore):
         ex = sp.closed_form(s0, t)
         worst_w = max(worst_w, abs(w / sp.willmore(ex) - 1.0))
         a, b = mb.extract_radii(snap)
@@ -247,19 +247,22 @@ def check_willmore_gradient(ctx):
     )
 
 
-def _exact_torus_trajectory(a, b, t_center, dt, shape, order):
+def _exact_torus_fields(a, b, t_center, dt, shape, order):
+    """Shape fields of the exact torus(a, b) at t_center - dt, t_center and
+    t_center + dt, and the span between the outer two."""
     s0 = sp.SphereProductState(1, 1, a, b)
     times = [t_center - dt, t_center, t_center + dt]
-    snaps = [sp.embed(sp.closed_form(s0, t), shape) for t in times]
-    return mb.MembraneTrajectory(np.array(times), snaps, order=order)
+    fields = [dg.shape_field(sp.embed(sp.closed_form(s0, t), shape), order=order)
+              for t in times]
+    return fields, times[2] - times[0]
 
 
 def check_continuity_source(ctx):
     """Continuity residual on the exact torus(1,2) trajectory; d rho/dt = 0.75."""
-    traj = _exact_torus_trajectory(1.0, 2.0, 0.0, 1e-4, (64, 64), order=4)
-    _, worst = mb.continuity_residual(traj, 1)
-    sfm, _, sfp = traj.fields(0), traj.fields(1), traj.fields(2)
-    drho = (sfp.rho - sfm.rho) / (traj.times[2] - traj.times[0])
+    fields, span = _exact_torus_fields(1.0, 2.0, 0.0, 1e-4, (64, 64), order=4)
+    _, worst = mb.continuity_residual(fields, span)
+    sfm, _, sfp = fields
+    drho = (sfp.rho - sfm.rho) / span
     hand = float(np.max(np.abs(drho - 0.75)))
     tol = ctx.tol(1e-3)
     ok = worst <= tol and hand <= tol
@@ -273,8 +276,8 @@ def check_energy_identity(ctx):
     w, rate = series["willmore"], series["rate"]
     worst_rel = 0.0
     for i in range(1, len(times) - 1):
-        # the arithmetic of mb.energy_identity_check, on the kept numbers
-        gap = (w[i + 1] - w[i - 1]) / (times[i + 1] - times[i - 1]) - rate[i]
+        _, _, gap = mb.energy_identity_check(w[i - 1], w[i + 1], times[i + 1] - times[i - 1],
+                                             rate[i])
         worst_rel = max(worst_rel, abs(gap) / abs(rate[i]))
     hand = abs(rate[0] / (8.0 * math.pi ** 2 * 0.75) - 1.0)
     tol_rel, tol_hand = ctx.tol(1e-2), ctx.tol(5e-3)
@@ -286,19 +289,21 @@ def check_energy_identity(ctx):
 
 
 def _evolved_momentum_residual(n):
-    """Momentum residual after one step on an n x n perturbed torus; the
-    trajectory and its shape fields are dropped before the next grid runs."""
+    """Momentum residual after one step on an n x n perturbed torus, from the
+    fields of its first three snapshots; the trajectory and its shape fields
+    are dropped before the next grid runs."""
     imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (n, n))
     dt = 0.25 * mb.stability_limit(imm, order=2)
     traj = mb.evolve_membrane(imm, dt, 2 * dt, stride=1, order=2)
-    return mb.momentum_residual(traj, 1)[1]
+    fields = [dg.shape_field(snap, order=2) for snap in traj.states]
+    return mb.momentum_residual(fields, traj.times[2] - traj.times[0])[1]
 
 
 def check_momentum(ctx):
     """Torsion momentum residual: ~0 on the exact torus, order >= 1 decay on
     evolved perturbed tori."""
-    torus_traj = _exact_torus_trajectory(1.0, 2.0, 0.0, 1e-4, (64, 64), order=4)
-    _, torus_resid = mb.momentum_residual(torus_traj, 1)
+    _, torus_resid = mb.momentum_residual(
+        *_exact_torus_fields(1.0, 2.0, 0.0, 1e-4, (64, 64), order=4))
 
     resids = [_evolved_momentum_residual(n) for n in (48, 96, 192)]
     orders = [math.log2(resids[i] / resids[i + 1]) for i in range(len(resids) - 1)]

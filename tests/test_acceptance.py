@@ -19,6 +19,8 @@ printing one PASS/FAIL line per criterion (visible with pytest -s / -rA).
 12. plane-wave phase omega = A^2/2 and mass conservation to 1e-10
 """
 
+import gc
+
 import pytest
 
 from skewflow import diffgeo as dg
@@ -103,6 +105,22 @@ def test_checks_2_and_3_run_each_sphere_product_once(monkeypatch):
     assert validate.check_closed_form_agreement(ctx)[0]
     assert validate.check_conservation(ctx)[0]
     assert len(runs) == len(set(runs)) == 4
+
+
+def test_membrane_series_leaves_no_shape_field_alive(monkeypatch):
+    def live_shape_fields():
+        gc.collect()
+        return sum(isinstance(obj, dg.ShapeField) for obj in gc.get_objects())
+
+    ctx = validate.ValidationContext()
+    small = mb.evolve_membrane(dg.torus_immersion(1.0, 2.0, (16, 16)), 1e-3, 0.01, stride=5,
+                               order=validate.MEMBRANE_ORDER)
+    monkeypatch.setattr(ctx, "membrane_run", lambda: small)
+    live = live_shape_fields()
+    series = ctx.membrane_series()
+    assert {key: len(values) for key, values in series.items()} == {
+        "volume": 3, "willmore": 3, "rate": 3}
+    assert live_shape_fields() == live  # the run is kept, its fields are not
 
 
 def test_check_6_alone_runs_the_filament_only_to_its_own_horizon(results, monkeypatch):

@@ -475,6 +475,57 @@ def test_negative_stride_exits_2(tmp_path, capsys, args):
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("grid,message", [
+    (["M=0"], "grid size must be a power of two, got 0"),
+    (["M=8", "L=0"], "domain length L must be finite and > 0, got 0.0"),
+    (["M=8", "L=-1"], "domain length L must be finite and > 0, got -1.0"),
+    (["M=8", "L=inf"], "domain length L must be finite and > 0, got inf"),
+    (["M=8", "L=nan"], "domain length L must be finite and > 0, got nan"),
+], ids=["M-0", "L-0", "L-negative", "L-inf", "L-nan"])
+def test_nls_run_bad_grid_exits_2(tmp_path, capsys, grid, message):
+    # M=0 passes the bit test of a power of two (0 & -1 == 0), and an L of
+    # 0 divides by zero in the wave numbers: both are checked on entry
+    out = tmp_path / "o"
+    code = cli.main(["nls-run", *grid, "T=0.01", "dt=1e-3", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}\n"
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("args,message", [
+    (["filament-run", "shape=circle", "N=64", "reparam_every=-1", "dt=1e-3", "T=0.01"],
+     "reparam_every must be >= 0, got -1"),
+    (["sphere-run", "m=1", "l=2", "a=1", "b=1", "mode=to-collapse", "a_stop=-1", "dt=1e-2"],
+     "a_stop must be finite and > 0, got -1.0"),
+    (["sphere-run", "m=1", "l=2", "a=1", "b=1", "mode=to-collapse", "a_stop=nan", "dt=1e-2"],
+     "a_stop must be finite and > 0, got nan"),
+], ids=["reparam-negative", "a_stop-negative", "a_stop-nan"])
+def test_key_that_can_only_misbehave_exits_2(tmp_path, capsys, args, message):
+    # a negative reparam_every resamples at every step (i % -1 == 0), and a
+    # run to collapse never reaches an a_stop <= 0 or NaN
+    out = tmp_path / "o"
+    code = cli.main(args + ["--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("order", [3, 6])
+@pytest.mark.parametrize("args", [
+    ["membrane-run", "surface=torus_product", "a=1", "b=2", "stride=1"],
+    ["crosscheck", "mode=sphere-membrane"],
+], ids=["membrane-run", "crosscheck"])
+def test_bad_finite_difference_order_exits_2(tmp_path, capsys, args, order):
+    out = tmp_path / "o"
+    code = cli.main(args + ["n1=16", "n2=16", "dt=1e-3", "T=0.002", f"order={order}",
+                            "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: finite-difference order must be 2 or 4, got {order}\n")
+    assert not list(out.glob("*.csv"))
+
+
 def test_filament_run_has_no_scheme_key(tmp_path, capsys):
     code = cli.main(["filament-run", "shape=circle", "N=64", "dt=1e-3", "T=0.01",
                      "scheme=spectral", "--out", str(tmp_path / "fil")])

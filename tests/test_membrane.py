@@ -11,20 +11,32 @@ from skewflow import diffgeo as dg
 from skewflow import filament as fl
 from skewflow import membrane as mb
 from skewflow import sphereprod as sp
-from skewflow.stepping import integrate, rk4_step
+from skewflow.stepping import Trajectory, integrate, rk4_step
 
 
-def exact_torus_trajectory(a, b, dt, shape, order):
+def exact_torus_triple(a, b, dt, shape, order):
+    """Shape fields of the exact torus(a, b) at -dt, 0 and dt, and their span."""
     s0 = sp.SphereProductState(1, 1, a, b)
     times = np.array([-dt, 0.0, dt])
-    snaps = [sp.embed(sp.closed_form(s0, t), shape) for t in times]
-    return mb.MembraneTrajectory(times, snaps, order=order)
+    fields = [dg.shape_field(sp.embed(sp.closed_form(s0, t), shape), order=order)
+              for t in times]
+    return fields, times[2] - times[0]
 
 
-def evolved_perturbed_trajectory(n, order=2):
+def evolved_perturbed_triple(n, order=2):
+    """Shape fields of the first three snapshots of a perturbed torus run, one
+    step apart, and their span."""
     imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (n, n))
     dt = 0.25 * mb.stability_limit(imm, order)
-    return mb.evolve_membrane(imm, dt, 2 * dt, stride=1, order=order)
+    traj = mb.evolve_membrane(imm, dt, 2 * dt, stride=1, order=order)
+    fields = [dg.shape_field(snap, order=order) for snap in traj.states]
+    return fields, traj.times[2] - traj.times[0]
+
+
+def frozen_triple(imm, order=2):
+    """One shape field three times: a trajectory that does not move."""
+    sf = dg.shape_field(imm, order=order)
+    return [sf, sf, sf]
 
 
 def stage(points, spacings, order=2, ws=None):
@@ -220,8 +232,8 @@ def test_five_steps_equal_the_unpadded_stage_stepped_bitwise(shape, order):
     ref = integrate(
         lambda pts, i: rk4_step(lambda p: _unpadded_stage(p, imm.spacings, order), pts, dt),
         imm.points, dt, 5 * dt, 1)
-    assert len(traj.snapshots) == len(ref.states) == 6
-    for snap, pts in zip(traj.snapshots, ref.states):
+    assert len(traj.states) == len(ref.states) == 6
+    for snap, pts in zip(traj.states, ref.states):
         assert snap.points.flags.c_contiguous
         assert snap.points.tobytes() == pts.tobytes()
 
@@ -243,8 +255,8 @@ def test_evolution_equals_the_roll_reference_stage_bitwise(order, stride, period
     ref = integrate(
         lambda pts, i: rk4_step(lambda p: _roll_stage(p, imm.spacings, order), pts, dt),
         imm.points, dt, steps * dt, stride)
-    assert len(traj.snapshots) == len(ref.states) == steps // stride + 1
-    for snap, pts in zip(traj.snapshots, ref.states):
+    assert len(traj.states) == len(ref.states) == steps // stride + 1
+    for snap, pts in zip(traj.states, ref.states):
         assert np.array_equal(snap.points, pts)
 
 
@@ -291,7 +303,7 @@ def test_torus_evolution_matches_closed_forms():
     imm = dg.torus_immersion(1.0, 2.0, (32, 32))
     traj = mb.evolve_membrane(imm, 5e-4, 0.05, stride=25, order=2)
     s0 = sp.SphereProductState(1, 1, 1.0, 2.0)
-    for t, snap in zip(traj.times, traj.snapshots):
+    for t, snap in zip(traj.times, traj.states):
         ex = sp.closed_form(s0, t)
         a, b = mb.extract_radii(snap)
         assert abs(a - ex.a) < 1e-3 and abs(b - ex.b) < 1e-3
@@ -300,7 +312,7 @@ def test_torus_evolution_matches_closed_forms():
 def test_volume_conserved_and_willmore_not():
     imm = dg.torus_immersion(1.0, 2.0, (32, 32))
     traj = mb.evolve_membrane(imm, 5e-4, 0.1, stride=50, order=2)
-    fields = [traj.fields(i) for i in range(len(traj.snapshots))]
+    fields = [dg.shape_field(snap, order=2) for snap in traj.states]
     vols = [dg.integrate_density(sf, np.ones_like(sf.rho)) for sf in fields]
     assert max(abs(v / vols[0] - 1.0) for v in vols) < 2e-3
     w = [dg.willmore_energy(f) for f in fields]
@@ -315,7 +327,7 @@ def test_volume_drift_improves_under_refinement():
     for (n1, n2) in ((24, 48), (48, 96)):
         imm = dg.torus_immersion(1.0, 2.0, (n1, n2))
         traj = mb.evolve_membrane(imm, 5e-4, 0.1, stride=100, order=2)
-        fields = [traj.fields(i) for i in range(len(traj.snapshots))]
+        fields = [dg.shape_field(snap, order=2) for snap in traj.states]
         vols = [dg.integrate_density(sf, np.ones_like(sf.rho)) for sf in fields]
         drifts.append(max(abs(v / vols[0] - 1.0) for v in vols))
     assert math.log2(drifts[0] / drifts[1]) >= 1.8
@@ -326,23 +338,21 @@ def test_volume_drift_improves_under_refinement():
 # ---------------------------------------------------------------------------
 
 def test_continuity_residual_exact_torus():
-    traj = exact_torus_trajectory(1.0, 2.0, 1e-4, (64, 64), order=4)
-    _, worst = mb.continuity_residual(traj, 1)
+    fields, span = exact_torus_triple(1.0, 2.0, 1e-4, (64, 64), order=4)
+    _, worst = mb.continuity_residual(fields, span)
     assert worst <= 1e-3
-    sfm, _, sfp = traj.fields(0), traj.fields(1), traj.fields(2)
-    drho = (sfp.rho - sfm.rho) / (traj.times[2] - traj.times[0])
+    sfm, _, sfp = fields
+    drho = (sfp.rho - sfm.rho) / span
     assert np.abs(drho - 0.75).max() <= 1e-3
 
 
 def test_continuity_residual_equal_radii():
-    traj = exact_torus_trajectory(1.3, 1.3, 1e-4, (48, 48), order=4)
-    _, worst = mb.continuity_residual(traj, 1)
+    _, worst = mb.continuity_residual(*exact_torus_triple(1.3, 1.3, 1e-4, (48, 48), order=4))
     assert worst <= 1e-6
 
 
 def test_continuity_converges_on_evolved_data():
-    worst = [mb.continuity_residual(evolved_perturbed_trajectory(n), 1)[1]
-             for n in (48, 96)]
+    worst = [mb.continuity_residual(*evolved_perturbed_triple(n))[1] for n in (48, 96)]
     order = math.log2(worst[0] / worst[1])
     assert order >= 1.5, f"observed order {order:.2f}"
 
@@ -352,20 +362,17 @@ def test_continuity_converges_on_evolved_data():
 # ---------------------------------------------------------------------------
 
 def test_corollary_residual_small_on_torus():
-    traj = exact_torus_trajectory(1.0, 2.0, 1e-4, (64, 64), order=4)
-    _, worst = mb.corollary_residual(traj, 1)
+    _, worst = mb.corollary_residual(*exact_torus_triple(1.0, 2.0, 1e-4, (64, 64), order=4))
     assert worst <= 1e-3
 
 
 def test_corollary_contraction_matches_continuity_identically():
-    traj = evolved_perturbed_trajectory(32)
-    fields = (traj.fields(0), traj.fields(1), traj.fields(2))
+    fields, span = evolved_perturbed_triple(32)
     sfm, sf0, sfp = fields
-    res, _ = mb.corollary_residual(traj, 1)
+    res, _ = mb.corollary_residual(fields, span)
     lhs = 2.0 * np.einsum("...d,...d->...", res, sf0.mean_curvature)
 
     # continuity residual in the expanded grouping the contraction produces
-    span = traj.times[2] - traj.times[0]
     dH = dg.project_normal(sf0, (sfp.mean_curvature - sfm.mean_curvature) / span)
     tau = dg.torsion_form(sf0)
     gradH = np.stack(
@@ -387,8 +394,7 @@ def test_corollary_contraction_matches_continuity_identically():
 
 def test_corollary_flags_frozen_trajectory():
     imm = dg.torus_immersion(1.0, 2.0, (32, 32))
-    frozen = mb.MembraneTrajectory(np.array([0.0, 1e-4, 2e-4]), [imm, imm, imm], order=2)
-    _, worst = mb.corollary_residual(frozen, 1)
+    _, worst = mb.corollary_residual(frozen_triple(imm), 2e-4)
     assert worst > 0.1
 
 
@@ -396,9 +402,9 @@ def test_corollary_vector_form_fails_off_torus():
     """The vector form holds only in its H-component; the J h-component tends
     to -(Lap|H| + |H||tau|^2), which vanishes on products of circles but not
     on general solutions.  Documented finding, kept as a regression check."""
-    traj = evolved_perturbed_trajectory(96)
-    sf0 = traj.fields(1)
-    res, _ = mb.corollary_residual(traj, 1)
+    fields, span = evolved_perturbed_triple(96)
+    sf0 = fields[1]
+    res, _ = mb.corollary_residual(fields, span)
     absH = np.sqrt(sf0.rho)
     h_sec = sf0.mean_curvature / absH[..., None]
     jh = dg.apply_j(sf0, h_sec)
@@ -417,15 +423,13 @@ def test_corollary_vector_form_fails_off_torus():
 # ---------------------------------------------------------------------------
 
 def test_momentum_residual_tiny_on_torus():
-    traj = exact_torus_trajectory(1.0, 2.0, 1e-4, (64, 64), order=4)
-    _, worst = mb.momentum_residual(traj, 1)
+    _, worst = mb.momentum_residual(*exact_torus_triple(1.0, 2.0, 1e-4, (64, 64), order=4))
     assert worst <= 1e-6
 
 
 def test_momentum_flags_frozen_trajectory():
     imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (32, 32))
-    frozen = mb.MembraneTrajectory(np.array([0.0, 1e-4, 2e-4]), [imm, imm, imm], order=2)
-    _, worst = mb.momentum_residual(frozen, 1)
+    _, worst = mb.momentum_residual(frozen_triple(imm), 2e-4)
     assert worst > 0.1
 
 
@@ -435,9 +439,9 @@ def test_momentum_sign_of_squared_form_gradient():
     |2 grad(Q/rho)|), while the implemented form keeps converging."""
     resids, resids_flipped = [], []
     for n in (48, 96):
-        traj = evolved_perturbed_trajectory(n)
-        sf0 = traj.fields(1)
-        res, worst = mb.momentum_residual(traj, 1)
+        fields, span = evolved_perturbed_triple(n)
+        sf0 = fields[1]
+        res, worst = mb.momentum_residual(fields, span)
         jh = dg.apply_j(sf0, sf0.mean_curvature)
         p = np.einsum("...ijd,...d->...ij", sf0.second_form, jh)
         q = np.einsum("...mk,...jl,...mj,...kl->...",
@@ -459,11 +463,15 @@ def test_momentum_sign_of_squared_form_gradient():
 def test_energy_identity_on_torus_run():
     imm = dg.torus_immersion(1.0, 2.0, (48, 48))
     traj = mb.evolve_membrane(imm, 5e-4, 0.02, stride=10, order=4)
-    for i in range(1, len(traj.snapshots) - 1):
-        lhs, rhs, gap = mb.energy_identity_check(traj, i)
+    fields = [dg.shape_field(snap, order=4) for snap in traj.states]
+    w = [dg.willmore_energy(sf) for sf in fields]
+    rate = [dg.energy_derivative_integrand(sf)[1] for sf in fields]
+    for i in range(1, len(fields) - 1):
+        span = traj.times[i + 1] - traj.times[i - 1]
+        lhs, rhs, gap = mb.energy_identity_check(w[i - 1], w[i + 1], span, rate[i])
+        assert rhs == rate[i] and gap == lhs - rhs
         assert abs(gap) <= 0.01 * abs(rhs)
-    _, rhs0 = dg.energy_derivative_integrand(traj.fields(0))
-    assert abs(rhs0 / (8 * math.pi ** 2 * 0.75) - 1.0) < 5e-3
+    assert abs(rate[0] / (8 * math.pi ** 2 * 0.75) - 1.0) < 5e-3
 
 
 def test_energy_identity_equal_radii_instant():
@@ -477,9 +485,11 @@ def test_energy_identity_1d_regression():
     # identically and the measured dW/dt is pure truncation noise
     c0 = fl.arclength_resample(fl.perturbed_circle(1.0, 0.05, 3, 128))
     dt = 2e-4
-    traj_f = fl.evolve_filament(c0, dt, 4 * dt, stride=1, reparam_every=0)
-    traj = mb.MembraneTrajectory(np.array(traj_f.times), traj_f.states, order=4)
-    lhs, rhs, _ = mb.energy_identity_check(traj, 2)
+    traj = fl.evolve_filament(c0, dt, 4 * dt, stride=1, reparam_every=0)
+    sfm, sf0, sfp = (dg.shape_field(c, order=4) for c in traj.states[1:4])
+    lhs, rhs, _ = mb.energy_identity_check(
+        dg.willmore_energy(sfm), dg.willmore_energy(sfp), traj.times[3] - traj.times[1],
+        dg.energy_derivative_integrand(sf0)[1])
     assert abs(rhs) < 1e-12
     assert abs(lhs) < 1e-4
 
@@ -488,22 +498,11 @@ def test_energy_identity_1d_regression():
 # trajectory plumbing
 # ---------------------------------------------------------------------------
 
-def test_trajectory_validation():
-    imm = dg.torus_immersion(1.0, 2.0, (16, 16))
-    with pytest.raises(ValueError):
-        mb.MembraneTrajectory(np.array([0.0, 0.0]), [imm, imm])
-    with pytest.raises(ValueError):
-        mb.MembraneTrajectory(np.array([0.0, 1.0]), [imm])
-    traj = mb.MembraneTrajectory(np.array([0.0, 1e-3, 2e-3]), [imm, imm, imm])
-    with pytest.raises(IndexError):
-        mb.continuity_residual(traj, 0)
-
-
 def test_diagnostics_table():
     imm = dg.torus_immersion(1.0, 2.0, (16, 16))
     traj = mb.evolve_membrane(imm, 1e-3, 0.02, stride=5, order=2)
-    cols = mb.diagnostics(traj)
-    n = len(traj.snapshots)
+    cols = mb.diagnostics(traj, 2)
+    n = len(traj.states)
     for key in ("t", "willmore", "volume", "a_extracted", "b_extracted",
                 "max_continuity_residual", "max_momentum_residual", "energy_gap"):
         assert cols[key].shape == (n,)
@@ -526,58 +525,43 @@ def test_diagnostics_computes_each_torsion_form_once(monkeypatch):
     monkeypatch.setattr(dg, "torsion_form", counted)
     imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (16, 16))
     traj = mb.evolve_membrane(imm, 1e-3, 0.005, stride=1, order=2)
-    mb.diagnostics(traj)
-    assert len(calls) == len(set(calls)) == len(traj.snapshots)
-    assert set(calls) == {id(snap) for snap in traj.snapshots}
+    mb.diagnostics(traj, 2)
+    assert len(calls) == len(set(calls)) == len(traj.states)
+    assert set(calls) == {id(snap) for snap in traj.states}
 
 
 def test_curvature_check_reads_the_same_torsion_on_fresh_and_used_fields():
     imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (32, 32))
-    traj = mb.evolve_membrane(imm, 1e-3, 0.004, stride=1, order=2)
-    mb.diagnostics(traj)
-    used = traj.fields(-2)  # still in the window; the residuals read its torsion
-    fresh = dg.shape_field(traj.snapshots[-2], order=traj.order)
+    traj = mb.evolve_membrane(imm, 1e-3, 0.002, stride=1, order=2)
+    fields = [dg.shape_field(snap, order=2) for snap in traj.states]
+    span = traj.times[2] - traj.times[0]
+    mb.continuity_residual(fields, span)
+    mb.momentum_residual(fields, span)
+    used = fields[1]  # the residuals read its torsion
+    fresh = dg.shape_field(traj.states[1], order=2)
     assert "tau" in vars(used) and "tau" not in vars(fresh)
     for a, b in zip(dg.normal_curvature_check(fresh), dg.normal_curvature_check(used)):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
     assert fresh.tau.tobytes() == used.tau.tobytes()
 
 
-@pytest.mark.parametrize("steps,stride", [(6, 1), (6, 3), (4, 4)])
-def test_each_snapshot_shape_field_is_computed_once(monkeypatch, steps, stride):
-    # one field per snapshot, the initial one included, which diagnostics
-    # builds and its residuals share; the RK4 stages and the stability
-    # guard build none
-    calls = [0]
-    shape_field = dg.shape_field
-
-    def counted(imm, order=2, **kwargs):
-        calls[0] += 1
-        return shape_field(imm, order=order, **kwargs)
-
-    monkeypatch.setattr(dg, "shape_field", counted)
-    imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (16, 16))
-    traj = mb.evolve_membrane(imm, 1e-3, steps * 1e-3, stride=stride, order=2)
-    mb.diagnostics(traj)
-    assert calls[0] == steps // stride + 1
-    assert all(traj.fields(i).immersion is snap for i, snap in enumerate(traj.snapshots))
-
-
 def _recorded_shape_fields(monkeypatch):
-    """Patch dg.shape_field to keep a weak reference to every field it builds.
+    """Patch dg.shape_field to keep a weak reference to every field it builds
+    and the immersion it built it from.
 
-    Returns (refs, peak): peak[0] is the most fields alive right after any
-    build, which bounds the count at every other moment."""
-    refs, peak, shape_field = [], [0], dg.shape_field
+    Returns (refs, peak, sources): peak[0] is the most fields alive right
+    after any build, which bounds the count at every other moment."""
+    refs, peak, sources, shape_field = [], [0], [], dg.shape_field
 
     def recorded(imm, order=2, **kwargs):
         sf = shape_field(imm, order=order, **kwargs)
         refs.append(weakref.ref(sf))
+        sources.append(imm)
         peak[0] = max(peak[0], sum(r() is not None for r in refs))
         return sf
 
     monkeypatch.setattr(dg, "shape_field", recorded)
-    return refs, peak
+    return refs, peak, sources
 
 
 def _live_shape_fields():
@@ -585,16 +569,42 @@ def _live_shape_fields():
     return sum(isinstance(obj, dg.ShapeField) for obj in gc.get_objects())
 
 
+@pytest.mark.parametrize("steps,stride", [(6, 1), (6, 3), (4, 4)])
+def test_each_snapshot_shape_field_is_computed_once(monkeypatch, steps, stride):
+    # one field per snapshot, the initial one included, which diagnostics
+    # builds and its residuals share; the RK4 stages and the stability
+    # guard build none
+    refs, _, sources = _recorded_shape_fields(monkeypatch)
+    imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (16, 16))
+    traj = mb.evolve_membrane(imm, 1e-3, steps * 1e-3, stride=stride, order=2)
+    mb.diagnostics(traj, 2)
+    assert len(refs) == steps // stride + 1
+    assert all(src is snap for src, snap in zip(sources, traj.states, strict=True))
+
+
 def test_diagnostics_streams_through_three_shape_fields(monkeypatch):
-    refs, peak = _recorded_shape_fields(monkeypatch)
+    refs, peak, _ = _recorded_shape_fields(monkeypatch)
     imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (16, 16))
     live = _live_shape_fields()
     traj = mb.evolve_membrane(imm, 1e-3, 8e-3, stride=1, order=2)
-    assert len(traj.snapshots) == 9
+    assert len(traj.states) == 9
     assert refs == [] and _live_shape_fields() == live  # the trajectory holds no fields
-    mb.diagnostics(traj)
-    assert len(refs) == 9 and peak[0] == mb.FIELD_WINDOW == 3
-    assert traj.fields(-1) is traj.fields(8) and len(refs) == 9
+    mb.diagnostics(traj, 2)
+    assert len(refs) == 9 and peak[0] == 3
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_diagnostics_leaves_no_shape_field_alive(monkeypatch, stride):
+    # the window of the last three fields is local to the call: once it
+    # returns, the trajectory it read is still alive and none of its fields
+    refs, peak, _ = _recorded_shape_fields(monkeypatch)
+    imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (16, 16))
+    live = _live_shape_fields()
+    traj = mb.evolve_membrane(imm, 1e-3, 8e-3, stride=stride, order=2)
+    mb.diagnostics(traj, 2)
+    assert len(refs) == len(traj.states) and peak[0] <= 3
+    assert [r() for r in refs] == [None] * len(refs)
+    assert _live_shape_fields() == live
 
 
 def test_abort_trajectory_diagnostics_equal_a_clean_run(monkeypatch):
@@ -614,15 +624,15 @@ def test_abort_trajectory_diagnostics_equal_a_clean_run(monkeypatch):
         mb.evolve_membrane(imm, 1e-3, 0.01, stride=2, order=2)
     monkeypatch.setattr(mb, "smc_rhs", original)
     traj = err.value.trajectory
-    assert isinstance(traj, mb.MembraneTrajectory)
-    assert list(traj.times) == [0.0, 2e-3, 4e-3] and len(traj.snapshots) == 3
+    assert type(traj) is Trajectory
+    assert list(traj.times) == [0.0, 2e-3, 4e-3] and len(traj.states) == 3
 
-    refs, _ = _recorded_shape_fields(monkeypatch)
-    cols = mb.diagnostics(traj)
+    refs, _, sources = _recorded_shape_fields(monkeypatch)
+    cols = mb.diagnostics(traj, 2)
     assert len(refs) == 3
-    assert all(r().immersion is snap for r, snap in zip(refs, traj.snapshots))
+    assert all(src is snap for src, snap in zip(sources, traj.states, strict=True))
 
-    clean = mb.diagnostics(mb.evolve_membrane(imm, 1e-3, 4e-3, stride=2, order=2))
+    clean = mb.diagnostics(mb.evolve_membrane(imm, 1e-3, 4e-3, stride=2, order=2), 2)
     assert list(cols) == list(clean)
     for key in cols:
         assert cols[key].tobytes() == clean[key].tobytes(), key

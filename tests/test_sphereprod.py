@@ -135,16 +135,25 @@ def test_bad_step_or_horizon_is_rejected(run, message):
 
 @pytest.mark.parametrize("run", [
     lambda s: sp.evolve_numeric(s, 1e-2, 2.0),
-    lambda s: sp.run_to_collapse(s, 1e-2, a_stop=0.0),
+    lambda s: sp.run_to_collapse(s, 1e-2, a_stop=1e-300),
 ], ids=["evolve_numeric", "run_to_collapse"])
 def test_step_underflow_aborts_once_t_stops_advancing(run):
-    # near t* = 1 the halved step falls below the spacing of t long before dt 2^-60
+    # near t* = 1 the halved step falls below the spacing of t long before dt 2^-60,
+    # and long before a falls to 1e-300
     with pytest.raises(EvolutionAbort, match="step underflow") as err:
         run(sp.SphereProductState(1, 2, 1.0, 1.0))
     times = err.value.trajectory.times
     assert np.all(np.diff(times) > 0)
     assert times[-1] == err.value.t
     assert abs(err.value.t - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("a_stop", [-1.0, 0.0, np.nan, np.inf])
+def test_run_to_collapse_rejects_an_a_stop_it_cannot_stop_at(a_stop):
+    # a stays positive and finite, so it never falls to a_stop <= 0 or NaN,
+    # and an infinite a_stop stops before the first step
+    with pytest.raises(ValueError, match="a_stop must be finite and > 0"):
+        sp.run_to_collapse(sp.SphereProductState(1, 2, 1.0, 1.0), 1e-2, a_stop=a_stop)
 
 
 def test_stop_time_monotone_in_a_stop():

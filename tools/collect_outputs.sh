@@ -15,8 +15,12 @@
 # 32 x 40 perturbed torus (a snapshot every step, so every triple of the
 # streamed diagnostics pass reaches its CSV), a stride-1 order-4 membrane run
 # on the smallest legal non-square grid, 8 x 9 (its padded rows are 13 long,
-# so the halo is a third of each one), three filament runs that reach the
-# curve builders and the snapshot reader (a round circle at N = 100, which is
+# so the halo is a third of each one), a stride-1 membrane run on a
+# strongly perturbed 16 x 16 torus (eps 0.4, k1 3, k2 5) whose stability
+# estimate drops below dt = 0.03, so it aborts at t = 0.21 (exit 3; its
+# standard error and exit status are kept, so the snapshots and the
+# diagnostics of an aborted run are compared too), three filament runs that
+# reach the curve builders and the snapshot reader (a round circle at N = 100, which is
 # not a power of two, a twisted circle, and a curve read with curve_file=
 # from a snapshot this script writes with plain python3), the twisted circle
 # again with reparam_every=0 (no resampling after the first), an NLS run on the
@@ -53,7 +57,7 @@
 # which prints the largest absolute and relative difference per CSV column
 # and per snapshot, and exits 1 on a structural mismatch (a missing file, a
 # different header or row count, a validate PASS/FAIL flip).  Takes about
-# 25 s on a 2-core host.
+# 28 s on a 2-core host.
 set -eu
 if [ $# -ne 2 ]; then
     echo "usage: $0 CHECKOUT OUTDIR" >&2
@@ -62,7 +66,7 @@ fi
 src=$(cd "$1" && pwd)/src
 out=$2
 mkdir -p "$out/validate" "$out/validate_6" "$out/validate_3_4_9" "$out/validate_1_12_strict" \
-    "$out/sphere_underflow" "$out/pinched"
+    "$out/membrane_abort" "$out/sphere_underflow" "$out/pinched"
 
 skewflow() {
     PYTHONPATH="$src" python3 -m skewflow.cli "$@"
@@ -87,6 +91,11 @@ skewflow membrane-run surface=perturbed_torus a=1 b=2 eps=0.05 k1=2 k2=3 \
     n1=32 n2=40 order=4 dt=1e-3 T=0.01 stride=1 --out "$out/membrane_stride1" >/dev/null
 skewflow membrane-run surface=perturbed_torus a=1 b=2 eps=0.05 k1=2 k2=3 \
     n1=8 n2=9 order=4 dt=1e-3 T=0.01 stride=1 --out "$out/membrane_8x9" >/dev/null
+status=0
+skewflow membrane-run surface=perturbed_torus a=1 b=2 eps=0.4 k1=3 k2=5 n1=16 n2=16 \
+    order=2 dt=0.03 T=3 stride=1 --out "$out/membrane_abort" \
+    >/dev/null 2>"$out/membrane_abort/stderr.txt" || status=$?
+echo "exit $status" >>"$out/membrane_abort/stderr.txt"
 skewflow filament-run shape=circle R=1 N=100 dt=1e-3 T=0.1 --out "$out/circle" >/dev/null
 skewflow filament-run shape=twisted_circle R=1 eps=0.3 k=2 N=128 dt=5e-4 T=0.05 \
     --out "$out/twisted" >/dev/null
