@@ -172,9 +172,12 @@ def write_csv(path, header, rows):
 
     A table whose rows are as long as the header and whose cells are all
     _exact_as_g is formatted by one "%.17g" row template joined across the
-    rows, as save_immersion writes a snapshot, which gives the cells of _fmt.
-    Any other table (a string cell, a large int, a row of another length)
-    goes through csv.writer over _fmt, which quotes where needed."""
+    rows, which gives the cells of _fmt, the text diffgeo._format_g17 gives
+    a snapshot's values.  Tables keep the template: routing them through
+    that formatter saved no wall time and raised the peak memory of the
+    curve runs.  Any other table (a string cell, a large int, a row of
+    another length) goes through csv.writer over _fmt, which quotes where
+    needed."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -61,6 +61,7 @@ Integrals are plain Riemann sums over the parameter grid, which are
 spectrally accurate for smooth periodic integrands.
 """
 
+import contextlib
 import functools
 import itertools
 import math
@@ -186,7 +187,16 @@ def _read_only(a):
 # immersion builders
 # ---------------------------------------------------------------------------
 
+def check_grid_sizes(shape):
+    """ValueError, naming the sizes given, unless every grid size in shape is
+    at least MIN_GRID.  The builders check the sizes they are asked for before
+    they divide by them."""
+    if any(N < MIN_GRID for N in shape):
+        raise ValueError(f"grid sizes must be >= {MIN_GRID}, got {tuple(shape)}")
+
+
 def _param_grid(shape):
+    check_grid_sizes(shape)
     axes = [np.arange(N) * (2.0 * np.pi / N) for N in shape]
     return np.meshgrid(*axes, indexing="ij")
 
@@ -902,31 +912,204 @@ def laplace_beltrami(sf, scalar):
 # snapshot I/O
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def _atomic_file(path, mode):
+    """The file `path.part`, open in mode and moved onto path when the block
+    ends; if the block raises, the .part file is removed, so path never holds
+    a partial file."""
+    tmp = f"{path}.part"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def atomic_write(path, text):
     """Write text to a `.part` file and move it onto path, so path never
     holds a partial file."""
-    tmp = f"{path}.part"
-    with open(tmp, "w") as fh:
+    with _atomic_file(path, "w") as fh:
         fh.write(text)
-    os.replace(tmp, path)
+
+
+# _format_g17 writes a value of decimal exponent E in [_E_LO, 16] from its
+# class E - _E_LO, which indexes every table below; log10 can place the
+# smallest value it writes, 1e-30, one decade low.
+_E_LO = -31
+_N_CLASS = 16 - _E_LO + 1
+_SPLIT = 134217729.0   # 2^27 + 1: Veltkamp's split of a double into two halves
+
+
+@functools.cache
+def _g17_tables():
+    """The tables of _format_g17, made on its first call from Python numbers
+    and bytes (numpy array arithmetic here would keep more of numpy's code
+    resident than the tables take)."""
+    exponents = range(_E_LO, 17)
+    # 10^(16 - E) = hi + lo, hi split as hi_hi + hi_lo; lo is 0 while 10^(16 - E) is a double
+    powers = [10 ** (16 - e) for e in exponents]
+    hi = [float(p) for p in powers]
+    hi_hi = [_SPLIT * h - (_SPLIT * h - h) for h in hi]
+    scaling = np.array([hi, hi_hi, [h - g for h, g in zip(hi, hi_hi)],
+                        [float(p - int(h)) for p, h in zip(powers, hi)]])
+    # each 4-digit group as four (digit, '.') cells: pair a + pair b, for a
+    # row of 100 groups sharing a as a + a.join(pairs)
+    pairs = [b"%c.%c." % (48 + i // 10, 48 + i % 10) for i in range(100)]
+    quad = b"".join(a + a.join(pairs) for a in pairs)
+    # the significant digits of D if group j (after the leading digit) is its
+    # last nonzero one, from 1 + the index of a group's last nonzero digit (0 if none)
+    last2 = [0] + [1 if i % 10 == 0 else 2 for i in range(1, 100)]
+    last4 = [b + 2 if b else a for a in last2 for b in last2]
+    significant = bytes(n + 4 * j - 3 if n else 1 for j in range(1, 5) for n in last4)
+    # per (digits kept, class): a mask keeping the significant digits (fixed
+    # notation keeps its E + 1 integer digits) and the point after digit E
+    # (digit 0 in exponential notation) when a digit follows it
+    mask = []
+    for digits in range(18):
+        for e in exponents:
+            kept = max(digits, e + 1)
+            point = e if e >= 0 else 0 if e < -4 else 17
+            mask += [(0xFF if j < kept else 0) | (0xFF00 if j == point < kept - 1 else 0)
+                     for j in range(17)]
+    # the sign, and "0." and zeros for -4 <= E < 0 (8 bytes); the exponent for E < -4
+    prefix = b"".join((sign + (b"0." + b"0" * (-1 - e) if -4 <= e < 0 else b"")).ljust(8, b"\0")
+                      for e in exponents for sign in (b"", b"-"))
+    suffix = b"".join(b"e-%02d" % -e if e < -4 else b"\0" * 4 for e in exponents)
+    return (*scaling, np.frombuffer(quad, np.uint64),
+            np.frombuffer(significant, np.uint8).reshape(4, -1),
+            np.array(mask, np.uint16).reshape(-1, 17),
+            np.frombuffer(prefix, np.uint64), np.frombuffer(suffix, np.uint32))
+
+
+def _scaled(ax, cls):
+    """ax 10^(16 - E) as h + l: h = fl(ax hi) and its exact error (Dekker's
+    TwoProduct over Veltkamp splits), plus ax lo rounded."""
+    p_hi, p_hi_hi, p_hi_lo, p_lo = _g17_tables()[:4]
+    h = ax * p_hi.take(cls)
+    c = _SPLIT * ax
+    a_hi = c - (c - ax)
+    a_lo = ax - a_hi
+    b_hi, b_lo = p_hi_hi.take(cls), p_hi_lo.take(cls)
+    l = ((a_hi * b_hi - h) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    l += ax * p_lo.take(cls)
+    return h, l
+
+
+def _decimal17(x):
+    """(D, cls, slow): |x| rounded half to even to 17 digits is D 10^(E - 16),
+    D in [1e16, 1e17) (0 for a zero), E = cls + _E_LO; slow marks the values
+    whose digits are left to Python.
+
+    A value with 1e-30 <= |x| < 1e17 is scaled to v = |x| 10^(16 - E) = h + l,
+    with E from log10 and corrected by one where h + l falls outside
+    [1e16, 1e17).  While 10^(16 - E) is a double (E >= -6), h + l is v
+    exactly, and so are that test and the rounding, ties included.  Below
+    that, 10^(16 - E) is a double-double and l is within 1e-14 of the truth:
+    a value that close to a bound of the range rounds to the same digits on
+    either side of it, and a value whose fraction lies within 1e-9 of one
+    half is slow.  D = 10^17 is a carry into E + 1.  Values out of that
+    range, NaN and inf are slow."""
+    ax = np.abs(x)
+    fast = (ax >= 1e-30) & (ax < 1e17)
+    zero = ax == 0
+    ax = np.where(fast, ax, 1.0)
+    cls = np.minimum(np.floor(np.log10(ax)), 16).astype(np.intp) - _E_LO
+    h, l = _scaled(ax, cls)
+    below = (h < 1e16) | ((h == 1e16) & (l < 0))
+    above = (h > 1e17) | ((h == 1e17) & (l >= 0))
+    off = np.flatnonzero(below | above)
+    if off.size:
+        cls[off] += above[off].astype(np.intp) - below[off]
+        h[off], l[off] = _scaled(ax[off], cls[off])
+    fl = np.floor(l)
+    d = l - (fl + 0.5)
+    D = h.astype(np.int64) + fl.astype(np.int64)
+    D += (d > 0) | ((d == 0) & (D & 1).astype(bool))
+    inexact = cls < -6 - _E_LO
+    slow = ~(fast | zero) | (inexact & (np.abs(d) < 1e-9))
+    carry = D == 10 ** 17
+    D[carry] = 10 ** 16
+    cls += carry
+    D[zero] = 0
+    return D, cls, slow
+
+
+def _digit_groups(D):
+    """The leading digit and the four 4-digit groups of each D, as (n, 5)."""
+    groups = np.empty((D.size, 5), np.int64)
+    groups[:, 0] = D // 10 ** 16
+    rest = D - groups[:, 0] * 10 ** 16
+    hi = rest // 10 ** 8
+    lo = rest - hi * 10 ** 8
+    groups[:, 1] = hi // 10 ** 4
+    groups[:, 2] = hi - groups[:, 1] * 10 ** 4
+    groups[:, 3] = lo // 10 ** 4
+    groups[:, 4] = lo - groups[:, 3] * 10 ** 4
+    return groups
+
+
+def _format_g17(values, seps):
+    """The bytes of "%.17g" % x followed by seps[j], for each x in column j of
+    the 2D float array values, in row-major order.
+
+    Each value gets a row of 48 byte cells, laid out from tables by its
+    class and its count of significant digits (trailing zeros stripped after
+    the point only): its sign and "0.000" prefix (bytes 0-5), 17 pairs
+    (digit, point) (bytes 6-39), its exponent (40-43) and its separator (44).
+    Unused cells hold NUL, and one translate deletes them.  The values
+    _decimal17 marks slow are written by Python's "%.17g" into their rows."""
+    quad, significant, mask, prefix, suffix = _g17_tables()[4:]
+    x = np.asarray(values, dtype=float)
+    m, ncol = x.shape
+    x = x.ravel()
+    D, cls, slow = _decimal17(x)
+    groups = _digit_groups(D)
+    kept = np.maximum(
+        np.maximum(significant[0].take(groups[:, 1]), significant[1].take(groups[:, 2])),
+        np.maximum(significant[2].take(groups[:, 3]), significant[3].take(groups[:, 4])),
+    )
+    cells = np.zeros((x.size, 48), np.uint8)
+    cells.view(np.uint64)[:, 0] = prefix.take(cls * 2 + np.signbit(x))
+    np.bitwise_and(quad.take(groups).view(np.uint16)[:, 3:],
+                   mask.take(kept.astype(np.intp) * _N_CLASS + cls, axis=0),
+                   out=cells.view(np.uint16)[:, 3:20])
+    cells.view(np.uint32)[:, 10] = suffix.take(cls)
+    cells.reshape(m, ncol, 48)[:, :, 44] = np.frombuffer(seps, np.uint8)
+    if slow.any():
+        i = np.flatnonzero(slow)
+        text = b"".join((b"%.17g" % v).ljust(44, b"\0") for v in x[i].tolist())
+        cells[i, :44] = np.frombuffer(text, np.uint8).reshape(-1, 44)
+    return cells.tobytes().translate(None, b"\0")
+
+
+SNAPSHOT_BLOCK = 4096   # values per _format_g17 call while a snapshot is written
 
 
 def save_immersion(imm, path):
     """Write the text snapshot: header lines, then one row per grid point.
 
     Rows are in row-major multi-index order, columns are the ambient
-    coordinates at 17 significant digits.
+    coordinates at 17 significant digits, each exactly Python's "%.17g".
+    The rows go through _format_g17 in blocks of at most SNAPSHOT_BLOCK
+    values into path's .part file, which is moved onto path once complete
+    and removed if a block fails.
     """
-    lines = [
-        f"dim {imm.dim}",
-        "shape " + " ".join(str(N) for N in imm.shape),
-        "param_periods " + " ".join(f"{p:.17g}" for p in imm.param_periods),
-        f"ambient {imm.ambient_dim}",
-    ]
+    header = (
+        f"dim {imm.dim}\n"
+        f"shape {' '.join(str(N) for N in imm.shape)}\n"
+        f"param_periods {' '.join(f'{p:.17g}' for p in imm.param_periods)}\n"
+        f"ambient {imm.ambient_dim}\n"
+    )
     flat = imm.points.reshape(-1, imm.ambient_dim)
-    row = " ".join(["%.17g"] * imm.ambient_dim)
-    lines.append("\n".join([row] * len(flat)) % tuple(flat.ravel().tolist()))
-    atomic_write(path, "\n".join(lines) + "\n")
+    seps = b" " * (imm.ambient_dim - 1) + b"\n"
+    rows = SNAPSHOT_BLOCK // imm.ambient_dim
+    with _atomic_file(path, "wb") as fh:
+        fh.write(header.encode())
+        for i in range(0, len(flat), rows):
+            fh.write(_format_g17(flat[i:i + rows], seps))
 
 
 def load_immersion(path):

@@ -108,6 +108,7 @@ def twisted_circle(radius, eps, k, n):
 
 
 def build_curve(kind, n, **params):
+    dg.check_grid_sizes((n,))
     if kind == "circle":
         return circle_curve(params.pop("R"), n)
     if kind == "perturbed_circle":

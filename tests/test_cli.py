@@ -511,6 +511,23 @@ def test_key_that_can_only_misbehave_exits_2(tmp_path, capsys, args, message):
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("args,message", [
+    (["membrane-run", "surface=torus_product", "a=1", "b=2", "n1=0", "n2=16", "stride=1"],
+     "grid sizes must be >= 8, got (0, 16)"),
+    (["membrane-run", "surface=torus_product", "a=1", "b=2", "n1=-8", "n2=16", "stride=1"],
+     "grid sizes must be >= 8, got (-8, 16)"),
+    (["filament-run", "shape=circle", "R=1", "N=-8"], "grid sizes must be >= 8, got (-8,)"),
+], ids=["membrane-n1-0", "membrane-n1-negative", "filament-N-negative"])
+def test_bad_grid_size_exits_2_naming_it(tmp_path, capsys, args, message):
+    # n1=0 divided by zero in the surface builder's parameter grid, and a
+    # negative size was reported as the shape of the empty grid it built
+    out = tmp_path / "o"
+    code = cli.main(args + ["dt=1e-3", "T=0.002", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not list(out.glob("*"))
+
+
 @pytest.mark.parametrize("order", [3, 6])
 @pytest.mark.parametrize("args", [
     ["membrane-run", "surface=torus_product", "a=1", "b=2", "stride=1"],

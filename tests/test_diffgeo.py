@@ -1,9 +1,12 @@
 """Tests for the discrete extrinsic geometry layer."""
 
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewflow import diffgeo as dg
 from skewflow import filament as fl
@@ -611,14 +614,44 @@ def test_snapshot_rows_of_unequal_length_are_rejected(tmp_path):
 
 
 def test_failed_snapshot_write_leaves_no_file_under_its_name(tmp_path, monkeypatch):
+    path = tmp_path / "snapshot_0001.txt"
+    part = tmp_path / "snapshot_0001.txt.part"
+    imm = dg.torus_immersion(1.0, 2.0, (64, 64))   # four blocks of the formatter
+
     def interrupted(src, dst):
         raise OSError("interrupted before the rename")
 
-    monkeypatch.setattr(os, "replace", interrupted)
-    path = tmp_path / "snapshot_0001.txt"
-    with pytest.raises(OSError, match="interrupted"):
-        dg.save_immersion(dg.torus_immersion(1.0, 2.0, (8, 8)), path)
-    assert not path.exists()
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", interrupted)
+        with pytest.raises(OSError, match="interrupted"):
+            dg.save_immersion(imm, path)
+    assert not path.exists() and not part.exists()
+
+    # the formatter fails on its third block, once two are in the .part file
+    blocks = []
+    format_g17 = dg._format_g17
+
+    def failing(values, seps):
+        blocks.append(len(values))
+        if len(blocks) == 3:
+            assert part.stat().st_size > 0
+            raise MemoryError("formatter failed")
+        return format_g17(values, seps)
+
+    monkeypatch.setattr(dg, "_format_g17", failing)
+    with pytest.raises(MemoryError, match="formatter failed"):
+        dg.save_immersion(imm, path)
+    assert blocks == [dg.SNAPSHOT_BLOCK // 4] * 3
+    assert not path.exists() and not part.exists()
+    # a snapshot already under the name is left as it was
+    monkeypatch.setattr(dg, "_format_g17", format_g17)
+    dg.save_immersion(imm, path)
+    before = path.read_bytes()
+    blocks.clear()
+    monkeypatch.setattr(dg, "_format_g17", failing)
+    with pytest.raises(MemoryError):
+        dg.save_immersion(dg.torus_immersion(1.0, 3.0, (64, 64)), path)
+    assert path.read_bytes() == before and not part.exists()
 
 
 def test_snapshot_header_errors_name_the_key(tmp_path):
@@ -629,6 +662,104 @@ def test_snapshot_header_errors_name_the_key(tmp_path):
     path.write_text("dim 2\nparam_periods 6.28 6.28\nambient 4\n1 0 2 0\n")
     with pytest.raises(ValueError, match="'shape'"):
         dg.load_immersion(path)
+
+
+# ---------------------------------------------------------------------------
+# the snapshot number formatter
+# ---------------------------------------------------------------------------
+
+def g17(values):
+    """_format_g17 of values as one column, one value a line, in blocks of
+    the size save_immersion writes."""
+    col = np.asarray(values, dtype=float).reshape(-1, 1)
+    step = dg.SNAPSHOT_BLOCK
+    return b"".join(dg._format_g17(col[i:i + step], b"\n") for i in range(0, len(col), step))
+
+
+def assert_g17_is_python(values):
+    values = np.asarray(values, dtype=float).ravel()
+    got = g17(values).split(b"\n")
+    want = [b"%.17g" % x for x in values.tolist()] + [b""]
+    assert len(got) == len(want)
+    bad = [(x, w, g) for x, w, g in zip(values.tolist(), want, got) if w != g]
+    assert not bad, f"{len(bad)} values differ from %.17g, e.g. {bad[:4]}"
+
+
+def dyadic_ties():
+    """Doubles m 2^-c (m odd) whose exact decimal expansion has 18
+    significant digits, the last a 5: each is a tie at 17 digits."""
+    rng = np.random.default_rng(17)
+    out = []
+    for c in range(1, 60):
+        for bits in range(2, 54):
+            for m in rng.integers(2 ** (bits - 1), 2 ** bits, 4).tolist():
+                if len(str((m | 1) * 5 ** c)) == 18:
+                    out.append(math.ldexp(m | 1, -c))
+    return out
+
+
+def scaled_near_ties():
+    """Doubles x = m 2^-(s + k) below 1e-6, m in [2^52, 2^53), whose scaled
+    value x 10^k = m 5^k / 2^s (k = 16 - E > 22, where 10^k is no double)
+    lies within 40 units of 2^-s of a half-integer, on either side, exact
+    ties included: the values whose last digit the formatter cannot decide
+    from its double-double scaling alone."""
+    out = []
+    for k in range(23, 48):
+        five = 5 ** k
+        for s in range(45, 120):
+            if not any(1e16 <= m * five / 2 ** s < 1e17 for m in (2 ** 52, 2 ** 53)):
+                continue
+            inverse = pow(five, -1, 2 ** s)
+            for delta in range(-40, 41):
+                m = (2 ** (s - 1) + delta) * inverse % 2 ** s
+                if m < 2 ** 52:   # the least m + j 2^s in range, where s < 53
+                    m += -(-(2 ** 52 - m) // 2 ** s) * 2 ** s
+                if m < 2 ** 53 and 1e16 <= m * five / 2 ** s < 1e17:
+                    out.append(math.ldexp(m, -s - k))
+    return out
+
+
+def test_g17_matches_python_on_random_bit_patterns():
+    rng = np.random.default_rng(20)
+    assert_g17_is_python(np.frombuffer(rng.bytes(8 * 400_000), dtype=float))
+
+
+def test_g17_matches_python_over_the_decades():
+    rng = np.random.default_rng(21)
+    signs = rng.choice([-1.0, 1.0], 400_000)
+    assert_g17_is_python(signs * 10.0 ** rng.uniform(-40, 20, 400_000))
+
+
+def test_g17_matches_python_on_edge_values():
+    edge = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+            1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan]
+    for e in range(-40, 25):
+        p = float(f"1e{e}")
+        edge += [np.nextafter(p, 0.0), p, np.nextafter(p, math.inf)]
+    ties = dyadic_ties()
+    near = scaled_near_ties()
+    assert len(ties) > 200 and len(near) > 400
+    rng = np.random.default_rng(22)
+    integers = np.concatenate([
+        10 ** 16 + np.arange(-64, 65), 10 ** 17 - 16 * np.arange(1, 65),
+        rng.integers(10 ** 16, 10 ** 17, 10_000),
+    ]).astype(float)
+    assert_g17_is_python(np.concatenate([edge, ties, near, -np.array(near), integers]))
+    # 1 + 2^-17 = 1.00000762939453125 is a tie: half to even keeps the 2
+    assert g17([1 + 2.0 ** -17]) == b"1.0000076293945312\n"
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.floats())
+def test_g17_matches_python_property(x):
+    assert dg._format_g17(np.array([[x]]), b"\n") == b"%.17g\n" % x
+
+
+def test_g17_writes_each_column_separator():
+    values = np.array([[1.5, -0.0, 1e-300], [math.nan, 123456789.0, 2.5e-7]])
+    assert dg._format_g17(values, b",;\n") == b"".join(b"%.17g,%.17g;%.17g\n" % tuple(row)
+                                                        for row in values.tolist())
 
 
 def test_degenerate_index_message_uses_plain_ints():

@@ -19,10 +19,15 @@
 # strongly perturbed 16 x 16 torus (eps 0.4, k1 3, k2 5) whose stability
 # estimate drops below dt = 0.03, so it aborts at t = 0.21 (exit 3; its
 # standard error and exit status are kept, so the snapshots and the
-# diagnostics of an aborted run are compared too), three filament runs that
-# reach the curve builders and the snapshot reader (a round circle at N = 100, which is
-# not a power of two, a twisted circle, and a curve read with curve_file=
-# from a snapshot this script writes with plain python3), the twisted circle
+# diagnostics of an aborted run are compared too), a stride-5 membrane run on
+# a 16 x 16 torus of radii 0.004 and 3000 at dt = 1e-6 (its snapshots hold
+# coordinates of decimal exponent -25, -19, -18, -13, -3 and 3, and zeros, so
+# the snapshot writer's exponential layout, its fixed layouts and its scaling
+# by powers of ten that are no double reach a file compared byte for byte),
+# three filament runs that reach the curve builders and the snapshot reader
+# (a round circle at N = 100, which is not a power of two, a twisted circle,
+# and a curve read with curve_file= from a snapshot this script writes with
+# plain python3), the twisted circle
 # again with reparam_every=0 (no resampling after the first), an NLS run on the
 # twisted circle (nonzero torsion, so the Hasimoto phase integral sees more
 # than zeros), a filament run on a strongly perturbed circle (eps 0.3, k 5,
@@ -96,6 +101,8 @@ skewflow membrane-run surface=perturbed_torus a=1 b=2 eps=0.4 k1=3 k2=5 n1=16 n2
     order=2 dt=0.03 T=3 stride=1 --out "$out/membrane_abort" \
     >/dev/null 2>"$out/membrane_abort/stderr.txt" || status=$?
 echo "exit $status" >>"$out/membrane_abort/stderr.txt"
+skewflow membrane-run surface=torus_product a=0.004 b=3000 n1=16 n2=16 dt=1e-6 T=1e-5 stride=5 \
+    --out "$out/membrane_exponents" >/dev/null
 skewflow filament-run shape=circle R=1 N=100 dt=1e-3 T=0.1 --out "$out/circle" >/dev/null
 skewflow filament-run shape=twisted_circle R=1 eps=0.3 k=2 N=128 dt=5e-4 T=0.05 \
     --out "$out/twisted" >/dev/null
