@@ -43,7 +43,7 @@ class ConfigError(ValueError):
 
 def _as_int(s):
     v = float(s)
-    if v != int(v):
+    if not np.isfinite(v) or v != int(v):
         raise ConfigError(f"expected an integer, got {s!r}")
     return int(v)
 

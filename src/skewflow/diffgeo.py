@@ -12,9 +12,9 @@ arithmetic wraps.  From the sampled positions we build
     quarter turn    J v = -(t_1 x ... x t_n x v) / sqrt(det g)
 
 The metric algebra is closed-form for n <= 2: det g and g^-1 are the
-explicit 1x1/2x2 expressions (metric_planes), and normal projection
-subtracts (X, t_i) t^i with the dual tangents t^i = g^ij t_j
-(project_planes).  shape_field evaluates all of it as elementwise
+explicit 1x1/2x2 expressions (metric_planes), and shape_field's normal
+projection subtracts (X, t_i) t^i with the dual tangents t^i = g^ij t_j
+(project_planes); the stage skips it.  All of it is elementwise
 arithmetic on (d, *s) component planes, with no per-point LAPACK call.  The
 positions are held as padded planes: wrapped order/2 entries past both ends
 of every grid axis (pad_planes), so the halo is the periodic wrap.  Each
@@ -24,7 +24,7 @@ one set (plane_derivatives).  The results are band planes: the interior
 rows, halo columns included, one contiguous stretch of memory per
 component, so every stencil and product is one pass over it.  The halo
 columns of a band plane hold no geometry; every reduction (the det g floor,
-a maximum of g^ii, a finiteness check) reads the interior alone.  The
+a finiteness check) reads the interior alone.  The
 membrane RK4 state stays in this layout from stage to stage
 (membrane.smc_rhs returns its velocity with the halo wrapped), and a
 snapshot is the interior copied out.  The generalised cross product on
@@ -38,8 +38,8 @@ The plane kernels (plane_derivatives, metric_planes, project_planes,
 generalised_cross, shape_field) fill their intermediate planes with out=
 ufuncs in a workspace ws: a Workspace of named arrays, made once and
 reused, or by default a fresh array per request.  evolve_membrane keeps one
-Workspace per run, so its RK4 stages and stability estimates work in the
-same buffers and allocate only their results.  Every stencil, product and
+Workspace per run, so its RK4 stages allocate only their results, and its
+stability estimates run metric_planes there.  Every stencil, product and
 sum keeps the operation order of the plain expression, so the results are
 bitwise those of allocating code.  In the same way plane_einsum writes the
 2x2 index contractions of the membrane residuals as sums over component
@@ -489,15 +489,14 @@ def _planes(a, k):
 def metric_planes(t, ws=_fresh, inner=(Ellipsis,)):
     """Closed-form metric algebra of n <= 2 tangent planes t[i], each (d, *s).
 
-    Returns (g, det_g, g_inv, dual) with g and g_inv as nested n x n lists of
-    (*s,) planes and the dual tangents t^i = g^ij t_j, all held in the
-    workspace ws.  For the band planes of plane_derivatives, inner is the
-    index it returns: the det g floor reads the interior alone, and the
-    band's halo columns, which hold no geometry, raise no floating-point
-    warning.  Raises DegenerateImmersionError when det(g) falls below G_MIN,
-    naming the offending grid index of the interior.
+    Returns (g, det_g, g_inv) with g and g_inv as nested n x n lists of
+    (*s,) planes, all held in the workspace ws.  For the band planes of
+    plane_derivatives, inner is the index it returns: the det g floor reads
+    the interior alone, and the band's halo columns, which hold no geometry,
+    raise no floating-point warning.  Raises DegenerateImmersionError when
+    det(g) falls below G_MIN, naming the offending grid index of the interior.
     """
-    n, s, plane = len(t), t[0].shape[1:], t[0].shape
+    n, s = len(t), t[0].shape[1:]
     tmp = ws("scalar_tmp", s)
     g = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -514,18 +513,12 @@ def metric_planes(t, ws=_fresh, inner=(Ellipsis,)):
         raise DegenerateImmersionError(idx, det_inner[idx])
     with np.errstate(all="ignore"):
         if n == 1:
-            g_inv = [[np.divide(1.0, det_g, out=ws("g^11", s))]]
-            dual = [np.multiply(g_inv[0][0], t[0], out=ws("dual1", plane))]
-            return g, det_g, g_inv, dual
+            return g, det_g, [[np.divide(1.0, det_g, out=ws("g^11", s))]]
         off = np.negative(g[0][1], out=ws("g^12", s))
         off /= det_g
         g_inv = [[np.divide(g[1][1], det_g, out=ws("g^11", s)), off],
                  [off, np.divide(g[0][0], det_g, out=ws("g^22", s))]]
-        dual = []
-        for i in range(2):
-            dual.append(np.multiply(g_inv[i][0], t[0], out=ws(f"dual{i + 1}", plane)))
-            dual[i] += np.multiply(g_inv[i][1], t[1], out=ws("tmp", plane))
-    return g, det_g, g_inv, dual
+    return g, det_g, g_inv
 
 
 def project_planes(x, t, dual, ws=_fresh):
@@ -544,22 +537,25 @@ def shape_field(imm, order=2, ws=_fresh):
     the points are padded once (`pad_planes`) and differenced along the grid
     axes (`plane_derivatives`), det g and g^-1 are the closed-form 1x1/2x2
     expressions of `metric_planes`, and each second derivative X_ij is
-    projected with the dual tangents t^k = g^kl t_l as
-    A_ij = X_ij - sum_k (X_ij, t_k) t^k.  All of it runs on the band planes
-    of plane_derivatives, in the workspace ws; the returned ShapeField holds
-    arrays of its own, copied from the interior.
+    projected with the dual tangents t^k = g^kl t_l, built here, as
+    A_ij = X_ij - sum_k (X_ij, t_k) t^k (`project_planes`).  All of it runs
+    on the band planes of plane_derivatives, in the workspace ws; the
+    returned ShapeField holds arrays of its own, copied from the interior.
 
     Raises DegenerateImmersionError when det(g) falls below G_MIN, naming the
     offending grid index.
     """
     n, d, s, hs = imm.dim, imm.ambient_dim, imm.shape, imm.spacings
     t, xx, mixed, inner = plane_derivatives(pad_planes(imm.points, order, ws), hs, order, ws)
-    g, det_g, g_inv, dual = metric_planes(t, ws, inner)
+    g, det_g, g_inv = metric_planes(t, ws, inner)
 
     second_form = np.empty(s + (n, n, d))
     h = np.zeros(t[0].shape)
     norm_sq = None
     with np.errstate(all="ignore"):  # the band's halo columns hold no geometry
+        # the dual tangents t^i = sum_j g^ij t_j, row i of g^-1 against the t_j
+        dual = [_dot(g_inv[i], t, ws(f"dual{i + 1}", h.shape), ws("tmp", h.shape))
+                for i in range(n)]
         for i in range(n):
             for j in range(i, n):
                 x = xx[i] if i == j else mixed

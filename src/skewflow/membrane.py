@@ -45,16 +45,16 @@ def smc_rhs(padded, spacings, order=2, ws=None):
     arrays is one as well; it builds no GridImmersion or ShapeField.  The
     input is differenced where it lies, each neighbour one flat shifted slice
     of it (dg.plane_derivatives), and all arithmetic runs over the band of
-    interior rows; the det g floor reads the interior alone.  H is one normal
-    projection of g^ij X_ij, which equals g^ij A_ij up to roundoff because the
-    projection is linear.  Every intermediate plane lives in the workspace
-    ws, which evolve_membrane keeps for all stages of a run; without one the
-    call starts a fresh workspace.  The returned velocity is always a new
-    array.  Raises DegenerateImmersionError where det g <= G_MIN.
+    interior rows; the det g floor reads the interior alone.  H enters
+    unprojected, as g^ij X_ij: the wedge vanishes on tangent vectors, so the
+    result is that of g^ij A_ij up to roundoff.  Every intermediate plane
+    lives in ws, which evolve_membrane keeps for all stages of a run;
+    without one the call starts a fresh workspace.  The returned velocity is
+    always a new array.  Raises DegenerateImmersionError where det g <= G_MIN.
     """
     ws = dg.Workspace() if ws is None else ws
     t, xx, mixed, inner = dg.plane_derivatives(padded, spacings, order, ws)
-    _, det_g, g_inv, dual = dg.metric_planes(t, ws, inner)
+    _, det_g, g_inv = dg.metric_planes(t, ws, inner)
     scalar_tmp = ws("scalar_tmp", det_g.shape)
     v, w = np.empty(padded.shape), order // 2
     with np.errstate(all="ignore"):  # the band's halo columns hold no geometry
@@ -64,7 +64,7 @@ def smc_rhs(padded, spacings, order=2, ws=None):
             y += np.multiply(g_inv[1][1], xx[1], out=xx[1])
             y += np.multiply(np.multiply(2.0, g_inv[0][1], out=scalar_tmp), mixed, out=mixed)
         band = v[:, w:-w]
-        dg.generalised_cross(t, dg.project_planes(y, t, dual, ws), band, ws)
+        dg.generalised_cross(t, y, band, ws)
         band /= np.sqrt(det_g, out=scalar_tmp)
     return dg.wrap_halo(v, order)
 
@@ -75,20 +75,17 @@ def stability_limit(imm, order=2, ws=None):
     The stiffest linearized mode oscillates at roughly
     c_ord * sum_i max(g^ii) / h_i^2 with c_ord the peak symbol of the second
     difference; the usable step is a conservative fraction of 2.83 over that.
-    g^ii is read from the metric planes of the immersion, padded once
-    (dg.pad_planes, dg.plane_derivatives and dg.metric_planes, in the
-    workspace ws), the planes shape_field copies into metric_inv, and its
-    maximum is taken over their interior, so the bound is bitwise that of the
-    full shape field.  Raises DegenerateImmersionError where det g <= G_MIN.
+    g^ii needs the tangents alone: each t_i is dg.diff of the points, bitwise
+    the tangent of dg.plane_derivatives on the interior, and dg.metric_planes
+    inverts the metric in the workspace ws, so the bound is bitwise that of
+    the full shape field's metric_inv.  Raises DegenerateImmersionError where
+    det g <= G_MIN.
     """
     ws = dg.Workspace() if ws is None else ws
-    padded = dg.pad_planes(imm.points, order, ws)
-    t, _, _, inner = dg.plane_derivatives(padded, imm.spacings, order, ws)
-    _, _, g_inv, _ = dg.metric_planes(t, ws, inner)
-    lam = sum(
-        _FD_SECOND_MAX[order] * g_inv[i][i][inner].max() / imm.spacings[i] ** 2
-        for i in range(imm.dim)
-    )
+    hs = imm.spacings
+    t = [np.moveaxis(dg.diff(imm.points, i, hs[i], order), -1, 0) for i in range(imm.dim)]
+    _, _, g_inv = dg.metric_planes(t, ws)
+    lam = sum(_FD_SECOND_MAX[order] * g_inv[i][i].max() / hs[i] ** 2 for i in range(imm.dim))
     return RK4_IMAG_STABILITY / lam
 
 
@@ -99,13 +96,15 @@ def evolve_membrane(imm, dt, t_final, stride=1, order=2):
     in, wrap or transpose out; the finiteness check reads their interior.
     Only the steps that the trajectory records build a snapshot, a
     GridImmersion of the interior, and the next step pads it again.  Raises
-    ValueError for a step size above the stability estimate, and
-    EvolutionAbort on metric degeneration, non-finite coordinates, or a
-    snapshot whose stability estimate has dropped below dt.  The estimates
-    read the metric planes alone, so the run builds no shape field: the
-    returned stepping.Trajectory, and the one an abort carries, hold
-    snapshots only.
+    ValueError for an input that is not a membrane or a step size above the
+    stability estimate, and EvolutionAbort on metric degeneration,
+    non-finite coordinates, or a snapshot whose stability estimate has
+    dropped below dt.  The estimates read the tangents alone, so the run
+    builds no shape field: the returned stepping.Trajectory, and the one an
+    abort carries, hold snapshots only.
     """
+    if imm.dim != 2:
+        raise ValueError(f"need a dim-2 immersion in R^4, got dim={imm.dim}")
     nsteps = step_count(dt, t_final, stride)
     ws = dg.Workspace()  # every stage and stability estimate of this run works in it
     dt_max = stability_limit(imm, order, ws)

@@ -12,6 +12,7 @@ import pytest
 
 from skewflow import cli
 from skewflow import diffgeo as dg
+from skewflow import filament as fl
 
 
 def read_csv(path):
@@ -44,9 +45,12 @@ def test_missing_required_key_exits_2(tmp_path, capsys):
     assert "missing required" in capsys.readouterr().err
 
 
-def test_bad_value_exits_2(tmp_path, capsys):
-    code = cli.main(["sphere-run", "m=1.5", "l=2", "a=1", "b=1", "--out", str(tmp_path)])
+@pytest.mark.parametrize("m", ["m=1.5", "m=inf", "m=-inf", "m=1e999", "m=nan"])
+def test_bad_value_exits_2(tmp_path, capsys, m):
+    code = cli.main(["sphere-run", m, "l=2", "a=1", "b=1", "--out", str(tmp_path)])
     assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
 
 
 def test_domain_error_exits_2(tmp_path, capsys):
@@ -205,6 +209,17 @@ def test_membrane_snapshot_as_curve_file_exits_2(tmp_path, capsys, sub):
                      "--out", str(tmp_path / "o")])
     assert code == 2
     assert "need a dim-1 immersion in R^3, got dim=2" in capsys.readouterr().err
+
+
+def test_curve_snapshot_as_surface_file_exits_2(tmp_path, capsys):
+    snap = tmp_path / "circle.txt"
+    dg.save_immersion(fl.circle_curve(1.0, 64), snap)
+    out = tmp_path / "o"
+    code = cli.main(["membrane-run", "surface=torus_product", "a=1", "b=2",
+                     f"surface_file={snap}", "dt=1e-3", "T=0.01", "--out", str(out)])
+    assert code == 2
+    assert "need a dim-2 immersion in R^4, got dim=1" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_membrane_run_circle_surface_exits_2(tmp_path):

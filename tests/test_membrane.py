@@ -145,9 +145,6 @@ def _roll_stage(points, spacings, order):
     y = gi11 * _roll_second(x, 1, h1, order)
     y += gi22 * _roll_second(x, 2, h2, order)
     y += 2.0 * off * _roll_first(t1, 2, h2, order)
-    c1, c2 = dot(y, t1), dot(y, t2)
-    y -= c1 * (gi11 * t1 + off * t2)
-    y -= c2 * (off * t1 + gi22 * t2)
     a, b = t1, t2
     p01, p02, p03 = (a[0] * b[k] - a[k] * b[0] for k in (1, 2, 3))
     p12, p13, p23 = (a[i] * b[j] - a[j] * b[i] for i, j in ((1, 2), (1, 3), (2, 3)))
@@ -162,17 +159,17 @@ def _roll_stage(points, spacings, order):
 
 def _unpadded_stage(points, spacings, order):
     """The stage on unpadded (d, *s) planes, as it ran before it read padded
-    ones: np.roll differences, then dg.metric_planes, dg.project_planes and
-    dg.generalised_cross; the velocity as (*s, d)."""
+    ones: np.roll differences, then dg.metric_planes and dg.generalised_cross;
+    the velocity as (*s, d)."""
     x = np.ascontiguousarray(np.moveaxis(points, -1, 0))
     t = [_roll_first(x, a + 1, h, order) for a, h in enumerate(spacings)]
     xx = [_roll_second(x, a + 1, h, order) for a, h in enumerate(spacings)]
     mixed = _roll_first(t[0], 2, spacings[1], order)
-    _, det_g, g_inv, dual = dg.metric_planes(t)
+    _, det_g, g_inv = dg.metric_planes(t)
     y = xx[0] * g_inv[0][0]
     y += g_inv[1][1] * xx[1]
     y += (2.0 * g_inv[0][1]) * mixed
-    v = dg.generalised_cross(t, dg.project_planes(y, t, dual))
+    v = dg.generalised_cross(t, y)
     v /= np.sqrt(det_g)
     return np.ascontiguousarray(np.moveaxis(v, 0, -1))
 
@@ -182,6 +179,17 @@ def _random_grid(shape, seed):
     base = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, shape)
     noise = 0.01 * np.random.default_rng(seed).standard_normal(base.points.shape)
     return dg.GridImmersion(base.points + noise, (3.0, 7.0))
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_stability_limit_is_the_shape_field_bound_bitwise(order):
+    # the spacings 3/9 and 7/12 differ, so a guard that takes one axis's
+    # spacing for the other's reads a different bound
+    imm = _random_grid((9, 12), 4)
+    sf = dg.shape_field(imm, order=order)
+    lam = sum(mb._FD_SECOND_MAX[order] * sf.metric_inv[..., i, i].max() / imm.spacings[i] ** 2
+              for i in range(2))
+    assert mb.stability_limit(imm, order) == mb.RK4_IMAG_STABILITY / lam
 
 
 @pytest.mark.parametrize("order", [2, 4])

@@ -1,7 +1,8 @@
 """Property tests of the skew velocity -J H (rigid motions, grid shifts,
 orientation reversal, the dim-1 reduction to a cross product), of the
-closed-form shape field against the per-point LAPACK algebra, and of the
-sphere-product closed forms (flow property, conserved Hamiltonian)."""
+generalised cross product on tangent vectors, of the closed-form shape field
+against the per-point LAPACK algebra, and of the sphere-product closed forms
+(flow property, conserved Hamiltonian)."""
 
 import numpy as np
 import pytest
@@ -100,6 +101,23 @@ def test_curve_velocity_is_tangent_cross_second_derivative(radius, warp, lift, k
     speed = np.linalg.norm(t, axis=-1)
     expected = np.cross(t, gamma2) / speed[..., None] ** 3
     assert _gap(_velocity(imm, order), expected) < 1e-12
+
+
+@PROPERTY
+@given(st.sampled_from([1, 2]), seeds, st.integers(-3, 3))
+def test_generalised_cross_vanishes_on_tangent_vectors(n, seed, decade):
+    # component l of t_1 x ... x t_n x v is det[t_1, ..., t_n, v, e_l], zero on
+    # v = sum_k c_k t_k: the stage feeds g^ij X_ij to it with no projection
+    rng = np.random.default_rng(seed)
+    t = [10.0 ** decade * rng.normal(size=(n + 2, 64)) for _ in range(n)]
+    c = rng.normal(size=(n, 64))
+    v = sum(ck * tk for ck, tk in zip(c, t))
+    lengths = [np.linalg.norm(tk, axis=0) for tk in t]
+    # |t_1| ... |t_n| times the size of the terms of v, which bounds the
+    # rounding of v itself where they cancel
+    scale = np.prod(lengths, axis=0) * sum(np.abs(ck) * lk for ck, lk in zip(c, lengths))
+    wedge = np.linalg.norm(dg.generalised_cross(t, v), axis=0)
+    assert (wedge <= 16 * np.finfo(float).eps * scale).all()
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,9 @@
 # three filament runs that reach the curve builders and the snapshot reader
 # (a round circle at N = 100, which is not a power of two, a twisted circle,
 # and a curve read with curve_file= from a snapshot this script writes with
-# plain python3), the twisted circle
+# plain python3), the same curve snapshot passed to membrane-run as
+# surface_file= (it must exit 2 before the first step and write nothing; its
+# standard error and exit status are kept), the twisted circle
 # again with reparam_every=0 (no resampling after the first), an NLS run on the
 # twisted circle (nonzero torsion, so the Hasimoto phase integral sees more
 # than zeros), a filament run on a strongly perturbed circle (eps 0.3, k 5,
@@ -71,7 +73,7 @@ fi
 src=$(cd "$1" && pwd)/src
 out=$2
 mkdir -p "$out/validate" "$out/validate_6" "$out/validate_3_4_9" "$out/validate_1_12_strict" \
-    "$out/membrane_abort" "$out/sphere_underflow" "$out/pinched"
+    "$out/membrane_abort" "$out/sphere_underflow" "$out/pinched" "$out/curve_as_surface"
 
 skewflow() {
     PYTHONPATH="$src" python3 -m skewflow.cli "$@"
@@ -129,6 +131,11 @@ with open(sys.argv[1], "w") as fh:
 PY
 skewflow filament-run shape=circle curve_file="$out/curve_file/input.txt" dt=2e-4 T=0.02 \
     --out "$out/curve_file/run" >/dev/null
+status=0
+skewflow membrane-run surface=torus_product a=1 b=2 dt=1e-3 T=0.01 stride=1 \
+    surface_file="$out/curve_file/input.txt" --out "$out/curve_as_surface" \
+    >/dev/null 2>"$out/curve_as_surface/stderr.txt" || status=$?
+echo "exit $status" >>"$out/curve_as_surface/stderr.txt"
 skewflow crosscheck mode=filament-square N=128 dt=2e-4 T=0.02 \
     --out "$out/crosscheck_square" >"$out/crosscheck_square.stdout"
 skewflow crosscheck mode=filament-square eps=0.1 k=3 N=256 dt=1e-4 T=0.05 \
