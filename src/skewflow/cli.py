@@ -64,11 +64,11 @@ REQUIRED = object()
 _CIRCLE = {"R": (float, 1.0), "eps": (float, 0.05), "k": (_as_int, 3)}
 
 
-def _curve_schema(N=256, dt=1e-4, T=0.2, shape=REQUIRED, **extra):
-    """Keys of a curve run: the curve, the grid and the steps, then `extra`."""
+def _curve_schema(N=256, dt=1e-4, T=0.2, shape=REQUIRED):
+    """Keys of a curve run: the curve, the grid and the steps."""
     return {
         "shape": (str, shape), **_CIRCLE, "N": (_as_int, N), "dt": (float, dt),
-        "T": (float, T), "stride": (_as_int, 0), **extra, "curve_file": (str, None),
+        "T": (float, T), "stride": (_as_int, 0), "curve_file": (str, None),
     }
 
 
@@ -79,9 +79,7 @@ SCHEMAS = {
         "dt": (float, 1e-4), "T": (float, None), "mode": (str, "fixed"),
         "a_stop": (float, sp.A_STOP_DEFAULT), "stride": (_as_int, 1),
     },
-    "filament-run": _curve_schema(
-        N=128, dt=1e-3, T=1.0, reparam_every=(_as_int, 10),
-    ),
+    "filament-run": _curve_schema(N=128, dt=1e-3, T=1.0),
     "darios-run": _curve_schema(),
     "nls-run": {
         "source": (str, "plane"), "A": (float, 1.0), "M": (_as_int, 256),
@@ -262,8 +260,7 @@ def run_filament(p, outdir):
     curve = _curve_from_params(p)
     return _run_1d(
         p, outdir, "filament",
-        lambda stride: fl.evolve_filament(curve, p["dt"], p["T"], stride=stride,
-                                          reparam_every=p["reparam_every"]),
+        lambda stride: fl.evolve_filament(curve, p["dt"], p["T"], stride=stride),
         "trajectory.csv", ["x", "y", "z"], lambda c: c.points,
         ["length", "willmore"], lambda c: (fl.curve_length(c), fl.willmore_1d(c)),
     )

@@ -18,8 +18,8 @@ stencils); time stepping is classical RK4.  An RK4 stage of the filament
 copies the points once, wrapped two samples past both ends, and takes
 gamma' and gamma'' from that one copy (diffgeo.diff_pair).  The binormal
 velocity is normal to the curve, so arclength parametrization only drifts
-by truncation; an optional periodic cubic resampling every few steps
-corrects it.
+by truncation: a run resamples its input to uniform arclength once and
+never again.
 
 The package depends on numpy alone, so a CLI call starts without loading a
 larger library.  The resampling's cubic splines (a periodic one through the
@@ -60,6 +60,7 @@ KAPPA_MIN = 1e-8       # torsion mask / Da Rios singularity guard
 RHO_MIN = 1e-10        # vacuum guard for the fluid form
 D_MIN_FACTOR = 0.2     # self-intersection proxy, fraction of mean sample spacing
 BLOWUP_CAP = 1e6       # abort when max |velocity| exceeds this
+GUARD_EVERY = 10       # steps between blow-up / self-intersection guards
 HOLONOMY_TOL = 1e-8    # torsion holonomy treated as a multiple of 2 pi
 MIN_SAMPLES = 32
 
@@ -413,18 +414,17 @@ def stability_limit(n, period):
     return 2.82 / ((16.0 / 3.0) / (h * h))
 
 
-def evolve_filament(curve, dt, t_final, stride=None, reparam_every=10):
+def evolve_filament(curve, dt, t_final, stride=None):
     """RK4 evolution under the binormal flow; returns a stepping.Trajectory.
 
-    The input is resampled to uniform arclength first; every reparam_every
-    steps the parametrization is refreshed by periodic cubic resampling
-    (reparam_every = 0 disables this; a negative value is a ValueError).
-    Snapshots are recorded every `stride` steps (default: initial and final
-    only).  Aborts on the self-intersection proxy and on velocity blow-up; a
+    The input is resampled to uniform arclength once, and the flow runs on
+    that grid: its velocity is normal to the curve, so the parametrization
+    drifts only by truncation.  Snapshots are recorded every `stride` steps
+    (default: initial and final only).  The self-intersection proxy and the
+    velocity blow-up cap are checked at the start, every GUARD_EVERY steps
+    and at the last step; non-finite coordinates abort at any step, and a
     step size above the dispersion stability bound is rejected up front.
     """
-    if reparam_every < 0:
-        raise ValueError(f"reparam_every must be >= 0, got {reparam_every}")
     c = arclength_resample(curve)
     (n,) = c.shape
     d_min = D_MIN_FACTOR * c.param_periods[0] / n
@@ -441,10 +441,7 @@ def evolve_filament(curve, dt, t_final, stride=None, reparam_every=10):
         if not np.all(np.isfinite(pts)):
             raise BlowUpAbort("non-finite coordinates", i * dt)
         c = dg.GridImmersion(pts, c.param_periods)
-        reparam = reparam_every and i % reparam_every == 0
-        if reparam:
-            c = arclength_resample(c)
-        if reparam or i == nsteps:
+        if i % GUARD_EVERY == 0 or i == nsteps:
             checks(c, i * dt)
         return c
 

@@ -243,9 +243,9 @@ def test_crosscheck_filament_square(tmp_path):
     assert len(rows) == 6
 
 
-def test_crosscheck_filament_square_resamples_once_per_run_step(tmp_path, monkeypatch):
+def test_crosscheck_filament_square_resamples_once(tmp_path, monkeypatch):
     # the filament run's first state is the curve the other corners start
-    # from: one resample to start and one every 10 of its 100 steps
+    # from: the run resamples its input and nothing after it
     from skewflow import filament as fl
 
     calls = [0]
@@ -259,7 +259,7 @@ def test_crosscheck_filament_square_resamples_once_per_run_step(tmp_path, monkey
     code = cli.main(["crosscheck", "mode=filament-square", "N=128", "dt=2e-4",
                      "T=0.02", "--out", str(tmp_path / "cc")])
     assert code == 0
-    assert calls[0] == 11
+    assert calls[0] == 1
 
 
 def test_crosscheck_degenerate_marks_singular_exit_zero(tmp_path):
@@ -509,16 +509,16 @@ def test_nls_run_bad_grid_exits_2(tmp_path, capsys, grid, message):
 
 
 @pytest.mark.parametrize("args,message", [
-    (["filament-run", "shape=circle", "N=64", "reparam_every=-1", "dt=1e-3", "T=0.01"],
-     "reparam_every must be >= 0, got -1"),
+    (["filament-run", "shape=circle", "N=64", "reparam_every=10", "dt=1e-3", "T=0.01"],
+     "unknown keys for filament-run: reparam_every"),
     (["sphere-run", "m=1", "l=2", "a=1", "b=1", "mode=to-collapse", "a_stop=-1", "dt=1e-2"],
      "a_stop must be finite and > 0, got -1.0"),
     (["sphere-run", "m=1", "l=2", "a=1", "b=1", "mode=to-collapse", "a_stop=nan", "dt=1e-2"],
      "a_stop must be finite and > 0, got nan"),
-], ids=["reparam-negative", "a_stop-negative", "a_stop-nan"])
+], ids=["reparam-unknown", "a_stop-negative", "a_stop-nan"])
 def test_key_that_can_only_misbehave_exits_2(tmp_path, capsys, args, message):
-    # a negative reparam_every resamples at every step (i % -1 == 0), and a
-    # run to collapse never reaches an a_stop <= 0 or NaN
+    # the filament runs resample only their input, so a resampling cadence
+    # is no key, and a run to collapse never reaches an a_stop <= 0 or NaN
     out = tmp_path / "o"
     code = cli.main(args + ["--out", str(out)])
     assert code == 2

@@ -342,13 +342,13 @@ def test_curve_solvers_make_no_roll_calls(monkeypatch):
 
 
 def test_circle_translates_rigidly():
-    traj = fl.evolve_filament(fl.circle_curve(1.0, 128), 1e-3, 1.0, reparam_every=10)
+    traj = fl.evolve_filament(fl.circle_curve(1.0, 128), 1e-3, 1.0)
     target = fl.arclength_resample(fl.circle_curve(1.0, 128)).points + np.array([0, 0, 1.0])
     assert np.abs(traj.final.points - target).max() <= 1e-6
 
 
 def test_conservation_along_flow():
-    traj = fl.evolve_filament(planar_curve(), 1e-4, 0.2, reparam_every=10)
+    traj = fl.evolve_filament(planar_curve(), 1e-4, 0.2)
     c0, cT = traj.states[0], traj.final
     assert abs(fl.curve_length(cT) / fl.curve_length(c0) - 1.0) <= 1e-6
     assert abs(fl.willmore_1d(cT) / fl.willmore_1d(c0) - 1.0) <= 1e-4
@@ -360,6 +360,33 @@ def test_self_intersection_abort():
     pts = np.stack([np.cos(u), 1e-3 * np.sin(u), np.zeros_like(u)], axis=-1)
     with pytest.raises(SelfIntersectionAbort):
         fl.evolve_filament(dg.GridImmersion(pts, (2 * np.pi,)), 1e-4, 0.01)
+
+
+def test_guard_trips_on_its_own_cadence_mid_run():
+    # the pinched curve of tools/collect_outputs.sh: its strands come within
+    # d_min at step 41, so the guard trips at its next step, 50 (t = 0.01)
+    u = np.arange(96) * 2 * np.pi / 96
+    pts = np.stack([np.cos(u), 0.02 * np.sin(u), 0.002 * np.sin(3 * u)], axis=-1)
+    with pytest.raises(SelfIntersectionAbort) as info:
+        fl.evolve_filament(dg.GridImmersion(pts, (2 * np.pi,)), 2e-4, 0.05, stride=10)
+    assert info.value.t == 50 * 2e-4
+    assert info.value.trajectory.times[-1] == 40 * 2e-4
+
+
+def test_a_run_resamples_its_input_once_and_guards_every_tenth_step(monkeypatch):
+    raw = fl.perturbed_circle(1.0, 0.3, 5, 64)
+    start = fl.arclength_resample(raw)
+    resamples, guards = [], []
+    resample, guard = fl.arclength_resample, fl.min_nonneighbor_distance
+    monkeypatch.setattr(fl, "arclength_resample", lambda c: resamples.append(c) or resample(c))
+    monkeypatch.setattr(fl, "min_nonneighbor_distance", lambda p: guards.append(p) or guard(p))
+    traj = fl.evolve_filament(raw, 1e-4, 2.5e-3, stride=1)
+    assert len(resamples) == 1
+    # at the start, at steps 10 and 20, and at the last step, 25
+    assert len(guards) == 4
+    assert np.array_equal(traj.states[0].points, start.points)
+    assert traj.states[0].param_periods == start.param_periods
+    assert all(s.param_periods == start.param_periods for s in traj.states[1:])
 
 
 def test_stability_precondition():
@@ -492,7 +519,7 @@ def test_constant_curvature_stationary():
 def test_darios_matches_filament():
     c0 = planar_curve()
     fr0 = fl.frenet_data(c0)
-    traj = fl.evolve_filament(c0, 1e-4, 0.2, reparam_every=10)
+    traj = fl.evolve_filament(c0, 1e-4, 0.2)
     k_filament = fl.frenet_data(traj.final).kappa
     k_darios, _ = fl.darios_evolve(fr0.kappa, fr0.tau, fr0.length, 1e-4, 0.2).final
     assert np.abs(k_filament - k_darios).max() <= 1e-3
@@ -591,7 +618,7 @@ def test_four_corner_agreement_quick():
     dt, horizon = 2e-4, 0.05
     profiles = {
         "filament": fl.frenet_data(
-            fl.evolve_filament(c0, dt, horizon, reparam_every=10).final
+            fl.evolve_filament(c0, dt, horizon).final
         ).kappa,
         "darios": fl.darios_evolve(fr0.kappa, fr0.tau, fr0.length, dt, horizon).final[0],
         "nls": np.abs(fl.nls_evolve(fl.hasimoto(fr0)[0], dt, horizon).final.psi),
@@ -605,7 +632,7 @@ def test_four_corner_agreement_quick():
 
 
 def test_a_longer_run_passes_bitwise_through_a_shorter_runs_final_state():
-    # both runs resample at steps 10 and 20, so step 20 of the longer run is
+    # both runs resample only their input, so step 20 of the longer run is
     # the shorter run's final curve bit for bit
     raw = fl.perturbed_circle(1.0, 0.05, 3, 64)
     short = fl.evolve_filament(raw, 1e-3, 0.02)

@@ -493,7 +493,7 @@ def test_energy_identity_1d_regression():
     # identically and the measured dW/dt is pure truncation noise
     c0 = fl.arclength_resample(fl.perturbed_circle(1.0, 0.05, 3, 128))
     dt = 2e-4
-    traj = fl.evolve_filament(c0, dt, 4 * dt, stride=1, reparam_every=0)
+    traj = fl.evolve_filament(c0, dt, 4 * dt, stride=1)
     sfm, sf0, sfp = (dg.shape_field(c, order=4) for c in traj.states[1:4])
     lhs, rhs, _ = mb.energy_identity_check(
         dg.willmore_energy(sfm), dg.willmore_energy(sfp), traj.times[3] - traj.times[1],

@@ -29,11 +29,10 @@
 # and a curve read with curve_file= from a snapshot this script writes with
 # plain python3), the same curve snapshot passed to membrane-run as
 # surface_file= (it must exit 2 before the first step and write nothing; its
-# standard error and exit status are kept), the twisted circle
-# again with reparam_every=0 (no resampling after the first), an NLS run on the
-# twisted circle (nonzero torsion, so the Hasimoto phase integral sees more
-# than zeros), a filament run on a strongly perturbed circle (eps 0.3, k 5,
-# N 64: arclength knots far from uniform), `crosscheck mode=filament-square`
+# standard error and exit status are kept), an NLS run on the twisted circle
+# (nonzero torsion, so the Hasimoto phase integral sees more than zeros), a
+# filament run on a strongly perturbed circle (eps 0.3, k 5, N 64: arclength
+# knots far from uniform), `crosscheck mode=filament-square`
 # on a passing curve and on a singular one (eps (1 + k^2) = 1: curvature
 # touches zero, so the curvature/torsion and fluid corners abort),
 # `crosscheck mode=sphere-membrane` on a 16 x 16 torus, once with the default
@@ -108,8 +107,6 @@ skewflow membrane-run surface=torus_product a=0.004 b=3000 n1=16 n2=16 dt=1e-6 T
 skewflow filament-run shape=circle R=1 N=100 dt=1e-3 T=0.1 --out "$out/circle" >/dev/null
 skewflow filament-run shape=twisted_circle R=1 eps=0.3 k=2 N=128 dt=5e-4 T=0.05 \
     --out "$out/twisted" >/dev/null
-skewflow filament-run shape=twisted_circle R=1 eps=0.3 k=2 N=128 dt=5e-4 T=0.05 \
-    reparam_every=0 --out "$out/twisted_noreparam" >/dev/null
 skewflow nls-run source=curve shape=twisted_circle R=1 eps=0.3 k=2 N=128 dt=5e-4 T=0.05 \
     --out "$out/nls_twisted" >/dev/null
 skewflow filament-run shape=perturbed_circle R=1 eps=0.3 k=5 N=64 dt=1e-4 T=0.01 \
