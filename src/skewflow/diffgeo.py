@@ -41,14 +41,18 @@ reused, or by default a fresh array per request.  evolve_membrane keeps one
 Workspace per run, so its RK4 stages allocate only their results, and its
 stability estimates run metric_planes there.  Every stencil, product and
 sum keeps the operation order of the plain expression, so the results are
-bitwise those of allocating code.  In the same way plane_einsum writes the
-2x2 index contractions of the membrane residuals as sums over component
-planes, in np.einsum's own order.
+bitwise those of allocating code.
 
-A ShapeField keeps what the membrane residuals read from several places:
-J H (jh), the continuity source (source) and the torsion form (tau) are each
-computed on first use and kept as read-only arrays, so a field computes each
-once however many residuals read it.
+A ShapeField holds its fields as contiguous component planes, index axes
+first: t (n, d, *s), g and g_inv (n, n, *s), A (n, n, d, *s) and H (d, *s);
+the per-point names (tangents, metric, metric_inv, second_form,
+mean_curvature) are read-only views of them.  The operators on a field and
+the membrane residuals sum over planes with _dot, difference them along
+grid axis i + 1 and return (*s, ...) views of planes, with no per-point
+einsum or gather; plane_einsum writes the 2x2 index contractions the same
+way, in np.einsum's order.  J H (jh), the continuity source (source) and the
+torsion form (tau) are each computed on first use and kept read-only, so a
+field computes each once however many residuals read it.
 
 J is the quarter-turn of the normal plane.  Its direction is fixed by the
 sign convention det[t_1, ..., t_n, v, Jv] < 0 in ambient coordinates; this
@@ -137,19 +141,29 @@ class GridImmersion:
 
 @dataclass
 class ShapeField:
-    """Per-grid-point geometry bundle derived from a GridImmersion."""
+    """Geometry bundle of a GridImmersion, as read-only component planes: index
+    axes first, so t[i] is the tangent t_i as (d, *s) planes, g[i, j] is the
+    (*s,) plane of g_ij, A[i, j] is A_ij as (d, *s) planes.  The per-point
+    names (tangents, ...) are views of them with the index axes last."""
 
     immersion: GridImmersion
     order: int
-    tangents: np.ndarray        # (*s, n, d)
-    metric: np.ndarray          # (*s, n, n)
-    metric_inv: np.ndarray      # (*s, n, n)
+    t: np.ndarray               # (n, d, *s)
+    g: np.ndarray               # (n, n, *s)
+    g_inv: np.ndarray           # (n, n, *s)
     det_g: np.ndarray           # (*s,)
     sqrt_det_g: np.ndarray      # (*s,)
-    second_form: np.ndarray     # (*s, n, n, d), normal-valued
-    mean_curvature: np.ndarray  # (*s, d)
+    A: np.ndarray               # (n, n, d, *s), normal-valued
+    H: np.ndarray               # (d, *s)
     rho: np.ndarray             # (*s,), |H|^2
     tol_perp: np.ndarray        # (*s,)
+
+    # the per-point views, index axes last
+    tangents = property(lambda self: _points(self.t, 2))         # (*s, n, d)
+    metric = property(lambda self: _points(self.g, 2))           # (*s, n, n)
+    metric_inv = property(lambda self: _points(self.g_inv, 2))   # (*s, n, n)
+    second_form = property(lambda self: _points(self.A, 3))      # (*s, n, n, d)
+    mean_curvature = property(lambda self: _points(self.H, 1))   # (*s, d)
 
     @functools.cached_property
     def jh(self):
@@ -170,12 +184,9 @@ class ShapeField:
 
 
 def all_finite(a):
-    """np.isfinite(a).all(), from one dot product where that suffices: a NaN
-    or an infinity in a makes a . a non-finite, so only a dot product that
-    overflows (an entry beyond about 1e154 in size) takes the elementwise
-    pass.  The squares are never negative, so no inf - inf arises, and
-    np.vdot raises no overflow warning."""
-    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+    """np.isfinite(a).all(): one pass over a, a strided view too, with no copy
+    and no BLAS call (whose threads can stall a loaded host)."""
+    return bool(np.isfinite(a).all())
 
 
 def _read_only(a):
@@ -445,15 +456,17 @@ def plane_derivatives(padded, spacings, order, ws=_fresh):
 # ---------------------------------------------------------------------------
 
 def project_normal(sf, X):
-    """Normal-plane projection of an ambient vector field X, one vector per point.
+    """Normal-plane projection X - g^ij (t_j, X) t_i of an ambient vector field
+    X (*s, d), as an (*s, d) view of (d, *s) planes.
 
     Projection is with respect to the discrete tangent span (contraction with
     the inverse metric), so it is defined wherever the metric is, including
     where |H| is small.
     """
-    b = np.einsum("...id,...d->...i", sf.tangents, X)
-    alpha = np.einsum("...ij,...j->...i", sf.metric_inv, b)
-    return X - np.einsum("...i,...id->...d", alpha, sf.tangents)
+    x = _planes(X, 1)
+    alpha = _dot_rows(sf.g_inv, _dot_rows(sf.t, x, 1), 1)
+    r = _dot(alpha, sf.t)
+    return _points(np.subtract(x, r, out=r), 1)
 
 
 def tangential_defect(sf, X):
@@ -473,17 +486,51 @@ def _require_normal(sf, X, what):
 
 
 def _dot(u, v, out=None, tmp=None):
-    """Pointwise inner product of two (d, *s) stacks of component planes,
-    into out (tmp: scratch of out's shape)."""
+    """sum_k u[k] v[k], terms in order of k, into out (tmp: scratch of out's
+    shape, made if not given): for (d, *s) planes the pointwise inner product.
+    u[k] and v[k] broadcast against each other."""
     acc = np.multiply(u[0], v[0], out=out)
     for k in range(1, len(u)):
-        acc += np.multiply(u[k], v[k], out=tmp)
+        tmp = np.multiply(u[k], v[k], out=tmp)
+        acc += tmp
     return acc
+
+
+def _dot_rows(rows, v, k):
+    """_dot(rows[idx], v) for every index idx of the k leading axes of rows,
+    as one (*rows.shape[:k], *s) array of planes."""
+    out = np.empty(rows.shape[:k] + v.shape[1:])
+    tmp = np.empty(v.shape[1:])
+    for idx in np.ndindex(rows.shape[:k]):
+        _dot(rows[idx], v, out[idx], tmp)
+    return out
 
 
 def _planes(a, k):
     """View of a per-point array (*s, *tail) with k tail axes as (*tail, *s)."""
-    return np.moveaxis(a, tuple(range(-k, 0)), tuple(range(k)))
+    lead = a.ndim - k
+    return a.transpose(*range(lead, a.ndim), *range(lead))
+
+
+def _points(a, k):
+    """View of planes (*tail, *s), k axes in tail, as (*s, *tail): _planes undone."""
+    return a.transpose(*range(k, a.ndim), *range(k))
+
+
+def inner_product(u, v):
+    """Pointwise inner product (u, v) of two (*s, d) fields, summed over
+    their component planes in order, as an (*s,) array."""
+    return _dot(_planes(u, 1), _planes(v, 1))
+
+
+def raise_index(sf, v):
+    """g^ij v_j of a covector field v (*s, n), as an (*s, n) view of planes."""
+    return _points(_dot_rows(sf.g_inv, _planes(v, 1), 1), 1)
+
+
+def second_form_pairing(sf, v):
+    """(A_ij, v) of a field v (*s, d), as an (*s, n, n) view of planes."""
+    return _points(_dot_rows(sf.A, _planes(v, 1), 2), 2)
 
 
 def metric_planes(t, ws=_fresh, inner=(Ellipsis,)):
@@ -540,7 +587,7 @@ def shape_field(imm, order=2, ws=_fresh):
     projected with the dual tangents t^k = g^kl t_l, built here, as
     A_ij = X_ij - sum_k (X_ij, t_k) t^k (`project_planes`).  All of it runs
     on the band planes of plane_derivatives, in the workspace ws; the
-    returned ShapeField holds arrays of its own, copied from the interior.
+    returned ShapeField holds planes of its own, copied from the interior.
 
     Raises DegenerateImmersionError when det(g) falls below G_MIN, naming the
     offending grid index.
@@ -549,7 +596,7 @@ def shape_field(imm, order=2, ws=_fresh):
     t, xx, mixed, inner = plane_derivatives(pad_planes(imm.points, order, ws), hs, order, ws)
     g, det_g, g_inv = metric_planes(t, ws, inner)
 
-    second_form = np.empty(s + (n, n, d))
+    A = np.empty((n, n, d) + s)
     h = np.zeros(t[0].shape)
     norm_sq = None
     with np.errstate(all="ignore"):  # the band's halo columns hold no geometry
@@ -562,37 +609,24 @@ def shape_field(imm, order=2, ws=_fresh):
                 x_sq = _dot(x, x)
                 norm_sq = x_sq if norm_sq is None else np.maximum(norm_sq, x_sq)
                 project_planes(x, t, dual, ws)
-                _planes(second_form, 3)[i, j] = x[inner]
-                _planes(second_form, 3)[j, i] = x[inner]
+                A[i, j] = A[j, i] = x[inner]
                 h += (g_inv[i][j] if i == j else 2.0 * g_inv[i][j]) * x
     h = h[inner]
     del xx, mixed, x  # copied out: without a workspace their planes are freed here
-
-    tangents = np.empty(s + (n, d))
-    metric = np.empty(s + (n, n))
-    metric_inv = np.empty(s + (n, n))
-    for i in range(n):
-        _planes(tangents, 2)[i] = t[i][inner]
-        for j in range(n):
-            _planes(metric, 2)[i, j] = g[i][j][inner]
-            _planes(metric_inv, 2)[i, j] = g_inv[i][j][inner]
-    H = np.empty(s + (d,))
-    _planes(H, 1)[...] = h
-
-    tol_perp = np.maximum(TOL_PERP_FACTOR * np.sqrt(norm_sq[inner]), TOL_PERP_FACTOR)
+    H = h.copy()
 
     return ShapeField(
         immersion=imm,
         order=order,
-        tangents=tangents,
-        metric=metric,
-        metric_inv=metric_inv,
+        t=_read_only(np.array([ti[inner] for ti in t])),
+        g=_read_only(np.array([[gij[inner] for gij in row] for row in g])),
+        g_inv=_read_only(np.array([[gij[inner] for gij in row] for row in g_inv])),
         det_g=det_g[inner].copy(),
         sqrt_det_g=np.sqrt(det_g[inner]),
-        second_form=second_form,
-        mean_curvature=H,
-        rho=_dot(h, h),
-        tol_perp=tol_perp,
+        A=_read_only(A),
+        H=_read_only(H),
+        rho=_dot(H, H),
+        tol_perp=np.maximum(TOL_PERP_FACTOR * np.sqrt(norm_sq[inner]), TOL_PERP_FACTOR),
     )
 
 
@@ -642,10 +676,9 @@ def generalised_cross(t, v, out=None, ws=_fresh):
 
 def apply_j(sf, v):
     """Quarter-turn J of a normal vector field, Jv = -(t_1 x ... x t_n x v) / sqrt(det g)."""
-    t = [_planes(sf.tangents, 2)[i] for i in range(sf.immersion.dim)]
-    jv = generalised_cross(t, _planes(v, 1))
+    jv = generalised_cross(sf.t, _planes(v, 1))
     jv /= -sf.sqrt_det_g
-    return np.moveaxis(jv, 0, -1)
+    return _points(jv, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +688,7 @@ def apply_j(sf, v):
 def normal_derivative(sf, X, axis):
     """Normal connection applied to a normal field: project(dX/dx_axis)."""
     h = sf.immersion.spacings[axis]
-    return project_normal(sf, diff(X, axis, h, sf.order))
+    return project_normal(sf, _points(diff(_planes(X, 1), axis + 1, h, sf.order), 1))
 
 
 def grid_integral(imm, values):
@@ -684,21 +717,17 @@ def torsion_form(sf):
     the right way); pairing with +J instead negates tau.
 
     Points with |H| < H_MIN are masked with NaN components; the frame
-    rotation rate is undefined there.  sf.tau keeps it per shape field.
+    rotation rate is undefined there.  Returns an (*s, n) view of (n, *s)
+    planes; sf.tau keeps it per shape field.
     """
     absH = np.sqrt(sf.rho)
     mask = absH < H_MIN
-    safe = np.where(mask, 1.0, absH)
-    h_sec = sf.mean_curvature / safe[..., None]
+    h_sec = _points(sf.H / np.where(mask, 1.0, absH), 1)
     jh = apply_j(sf, h_sec)
-    n = sf.immersion.dim
-    tau = np.stack(
-        [-np.einsum("...d,...d->...", normal_derivative(sf, h_sec, i), jh) for i in range(n)],
-        axis=-1,
-    )
-    if mask.any():
-        tau[mask] = np.nan
-    return tau
+    tau = np.stack([-inner_product(normal_derivative(sf, h_sec, i), jh)
+                    for i in range(sf.immersion.dim)])
+    tau[:, mask] = np.nan
+    return _points(tau, 1)
 
 
 def normal_laplacian(sf, V):
@@ -747,7 +776,7 @@ def willmore_gradient(sf):
 
 def plane_einsum(spec, *operands):
     """np.einsum(spec, *operands), bitwise, as explicit sums of per-point
-    products of contiguous component planes.
+    products of component planes.
 
     For the contractions of per-point n x n and n-vector fields in the
     membrane residuals: every subscript starts with '...', and the output has
@@ -756,7 +785,9 @@ def plane_einsum(spec, *operands):
     its factors left to right.  A scalar output adds the terms one by one,
     the summed labels running in alphabetical order with the last innermost.
     A vector output sums over the last summed label for each value of the
-    first, then adds those partial sums.
+    first, then adds those partial sums.  Component planes are read where
+    they lie (no copy), so views of planes are the operands to pass; a vector
+    output is an (*s, k) view of planes.
     """
     lhs, out = spec.replace("...", "").split("->")
     subs = lhs.split(",")
@@ -767,7 +798,7 @@ def plane_einsum(spec, *operands):
     for sub, op in zip(subs, operands):
         tail = op.shape[op.ndim - len(sub):]
         size.update(zip(sub, tail))
-        planes.append({k: np.ascontiguousarray(op[(Ellipsis,) + k]) for k in np.ndindex(tail)})
+        planes.append({k: op[(Ellipsis,) + k] for k in np.ndindex(tail)})
 
     def total(fixed, labels):
         """Sum over `labels`, the last innermost, of the terms with `fixed` set."""
@@ -793,14 +824,14 @@ def plane_einsum(spec, *operands):
         for k in range(1, size[first]):
             acc += total({out: o, first: k}, last)
         components.append(acc)
-    return np.stack(components, axis=-1)
+    return _points(np.stack(components), 1)
 
 
 def source_term(sf):
     """Source of the curvature-density continuity equation at every grid point,
     -2 g^ik g^jl (A_ij, H)(A_kl, JH).  sf.source keeps it per shape field."""
-    s = np.einsum("...ijd,...d->...ij", sf.second_form, sf.mean_curvature)
-    p = np.einsum("...ijd,...d->...ij", sf.second_form, sf.jh)
+    s = second_form_pairing(sf, sf.mean_curvature)
+    p = second_form_pairing(sf, sf.jh)
     return -2.0 * plane_einsum("...ik,...jl,...ij,...kl->...",
                                sf.metric_inv, sf.metric_inv, s, p)
 
@@ -856,10 +887,10 @@ def normal_curvature_check(sf):
     e1, e2 = _edge_integrals(sf.tau, imm.spacings)
     dtau = _plaquette_curl(e1, e2, imm.spacings)
 
-    h = sf.mean_curvature / np.sqrt(sf.rho)[..., None]
+    h = _points(sf.H / np.sqrt(sf.rho), 1)
     d0d1 = normal_derivative(sf, normal_derivative(sf, h, 1), 0)
     d1d0 = normal_derivative(sf, normal_derivative(sf, h, 0), 1)
-    r_perp_pts = np.einsum("...d,...d->...", d0d1 - d1d0, apply_j(sf, h))
+    r_perp_pts = inner_product(d0d1 - d1d0, apply_j(sf, h))
     # interpolate the point values to plaquette centers
     r_perp = 0.25 * (
         r_perp_pts
@@ -869,18 +900,6 @@ def normal_curvature_check(sf):
     )
     resid = float(np.max(np.abs(dtau + r_perp)))
     return dtau, r_perp, resid
-
-
-# ---------------------------------------------------------------------------
-# Marsden-Weinstein pairing
-# ---------------------------------------------------------------------------
-
-def mw_pairing(sf, u, v):
-    """Pairing of two ambient vector fields: integral of det[u, v, t_1..t_n] dx."""
-    cols = np.concatenate(
-        [u[..., None], v[..., None], np.moveaxis(sf.tangents, -2, -1)], axis=-1
-    )
-    return grid_integral(sf.immersion, np.linalg.det(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -899,9 +918,8 @@ def metric_divergence(sf, vec):
 def laplace_beltrami(sf, scalar):
     """Scalar Laplacian of the induced metric in divergence form."""
     n, hs = sf.immersion.dim, sf.immersion.spacings
-    grad = np.stack([diff(scalar, i, hs[i], sf.order) for i in range(n)], axis=-1)
-    flux = np.einsum("...ij,...j->...i", sf.metric_inv, grad)
-    return metric_divergence(sf, flux)
+    grad = _points(np.stack([diff(scalar, i, hs[i], sf.order) for i in range(n)]), 1)
+    return metric_divergence(sf, raise_index(sf, grad))
 
 
 # ---------------------------------------------------------------------------

@@ -148,31 +148,10 @@ def continuity_residual(fields, span):
     """
     sfm, sf0, sfp = fields
     d_rho = (sfp.rho - sfm.rho) / span
-    chi = 2.0 * np.einsum("...ij,...j->...i", sf0.metric_inv, sf0.tau)
+    chi = 2.0 * dg.raise_index(sf0, sf0.tau)
     div = dg.metric_divergence(sf0, sf0.rho[..., None] * chi)
     resid = d_rho + div - sf0.source
     return resid, float(np.nanmax(np.abs(resid)))
-
-
-def corollary_residual(fields, span):
-    """Normal-vector residual of the contracted continuity form at the middle
-    of the shape fields (i - 1, i, i + 1), span apart end to end."""
-    sfm, sf0, sfp = fields
-    dH = dg.project_normal(sf0, (sfp.mean_curvature - sfm.mean_curvature) / span)
-    gradH = np.stack(
-        [dg.normal_derivative(sf0, sf0.mean_curvature, j) for j in range(2)], axis=-2
-    )
-    advect = 2.0 * np.einsum("...ij,...i,...jd->...d", sf0.metric_inv, sf0.tau, gradH)
-    div_tau = dg.metric_divergence(
-        sf0, np.einsum("...ij,...j->...i", sf0.metric_inv, sf0.tau)
-    )
-    p = np.einsum("...ijd,...d->...ij", sf0.second_form, sf0.jh)
-    quad = np.einsum(
-        "...ik,...jl,...kl,...ijd->...d",
-        sf0.metric_inv, sf0.metric_inv, p, sf0.second_form,
-    )
-    resid = dH + advect + div_tau[..., None] * sf0.mean_curvature + quad
-    return resid, float(np.nanmax(np.linalg.norm(resid, axis=-1)))
 
 
 def momentum_residual(fields, span):
@@ -192,27 +171,29 @@ def momentum_residual(fields, span):
     which is how the sign was pinned; see tests/test_membrane.py.
     """
     sfm, sf0, sfp = fields
-    imm = sf0.immersion
-    n, hs = imm.dim, imm.spacings
+    n, hs = sf0.immersion.dim, sf0.immersion.spacings
 
     d_tau = (sfp.tau - sfm.tau) / span
 
+    def covector(parts):  # (*s,) components as an (*s, n) view of (n, *s) planes
+        return np.moveaxis(np.stack(parts), 0, -1)
+
     def grad(scalar):
-        return np.stack([dg.diff(scalar, k, hs[k], sf0.order) for k in range(n)], axis=-1)
+        return covector([dg.diff(scalar, k, hs[k], sf0.order) for k in range(n)])
 
     tau_sq = dg.plane_einsum("...ij,...i,...j->...", sf0.metric_inv, sf0.tau, sf0.tau)
     absH = np.sqrt(sf0.rho)
     lap_term = grad(dg.laplace_beltrami(sf0, absH) / absH)
 
     jh = sf0.jh
-    p = np.einsum("...ijd,...d->...ij", sf0.second_form, jh)      # (A_ij, JH)
-    s = np.einsum("...ijd,...d->...ij", sf0.second_form, sf0.mean_curvature)
+    p = dg.second_form_pairing(sf0, jh)                    # (A_ij, JH)
+    s = dg.second_form_pairing(sf0, sf0.mean_curvature)    # (A_ij, H)
     q = dg.plane_einsum("...mk,...jl,...mj,...kl->...", sf0.metric_inv, sf0.metric_inv, p, p)
     grad_q = grad(q / sf0.rho)
 
-    djh = np.stack([dg.normal_derivative(sf0, jh, k) for k in range(n)], axis=-2)
-    u = np.einsum("...ld,...d->...l", djh, jh)                    # (D_l JH, JH)
-    w = np.einsum("...kd,...d->...k", djh, sf0.mean_curvature)    # (D_k JH, H)
+    djh = [dg.normal_derivative(sf0, jh, k) for k in range(n)]
+    u = covector([dg.inner_product(d, jh) for d in djh])                   # (D_l JH, JH)
+    w = covector([dg.inner_product(d, sf0.mean_curvature) for d in djh])   # (D_k JH, H)
     frame_term = (
         dg.plane_einsum("...kl,...ik,...l->...i", sf0.metric_inv, s, u)
         - dg.plane_einsum("...kl,...il,...k->...i", sf0.metric_inv, p, w)

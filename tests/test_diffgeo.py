@@ -67,7 +67,7 @@ def test_builder_rejects_degenerate_specs():
 ])
 @pytest.mark.parametrize("period", [2.0 * np.pi, np.nan, np.inf, 0.0])
 def test_immersion_finiteness_checks_are_exact(value, finite, period):
-    # 1e200 makes the points' dot product overflow, so the elementwise pass decides
+    # 1e200 is finite though its square overflows
     pts = dg.torus_immersion(1.0, 2.0, (8, 9)).points.copy()
     pts[0, 0, 0] = 1e200
     pts[3, 5, 2] = value
@@ -81,6 +81,28 @@ def test_immersion_finiteness_checks_are_exact(value, finite, period):
             dg.GridImmersion(pts, (2.0 * np.pi, period))
     assert dg.all_finite(pts) == bool(np.isfinite(pts).all())
     assert dg.all_finite(pts[:, ::2]) == bool(np.isfinite(pts[:, ::2]).all())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value,finite", [
+    (np.nan, False), (np.inf, False), (-np.inf, False), (1e200, True), (-1.7e308, True),
+])
+def test_all_finite_reads_a_strided_view_without_blas(monkeypatch, value, finite):
+    # evolve_membrane checks the interior of its padded planes, a strided view
+    padded = dg.pad_planes(dg.torus_immersion(1.0, 2.0, (64, 64)).points, 4)
+    view = dg.interior(padded, 4)
+    assert not view.flags.c_contiguous
+
+    def no_blas(*args, **kwargs):
+        raise AssertionError("all_finite called a BLAS dot product")
+
+    monkeypatch.setattr(np, "vdot", no_blas)
+    monkeypatch.setattr(np, "dot", no_blas)
+    padded[0, 0, 0] = padded[3, 1, 66] = np.nan  # halo entries: outside the view
+    assert dg.all_finite(view) is True
+    padded[2, 8, 10] = value  # interior index (6, 8) of component 2
+    assert dg.all_finite(view) is finite
+    assert dg.all_finite(view[:, ::3, ::2]) is finite
 
 
 def test_build_immersion_dispatch():
@@ -392,11 +414,14 @@ CONTRACTIONS = {
 
 
 def _residual_operands(sf):
-    """The operands of CONTRACTIONS, as membrane.momentum_residual builds them."""
+    """The operands of CONTRACTIONS, with the values membrane.momentum_residual
+    gives them, as C-ordered arrays: np.einsum's order of summation depends
+    on its operands' strides, and plane_einsum takes its order on C-ordered
+    operands."""
     jh = dg.apply_j(sf, sf.mean_curvature)
     tau = dg.torsion_form(sf)
     djh = np.stack([dg.normal_derivative(sf, jh, k) for k in range(2)], axis=-2)
-    return {
+    operands = {
         "g_inv": sf.metric_inv,
         "s": np.einsum("...ijd,...d->...ij", sf.second_form, sf.mean_curvature),
         "p": np.einsum("...ijd,...d->...ij", sf.second_form, jh),
@@ -404,6 +429,7 @@ def _residual_operands(sf):
         "u": np.einsum("...ld,...d->...l", djh, jh),
         "w": np.einsum("...kd,...d->...k", djh, sf.mean_curvature),
     }
+    return {name: np.ascontiguousarray(a) for name, a in operands.items()}
 
 
 def _same_bits(a, b):
@@ -509,13 +535,23 @@ def test_dtau_invariant_under_adding_edge_differential():
 # pairing and integration
 # ---------------------------------------------------------------------------
 
+def mw_pairing(sf, u, v):
+    """Marsden-Weinstein pairing of two ambient vector fields: the integral of
+    det[u, v, t_1..t_n] dx.  The program has no use for it; these tests pin
+    the orientation of the tangents against it."""
+    cols = np.concatenate(
+        [u[..., None], v[..., None], np.moveaxis(sf.tangents, -2, -1)], axis=-1
+    )
+    return dg.grid_integral(sf.immersion, np.linalg.det(cols))
+
+
 def test_mw_pairing_antisymmetry_and_degeneracy():
     imm = fl.circle_curve(2.0, 128)
     sf = dg.shape_field(imm)
     u = np.tile(np.array([0.3, -1.0, 0.4]), (128, 1))
-    assert dg.mw_pairing(sf, u, u) == 0.0
+    assert mw_pairing(sf, u, u) == 0.0
     t = sf.tangents[:, 0, :]
-    assert abs(dg.mw_pairing(sf, t, 0.5 * t)) < 1e-14
+    assert abs(mw_pairing(sf, t, 0.5 * t)) < 1e-14
 
 
 def test_mw_pairing_frenet_frame_of_circle():
@@ -525,7 +561,7 @@ def test_mw_pairing_frenet_frame_of_circle():
     th = np.arange(256) * 2 * np.pi / 256
     n = -np.stack([np.cos(th), np.sin(th), 0 * th], axis=-1)
     b = np.stack([0 * th, 0 * th, np.ones_like(th)], axis=-1)
-    val = dg.mw_pairing(sf, n, b)
+    val = mw_pairing(sf, n, b)
     assert abs(abs(val) - 2 * np.pi * R) < 1e-3
     assert val > 0  # orientation fixes the sign for the (inward, axis) pair
 

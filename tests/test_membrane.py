@@ -369,15 +369,38 @@ def test_continuity_converges_on_evolved_data():
 # contracted (vector) form
 # ---------------------------------------------------------------------------
 
+def corollary_residual(fields, span):
+    """Normal-vector residual of the contracted continuity form at the middle
+    of the shape fields (i - 1, i, i + 1), span apart end to end.  The
+    program reports only the scalar continuity residual; these tests pin how
+    the vector form relates to it."""
+    sfm, sf0, sfp = fields
+    dH = dg.project_normal(sf0, (sfp.mean_curvature - sfm.mean_curvature) / span)
+    gradH = np.stack(
+        [dg.normal_derivative(sf0, sf0.mean_curvature, j) for j in range(2)], axis=-2
+    )
+    advect = 2.0 * np.einsum("...ij,...i,...jd->...d", sf0.metric_inv, sf0.tau, gradH)
+    div_tau = dg.metric_divergence(
+        sf0, np.einsum("...ij,...j->...i", sf0.metric_inv, sf0.tau)
+    )
+    p = np.einsum("...ijd,...d->...ij", sf0.second_form, sf0.jh)
+    quad = np.einsum(
+        "...ik,...jl,...kl,...ijd->...d",
+        sf0.metric_inv, sf0.metric_inv, p, sf0.second_form,
+    )
+    resid = dH + advect + div_tau[..., None] * sf0.mean_curvature + quad
+    return resid, float(np.nanmax(np.linalg.norm(resid, axis=-1)))
+
+
 def test_corollary_residual_small_on_torus():
-    _, worst = mb.corollary_residual(*exact_torus_triple(1.0, 2.0, 1e-4, (64, 64), order=4))
+    _, worst = corollary_residual(*exact_torus_triple(1.0, 2.0, 1e-4, (64, 64), order=4))
     assert worst <= 1e-3
 
 
 def test_corollary_contraction_matches_continuity_identically():
     fields, span = evolved_perturbed_triple(32)
     sfm, sf0, sfp = fields
-    res, _ = mb.corollary_residual(fields, span)
+    res, _ = corollary_residual(fields, span)
     lhs = 2.0 * np.einsum("...d,...d->...", res, sf0.mean_curvature)
 
     # continuity residual in the expanded grouping the contraction produces
@@ -402,7 +425,7 @@ def test_corollary_contraction_matches_continuity_identically():
 
 def test_corollary_flags_frozen_trajectory():
     imm = dg.torus_immersion(1.0, 2.0, (32, 32))
-    _, worst = mb.corollary_residual(frozen_triple(imm), 2e-4)
+    _, worst = corollary_residual(frozen_triple(imm), 2e-4)
     assert worst > 0.1
 
 
@@ -412,7 +435,7 @@ def test_corollary_vector_form_fails_off_torus():
     on general solutions.  Documented finding, kept as a regression check."""
     fields, span = evolved_perturbed_triple(96)
     sf0 = fields[1]
-    res, _ = mb.corollary_residual(fields, span)
+    res, _ = corollary_residual(fields, span)
     absH = np.sqrt(sf0.rho)
     h_sec = sf0.mean_curvature / absH[..., None]
     jh = dg.apply_j(sf0, h_sec)

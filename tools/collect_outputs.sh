@@ -24,6 +24,9 @@
 # coordinates of decimal exponent -25, -19, -18, -13, -3 and 3, and zeros, so
 # the snapshot writer's exponential layout, its fixed layouts and its scaling
 # by powers of ten that are no double reach a file compared byte for byte),
+# the benchmark's membrane-restart configuration (a 128 x 128 order-4 torus
+# with a snapshot and a diagnostics row at every one of its 10 steps, then
+# the same run restarted from its snapshot 5 for the last 5 steps),
 # three filament runs that reach the curve builders and the snapshot reader
 # (a round circle at N = 100, which is not a power of two, a twisted circle,
 # and a curve read with curve_file= from a snapshot this script writes with
@@ -104,6 +107,10 @@ skewflow membrane-run surface=perturbed_torus a=1 b=2 eps=0.4 k1=3 k2=5 n1=16 n2
 echo "exit $status" >>"$out/membrane_abort/stderr.txt"
 skewflow membrane-run surface=torus_product a=0.004 b=3000 n1=16 n2=16 dt=1e-6 T=1e-5 stride=5 \
     --out "$out/membrane_exponents" >/dev/null
+restart="surface=torus_product a=1.0 b=2.0 n1=128 n2=128 order=4 dt=5e-4 stride=1"
+skewflow membrane-run $restart T=0.005 --out "$out/membrane_restart" >/dev/null
+skewflow membrane-run $restart T=0.0025 surface_file="$out/membrane_restart/snapshot_0005.txt" \
+    --out "$out/membrane_restart_from_5" >/dev/null
 skewflow filament-run shape=circle R=1 N=100 dt=1e-3 T=0.1 --out "$out/circle" >/dev/null
 skewflow filament-run shape=twisted_circle R=1 eps=0.3 k=2 N=128 dt=5e-4 T=0.05 \
     --out "$out/twisted" >/dev/null
