@@ -39,9 +39,12 @@ generalised_cross, shape_field) fill their intermediate planes with out=
 ufuncs in a workspace ws: a Workspace of named arrays, made once and
 reused, or by default a fresh array per request.  evolve_membrane keeps one
 Workspace per run, so its RK4 stages allocate only their results, and its
-stability estimates run metric_planes there.  Every stencil, product and
-sum keeps the operation order of the plain expression, so the results are
-bitwise those of allocating code.
+stability estimates run metric_planes there under names of their own.
+The filament solvers keep one per run for the padded rows of their stages,
+which diff's stencils read through views built once per buffer
+(_neighbour_views).  Every stencil, product and sum keeps the operation
+order of the plain expression, so the results are bitwise those of
+allocating code.
 
 A ShapeField holds its fields as contiguous component planes, index axes
 first: t (n, d, *s), g and g_inv (n, n, *s), A (n, n, d, *s) and H (d, *s);
@@ -272,8 +275,8 @@ class Workspace:
     """Named float arrays, made on the first request for a name and handed
     out again on every later one: ws(name, shape).
 
-    membrane.evolve_membrane keeps one per run, so its RK4 stages and
-    stability estimates allocate only their results.  An array a kernel returns
+    evolve_membrane and the filament solvers keep one per run, so their RK4
+    stages allocate only their results.  An array a kernel returns
     from here holds its values until the next request under the same name;
     "tmp" and "scalar_tmp" are scratch that any kernel may overwrite.
     """
@@ -298,13 +301,26 @@ def _check_order(order):
         raise ValueError(f"finite-difference order must be 2 or 4, got {order}")
 
 
+def _neighbour_views(padded, axis, w):
+    """at(k), |k| <= w: views, made once, of the entries k places along axis
+    from the interior of a buffer padded by w there."""
+    n = padded.shape[axis] - 2 * w
+    lead = (slice(None),) * axis
+    return {k: padded[lead + (slice(w + k, w + k + n),)] for k in range(-w, w + 1)}.__getitem__
+
+
 def _neighbours(f, axis, order):
-    """at(k) = f(i + k) along a periodic grid axis, for |k| <= order/2; see `diff`."""
+    """at(k) = f(i + k) along a periodic grid axis, for |k| <= order/2; see `diff`.
+    Off axis 0, take gathers element by element, so f is wrapped by
+    concatenating its end slabs, unless it is too short to wrap only once."""
     _check_order(order)
     w, n = order // 2, f.shape[axis]
-    padded = f.take(_pad_index(n, w), axis=axis)
-    lead = (slice(None),) * axis
-    return lambda k: padded[lead + (slice(w + k, w + k + n),)]
+    if axis == 0 or n < w:
+        padded = f.take(_pad_index(n, w), axis=axis)
+    else:
+        lead = (slice(None),) * axis
+        padded = np.concatenate((f[lead + (slice(n - w, n),)], f, f[lead + (slice(w),)]), axis)
+    return _neighbour_views(padded, axis, w)
 
 
 def _first(at, h, order, out=None, tmp=None):
@@ -357,13 +373,6 @@ def diff2(f, axis, h, order=2):
     """Centered second derivative along a periodic grid axis; neighbours as in
     `diff`."""
     return _second(_neighbours(f, axis, order), h, order)
-
-
-def diff_pair(f, axis, h, order=2):
-    """First and second centered derivatives along a periodic grid axis, both
-    from one wrapped copy of f; bitwise equal to (diff(...), diff2(...))."""
-    at = _neighbours(f, axis, order)
-    return _first(at, h, order), _second(at, h, order)
 
 
 def pad_planes(points, order, ws=_fresh):

@@ -14,9 +14,10 @@ discretizations are exactly conjugate under (rho, v) = (kappa^2, 2 tau), and
 the conservative form -(rho v)' makes the discrete total mass exact.
 
 Spatial derivatives are 4th-order centered differences (diffgeo's periodic
-stencils); time stepping is classical RK4.  An RK4 stage of the filament
-copies the points once, wrapped two samples past both ends, and takes
-gamma' and gamma'' from that one copy (diffgeo.diff_pair).  The binormal
+stencils); time stepping is classical RK4.  A stage pads its fields into its
+run's diffgeo.Workspace and wraps them once per derivative level: the
+filament's points, or the curvature/torsion and fluid fields as the rows of
+one buffer and the field built from their second difference.  The binormal
 velocity is normal to the curve, so arclength parametrization only drifts
 by truncation: a run resamples its input to uniform arclength once and
 never again.
@@ -401,11 +402,18 @@ def min_nonneighbor_distance(points):
 # binormal flow
 # ---------------------------------------------------------------------------
 
-def binormal_rhs(points, period):
-    """Velocity gamma' x gamma'' of the filament equation (arclength samples);
-    both derivatives come from one wrapped copy of the points."""
-    gp, gpp = dg.diff_pair(points, 0, period / points.shape[0], 4)
-    return dg.generalised_cross([gp.T], gpp.T).T
+def binormal_rhs(points, period, ws=None):
+    """Velocity gamma' x gamma'' of the filament equation (arclength samples),
+    as a new array; both derivatives come from one wrapped copy of the points
+    in the diffgeo.Workspace ws (by default a fresh one)."""
+    ws = dg.Workspace() if ws is None else ws
+    n = points.shape[0]
+    h, tmp = period / n, ws("tmp", (n, 3))
+    padded = points.take(dg._pad_index(n, 2), axis=0, out=ws("padded", (n + 4, 3)), mode="wrap")
+    at = dg._neighbour_views(padded, 0, 2)
+    gp = dg._first(at, h, 4, ws("gp", (n, 3)), tmp)
+    gpp = dg._second(at, h, 4, ws("gpp", (n, 3)), tmp)
+    return dg.generalised_cross([gp.T], gpp.T, ws=ws).T
 
 
 def stability_limit(n, period):
@@ -424,29 +432,32 @@ def evolve_filament(curve, dt, t_final, stride=None):
     velocity blow-up cap are checked at the start, every GUARD_EVERY steps
     and at the last step; non-finite coordinates abort at any step, and a
     step size above the dispersion stability bound is rejected up front.
+    Only the steps the trajectory records build a GridImmersion.
     """
     c = arclength_resample(curve)
-    (n,) = c.shape
-    d_min = D_MIN_FACTOR * c.param_periods[0] / n
+    (n,), (period,) = c.shape, c.param_periods
+    d_min = D_MIN_FACTOR * period / n
     nsteps = step_count(dt, t_final, stride)
+    ws = dg.Workspace()
 
-    def checks(c, t):
-        if np.max(np.abs(binormal_rhs(c.points, c.param_periods[0]))) > BLOWUP_CAP:
+    def checks(pts, t):
+        if np.max(np.abs(binormal_rhs(pts, period, ws))) > BLOWUP_CAP:
             raise BlowUpAbort("binormal velocity exceeded the blow-up cap", t)
-        if min_nonneighbor_distance(c.points) < d_min:
+        if min_nonneighbor_distance(pts) < d_min:
             raise SelfIntersectionAbort("non-neighbor samples closer than d_min", t)
 
-    def step(c, i):
-        pts = rk4_step(lambda p: binormal_rhs(p, c.param_periods[0]), c.points, dt)
+    def step(pts, i):
+        if isinstance(pts, dg.GridImmersion):  # the initial state or a recorded one
+            pts = pts.points
+        pts = rk4_step(lambda p: binormal_rhs(p, period, ws), pts, dt)
         if not np.all(np.isfinite(pts)):
             raise BlowUpAbort("non-finite coordinates", i * dt)
-        c = dg.GridImmersion(pts, c.param_periods)
         if i % GUARD_EVERY == 0 or i == nsteps:
-            checks(c, i * dt)
-        return c
+            checks(pts, i * dt)
+        return dg.GridImmersion(pts, c.param_periods) if i % (stride or nsteps) == 0 else pts
 
-    checks(c, 0.0)
-    dt_max = stability_limit(n, c.param_periods[0])
+    checks(c.points, 0.0)
+    dt_max = stability_limit(n, period)
     if dt > dt_max:
         raise ValueError(f"dt={dt:.3e} above the stability bound {dt_max:.3e} at N={n}")
     return integrate(step, c, dt, t_final, stride)
@@ -562,28 +573,45 @@ def nls_evolve(wave, dt, t_final, stride=None):
 # curvature/torsion evolution and its fluid form
 # ---------------------------------------------------------------------------
 
-def _fields(first, second):
-    """Fresh (2, N) array of two sampled fields (cheaper than np.stack)."""
-    out = np.empty((2, first.size))
-    out[0], out[1] = first, second
-    return out
+def _padded_rows(n, period):
+    """Order-4 differences on padded rows of one run's diffgeo.Workspace:
+    level1(a, b, c) pads a, b, c as the rows of one buffer, wraps it once and
+    returns a' and b' as one (2, n) array, and c''; level2(f) returns f'.
+    Each result, bitwise derivative's, holds until the next call of its level."""
+    ws, h = dg.Workspace(), period / n
+    one, two = ws("level1", (3, n + 4)), ws("level2", (1, n + 4))
+    rows, row = one[:, 2:-2], two[0, 2:-2]
+    at_ab, at_c, at_f = (dg._neighbour_views(b, 1, 2) for b in (one[:2], one[2:], two))
+    d_ab, tmp, d_c, d_f = ws("d_ab", (2, n)), ws("tmp", (2, n)), ws("d_c", (1, n)), ws("d_f", (1, n))
+
+    def level1(a, b, c):
+        rows[0], rows[1], rows[2] = a, b, c
+        dg.wrap_halo(one, 4)
+        return dg._first(at_ab, h, 4, d_ab, tmp), dg._second(at_c, h, 4, d_c, tmp[:1])[0]
+
+    def level2(f):
+        row[...] = f
+        dg.wrap_halo(two, 4)
+        return dg._first(at_f, h, 4, d_f, tmp[:1])[0]
+
+    return level1, level2
 
 
 def darios_evolve(kappa, tau, length, dt, t_final, stride=None):
-    """Method-of-lines RK4 for the curvature/torsion system.
+    """Method-of-lines RK4 for the curvature/torsion system, on two padded
+    rows buffers (_padded_rows).
 
     Returns a stepping.Trajectory of stacked (kappa, tau) arrays.  Aborts when
     kappa touches KAPPA_MIN (the kappa''/kappa term is singular there; the
     system offers no desingularization).
     """
+    y0 = np.stack([np.asarray(kappa, dtype=float), np.asarray(tau, dtype=float)])
+    level1, level2 = _padded_rows(y0.shape[1], length)
 
     def rhs(state):
         k, t = state
-        dk = -derivative(k * k * t, length, 1) / k
-        dtau = -2.0 * t * derivative(t, length, 1) + derivative(
-            0.5 * k * k + derivative(k, length, 2) / k, length, 1
-        )
-        return _fields(dk, dtau)
+        (d_kkt, d_t), kpp = level1(k * k * t, t, k)
+        return np.array((-d_kkt / k, -2.0 * t * d_t + level2(0.5 * k * k + kpp / k)))
 
     def guarded(y, t):
         if y[0].min() <= KAPPA_MIN:
@@ -596,7 +624,6 @@ def darios_evolve(kappa, tau, length, dt, t_final, stride=None):
             raise EvolutionAbort("curvature/torsion became non-finite", i * dt)
         return guarded(y, i * dt)
 
-    y0 = np.stack([np.asarray(kappa, dtype=float), np.asarray(tau, dtype=float)])
     with np.errstate(all="ignore"):  # blow-ups are caught by the guards
         return integrate(step, guarded(y0, 0.0), dt, t_final, stride)
 
@@ -628,34 +655,35 @@ def fluid_evolve(state, dt, t_final, stride=None):
     rho_t = -(rho v)' keeps the discrete total mass exact; the velocity
     equation uses the same stencils as the curvature/torsion system, making
     the two solvers exactly conjugate under rho = kappa^2, v = 2 tau.
-    Returns a stepping.Trajectory of FluidState1D.
+    Returns a stepping.Trajectory of FluidState1D, built for its records alone.
     """
     L = state.L
+    level1, level2 = _padded_rows(state.rho.size, L)
 
     def rhs(y):
         rho, v = y
         sq = np.sqrt(rho)
-        drho = -derivative(rho * v, L, 1)
-        dv = -v * derivative(v, L, 1) + derivative(
-            rho + 2.0 * derivative(sq, L, 2) / sq, L, 1
-        )
-        return _fields(drho, dv)
+        (d_rhov, d_v), sqpp = level1(rho * v, v, sq)
+        return np.array((-d_rhov, -v * d_v + level2(rho + 2.0 * sqpp / sq)))
 
-    def guarded(y, t):
+    def guarded(y, t, record=True):
         # before FluidState1D, which rejects rho <= 0 with a ValueError
         if y[0].min() <= RHO_MIN:
             raise VacuumAbort("density touched rho_min", t)
-        return FluidState1D(y[0], y[1], L)
+        return FluidState1D(y[0], y[1], L) if record else y
 
-    def step(s, i):
-        y = rk4_step(rhs, _fields(s.rho, s.v), dt)
+    def step(y, i):
+        if isinstance(y, FluidState1D):  # the initial state or a recorded one
+            y = np.array((y.rho, y.v))
+        y = rk4_step(rhs, y, dt)
         if not np.all(np.isfinite(y)):
             raise EvolutionAbort("fluid state became non-finite", i * dt)
-        return guarded(y, i * dt)
+        return guarded(y, i * dt, i % (stride or nsteps) == 0)  # the steps integrate records
 
-    y0 = np.stack([state.rho.astype(float), state.v.astype(float)])
+    y0 = guarded(np.stack([state.rho.astype(float), state.v.astype(float)]), 0.0)
+    nsteps = step_count(dt, t_final, stride)
     with np.errstate(all="ignore"):  # vacuum crossings are caught by the guards
-        return integrate(step, guarded(y0, 0.0), dt, t_final, stride)
+        return integrate(step, y0, dt, t_final, stride)
 
 
 # ---------------------------------------------------------------------------

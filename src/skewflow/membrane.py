@@ -78,13 +78,15 @@ def stability_limit(imm, order=2, ws=None):
     g^ii needs the tangents alone: each t_i is dg.diff of the points, bitwise
     the tangent of dg.plane_derivatives on the interior, and dg.metric_planes
     inverts the metric in the workspace ws, so the bound is bitwise that of
-    the full shape field's metric_inv.  Raises DegenerateImmersionError where
-    det g <= G_MIN.
+    the full shape field's metric_inv.  Its planes take names of their own
+    there: the stage asks for metric_planes' names at the band shape, and a
+    shared name would be made anew at each request.  Raises
+    DegenerateImmersionError where det g <= G_MIN.
     """
     ws = dg.Workspace() if ws is None else ws
     hs = imm.spacings
     t = [np.moveaxis(dg.diff(imm.points, i, hs[i], order), -1, 0) for i in range(imm.dim)]
-    _, _, g_inv = dg.metric_planes(t, ws)
+    _, _, g_inv = dg.metric_planes(t, lambda name, shape: ws("guard " + name, shape))
     lam = sum(_FD_SECOND_MAX[order] * g_inv[i][i].max() / hs[i] ** 2 for i in range(imm.dim))
     return RK4_IMAG_STABILITY / lam
 

@@ -138,6 +138,8 @@ def _roll_diff2(f, axis, h, order):
     ((6, 5), 0), ((6, 5), 1), ((2, 3, 4), 0), ((3, 5, 4), 1),
     # (d, *s) plane stacks as the membrane stage pads them
     ((4, 24, 40), 1), ((4, 24, 40), 2), ((2, 3, 4), 2),
+    # a non-leading axis too short to wrap by its end slabs alone
+    ((3, 1), 1), ((3, 2, 4), 1),
 ])
 def test_stencils_equal_the_roll_reference_bitwise(shape, axis, order):
     # grids shorter than the stencil width (N <= 2) must wrap more than once
@@ -145,9 +147,18 @@ def test_stencils_equal_the_roll_reference_bitwise(shape, axis, order):
     h = 0.37
     assert np.array_equal(dg.diff(f, axis, h, order), _roll_diff(f, axis, h, order))
     assert np.array_equal(dg.diff2(f, axis, h, order), _roll_diff2(f, axis, h, order))
-    first, second = dg.diff_pair(f, axis, h, order)
-    assert np.array_equal(first, _roll_diff(f, axis, h, order))
-    assert np.array_equal(second, _roll_diff2(f, axis, h, order))
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_neighbours_equal_the_take_form_on_every_axis(axis, order):
+    # axes past the first are wrapped by concatenating the end slabs, not by take
+    f = np.random.default_rng(axis + order).standard_normal((8, 8, 8))
+    w = order // 2
+    padded = f.take(dg._pad_index(8, w), axis=axis)
+    at = dg._neighbours(f, axis, order)
+    for k in range(-w, w + 1):
+        assert np.array_equal(at(k), padded.take(np.arange(w + k, w + k + 8), axis=axis))
 
 
 @pytest.mark.parametrize("order", [2, 4])

@@ -16,6 +16,7 @@ from skewflow import filament as fl
 from skewflow.errors import (
     BlowUpAbort,
     CurvatureDegeneracyAbort,
+    EvolutionAbort,
     SelfIntersectionAbort,
 )
 
@@ -192,12 +193,97 @@ def test_cross_equals_np_cross_bitwise():
 
 @pytest.mark.parametrize("n", [100, 256])
 def test_binormal_rhs_is_the_cross_of_the_two_derivatives(n):
-    # diffgeo.diff_pair takes both stencils from one wrapped copy; the
-    # velocity is bitwise that of two separate derivative calls
+    # both stencils come from one wrapped copy; the velocity is bitwise that
+    # of two separate derivative calls
     c = fl.arclength_resample(fl.twisted_circle(1.0, 0.3, 2, n))
     p, L = c.points, c.param_periods[0]
     expected = dg.generalised_cross([fl.derivative(p, L, 1).T], fl.derivative(p, L, 2).T).T
     assert np.array_equal(fl.binormal_rhs(p, L), expected)
+
+
+# The right-hand sides as they were before their stages moved onto padded
+# workspace rows: a fresh wrapped copy, and fresh arrays, per derivative call.
+
+def _binormal_per_call(points, period):
+    h, at = period / points.shape[0], dg._neighbours(points, 0, 4)
+    return dg.generalised_cross([dg._first(at, h, 4).T], dg._second(at, h, 4).T).T
+
+
+def _darios_per_call(state, length):
+    k, t = state
+    d = fl.derivative
+    dk = -d(k * k * t, length, 1) / k
+    dtau = -2.0 * t * d(t, length, 1) + d(0.5 * k * k + d(k, length, 2) / k, length, 1)
+    return np.stack([dk, dtau])
+
+
+def _fluid_per_call(y, L):
+    rho, v = y
+    d = fl.derivative
+    sq = np.sqrt(rho)
+    drho = -d(rho * v, L, 1)
+    dv = -v * d(v, L, 1) + d(rho + 2.0 * d(sq, L, 2) / sq, L, 1)
+    return np.stack([drho, dv])
+
+
+def _fresh_each_call(stage, state, oracle):
+    # two calls equal the oracle and share no memory with each other or the input
+    first, second = stage(state), stage(state)
+    assert np.array_equal(first, oracle) and np.array_equal(second, oracle)
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, state) and not np.shares_memory(second, state)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_binormal_stage_equals_the_per_call_form_bitwise(n):
+    start = fl.arclength_resample(fl.twisted_circle(1.0, 0.3, 2, n))
+    mid = fl.evolve_filament(start, 1e-4, 2e-3).final   # a mid-run state
+    ws = dg.Workspace()   # one workspace for both curves, as a run keeps one
+    for c in (start, mid):
+        p, L = c.points, c.param_periods[0]
+        _fresh_each_call(lambda q: fl.binormal_rhs(q, L, ws), p, _binormal_per_call(p, L))
+        assert np.array_equal(fl.binormal_rhs(p, L), _binormal_per_call(p, L))
+
+
+def _stage_of(monkeypatch, run):
+    """The stage function that a one-step run hands rk4_step; it keeps that
+    run's workspace."""
+    stages, step = [], fl.rk4_step
+    monkeypatch.setattr(fl, "rk4_step", lambda rhs, y, dt: stages.append(rhs) or step(rhs, y, dt))
+    run()
+    monkeypatch.undo()
+    return stages[0]
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_darios_and_fluid_stages_equal_the_per_call_forms_bitwise(n, monkeypatch):
+    fr = fl.frenet_data(fl.arclength_resample(fl.twisted_circle(1.0, 0.3, 2, n)))
+    assert np.abs(fr.tau).min() > 0.0   # every term of both stages is nonzero
+    mid = fl.darios_evolve(fr.kappa, fr.tau, fr.length, 1e-4, 2e-3).final
+    darios = _stage_of(monkeypatch,
+                       lambda: fl.darios_evolve(fr.kappa, fr.tau, fr.length, 1e-4, 1e-4))
+    for y in (np.stack([fr.kappa, fr.tau]), mid):   # one stage for both, as a run uses one
+        _fresh_each_call(darios, y, _darios_per_call(y, fr.length))
+    fluid = fl.to_fluid(fr)
+    mid = fl.fluid_evolve(fluid, 1e-4, 2e-3).final
+    stage = _stage_of(monkeypatch, lambda: fl.fluid_evolve(fluid, 1e-4, 1e-4))
+    for y in (np.stack([fluid.rho, fluid.v]), np.stack([mid.rho, mid.v])):
+        _fresh_each_call(stage, y, _fluid_per_call(y, fr.length))
+
+
+def test_darios_and_fluid_runs_take_no_per_call_derivative(monkeypatch):
+    fr = fl.frenet_data(planar_curve(n=64))
+    expected = (fl.darios_evolve(fr.kappa, fr.tau, fr.length, 1e-4, 1e-3).final,
+                fl.fluid_evolve(fl.to_fluid(fr), 1e-4, 1e-3).final.rho)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stage took a per-call derivative")
+
+    monkeypatch.setattr(fl, "derivative", refuse)
+    monkeypatch.setattr(dg, "diff", refuse)
+    assert np.array_equal(fl.darios_evolve(fr.kappa, fr.tau, fr.length, 1e-4, 1e-3).final,
+                          expected[0])
+    assert np.array_equal(fl.fluid_evolve(fl.to_fluid(fr), 1e-4, 1e-3).final.rho, expected[1])
 
 
 def _brute_min_nonneighbor(points):
@@ -371,6 +457,8 @@ def test_guard_trips_on_its_own_cadence_mid_run():
         fl.evolve_filament(dg.GridImmersion(pts, (2 * np.pi,)), 2e-4, 0.05, stride=10)
     assert info.value.t == 50 * 2e-4
     assert info.value.trajectory.times[-1] == 40 * 2e-4
+    # only recorded steps build curves, and an abort carries those alone
+    assert all(isinstance(c, dg.GridImmersion) for c in info.value.trajectory.states)
 
 
 def test_a_run_resamples_its_input_once_and_guards_every_tenth_step(monkeypatch):
@@ -384,6 +472,8 @@ def test_a_run_resamples_its_input_once_and_guards_every_tenth_step(monkeypatch)
     assert len(resamples) == 1
     # at the start, at steps 10 and 20, and at the last step, 25
     assert len(guards) == 4
+    assert len(traj.states) == 26
+    assert all(isinstance(c, dg.GridImmersion) for c in traj.states)
     assert np.array_equal(traj.states[0].points, start.points)
     assert traj.states[0].param_periods == start.param_periods
     assert all(s.param_periods == start.param_periods for s in traj.states[1:])
@@ -551,6 +641,21 @@ def test_fluid_stationary_and_mass():
     state = fl.to_fluid(fr)
     out = fl.fluid_evolve(state, 1e-4, 0.2).final
     assert abs(out.mass() / state.mass() - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("stride", [None, 5])
+def test_fluid_records_and_aborts_carry_fluid_states(stride):
+    # eps (1 + k^2) just under 1: the curvature nearly vanishes, and the fluid
+    # state turns non-finite at step 114
+    fr = fl.frenet_data(fl.arclength_resample(fl.perturbed_circle(1.0, 0.0995, 3, 64)))
+    traj = fl.fluid_evolve(fl.to_fluid(fr), 1e-4, 1e-2, stride)
+    assert len(traj.states) == (21 if stride else 2)
+    with pytest.raises(EvolutionAbort, match="non-finite") as info:
+        fl.fluid_evolve(fl.to_fluid(fr), 1e-4, 0.05, stride)
+    assert info.value.t == 114 * 1e-4
+    assert len(info.value.trajectory.states) == (23 if stride else 1)
+    for states in (traj.states, info.value.trajectory.states):
+        assert all(isinstance(st, fl.FluidState1D) for st in states)
 
 
 def test_fluid_conjugate_to_darios():

@@ -269,6 +269,31 @@ def test_evolution_equals_the_roll_reference_stage_bitwise(order, stride, period
 
 
 @pytest.mark.parametrize("order", [2, 4])
+def test_a_run_makes_each_workspace_plane_once(monkeypatch, order):
+    # the stability estimate at every recorded step and the stages between
+    # them ask for planes of two shapes; a name shared by both would be made
+    # anew at each request
+    made = []
+
+    class Counting(dg.Workspace):
+        def __call__(self, name, shape):
+            if name not in self._arrays or self._arrays[name].shape != shape:
+                made.append(name)
+            return super().__call__(name, shape)
+
+    imm = _skewed_grid()
+    expected = mb.evolve_membrane(imm, 2e-3, 5 * 2e-3, stride=1, order=order)
+    monkeypatch.setattr(dg, "Workspace", Counting)
+    traj = mb.evolve_membrane(imm, 2e-3, 5 * 2e-3, stride=1, order=order)
+    assert made and len(made) == len(set(made))
+    ws = Counting()
+    mb.smc_rhs(dg.pad_planes(imm.points, order), imm.spacings, order, ws)
+    assert mb.stability_limit(imm, order, ws) == mb.stability_limit(imm, order)
+    for snap, ref in zip(traj.states, expected.states):
+        assert np.array_equal(snap.points, ref.points)
+
+
+@pytest.mark.parametrize("order", [2, 4])
 def test_stages_sharing_a_workspace_do_not_alias(order):
     imm = _skewed_grid()
     other = dg.perturbed_torus_immersion(1.0, 2.0, 0.08, 3, 1, (24, 40)).points

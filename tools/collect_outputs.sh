@@ -37,7 +37,10 @@
 # filament run on a strongly perturbed circle (eps 0.3, k 5, N 64: arclength
 # knots far from uniform), `crosscheck mode=filament-square`
 # on a passing curve and on a singular one (eps (1 + k^2) = 1: curvature
-# touches zero, so the curvature/torsion and fluid corners abort),
+# touches zero, so the curvature/torsion and fluid corners abort), the
+# curvature/torsion and fluid solvers alone on that singular curve (both exit
+# 3, the curvature/torsion run at t = 1e-4 with its rows recorded so far, the
+# fluid run at t = 0; their standard error and exit status are kept),
 # `crosscheck mode=sphere-membrane` on a 16 x 16 torus, once with the default
 # tolerances and once with --tol-profile strict, both `sphere-run`
 # examples of the README (to collapse and over a fixed horizon), the run to
@@ -75,7 +78,8 @@ fi
 src=$(cd "$1" && pwd)/src
 out=$2
 mkdir -p "$out/validate" "$out/validate_6" "$out/validate_3_4_9" "$out/validate_1_12_strict" \
-    "$out/membrane_abort" "$out/sphere_underflow" "$out/pinched" "$out/curve_as_surface"
+    "$out/membrane_abort" "$out/sphere_underflow" "$out/pinched" "$out/curve_as_surface" \
+    "$out/darios_singular" "$out/fluid_singular"
 
 skewflow() {
     PYTHONPATH="$src" python3 -m skewflow.cli "$@"
@@ -144,6 +148,13 @@ skewflow crosscheck mode=filament-square N=128 dt=2e-4 T=0.02 \
     --out "$out/crosscheck_square" >"$out/crosscheck_square.stdout"
 skewflow crosscheck mode=filament-square eps=0.1 k=3 N=256 dt=1e-4 T=0.05 \
     --out "$out/crosscheck_singular" >"$out/crosscheck_singular.stdout"
+for solver in darios fluid; do
+    status=0
+    skewflow $solver-run shape=perturbed_circle R=1 eps=0.1 k=3 N=256 dt=1e-4 T=0.05 \
+        --out "$out/${solver}_singular" >/dev/null 2>"$out/${solver}_singular/stderr.txt" \
+        || status=$?
+    echo "exit $status" >>"$out/${solver}_singular/stderr.txt"
+done
 skewflow crosscheck mode=sphere-membrane n1=16 n2=16 order=2 dt=1e-3 T=0.02 \
     --out "$out/crosscheck_sphere" >"$out/crosscheck_sphere.stdout"
 skewflow crosscheck mode=sphere-membrane n1=16 n2=16 order=2 dt=1e-3 T=0.02 \
