@@ -17,19 +17,19 @@ projection subtracts (X, t_i) t^i with the dual tangents t^i = g^ij t_j
 (project_planes); the stage skips it.  All of it is elementwise
 arithmetic on (d, *s) component planes, with no per-point LAPACK call.  The
 positions are held as padded planes: wrapped order/2 entries past both ends
-of every grid axis (pad_planes), so the halo is the periodic wrap.  Each
-axis reads its +-1/+-2 neighbours as flat shifted slices of that buffer,
-with no np.roll copy, and takes its first and second differences from that
-one set (plane_derivatives).  The results are band planes: the interior
-rows, halo columns included, one contiguous stretch of memory per
-component, so every stencil and product is one pass over it.  The halo
-columns of a band plane hold no geometry; every reduction (the det g floor,
-a finiteness check) reads the interior alone.  The
-membrane RK4 state stays in this layout from stage to stage
-(membrane.smc_rhs returns its velocity with the halo wrapped), and a
-snapshot is the interior copied out.  The generalised cross product on
-the same planes (generalised_cross) is the 3D cross product for curves and,
-for membranes in R^4, the Hodge dual of the six Pluecker coordinates
+of every grid axis, so the halo is the periodic wrap.  One helper, _halo,
+pads every periodic stencil input this way, from slab views of the
+interior, and every stencil reads its +-k neighbours as views of a padded
+buffer (_neighbour_views), with no np.roll copy.  plane_derivatives takes
+its differences as band planes: the interior rows, halo columns included,
+one contiguous stretch of memory per component, so every stencil and
+product is one pass over it.  The halo columns of a band plane hold no
+geometry; every reduction (the det g floor, a finiteness check) reads the
+interior alone.  The membrane RK4 state stays in this layout from stage to
+stage (membrane.smc_rhs returns its velocity with the halo wrapped), and a
+snapshot is the interior copied out.  The generalised cross product on the
+same planes (generalised_cross) is the 3D cross product for curves and, for
+membranes in R^4, the Hodge dual of the six Pluecker coordinates
 t1_a t2_b - t1_b t2_a of the tangent plane paired with v.  apply_j uses it,
 and so do the flow's stage kernel membrane.smc_rhs, which builds no
 ShapeField, and the filament velocity filament.binormal_rhs.
@@ -40,11 +40,10 @@ ufuncs in a workspace ws: a Workspace of named arrays, made once and
 reused, or by default a fresh array per request.  evolve_membrane keeps one
 Workspace per run, so its RK4 stages allocate only their results, and its
 stability estimates run metric_planes there under names of their own.
-The filament solvers keep one per run for the padded rows of their stages,
-which diff's stencils read through views built once per buffer
-(_neighbour_views).  Every stencil, product and sum keeps the operation
-order of the plain expression, so the results are bitwise those of
-allocating code.
+The filament solvers keep one per run for their stages, and the Da Rios
+and fluid stages keep padded rows there, each buffer's halo fill made once.
+Every stencil, product and sum keeps the operation order of the plain
+expression, so the results are bitwise those of allocating code.
 
 A ShapeField holds its fields as contiguous component planes, index axes
 first: t (n, d, *s), g and g_inv (n, n, *s), A (n, n, d, *s) and H (d, *s);
@@ -263,14 +262,6 @@ def build_immersion(kind, shape, **params):
 # periodic finite differences
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
-def _pad_index(n, w):
-    """Read-only indices i mod n for i = -w .. n + w - 1."""
-    idx = np.arange(-w, n + w) % n
-    idx.flags.writeable = False
-    return idx
-
-
 class Workspace:
     """Named float arrays, made on the first request for a name and handed
     out again on every later one: ws(name, shape).
@@ -301,6 +292,43 @@ def _check_order(order):
         raise ValueError(f"finite-difference order must be 2 or 4, got {order}")
 
 
+@functools.lru_cache(maxsize=64)
+def _halo_slabs(shape, axes, w):
+    """The interior index of a buffer of this shape padded by w on each of
+    axes, and the (halo, source) slab index pairs that wrap it: axis by axis,
+    so the corners wrap too; one slab per side, or one per halo entry on an
+    axis of n < w entries, which wraps more than once."""
+    inner = tuple(slice(w, N - w) if a in axes else slice(None) for a, N in enumerate(shape))
+    slabs = []
+    for axis in axes:
+        n, lead = shape[axis] - 2 * w, (slice(None),) * axis
+        if n >= w:
+            spans = ((0, n, w), (n + w, w, w))   # (halo start, source start, width)
+        else:
+            spans = tuple((j, w + (j - w) % n, 1) for j in (*range(w), *range(n + w, n + 2 * w)))
+        slabs += [(lead + (slice(h, h + k),), lead + (slice(s, s + k),)) for h, s, k in spans]
+    return inner, tuple(slabs)
+
+
+def _halo(padded, axes, w):
+    """fill(f=None) of a buffer padded by w on each of axes: copies f, if
+    given, into the interior, then fills the halo with the periodic wrap of
+    the interior, in place, and returns padded.  Its slab views are made
+    here once, so a buffer that lives for a run keeps its fill."""
+    inner, slabs = _halo_slabs(padded.shape, tuple(axes), w)
+    interior_view = padded[inner]
+    copies = [(padded[h], padded[s]) for h, s in slabs]
+
+    def fill(f=None):
+        if f is not None:
+            interior_view[...] = f
+        for halo, source in copies:
+            halo[...] = source
+        return padded
+
+    return fill
+
+
 def _neighbour_views(padded, axis, w):
     """at(k), |k| <= w: views, made once, of the entries k places along axis
     from the interior of a buffer padded by w there."""
@@ -310,17 +338,11 @@ def _neighbour_views(padded, axis, w):
 
 
 def _neighbours(f, axis, order):
-    """at(k) = f(i + k) along a periodic grid axis, for |k| <= order/2; see `diff`.
-    Off axis 0, take gathers element by element, so f is wrapped by
-    concatenating its end slabs, unless it is too short to wrap only once."""
+    """at(k) = f(i + k) along a periodic grid axis, for |k| <= order/2; see `diff`."""
     _check_order(order)
-    w, n = order // 2, f.shape[axis]
-    if axis == 0 or n < w:
-        padded = f.take(_pad_index(n, w), axis=axis)
-    else:
-        lead = (slice(None),) * axis
-        padded = np.concatenate((f[lead + (slice(n - w, n),)], f, f[lead + (slice(w),)]), axis)
-    return _neighbour_views(padded, axis, w)
+    w, shape = order // 2, list(f.shape)
+    shape[axis] += order
+    return _neighbour_views(_halo(np.empty(shape), (axis,), w)(f), axis, w)
 
 
 def _first(at, h, order, out=None, tmp=None):
@@ -360,11 +382,11 @@ def _second(at, h, order, out=None, tmp=None):
 def diff(f, axis, h, order=2):
     """Centered first derivative along a periodic grid axis.
 
-    The neighbours are slices of one copy of f wrapped order/2 entries past
-    both ends of the axis.  The membrane stage and shape_field difference
-    the positions through plane_derivatives instead, which reads padded
-    (d, *s) planes as flat shifted slices; both give results bitwise equal to
-    the np.roll form of the same stencil.
+    The neighbours are views of one copy of f padded order/2 entries past
+    both ends of the axis (_halo).  The membrane stage and shape_field
+    difference the positions through plane_derivatives instead, which reads
+    views of padded (d, *s) planes; both give results bitwise equal to the
+    np.roll form of the same stencil.
     """
     return _first(_neighbours(f, axis, order), h, order)
 
@@ -377,34 +399,18 @@ def diff2(f, axis, h, order=2):
 
 def pad_planes(points, order, ws=_fresh):
     """The (d, *s) component planes of points (*s, d), padded: wrapped
-    order/2 entries past both ends of every grid axis (wrap_halo), in the
+    order/2 entries past both ends of every grid axis (_halo), in the
     workspace buffer "padded".  This is the layout plane_derivatives and
     membrane.smc_rhs read; interior_points undoes it.  The order is checked
     here, before it sizes the halo, for every reader of the planes."""
     _check_order(order)
     padded = ws("padded", points.shape[-1:] + tuple(N + order for N in points.shape[:-1]))
-    interior(padded, order)[...] = np.moveaxis(points, -1, 0)
-    return wrap_halo(padded, order)
-
-
-def wrap_halo(padded, order):
-    """Fill the halo of (d, *s) planes padded by order/2, every entry outside
-    their interior, with the periodic wrap of the interior; in place.  Each
-    grid axis in turn copies its n >= w interior entries' ends past the
-    opposite ends, whole slabs at a time, so the corners wrap too."""
-    w = order // 2
-    for axis in range(1, padded.ndim):
-        n = padded.shape[axis] - 2 * w
-        lead = (slice(None),) * axis
-        padded[lead + (slice(0, w),)] = padded[lead + (slice(n, n + w),)]
-        padded[lead + (slice(n + w, n + 2 * w),)] = padded[lead + (slice(w, 2 * w),)]
-    return padded
+    return _halo(padded, range(1, padded.ndim), order // 2)(np.moveaxis(points, -1, 0))
 
 
 def interior(padded, order):
     """The (d, *s) interior of planes padded by order/2, as a view."""
-    w = order // 2
-    return padded[(slice(None),) + (slice(w, -w),) * (padded.ndim - 1)]
+    return padded[_halo_slabs(padded.shape, tuple(range(1, padded.ndim)), order // 2)[0]]
 
 
 def interior_points(padded, order):
@@ -421,11 +427,12 @@ def plane_derivatives(padded, spacings, order, ws=_fresh):
     band planes held in ws, and the index of a band plane's interior.  The
     band is padded[:, w:-w] (w = order/2): the interior rows of the grid,
     halo columns included, one contiguous stretch of each flattened
-    component plane.  So every neighbour is one flat shifted slice of the
-    padded buffer, +-k (n2 + 2w) along axis 1 and +-k along axis 2, and each
-    stencil pass runs over one contiguous run of memory per component.  t_1
-    is kept with w spare entries at both ends of its flat planes, so the
-    mixed difference reads its neighbours the same way.
+    component plane.  Grid axis 1 reads its neighbours as _neighbour_views
+    of the padded planes; axis 2 as those of the flattened band, w entries
+    wider at each end, into flattened outputs, so each stencil pass runs over
+    one contiguous run of memory per component.  t_1 is kept with w spare
+    entries at both ends of its flat planes, so the mixed difference reads
+    its neighbours the same way.
 
     A band plane's halo columns hold differences taken across the ends of
     rows: they are no geometry, may hold any value, and whatever reads the
@@ -435,28 +442,24 @@ def plane_derivatives(padded, spacings, order, ws=_fresh):
     """
     w, d, n = order // 2, padded.shape[0], padded.ndim - 1
     band = (d, padded.shape[1] - 2 * w) + padded.shape[2:]
-    row = math.prod(padded.shape[2:])  # flat stride of grid axis 1; axis 2's is 1
     size = math.prod(band[1:])
-
-    def shifted(flat, start, stride):
-        views = {k: flat[:, start + k * stride:start + k * stride + size].reshape(band)
-                 for k in range(-w, w + 1)}
-        return views.__getitem__
-
-    flat = padded.reshape(d, -1)
     tmp = ws("tmp", band)
     t1_flat = ws("t1", (d, size + 2 * w))
     t = [t1_flat[:, w:w + size].reshape(band)] + [ws(f"t{a}", band) for a in range(2, n + 1)]
     xx = [ws(f"xx{a}", band) for a in range(1, n + 1)]
-    for i, stride in enumerate((row, 1)[:n]):
-        at = shifted(flat, w * row, stride)
-        _first(at, spacings[i], order, t[i], tmp)
-        _second(at, spacings[i], order, xx[i], tmp)
+    at = _neighbour_views(padded, 1, w)
+    _first(at, spacings[0], order, t[0], tmp)
+    _second(at, spacings[0], order, xx[0], tmp)
     if n == 1:
         return t, xx, None, (Ellipsis,)
+    start = w * padded.shape[2]  # the band's first entry in a flattened plane
+    at = _neighbour_views(padded.reshape(d, -1)[:, start - w:start + size + w], 1, w)
+    flat_tmp, mixed = tmp.reshape(d, size), ws("mixed", band)
+    _first(at, spacings[1], order, t[1].reshape(d, size), flat_tmp)
+    _second(at, spacings[1], order, xx[1].reshape(d, size), flat_tmp)
     # the spare entries feed only halo columns; keep them finite
     t1_flat[:, :w] = t1_flat[:, -w:] = 0.0
-    mixed = _first(shifted(t1_flat, w, 1), spacings[1], order, ws("mixed", band), tmp)
+    _first(_neighbour_views(t1_flat, 1, w), spacings[1], order, mixed.reshape(d, size), flat_tmp)
     return t, xx, mixed, (Ellipsis, slice(w, padded.shape[2] - w))
 
 

@@ -41,7 +41,6 @@ and membranes share one type, one cross product (diffgeo.generalised_cross)
 and one snapshot format.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -55,7 +54,7 @@ from .errors import (
     SelfIntersectionAbort,
     VacuumAbort,
 )
-from .stepping import check_times, integrate, rk4_step, step_count
+from .stepping import check_times, input_guard, integrate, rk4_step, step_count
 
 KAPPA_MIN = 1e-8       # torsion mask / Da Rios singularity guard
 RHO_MIN = 1e-10        # vacuum guard for the fluid form
@@ -145,8 +144,6 @@ def derivative(f, period, nu=1):
 # slopes of the C^2 interpolant from a periodic or a not-a-knot tridiagonal
 # system (de Boor, A Practical Guide to Splines).
 
-_DOUBLING_TOL = 2.0 ** -140   # bound on the squared coefficients left out
-
 # d/dt of the Hermite cubic on [0, 1] at t = 0, 1/4, 1/2 and 3/4, as weights
 # on the secant (y1 - y0)/h and the end slopes m0, m1
 _QUARTER_WEIGHTS = np.array([
@@ -157,58 +154,20 @@ _QUARTER_WEIGHTS = np.array([
 ])
 
 
-def _doubling_levels(g):
-    """Shifts and coefficients that solve x_0 = u_0, x_i = u_i + g_i x_{i-1}
-    (g_0 = 0) by recursive doubling.
-
-    The level with shift s adds its coefficient times x_{i-s} to each x_i,
-    after which x_i is exact back to u_{i-2s+1}.  The levels stop once the
-    coefficient products still left out are all below 2^-70.
-    """
-    levels, s = [], 1
-    while s < g.size and g.dot(g) > _DOUBLING_TOL:
-        levels.append((s, g))
-        g = np.concatenate((g[:s], g[s:] * g[:-s]))
-        s *= 2
-    return tuple(levels)
-
-
-def _run_levels(levels, u):
-    """The recurrence of _doubling_levels, run on u."""
-    x = u.copy()
-    for s, g in levels:
-        x[s:] += g[s:] * x[:-s]
-    return x
-
-
-def _tridiag_factor(a, b, c):
-    """LU factors of the tridiagonal matrix with sub-diagonal a, diagonal b and
-    super-diagonal c, without pivoting: the pivots and the doubling levels of
-    the forward and backward substitutions.
-
-    The pivots p_i = b_i - a_{i-1} c_{i-1} / p_{i-1} come from whole-array
-    sweeps of that map, from p = b.  Sweep k makes p_0..p_k final, and the
-    float map has one fixed point once p_0 is fixed, so the first sweep that
-    changes nothing, or sweep b.size at the latest, leaves the recurrence's
-    values bitwise.
-    """
-    q = a * c
-    pivots = b.astype(float)
-    for _ in range(b.size):
-        swept = b[1:] - q / pivots[:-1]
-        if not (swept != pivots[1:]).any():
-            break
-        pivots[1:] = swept
-    forward = np.concatenate(([0.0], -a / pivots[:-1]))
-    backward = np.concatenate(([0.0], -(c / pivots[:-1])[::-1]))
-    return pivots, _doubling_levels(forward), _doubling_levels(backward)
-
-
-def _tridiag_solve(factors, d):
-    """Solution of the factored tridiagonal system for the right-hand side d."""
-    pivots, forward, backward = factors
-    y = _run_levels(forward, d) / pivots
-    return _run_levels(backward, y[::-1])[::-1]
+def _tridiag_solve(a, b, c, d):
+    """Solution of the tridiagonal system with sub-diagonal a, diagonal b,
+    super-diagonal c and right-hand side d, by one sequential elimination
+    without pivoting (Thomas) on Python floats: a run resamples once."""
+    a, b, c, d = a.tolist(), b.tolist(), c.tolist(), d.tolist()
+    pivots, y = [b[0]], [d[0]]
+    for i in range(1, len(b)):
+        g = a[i - 1] / pivots[-1]
+        pivots.append(b[i] - g * c[i - 1])
+        y.append(d[i] - g * y[-1])
+    x = [y[-1] / pivots[-1]]
+    for i in range(len(b) - 2, -1, -1):
+        x.append((y[i] - c[i] * x[-1]) / pivots[i])
+    return np.array(x[::-1])
 
 
 def _notaknot_system(x, y):
@@ -230,34 +189,15 @@ def _notaknot_system(x, y):
     return (a, b, c), rhs
 
 
-@functools.lru_cache(maxsize=16)
-def _unit_notaknot_factors(m):
-    """Factors of the not-a-knot slope system on m unit-spaced knots; with
-    spacing h the matrix is h times this one."""
-    matrix, _ = _notaknot_system(np.arange(float(m)), np.zeros(m))
-    pivots, forward, backward = _tridiag_factor(*matrix)
-    for arr in [pivots] + [g for _, g in forward + backward]:
-        arr.flags.writeable = False
-    return pivots, forward, backward
-
-
-@functools.lru_cache(maxsize=16)
-def _circulant_eigenvalues(n):
-    """Eigenvalues 4 + 2 cos(2 pi j / n), j = 0 .. n/2, of the periodic (1, 4, 1)
-    matrix on n knots, as a read-only column."""
-    eig = 4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)
-    eig = eig[:, None]
-    eig.flags.writeable = False
-    return eig
-
-
 def _periodic_slopes(wrapped, h):
     """Slopes of the periodic cubic spline on knots spaced h through the n
     rows of y, given as wrapped = y[-1], y[0], ..., y[n-1], y[0]: the
-    circulant system m_{i-1} + 4 m_i + m_{i+1} = 3 (y_{i+1} - y_{i-1})/h."""
+    circulant system m_{i-1} + 4 m_i + m_{i+1} = 3 (y_{i+1} - y_{i-1})/h,
+    whose eigenvalues are 4 + 2 cos(2 pi j / n)."""
     n = wrapped.shape[0] - 2
     rhs = (3.0 / h) * (wrapped[2:] - wrapped[:-2])
-    return np.fft.irfft(np.fft.rfft(rhs, axis=0) / _circulant_eigenvalues(n), n=n, axis=0)
+    eig = 4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)
+    return np.fft.irfft(np.fft.rfft(rhs, axis=0) / eig[:, None], n=n, axis=0)
 
 
 def _hermite(x, y, m, xq):
@@ -291,10 +231,9 @@ def arclength_resample(curve):
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
     h = period / n
     u = np.linspace(0.0, period, n + 1)
-    wrap = dg._pad_index(n, 1)     # -1, 0, ..., n - 1, n (mod n)
-    wrapped = curve.points.take(wrap, axis=0)
+    wrapped = dg._halo(np.empty((n + 2, 3)), (0,), 1)(curve.points)   # rows -1 .. n (mod n)
     pts = wrapped[1:]
-    m = _periodic_slopes(wrapped, h).take(wrap[1:], axis=0)
+    m = dg._halo(np.empty((n + 2, 3)), (0,), 1)(_periodic_slopes(wrapped, h))[1:]
     secant = (pts[1:] - pts[:-1]) / h
     w = _QUARTER_WEIGHTS[:, :, None, None]
     tangent = w[:, 0] * secant + w[:, 1] * m[:-1] + w[:, 2] * m[1:]   # (4, N, 3)
@@ -309,12 +248,13 @@ def arclength_resample(curve):
     dense = np.linspace(0.0, period, 4 * n + 1)
     hd = period / (4 * n)
     _, rhs = _notaknot_system(dense, speed)
-    ms = _tridiag_solve(_unit_notaknot_factors(4 * n + 1), rhs / hd)
+    unit, _ = _notaknot_system(np.arange(4.0 * n + 1), speed)  # the matrix at spacing hd, over hd
+    ms = _tridiag_solve(*unit, rhs / hd)
     pieces = hd * (speed[:-1] + speed[1:]) / 2.0 + hd * hd * (ms[:-1] - ms[1:]) / 12.0
     s_dense = np.concatenate(([0.0], np.cumsum(pieces)))
     length = float(s_dense[-1])
     matrix, rhs = _notaknot_system(s_dense, dense)
-    mu = _tridiag_solve(_tridiag_factor(*matrix), rhs)
+    mu = _tridiag_solve(*matrix, rhs)
     u_new = _hermite(s_dense, dense, mu, np.arange(n) * length / n)
     u_new[0] = 0.0
     return dg.GridImmersion(_hermite(u, pts, m, u_new), (length,))
@@ -404,13 +344,11 @@ def min_nonneighbor_distance(points):
 
 def binormal_rhs(points, period, ws=None):
     """Velocity gamma' x gamma'' of the filament equation (arclength samples),
-    as a new array; both derivatives come from one wrapped copy of the points
-    in the diffgeo.Workspace ws (by default a fresh one)."""
+    as a new array; both derivatives read one padded copy of the points and
+    write into the diffgeo.Workspace ws (by default a fresh one)."""
     ws = dg.Workspace() if ws is None else ws
     n = points.shape[0]
-    h, tmp = period / n, ws("tmp", (n, 3))
-    padded = points.take(dg._pad_index(n, 2), axis=0, out=ws("padded", (n + 4, 3)), mode="wrap")
-    at = dg._neighbour_views(padded, 0, 2)
+    h, tmp, at = period / n, ws("tmp", (n, 3)), dg._neighbours(points, 0, 4)
     gp = dg._first(at, h, 4, ws("gp", (n, 3)), tmp)
     gpp = dg._second(at, h, 4, ws("gpp", (n, 3)), tmp)
     return dg.generalised_cross([gp.T], gpp.T, ws=ws).T
@@ -456,7 +394,8 @@ def evolve_filament(curve, dt, t_final, stride=None):
             checks(pts, i * dt)
         return dg.GridImmersion(pts, c.param_periods) if i % (stride or nsteps) == 0 else pts
 
-    checks(c.points, 0.0)
+    with input_guard(c):
+        checks(c.points, 0.0)
     dt_max = stability_limit(n, period)
     if dt > dt_max:
         raise ValueError(f"dt={dt:.3e} above the stability bound {dt_max:.3e} at N={n}")
@@ -577,21 +516,22 @@ def _padded_rows(n, period):
     """Order-4 differences on padded rows of one run's diffgeo.Workspace:
     level1(a, b, c) pads a, b, c as the rows of one buffer, wraps it once and
     returns a' and b' as one (2, n) array, and c''; level2(f) returns f'.
-    Each result, bitwise derivative's, holds until the next call of its level."""
+    Each buffer's halo fill (diffgeo._halo) is made here, once per run.  Each
+    result, bitwise derivative's, holds until the next call of its level."""
     ws, h = dg.Workspace(), period / n
     one, two = ws("level1", (3, n + 4)), ws("level2", (1, n + 4))
-    rows, row = one[:, 2:-2], two[0, 2:-2]
+    wrap_one, fill_two = dg._halo(one, (1,), 2), dg._halo(two, (1,), 2)
+    rows = dg.interior(one, 4)
     at_ab, at_c, at_f = (dg._neighbour_views(b, 1, 2) for b in (one[:2], one[2:], two))
     d_ab, tmp, d_c, d_f = ws("d_ab", (2, n)), ws("tmp", (2, n)), ws("d_c", (1, n)), ws("d_f", (1, n))
 
     def level1(a, b, c):
         rows[0], rows[1], rows[2] = a, b, c
-        dg.wrap_halo(one, 4)
+        wrap_one()
         return dg._first(at_ab, h, 4, d_ab, tmp), dg._second(at_c, h, 4, d_c, tmp[:1])[0]
 
     def level2(f):
-        row[...] = f
-        dg.wrap_halo(two, 4)
+        fill_two(f)
         return dg._first(at_f, h, 4, d_f, tmp[:1])[0]
 
     return level1, level2
@@ -624,8 +564,10 @@ def darios_evolve(kappa, tau, length, dt, t_final, stride=None):
             raise EvolutionAbort("curvature/torsion became non-finite", i * dt)
         return guarded(y, i * dt)
 
+    with input_guard(y0):
+        guarded(y0, 0.0)
     with np.errstate(all="ignore"):  # blow-ups are caught by the guards
-        return integrate(step, guarded(y0, 0.0), dt, t_final, stride)
+        return integrate(step, y0, dt, t_final, stride)
 
 
 @dataclass(frozen=True)
@@ -680,7 +622,8 @@ def fluid_evolve(state, dt, t_final, stride=None):
             raise EvolutionAbort("fluid state became non-finite", i * dt)
         return guarded(y, i * dt, i % (stride or nsteps) == 0)  # the steps integrate records
 
-    y0 = guarded(np.stack([state.rho.astype(float), state.v.astype(float)]), 0.0)
+    with input_guard(state):
+        y0 = guarded(np.stack([state.rho.astype(float), state.v.astype(float)]), 0.0)
     nsteps = step_count(dt, t_final, stride)
     with np.errstate(all="ignore"):  # vacuum crossings are caught by the guards
         return integrate(step, y0, dt, t_final, stride)

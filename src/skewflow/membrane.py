@@ -41,11 +41,11 @@ def smc_rhs(padded, spacings, order=2, ws=None):
 
     The RK4 stage kernel.  It takes the positions as padded (d, *s) component
     planes whose halo is the periodic wrap (dg.pad_planes), and returns the
-    velocity in the same layout, halo wrapped, so y + c dt k of two such
-    arrays is one as well; it builds no GridImmersion or ShapeField.  The
-    input is differenced where it lies, each neighbour one flat shifted slice
-    of it (dg.plane_derivatives), and all arithmetic runs over the band of
-    interior rows; the det g floor reads the interior alone.  H enters
+    velocity in the same layout, halo wrapped by the same dg._halo, so
+    y + c dt k of two such arrays is one as well; it builds no GridImmersion
+    or ShapeField.  The input is differenced where it lies, each neighbour a
+    view of it (dg.plane_derivatives), and all arithmetic runs over the band
+    of interior rows; the det g floor reads the interior alone.  H enters
     unprojected, as g^ij X_ij: the wedge vanishes on tangent vectors, so the
     result is that of g^ij A_ij up to roundoff.  Every intermediate plane
     lives in ws, which evolve_membrane keeps for all stages of a run;
@@ -66,7 +66,7 @@ def smc_rhs(padded, spacings, order=2, ws=None):
         band = v[:, w:-w]
         dg.generalised_cross(t, y, band, ws)
         band /= np.sqrt(det_g, out=scalar_tmp)
-    return dg.wrap_halo(v, order)
+    return dg._halo(v, range(1, v.ndim), w)()
 
 
 def stability_limit(imm, order=2, ws=None):

@@ -5,6 +5,7 @@ Each solver hands `integrate` a per-step function that keeps its own guards;
 `integrate` owns the step count, the stop tests, the snapshot cadence, absolute
 abort times and the snapshots an abort carries."""
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -51,6 +52,18 @@ def step_count(dt, t_final, stride=None):
     if stride and nsteps % stride != 0:
         raise ValueError("t_final/dt must be a multiple of the output stride")
     return nsteps
+
+
+@contextlib.contextmanager
+def input_guard(y0):
+    """An EvolutionAbort raised in the block, by a solver's guards on its
+    input y0 before integrate starts, carries Trajectory([0.0], [y0]): the
+    record of a run stopped at its input, as integrate's aborts carry theirs."""
+    try:
+        yield
+    except EvolutionAbort as exc:
+        exc.trajectory = Trajectory([0.0], [y0])
+        raise
 
 
 def integrate(step, y0, dt, t_final, stride=None, done=None, step_size=None,

@@ -585,6 +585,33 @@ def test_filament_abort_writes_recorded_trajectory(tmp_path, capsys, monkeypatch
     assert abs(_abort_time(capsys.readouterr().err) - 0.03) < 1e-12
 
 
+def _close_strands(tmp_path):
+    # a crushed ellipse: after resampling, strands across it lie 0.0042 apart,
+    # under d_min = 0.0083
+    u = 2.0 * np.pi * np.arange(96) / 96
+    pts = np.stack([np.cos(u), 0.005 * np.sin(u), 0.002 * np.sin(3.0 * u)], axis=-1)
+    dg.save_immersion(dg.GridImmersion(pts, (2.0 * np.pi,)), tmp_path / "close.txt")
+    return ["filament-run", "shape=circle", f"curve_file={tmp_path / 'close.txt'}",
+            "dt=2e-4", "T=0.02"]
+
+
+@pytest.mark.parametrize("args,table,samples,message", [
+    (lambda tmp: ["fluid-run", "shape=perturbed_circle", "R=1", "eps=0.1", "k=3", "N=256",
+                  "dt=1e-4", "T=0.05"], "fluid.csv", 256, "density touched rho_min"),
+    (_close_strands, "trajectory.csv", 96, "non-neighbor samples closer than d_min"),
+], ids=["fluid-vacuum", "filament-close-strands"])
+def test_an_abort_on_the_input_writes_the_input(tmp_path, capsys, args, table, samples, message):
+    # the input guard trips before the first step; the run still writes its t = 0 state
+    out = tmp_path / "run"
+    code = cli.main(args(tmp_path) + ["--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert message in err and _abort_time(err) == 0.0
+    assert column(out / table, "t") == [0.0] * samples
+    assert column(out / "diagnostics.csv", "t") == [0.0]
+    assert (out / "manifest.txt").exists()
+
+
 def test_sphere_run_collapse_abort_writes_recorded_rows(tmp_path, capsys):
     # a(t) = (1 - t)^2 collapses at t* = 1 < T: the step halving underflows there
     out = tmp_path / "sphere"

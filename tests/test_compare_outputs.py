@@ -73,3 +73,27 @@ def test_structural_mismatches_exit_1(tmp_path, capsys, break_tree, what):
     assert len(mismatches) == 1 and what in mismatches[0]
     assert compare_outputs.main([str(a), str(b)]) == 1
     assert "MISMATCH" in capsys.readouterr().out
+
+
+def _report(root, gap, status="pass"):
+    # the report crosscheck prints, kept beside its CSV as collect_outputs.sh does
+    root.mkdir(parents=True, exist_ok=True)
+    (root / "crosscheck_square.stdout").write_text(
+        f"filament/darios  {gap}  0.0050000000000000001  {status}\n"
+        "darios/fluid  nan  0.0050000000000000001  skipped: singular (VacuumAbort); ok\n")
+    return root
+
+
+def test_crosscheck_reports_are_compared_column_by_column(tmp_path):
+    a = _report(tmp_path / "a", "4.5576875606911926e-12")
+    b = _report(tmp_path / "b", "4.5574655160862676e-12")
+    mismatches, text = _run(a, b)
+    assert mismatches == []
+    rows = {tuple(line.split()[:2]): line.split()[2:] for line in text.splitlines()[1:]}
+    abs_gap, _ = map(float, rows[("crosscheck_square.stdout", "linf_gap")])
+    assert abs_gap == pytest.approx(2.22e-16, rel=0.01)
+    assert rows[("crosscheck_square.stdout", "status")] == ["same"]
+    assert compare_outputs.main([str(a), str(b)]) == 0
+    flipped = _report(tmp_path / "c", "4.5574655160862676e-12", status="fail")
+    mismatches, _ = _run(a, flipped)
+    assert len(mismatches) == 1 and "1 status flips" in mismatches[0]

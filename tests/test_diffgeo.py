@@ -152,13 +152,32 @@ def test_stencils_equal_the_roll_reference_bitwise(shape, axis, order):
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("axis", [0, 1, 2])
 def test_neighbours_equal_the_take_form_on_every_axis(axis, order):
-    # axes past the first are wrapped by concatenating the end slabs, not by take
-    f = np.random.default_rng(axis + order).standard_normal((8, 8, 8))
+    # the halo is filled by slab copies; an axis shorter than w wraps more than once
     w = order // 2
-    padded = f.take(dg._pad_index(8, w), axis=axis)
-    at = dg._neighbours(f, axis, order)
-    for k in range(-w, w + 1):
-        assert np.array_equal(at(k), padded.take(np.arange(w + k, w + k + 8), axis=axis))
+    for n in (1, 2, 3, 8):
+        shape = [5, 6, 7]
+        shape[axis] = n
+        f = np.random.default_rng(axis + order + n).standard_normal(shape)
+        padded = f.take(np.arange(-w, n + w) % n, axis=axis)
+        at = dg._neighbours(f, axis, order)
+        for k in range(-w, w + 1):
+            assert np.array_equal(at(k), padded.take(np.arange(w + k, w + k + n), axis=axis))
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_a_wrap_built_once_sees_later_writes_to_the_interior(n):
+    # a run keeps a buffer's fill; each call must wrap what the interior holds then
+    w, rng = 2, np.random.default_rng(n)
+    padded = np.full((3, n + 2 * w), np.nan)
+    fill = dg._halo(padded, (1,), w)
+    interior = padded[:, w:-w]
+    for _ in range(2):
+        f = rng.standard_normal((3, n))
+        assert fill(f) is padded
+        assert np.array_equal(padded, f.take(np.arange(-w, n + w) % n, axis=1))
+        interior[...] = rng.standard_normal((3, n))
+        fill()
+        assert np.array_equal(padded, interior.take(np.arange(-w, n + w) % n, axis=1))
 
 
 @pytest.mark.parametrize("order", [2, 4])

@@ -18,6 +18,7 @@ from skewflow.errors import (
     CurvatureDegeneracyAbort,
     EvolutionAbort,
     SelfIntersectionAbort,
+    VacuumAbort,
 )
 
 
@@ -87,43 +88,9 @@ def test_tridiag_solve_matches_dense_solve(n):
     rng = np.random.default_rng(n)
     matrix, rhs = _notaknot_like_system(rng, n)
     a, b, c = np.diag(matrix, -1), np.diag(matrix), np.diag(matrix, 1)
-    got = fl._tridiag_solve(fl._tridiag_factor(a, b, c), rhs)
+    got = fl._tridiag_solve(a, b, c, rhs)
     want = np.linalg.solve(matrix, rhs)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-
-
-def _loop_pivots(a, b, c):
-    """The pivot recurrence p_i = b_i - a_{i-1} c_{i-1} / p_{i-1}, one row at a
-    time: the reference for _tridiag_factor's sweeps."""
-    q = (a * c).tolist()
-    p = float(b[0])
-    pivots = [p]
-    for bi, qi in zip(b[1:].tolist(), q):
-        p = bi - qi / p
-        pivots.append(p)
-    return np.array(pivots)
-
-
-def test_tridiag_pivots_equal_the_loop_recurrence(monkeypatch):
-    systems, factor = [], fl._tridiag_factor
-
-    def recorded(a, b, c):
-        systems.append((a, b, c))
-        return factor(a, b, c)
-
-    monkeypatch.setattr(fl, "_tridiag_factor", recorded)
-    fl._unit_notaknot_factors.cache_clear()
-    fl.arclength_resample(fl.perturbed_circle(1.0, 0.3, 5, 64))
-    assert [b.size for _, b, _ in systems] == [257, 257]  # unit and arclength knots
-    rng = np.random.default_rng(11)
-    for n in (3, 4, 17, 1025):
-        matrix, _ = _notaknot_like_system(rng, n)
-        systems.append((np.diag(matrix, -1), np.diag(matrix), np.diag(matrix, 1)))
-        a, c = rng.uniform(-1.0, 1.0, (2, n - 1))
-        systems.append((a, rng.uniform(2.0, 3.0, n) * rng.choice([-1.0, 1.0], n), c))
-    for a, b, c in systems:
-        pivots, _, _ = factor(a, b, c)
-        assert pivots.tobytes() == _loop_pivots(a, b, c).tobytes()
 
 
 def test_curve_validation():
@@ -772,3 +739,20 @@ def test_square_profiles_skip_the_wave_corner_above_the_holonomy_tol():
     profiles, status = fl.square_profiles(start, final, 1e-3, 0.01, holonomy_tol=2.0 * defect)
     assert set(status.values()) == {"ok"}
     assert max(fl.square_gaps(profiles).values()) <= 5e-3
+
+
+def test_an_input_guard_abort_carries_the_input():
+    # kappa reaches zero at one sample: the curvature/torsion and fluid guards
+    # trip on the input, before the first step, and the abort carries it
+    s = np.arange(64) * (2.0 * np.pi / 64)
+    kappa, tau = 1.0 + np.cos(s), 0.1 * np.sin(s)
+    with pytest.raises(CurvatureDegeneracyAbort) as err:
+        fl.darios_evolve(kappa, tau, 2.0 * np.pi, 1e-4, 1e-3)
+    assert err.value.t == 0.0 and err.value.trajectory.times == [0.0]
+    (y0,) = err.value.trajectory.states
+    assert np.array_equal(y0, [kappa, tau])
+    state = fl.FluidState1D(np.maximum(kappa, 1e-12) ** 2, 2.0 * tau, 2.0 * np.pi)
+    with pytest.raises(VacuumAbort) as err:
+        fl.fluid_evolve(state, 1e-4, 1e-3)
+    assert err.value.t == 0.0 and err.value.trajectory.times == [0.0]
+    assert err.value.trajectory.states[0] is state

@@ -202,7 +202,11 @@ def test_padded_stage_equals_the_unpadded_pipeline_bitwise(shape, order):
         assert v.shape == (4,) + tuple(N + order for N in shape)
         expected = _unpadded_stage(imm.points, imm.spacings, order)
         assert np.array_equal(dg.interior_points(v, order), expected)
-        assert np.array_equal(v, dg.wrap_halo(v.copy(), order))  # the halo is the wrap
+        w = order // 2
+        wrapped = v[:, w:-w, w:-w]
+        for axis, N in enumerate(shape, 1):  # the halo is the wrap
+            wrapped = wrapped.take(np.arange(-w, N + w) % N, axis=axis)
+        assert np.array_equal(v, wrapped)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

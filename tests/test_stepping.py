@@ -125,9 +125,9 @@ def _nls(dt, T, stride):
 SOLVERS = {
     "filament": (_filament, 1e-3, (fl, "binormal_rhs"), 4),
     "membrane": (_membrane, 1e-3, (mb, "smc_rhs"), 4),
-    # a curvature/torsion or fluid stage wraps two padded buffers
-    "darios": (_darios, 2e-4, (dg, "wrap_halo"), 8),
-    "fluid": (_fluid, 2e-4, (dg, "wrap_halo"), 8),
+    # a curvature/torsion or fluid stage takes two first differences
+    "darios": (_darios, 2e-4, (dg, "_first"), 8),
+    "fluid": (_fluid, 2e-4, (dg, "_first"), 8),
     "nls": (_nls, 2e-4, (fl, "WaveField"), 1),
 }
 

@@ -12,7 +12,9 @@ validate lines are compared by their pass/fail status only.
 Exits 1 on a structural mismatch: a file present on one side only, a
 different CSV header, row count or snapshot header, NaN in different
 places, a validate PASS/FAIL flip, or an unrecognised file whose bytes
-differ.  manifest.txt files hold timings and are skipped.  Exits 0
+differ.  manifest.txt files hold timings and are skipped.  A crosscheck
+report kept as `*.stdout` is the two-space-separated twin of its
+crosscheck.csv and is compared column by column the same way.  Exits 0
 otherwise, whatever the size of the differences.
 """
 
@@ -23,6 +25,7 @@ import sys
 
 SKIPPED = {"manifest.txt"}
 STATUS_COLUMNS = {"status"}
+CROSSCHECK_COLUMNS = ["pair", "linf_gap", "tol", "status"]
 
 
 def _files(root):
@@ -58,10 +61,23 @@ def _floats(values):
 
 
 def _compare_csv(path_a, path_b):
-    """Yield (column, result): result is (max abs, max rel) or a note, and a
-    note that starts with '!' is a structural mismatch."""
     with open(path_a, newline="") as fa, open(path_b, newline="") as fb:
-        rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
+        yield from _compare_rows(list(csv.reader(fa)), list(csv.reader(fb)))
+
+
+def _report_rows(path):
+    with open(path) as fh:
+        return [CROSSCHECK_COLUMNS] + [line.split("  ") for line in fh.read().splitlines()]
+
+
+def _compare_crosscheck_stdout(path_a, path_b):
+    yield from _compare_rows(_report_rows(path_a), _report_rows(path_b))
+
+
+def _compare_rows(rows_a, rows_b):
+    """Yield (column, result) for two tables, header row first: result is
+    (max abs, max rel) or a note, and a note that starts with '!' is a
+    structural mismatch."""
     if not rows_a or not rows_b or rows_a[0] != rows_b[0]:
         yield "(header)", "!header differs"
         return
@@ -124,6 +140,8 @@ def _comparer(rel, path):
         return _compare_csv
     if os.path.basename(rel) == "stdout.txt":
         return _compare_validate_stdout
+    if rel.endswith(".stdout"):
+        return _compare_crosscheck_stdout
     with open(path) as fh:
         if fh.readline().startswith("dim "):
             return _compare_snapshot
