@@ -119,8 +119,7 @@ class GridImmersion:
             raise ValueError("need one parameter period per grid axis")
         if not all(math.isfinite(p) and p > 0 for p in self.param_periods):
             raise ValueError(f"param_periods must be finite and > 0, got {self.param_periods}")
-        if any(N < MIN_GRID for N in pts.shape[:-1]):
-            raise ValueError(f"grid sizes must be >= {MIN_GRID}, got {pts.shape[:-1]}")
+        check_grid_sizes(pts.shape[:-1])
         if not all_finite(pts):
             raise ValueError("immersion contains non-finite points")
 
@@ -153,7 +152,6 @@ class ShapeField:
     t: np.ndarray               # (n, d, *s)
     g: np.ndarray               # (n, n, *s)
     g_inv: np.ndarray           # (n, n, *s)
-    det_g: np.ndarray           # (*s,)
     sqrt_det_g: np.ndarray      # (*s,)
     A: np.ndarray               # (n, n, d, *s), normal-valued
     H: np.ndarray               # (d, *s)
@@ -633,7 +631,6 @@ def shape_field(imm, order=2, ws=_fresh):
         t=_read_only(np.array([ti[inner] for ti in t])),
         g=_read_only(np.array([[gij[inner] for gij in row] for row in g])),
         g_inv=_read_only(np.array([[gij[inner] for gij in row] for row in g_inv])),
-        det_g=det_g[inner].copy(),
         sqrt_det_g=np.sqrt(det_g[inner]),
         A=_read_only(A),
         H=_read_only(H),

@@ -54,7 +54,7 @@ from .errors import (
     SelfIntersectionAbort,
     VacuumAbort,
 )
-from .stepping import check_times, input_guard, integrate, rk4_step, step_count
+from .stepping import check_times, integrate, rk4_step, step_count
 
 KAPPA_MIN = 1e-8       # torsion mask / Da Rios singularity guard
 RHO_MIN = 1e-10        # vacuum guard for the fluid form
@@ -361,45 +361,41 @@ def stability_limit(n, period):
 
 
 def evolve_filament(curve, dt, t_final, stride=None):
-    """RK4 evolution under the binormal flow; returns a stepping.Trajectory.
+    """RK4 evolution under the binormal flow; returns a stepping.Trajectory
+    of GridImmersions.
 
     The input is resampled to uniform arclength once, and the flow runs on
     that grid: its velocity is normal to the curve, so the parametrization
-    drifts only by truncation.  Snapshots are recorded every `stride` steps
-    (default: initial and final only).  The self-intersection proxy and the
-    velocity blow-up cap are checked at the start, every GUARD_EVERY steps
-    and at the last step; non-finite coordinates abort at any step, and a
-    step size above the dispersion stability bound is rejected up front.
-    Only the steps the trajectory records build a GridImmersion.
+    drifts only by truncation.  The state is the (N, 3) points, and only
+    the recorded ones, every `stride` steps (default: initial and final
+    only), become GridImmersions.  A step size above the dispersion
+    stability bound is rejected up front, before any guard.  The guard
+    aborts on non-finite coordinates at any step, and checks the
+    self-intersection proxy and the velocity blow-up cap on the input, every
+    GUARD_EVERY steps and at the last step.
     """
     c = arclength_resample(curve)
     (n,), (period,) = c.shape, c.param_periods
     d_min = D_MIN_FACTOR * period / n
     nsteps = step_count(dt, t_final, stride)
-    ws = dg.Workspace()
-
-    def checks(pts, t):
-        if np.max(np.abs(binormal_rhs(pts, period, ws))) > BLOWUP_CAP:
-            raise BlowUpAbort("binormal velocity exceeded the blow-up cap", t)
-        if min_nonneighbor_distance(pts) < d_min:
-            raise SelfIntersectionAbort("non-neighbor samples closer than d_min", t)
-
-    def step(pts, i):
-        if isinstance(pts, dg.GridImmersion):  # the initial state or a recorded one
-            pts = pts.points
-        pts = rk4_step(lambda p: binormal_rhs(p, period, ws), pts, dt)
-        if not np.all(np.isfinite(pts)):
-            raise BlowUpAbort("non-finite coordinates", i * dt)
-        if i % GUARD_EVERY == 0 or i == nsteps:
-            checks(pts, i * dt)
-        return dg.GridImmersion(pts, c.param_periods) if i % (stride or nsteps) == 0 else pts
-
-    with input_guard(c):
-        checks(c.points, 0.0)
     dt_max = stability_limit(n, period)
     if dt > dt_max:
         raise ValueError(f"dt={dt:.3e} above the stability bound {dt_max:.3e} at N={n}")
-    return integrate(step, c, dt, t_final, stride)
+    ws = dg.Workspace()
+
+    def guard(pts, i):
+        if not np.all(np.isfinite(pts)):
+            raise BlowUpAbort("non-finite coordinates", i * dt)
+        if i % GUARD_EVERY and i != nsteps:
+            return
+        if np.max(np.abs(binormal_rhs(pts, period, ws))) > BLOWUP_CAP:
+            raise BlowUpAbort("binormal velocity exceeded the blow-up cap", i * dt)
+        if min_nonneighbor_distance(pts) < d_min:
+            raise SelfIntersectionAbort("non-neighbor samples closer than d_min", i * dt)
+
+    return integrate(lambda pts, i: rk4_step(lambda p: binormal_rhs(p, period, ws), pts, dt),
+                     c.points, dt, t_final, stride, guard=guard,
+                     record=lambda pts, t: dg.GridImmersion(pts, c.param_periods))
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +483,7 @@ def nls_evolve(wave, dt, t_final, stride=None):
     space, half-step nonlinear.  Mass is conserved to roundoff.  Returns a
     stepping.Trajectory of WaveFields.  ValueError unless the grid size is a
     power of two (1 included) and the domain length L is finite and > 0.
+    The state is the samples psi; only the recorded ones become WaveFields.
     """
     m = wave.m
     if m < 1 or m & (m - 1):
@@ -497,15 +494,17 @@ def nls_evolve(wave, dt, t_final, stride=None):
     k = 2.0 * np.pi * np.fft.fftfreq(m, d=wave.L / m)
     linear = np.exp(-1j * dt * (k * k))
 
-    def step(w, i):
-        psi = w.psi * np.exp(0.25j * dt * np.abs(w.psi) ** 2)
-        psi = np.fft.ifft(np.fft.fft(psi) * linear)
+    def step(psi, i):
         psi = psi * np.exp(0.25j * dt * np.abs(psi) ** 2)
-        if not np.all(np.isfinite(psi.view(float))):
-            raise EvolutionAbort("wave function became non-finite", i * dt)
-        return WaveField(psi, wave.L)
+        psi = np.fft.ifft(np.fft.fft(psi) * linear)
+        return psi * np.exp(0.25j * dt * np.abs(psi) ** 2)
 
-    return integrate(step, wave, dt, t_final, stride)
+    def guard(psi, i):
+        if not np.all(np.isfinite(psi)):
+            raise EvolutionAbort("wave function became non-finite", i * dt)
+
+    return integrate(step, wave.psi, dt, t_final, stride, guard=guard,
+                     record=lambda psi, t: WaveField(psi, wave.L))
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +540,10 @@ def darios_evolve(kappa, tau, length, dt, t_final, stride=None):
     """Method-of-lines RK4 for the curvature/torsion system, on two padded
     rows buffers (_padded_rows).
 
-    Returns a stepping.Trajectory of stacked (kappa, tau) arrays.  Aborts when
-    kappa touches KAPPA_MIN (the kappa''/kappa term is singular there; the
-    system offers no desingularization).
+    Returns a stepping.Trajectory of stacked (kappa, tau) arrays.  The guard
+    aborts on non-finite fields, and where kappa touches KAPPA_MIN, the input
+    included (the kappa''/kappa term is singular there; the system offers no
+    desingularization).
     """
     y0 = np.stack([np.asarray(kappa, dtype=float), np.asarray(tau, dtype=float)])
     level1, level2 = _padded_rows(y0.shape[1], length)
@@ -553,21 +553,14 @@ def darios_evolve(kappa, tau, length, dt, t_final, stride=None):
         (d_kkt, d_t), kpp = level1(k * k * t, t, k)
         return np.array((-d_kkt / k, -2.0 * t * d_t + level2(0.5 * k * k + kpp / k)))
 
-    def guarded(y, t):
-        if y[0].min() <= KAPPA_MIN:
-            raise CurvatureDegeneracyAbort("curvature touched kappa_min", t)
-        return y
-
-    def step(y, i):
-        y = rk4_step(rhs, y, dt)
+    def guard(y, i):
         if not np.all(np.isfinite(y)):
             raise EvolutionAbort("curvature/torsion became non-finite", i * dt)
-        return guarded(y, i * dt)
+        if y[0].min() <= KAPPA_MIN:
+            raise CurvatureDegeneracyAbort("curvature touched kappa_min", i * dt)
 
-    with input_guard(y0):
-        guarded(y0, 0.0)
-    with np.errstate(all="ignore"):  # blow-ups are caught by the guards
-        return integrate(step, y0, dt, t_final, stride)
+    with np.errstate(all="ignore"):  # blow-ups are caught by the guard
+        return integrate(lambda y, i: rk4_step(rhs, y, dt), y0, dt, t_final, stride, guard=guard)
 
 
 @dataclass(frozen=True)
@@ -597,7 +590,9 @@ def fluid_evolve(state, dt, t_final, stride=None):
     rho_t = -(rho v)' keeps the discrete total mass exact; the velocity
     equation uses the same stencils as the curvature/torsion system, making
     the two solvers exactly conjugate under rho = kappa^2, v = 2 tau.
-    Returns a stepping.Trajectory of FluidState1D, built for its records alone.
+    The state is the stacked (rho, v) arrays; the guard aborts on non-finite
+    fields, and where rho touches RHO_MIN, the input included.  Returns a
+    stepping.Trajectory of FluidState1D, built for its records alone.
     """
     L = state.L
     level1, level2 = _padded_rows(state.rho.size, L)
@@ -608,47 +603,17 @@ def fluid_evolve(state, dt, t_final, stride=None):
         (d_rhov, d_v), sqpp = level1(rho * v, v, sq)
         return np.array((-d_rhov, -v * d_v + level2(rho + 2.0 * sqpp / sq)))
 
-    def guarded(y, t, record=True):
-        # before FluidState1D, which rejects rho <= 0 with a ValueError
-        if y[0].min() <= RHO_MIN:
-            raise VacuumAbort("density touched rho_min", t)
-        return FluidState1D(y[0], y[1], L) if record else y
-
-    def step(y, i):
-        if isinstance(y, FluidState1D):  # the initial state or a recorded one
-            y = np.array((y.rho, y.v))
-        y = rk4_step(rhs, y, dt)
+    def guard(y, i):
+        # before a step's record, FluidState1D, which rejects rho <= 0 with a ValueError
         if not np.all(np.isfinite(y)):
             raise EvolutionAbort("fluid state became non-finite", i * dt)
-        return guarded(y, i * dt, i % (stride or nsteps) == 0)  # the steps integrate records
+        if y[0].min() <= RHO_MIN:
+            raise VacuumAbort("density touched rho_min", i * dt)
 
-    with input_guard(state):
-        y0 = guarded(np.stack([state.rho.astype(float), state.v.astype(float)]), 0.0)
-    nsteps = step_count(dt, t_final, stride)
-    with np.errstate(all="ignore"):  # vacuum crossings are caught by the guards
-        return integrate(step, y0, dt, t_final, stride)
-
-
-# ---------------------------------------------------------------------------
-# Madelung transform
-# ---------------------------------------------------------------------------
-
-def madelung(rho, theta):
-    """psi = sqrt(rho) e^(i theta / 2); with rho = kappa^2, theta = 2 int tau
-    this is exactly the Hasimoto wave function."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0):
-        raise ValueError("Madelung transform needs rho > 0 (phase undefined in vacuum)")
-    return np.sqrt(rho) * np.exp(0.5j * np.asarray(theta, dtype=float))
-
-
-def madelung_inverse(psi):
-    """Recover (rho, theta): rho = |psi|^2, theta = 2 * unwrapped arg psi."""
-    psi = np.asarray(psi, dtype=complex)
-    rho = np.abs(psi) ** 2
-    if rho.min() <= RHO_MIN:
-        raise ValueError("wave function touches vacuum; phase undefined")
-    return rho, 2.0 * np.unwrap(np.angle(psi))
+    y0 = np.stack([state.rho.astype(float), state.v.astype(float)])
+    with np.errstate(all="ignore"):  # vacuum crossings are caught by the guard
+        return integrate(lambda y, i: rk4_step(rhs, y, dt), y0, dt, t_final, stride,
+                         guard=guard, record=lambda y, t: FluidState1D(y[0], y[1], L))
 
 
 # ---------------------------------------------------------------------------

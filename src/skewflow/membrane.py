@@ -95,11 +95,12 @@ def evolve_membrane(imm, dt, t_final, stride=1, order=2):
     """RK4 Lagrangian-marker evolution, snapshots every `stride` steps.
 
     The RK4 state is the padded planes of smc_rhs, so a stage needs no copy
-    in, wrap or transpose out; the finiteness check reads their interior.
-    Only the steps that the trajectory records build a snapshot, a
-    GridImmersion of the interior, and the next step pads it again.  Raises
-    ValueError for an input that is not a membrane or a step size above the
-    stability estimate, and EvolutionAbort on metric degeneration,
+    in, wrap or transpose out; the guard checks their interior for
+    non-finite coordinates.  Only the recorded steps build a snapshot, a
+    GridImmersion of the interior, and check its stability estimate against
+    dt; the record at t = 0 is imm itself, whose estimate is taken up front.
+    Raises ValueError for an input that is not a membrane or a step size
+    above the stability estimate, and EvolutionAbort on metric degeneration,
     non-finite coordinates, or a snapshot whose stability estimate has
     dropped below dt.  The estimates read the tangents alone, so the run
     builds no shape field: the returned stepping.Trajectory, and the one an
@@ -107,28 +108,29 @@ def evolve_membrane(imm, dt, t_final, stride=1, order=2):
     """
     if imm.dim != 2:
         raise ValueError(f"need a dim-2 immersion in R^4, got dim={imm.dim}")
-    nsteps = step_count(dt, t_final, stride)
+    step_count(dt, t_final, stride)  # its ValueErrors before the stability estimate's
     ws = dg.Workspace()  # every stage and stability estimate of this run works in it
     dt_max = stability_limit(imm, order, ws)
     if dt > dt_max:
         raise ValueError(f"dt={dt:.3e} above the stability estimate {dt_max:.3e}")
     periods, spacings = imm.param_periods, imm.spacings
 
-    def step(y, i):
-        if isinstance(y, dg.GridImmersion):  # the initial state or a recorded snapshot
-            y = dg.pad_planes(y.points, order)
-        y = rk4_step(lambda p: smc_rhs(p, spacings, order, ws), y, dt)
+    def guard(y, i):
         if not dg.all_finite(dg.interior(y, order)):
             raise EvolutionAbort("non-finite coordinates", i * dt)
-        if not ((stride and i % stride == 0) or i == nsteps):
-            return y
+
+    def record(y, t):
+        if t == 0.0:
+            return imm
         snap = dg.GridImmersion(dg.interior_points(y, order), periods)
         if dt > stability_limit(snap, order, ws):
-            raise EvolutionAbort("dt no longer within the stability estimate", i * dt)
+            raise EvolutionAbort("dt no longer within the stability estimate", t)
         return snap
 
-    with np.errstate(all="ignore"):  # a non-finite stage is caught by the step-end check
-        return integrate(step, imm, dt, t_final, stride)
+    with np.errstate(all="ignore"):  # a non-finite stage is caught by the guard
+        return integrate(lambda y, i: rk4_step(lambda p: smc_rhs(p, spacings, order, ws), y, dt),
+                         dg.pad_planes(imm.points, order), dt, t_final, stride,
+                         guard=guard, record=record)
 
 
 def extract_radii(imm):

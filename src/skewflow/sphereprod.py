@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CollapseError, EvolutionAbort, UnsupportedDimensionError
 from .diffgeo import torus_immersion
-from .stepping import integrate
+from .stepping import integrate, rk4_step
 
 A_STOP_DEFAULT = 1e-3   # default radius floor for run-to-collapse mode
 
@@ -122,19 +122,12 @@ def willmore_rate(state):
         * a ** (m - 1) * b ** (l - 1) * (m / a ** 2 - l / b ** 2)
 
 
-def _rk4(m, l, a, b, h):
-    k1a, k1b = ode_rhs(m, l, a, b)
-    k2a, k2b = ode_rhs(m, l, a + 0.5 * h * k1a, b + 0.5 * h * k1b)
-    k3a, k3b = ode_rhs(m, l, a + 0.5 * h * k2a, b + 0.5 * h * k2b)
-    k4a, k4b = ode_rhs(m, l, a + h * k3a, b + h * k3b)
-    return (a + h * (k1a + 2 * k2a + 2 * k3a + k4a) / 6.0,
-            b + h * (k1b + 2 * k2b + 2 * k3b + k4b) / 6.0)
-
-
 def _run(state, dt, record_every, t_final=None, done=None, max_steps=math.inf):
     """RK4 run of the radii through stepping.integrate, dt halved while a < 10 h l / b,
     as a SphereProductTrajectory (an abort carries one too).  The loop carries them as
-    y = a + ib: a recorded row holds 32 bytes, against 104 for a tuple of two floats."""
+    y = a + ib, one complex scalar to stepping.rk4_step: a recorded row holds 32 bytes,
+    against 104 for a tuple of two floats.  The step, not a guard, checks the radii, as
+    its abort needs the running time t."""
     m, l = state.m, state.l
 
     def step_size(y, t):
@@ -148,10 +141,10 @@ def _run(state, dt, record_every, t_final=None, done=None, max_steps=math.inf):
     # h <= a b / (10 l) keeps every stage's a above 0.9 a and its b above b: no
     # stage divides by zero
     def step(y, t, h):
-        a, b = _rk4(m, l, y.real, y.imag, h)
-        if a <= 0 or b <= 0 or not (math.isfinite(a) and math.isfinite(b)):
+        y = rk4_step(lambda y: complex(*ode_rhs(m, l, y.real, y.imag)), y, h)
+        if not (0 < y.real < math.inf and 0 < y.imag < math.inf):  # NaN fails both
             raise EvolutionAbort("radius left the positive quadrant", t)
-        return complex(a, b)
+        return y
 
     def arrays(traj):
         y = np.array(traj.states)
@@ -180,25 +173,16 @@ def run_to_collapse(state, dt, a_stop=A_STOP_DEFAULT, record_every=1, max_steps=
     return _run(state, dt, record_every, done=lambda t, y: y.real <= a_stop, max_steps=max_steps)
 
 
-def _table(states):
-    """Columns t, a, b, hamiltonian, volume, willmore, dW_dt of a sequence of states."""
+def trajectory_table(traj):
+    """Columns t, a, b, hamiltonian, volume, willmore, dW_dt along a numeric
+    trajectory."""
+    states = [traj.state(i) for i in range(len(traj.times))]
     columns = {
         "t": lambda s: s.t, "a": lambda s: s.a, "b": lambda s: s.b,
         "hamiltonian": hamiltonian, "volume": volume, "willmore": willmore,
         "dW_dt": willmore_rate,
     }
     return {name: np.array([f(s) for s in states]) for name, f in columns.items()}
-
-
-def willmore_series(state, times):
-    """Closed-form table at the given elapsed times, all before the collapse
-    time (see _table for the columns)."""
-    return _table([closed_form(state, t) for t in times])
-
-
-def trajectory_table(traj):
-    """Same columns as willmore_series, evaluated along a numeric trajectory."""
-    return _table([traj.state(i) for i in range(len(traj.times))])
 
 
 def embed(state, shape):

@@ -1,11 +1,11 @@
-"""The time loop of all six solvers: fixed steps for the five grid solvers,
-variable ones from a step-size rule for the sphere-product radii.
+"""The time loop of all six solvers (fixed steps for the five grid solvers,
+variable ones for the sphere-product radii) and the RK4 step of all but NLS.
 
-Each solver hands `integrate` a per-step function that keeps its own guards;
-`integrate` owns the step count, the stop tests, the snapshot cadence, absolute
-abort times and the snapshots an abort carries."""
+Each solver hands `integrate` its step (the update alone), its guard (every
+check on a state) and its record (what a recorded state becomes); `integrate`
+owns the step count, the stop tests, when the guard runs, the snapshot cadence,
+absolute abort times and the records an abort carries."""
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -54,41 +54,36 @@ def step_count(dt, t_final, stride=None):
     return nsteps
 
 
-@contextlib.contextmanager
-def input_guard(y0):
-    """An EvolutionAbort raised in the block, by a solver's guards on its
-    input y0 before integrate starts, carries Trajectory([0.0], [y0]): the
-    record of a run stopped at its input, as integrate's aborts carry theirs."""
-    try:
-        yield
-    except EvolutionAbort as exc:
-        exc.trajectory = Trajectory([0.0], [y0])
-        raise
-
-
 def integrate(step, y0, dt, t_final, stride=None, done=None, step_size=None,
-              max_steps=math.inf, t0=0.0):
+              max_steps=math.inf, t0=0.0, guard=None, record=None):
     """Advance y0 from time t0 to t0 + t_final (None: no horizon) or until done(t, y).
 
     Fixed steps: y = step(y, i) for i = 1, 2, ..., step i ending at t0 + i*dt.
     Variable steps: y = step(y, t, h) from time t with h = step_size(y, t), cut
     short to end at the horizon; t is the running sum of the steps.
-    Records y0, every stride-th state (stride None or 0: none) and the state the
-    run stops on.  An EvolutionAbort from a callback, or max_steps taken without
-    a stop, leaves with the record so far as `exc.trajectory`; a degenerate
-    immersion inside a step becomes such an abort at the step's end."""
+    guard(y, i) checks y0 (i = 0) once it is recorded and each later state
+    before it is.  The trajectory holds record(y, t) (default y) of y0, every
+    stride-th state (stride None or 0: none) and the state the run stops on;
+    step, done and step_size get the raw y.  An EvolutionAbort from a callback, or
+    max_steps taken without a stop, leaves with the records so far as
+    `exc.trajectory`; a degenerate immersion inside a step, its guard or its
+    record becomes such an abort at the step's end."""
     fixed = step_size is None
     if fixed:
         nsteps, t_end = step_count(dt, t_final, stride), math.inf
     else:
         check_times(dt, t_final or 0.0)
         nsteps, t_end = None, math.inf if t_final is None else t0 + t_final
+    guard = guard or (lambda y, i: None)
+    record = record or (lambda y, t: y)
     # a step cut short to end at t_end may end an ulp short of it
     t_near = t_end - 1e-15 * max(1.0, t_end) if t_end < math.inf else t_end
-    traj = Trajectory([t0], [y0])
-    y, t, i = y0, t0, 0
-    stop = i == nsteps or t >= t_near or (done is not None and done(t, y))
+    traj, y, t, i = Trajectory(), y0, t0, 0
     try:
+        traj.states.append(record(y, t))
+        traj.times.append(t)
+        guard(y, i)
+        stop = i == nsteps or t >= t_near or (done is not None and done(t, y))
         while not stop:
             if i >= max_steps:
                 raise EvolutionAbort(f"no stop within max_steps={max_steps}", t)
@@ -97,13 +92,14 @@ def integrate(step, y0, dt, t_final, stride=None, done=None, step_size=None,
             t_next = t0 + i * dt if fixed else t + h
             try:
                 y = step(y, i) if fixed else step(y, t, h)
+                guard(y, i)
+                t = t_next
+                stop = i == nsteps or t >= t_near or (done is not None and done(t, y))
+                if (stride and i % stride == 0) or stop:
+                    traj.states.append(record(y, t))
+                    traj.times.append(t)
             except DegenerateImmersionError as exc:
                 raise EvolutionAbort(f"geometry degenerated inside a step: {exc}", t_next) from exc
-            t = t_next
-            stop = i == nsteps or t >= t_near or (done is not None and done(t, y))
-            if (stride and i % stride == 0) or stop:
-                traj.times.append(t)
-                traj.states.append(y)
     except EvolutionAbort as exc:
         exc.trajectory = traj
         raise

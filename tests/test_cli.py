@@ -612,6 +612,20 @@ def test_an_abort_on_the_input_writes_the_input(tmp_path, capsys, args, table, s
     assert (out / "manifest.txt").exists()
 
 
+@pytest.mark.parametrize("args,message", [
+    (lambda tmp: ["fluid-run", "shape=perturbed_circle", "R=1", "eps=0.1", "k=3", "N=256",
+                  "dt=1e-4", "T=5e-4", "stride=3"], "multiple of the output stride"),
+    (lambda tmp: _close_strands(tmp)[:-2] + ["dt=1e-2", "T=0.02"], "stability bound"),
+], ids=["fluid-stride", "filament-stability"])
+def test_a_bad_configuration_exits_2_before_the_input_guard_runs(tmp_path, capsys, args,
+                                                                  message):
+    # the inputs of the test above trip their guards, but the configuration
+    # error comes first
+    code = cli.main(args(tmp_path) + ["--out", str(tmp_path / "run")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_sphere_run_collapse_abort_writes_recorded_rows(tmp_path, capsys):
     # a(t) = (1 - t)^2 collapses at t* = 1 < T: the step halving underflows there
     out = tmp_path / "sphere"

@@ -452,8 +452,18 @@ def test_stability_precondition():
 
 
 def test_blowup_abort():
-    with pytest.raises(BlowUpAbort):
-        fl.evolve_filament(fl.circle_curve(1e-7, 64), 1e-9, 1e-8)
+    tiny = fl.circle_curve(1e-7, 64)
+    # dt = 1e-9 is above the stability bound (5.1e-17), which is checked
+    # before the guard runs on the input
+    with pytest.raises(ValueError, match="stability"):
+        fl.evolve_filament(tiny, 1e-9, 1e-8)
+    # within it, the input's velocity, 1e7, trips the blow-up cap: the abort
+    # carries the input, resampled by arclength, as its one record
+    with pytest.raises(BlowUpAbort) as err:
+        fl.evolve_filament(tiny, 1e-17, 1e-16)
+    assert err.value.t == 0.0 and err.value.trajectory.times == [0.0]
+    (record,) = err.value.trajectory.states
+    assert np.array_equal(record.points, fl.arclength_resample(tiny).points)
 
 
 def test_curve_immersion_roundtrip(tmp_path):
@@ -655,29 +665,14 @@ def test_hasimoto_phase_is_cumulative_trapezoid_bitwise():
 
 
 def test_madelung_identities():
-    assert np.abs(fl.madelung(np.ones(8), np.zeros(8)) - 1.0).max() == 0.0
+    # the Madelung wave function sqrt(rho) e^(i theta / 2) of the fluid pair
+    # rho = kappa^2, theta = 2 int tau is the Hasimoto wave function
     fr = fl.frenet_data(fl.arclength_resample(fl.twisted_circle(1.0, 0.3, 2, 256)))
     rho = fr.kappa ** 2
     theta = 2.0 * cumulative_trapezoid(fr.tau, dx=fr.ds, initial=0.0)
-    psi = fl.madelung(rho, theta)
+    psi = np.sqrt(rho) * np.exp(0.5j * theta)
     wave, _ = fl.hasimoto(fr)
     assert np.abs(psi - wave.psi).max() < 1e-12
-
-
-def test_madelung_roundtrip():
-    rng = np.random.default_rng(9)
-    rho = 1.0 + 0.5 * rng.random(128)
-    theta = np.cumsum(rng.normal(scale=0.05, size=128))  # within one branch
-    r2, t2 = fl.madelung_inverse(fl.madelung(rho, theta))
-    assert np.abs(r2 - rho).max() < 1e-12
-    assert np.abs(t2 - theta).max() < 1e-12
-
-
-def test_madelung_vacuum_error():
-    with pytest.raises(ValueError):
-        fl.madelung(np.array([1.0, 0.0, 2.0]), np.zeros(3))
-    with pytest.raises(ValueError):
-        fl.madelung_inverse(np.array([1.0, 0.0, 1.0], dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -742,8 +737,11 @@ def test_square_profiles_skip_the_wave_corner_above_the_holonomy_tol():
 
 
 def test_an_input_guard_abort_carries_the_input():
-    # kappa reaches zero at one sample: the curvature/torsion and fluid guards
-    # trip on the input, before the first step, and the abort carries it
+    # kappa reaches zero at one sample, and psi is NaN at one: the
+    # curvature/torsion, fluid and NLS guards trip on the input, before the
+    # first step, and the abort carries it as its one record (the filament's
+    # case is in test_blowup_abort; the membrane's guard checks finiteness
+    # alone, which no GridImmersion input can fail)
     s = np.arange(64) * (2.0 * np.pi / 64)
     kappa, tau = 1.0 + np.cos(s), 0.1 * np.sin(s)
     with pytest.raises(CurvatureDegeneracyAbort) as err:
@@ -755,4 +753,12 @@ def test_an_input_guard_abort_carries_the_input():
     with pytest.raises(VacuumAbort) as err:
         fl.fluid_evolve(state, 1e-4, 1e-3)
     assert err.value.t == 0.0 and err.value.trajectory.times == [0.0]
-    assert err.value.trajectory.states[0] is state
+    (record,) = err.value.trajectory.states
+    assert np.array_equal(record.rho, state.rho) and np.array_equal(record.v, state.v)
+    psi = np.ones(64, dtype=complex)
+    psi[5] = np.nan
+    with pytest.raises(EvolutionAbort, match="wave function became non-finite") as err:
+        fl.nls_evolve(fl.WaveField(psi, 2.0 * np.pi), 1e-3, 1e-2)
+    assert err.value.t == 0.0 and err.value.trajectory.times == [0.0]
+    (record,) = err.value.trajectory.states
+    assert np.array_equal(record.psi, psi, equal_nan=True) and record.L == 2.0 * np.pi

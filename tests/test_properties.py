@@ -145,7 +145,7 @@ def _reference_shape_field(imm, order):
     return {
         "metric": metric,
         "metric_inv": metric_inv,
-        "det_g": np.linalg.det(metric),
+        "sqrt_det_g": np.sqrt(np.linalg.det(metric)),
         "second_form": second_form,
         "mean_curvature": H,
         "rho": np.einsum("...d,...d->...", H, H),

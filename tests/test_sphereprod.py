@@ -78,6 +78,31 @@ def test_rk4_matches_closed_forms():
         assert worst <= 1e-8, f"({m},{l}): {worst:.2e}"
 
 
+def _float_rk4(m, l, a, b, h):
+    """The RK4 step of the radii as a pair of floats, the reference formula
+    for stepping.rk4_step on y = a + ib."""
+    k1a, k1b = sp.ode_rhs(m, l, a, b)
+    k2a, k2b = sp.ode_rhs(m, l, a + 0.5 * h * k1a, b + 0.5 * h * k1b)
+    k3a, k3b = sp.ode_rhs(m, l, a + 0.5 * h * k2a, b + 0.5 * h * k2b)
+    k4a, k4b = sp.ode_rhs(m, l, a + h * k3a, b + h * k3b)
+    return (a + h * (k1a + 2 * k2a + 2 * k3a + k4a) / 6.0,
+            b + h * (k1b + 2 * k2b + 2 * k3b + k4b) / 6.0)
+
+
+@pytest.mark.parametrize("m,l,a,b,dt", [(1, 2, 1.0, 1.0, 1e-4), (2, 3, 2.0, 3.0, 1e-3)])
+def test_complex_rk4_radii_match_the_float_rk4(m, l, a, b, dt, monkeypatch):
+    # validate check 1's two runs to collapse
+    s0 = sp.SphereProductState(m, l, a, b)
+    traj = sp.run_to_collapse(s0, dt, a_stop=1e-10)
+    monkeypatch.setattr(sp, "rk4_step", lambda rhs, y, h: complex(
+        *_float_rk4(m, l, y.real, y.imag, h)))
+    ref = sp.run_to_collapse(s0, dt, a_stop=1e-10)
+    # the same steps, halvings and stop
+    assert np.array_equal(traj.times, ref.times)
+    assert np.abs(traj.a - ref.a).max() <= 1e-15
+    assert np.abs(traj.b / ref.b - 1.0).max() <= 1e-12
+
+
 def test_hamiltonian_conserved():
     s0 = sp.SphereProductState(1, 2, 1.0, 1.0)
     # machine-exact along closed forms
@@ -182,15 +207,16 @@ def test_volume_constant_along_closed_forms():
 
 def test_willmore_series_growth():
     s0 = sp.SphereProductState(1, 2, 1.0, 1.0)
-    table = sp.willmore_series(s0, [0.0, 0.5])
-    factor = (s0.m ** 2 / table["a"] ** 2 + s0.l ** 2 / table["b"] ** 2)
+    states = [sp.closed_form(s0, t) for t in (0.0, 0.5)]
+    # the Willmore energy over the volume is the factor m^2/a^2 + l^2/b^2
+    factor = [sp.willmore(s) / sp.volume(s) for s in states]
     assert abs(factor[0] - 5.0) < 1e-12
     assert abs(factor[1] - 17.0) < 1e-12
-    assert abs(table["volume"][1] / table["volume"][0] - 1.0) < 1e-12
+    assert abs(sp.volume(states[1]) / sp.volume(states[0]) - 1.0) < 1e-12
     # dW/dt = 2 m l V (m/(a^3 b) - l/(a b^3)) with V = 8 pi^2 a b^2: -32 pi^2 at
     # (a, b) = (1, 1), 32 pi^2 (32 - 1) at (1/4, 2)
-    assert table["dW_dt"] == pytest.approx([-32.0 * math.pi ** 2, 992.0 * math.pi ** 2],
-                                           rel=1e-13)
+    assert [sp.willmore_rate(s) for s in states] == pytest.approx(
+        [-32.0 * math.pi ** 2, 992.0 * math.pi ** 2], rel=1e-13)
 
 
 @pytest.mark.parametrize("m,l,a,b", [(1, 1, 1.0, 2.0), (1, 2, 1.0, 1.0), (2, 1, 1.0, 1.0),

@@ -128,7 +128,16 @@ SOLVERS = {
     # a curvature/torsion or fluid stage takes two first differences
     "darios": (_darios, 2e-4, (dg, "_first"), 8),
     "fluid": (_fluid, 2e-4, (dg, "_first"), 8),
-    "nls": (_nls, 2e-4, (fl, "WaveField"), 1),
+    "nls": (_nls, 2e-4, (np.fft, "fft"), 1),
+}
+
+# the record type of each solver that builds one (the Da Rios run records its
+# raw arrays)
+RECORDS = {
+    "filament": (dg, "GridImmersion"),
+    "membrane": (dg, "GridImmersion"),
+    "fluid": (fl, "FluidState1D"),
+    "nls": (fl, "WaveField"),
 }
 
 
@@ -190,3 +199,23 @@ def test_abort_carries_recorded_snapshots(name, monkeypatch):
     assert len(traj.times) >= 2 and len(traj.states) == len(traj.times)
     assert list(traj.times) == list(full.times[:len(traj.times)])
     assert traj.times[-1] < err.value.t <= traj.times[-1] + 4 * dt + 1e-15
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_only_recorded_states_build_a_record(name, monkeypatch):
+    run, dt, _, _ = SOLVERS[name]
+    module, attr = RECORDS[name]
+    built = [0]
+
+    class Counted(getattr(module, attr)):
+        def __init__(self, *args, **kwargs):
+            built[0] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, Counted)
+    run(dt, 0.0, None)  # builds the input and records it alone
+    at_input = built[0]
+    traj = run(dt, 20 * dt, 4)
+    assert len(traj.states) == 6
+    # the same input, then one record per recorded step: none at the other 15
+    assert built[0] == 2 * at_input + 5

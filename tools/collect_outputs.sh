@@ -40,7 +40,11 @@
 # touches zero, so the curvature/torsion and fluid corners abort), the
 # curvature/torsion and fluid solvers alone on that singular curve (both exit
 # 3, the curvature/torsion run at t = 1e-4 with its rows recorded so far, the
-# fluid run at t = 0; their standard error and exit status are kept),
+# fluid run at t = 0; their standard error and exit status are kept), the
+# fluid solver on the filament-square curve at dt = 1e-3, a step too large
+# for it (its state turns non-finite, so the run exits 3 at t = 0.008 with
+# its t = 0 rows; its standard error and exit status are kept, so a
+# non-finite abort reaches a compared file),
 # `crosscheck mode=sphere-membrane` on a 16 x 16 torus, once with the default
 # tolerances and once with --tol-profile strict, both `sphere-run`
 # examples of the README (to collapse and over a fixed horizon), the run to
@@ -79,7 +83,7 @@ src=$(cd "$1" && pwd)/src
 out=$2
 mkdir -p "$out/validate" "$out/validate_6" "$out/validate_3_4_9" "$out/validate_1_12_strict" \
     "$out/membrane_abort" "$out/sphere_underflow" "$out/pinched" "$out/curve_as_surface" \
-    "$out/darios_singular" "$out/fluid_singular"
+    "$out/darios_singular" "$out/fluid_singular" "$out/fluid_nonfinite"
 
 skewflow() {
     PYTHONPATH="$src" python3 -m skewflow.cli "$@"
@@ -155,6 +159,10 @@ for solver in darios fluid; do
         || status=$?
     echo "exit $status" >>"$out/${solver}_singular/stderr.txt"
 done
+status=0
+skewflow fluid-run shape=perturbed_circle R=1 eps=0.05 k=3 N=256 dt=1e-3 T=0.1 \
+    --out "$out/fluid_nonfinite" >/dev/null 2>"$out/fluid_nonfinite/stderr.txt" || status=$?
+echo "exit $status" >>"$out/fluid_nonfinite/stderr.txt"
 skewflow crosscheck mode=sphere-membrane n1=16 n2=16 order=2 dt=1e-3 T=0.02 \
     --out "$out/crosscheck_sphere" >"$out/crosscheck_sphere.stdout"
 skewflow crosscheck mode=sphere-membrane n1=16 n2=16 order=2 dt=1e-3 T=0.02 \
