@@ -189,7 +189,9 @@ def write_csv(path, header, rows):
     dg.atomic_write(path, buf.getvalue())
 
 
-def write_manifest(outdir, subcommand, params, wall_time):
+def write_manifest(outdir, subcommand, params, wall_time, notes):
+    """The config echo, its SHA-256 and the wall time, then one `key value`
+    line per note a runner measured on its input."""
     items = " ".join(f"{k}={params[k]}" for k in sorted(params))
     digest = hashlib.sha256(f"{subcommand} {items}".encode()).hexdigest()
     text = (
@@ -198,7 +200,7 @@ def write_manifest(outdir, subcommand, params, wall_time):
         f"config {items}\n"
         f"config_sha256 {digest}\n"
         f"wall_time_s {wall_time:.3f}\n"
-    )
+    ) + "".join(f"{k} {_fmt(v)}\n" for k, v in notes.items())
     dg.atomic_write(os.path.join(outdir, "manifest.txt"), text)
 
 
@@ -209,7 +211,7 @@ def _curve_from_params(p):
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners: return (exit_code, files) with files written by caller
+# subcommand runners: write their files and return (exit code, manifest notes)
 # ---------------------------------------------------------------------------
 
 def run_sphere(p, outdir):
@@ -227,7 +229,7 @@ def run_sphere(p, outdir):
     traj, code = _evolve("sphere-product", run)
     table = sp.trajectory_table(traj)
     write_csv(os.path.join(outdir, "sphere.csv"), list(table), zip(*table.values()))
-    return code
+    return code, {}
 
 
 def _evolve(label, run):
@@ -241,10 +243,12 @@ def _evolve(label, run):
         return exc.trajectory, 3
 
 
-def _run_1d(p, outdir, label, solve, table, columns, rows_of, diag_columns, diag_of):
+def _run_1d(p, outdir, label, solve, table, columns, rows_of, diag_columns, diag_of,
+            notes_of=lambda state: {}):
     """Run a 1D solver once, with ten snapshots unless `stride` is set, and
     write what it recorded: one `table` row per sample from rows_of(state),
-    one diagnostics.csv row per snapshot from diag_of(state)."""
+    one diagnostics.csv row per snapshot from diag_of(state).  Returns the
+    exit code and the manifest notes of the first state, notes_of(state)."""
     stride = p["stride"] or max(1, step_count(p["dt"], p["T"]) // 10)
     traj, code = _evolve(label, lambda: solve(stride))
     rows, diag = [], []
@@ -253,7 +257,19 @@ def _run_1d(p, outdir, label, solve, table, columns, rows_of, diag_columns, diag
         diag.append((t, *diag_of(state)))
     write_csv(os.path.join(outdir, table), ["t", "index", *columns], rows)
     write_csv(os.path.join(outdir, "diagnostics.csv"), ["t", *diag_columns], diag)
-    return code
+    return code, notes_of(traj.states[0])
+
+
+def _resolution_notes(start):
+    """The speed deviation of a filament run's resampled input, with a warning
+    on stderr where it shows a grid too coarse for the order-4 stencils."""
+    deviation = fl.speed_deviation(start)
+    if deviation > fl.SPEED_DEVIATION_WARN:
+        sys.stderr.write(
+            f"warning: speed deviation {deviation:.3g} of the resampled curve is above "
+            f"{fl.SPEED_DEVIATION_WARN:g}; the grid is too coarse for its order-4 stencils\n"
+        )
+    return {"speed_deviation": deviation}
 
 
 def run_filament(p, outdir):
@@ -263,6 +279,7 @@ def run_filament(p, outdir):
         lambda stride: fl.evolve_filament(curve, p["dt"], p["T"], stride=stride),
         "trajectory.csv", ["x", "y", "z"], lambda c: c.points,
         ["length", "willmore"], lambda c: (fl.curve_length(c), fl.willmore_1d(c)),
+        _resolution_notes,
     )
 
 
@@ -321,7 +338,7 @@ def run_membrane(p, outdir):
     cols = mb.diagnostics(traj, p["order"])
     names = list(cols)
     write_csv(os.path.join(outdir, "diagnostics.csv"), names, zip(*(cols[k] for k in names)))
-    return code
+    return code, {}
 
 
 def run_crosscheck(p, outdir, tol_scale):
@@ -356,7 +373,7 @@ def run_crosscheck(p, outdir, tol_scale):
     write_csv(os.path.join(outdir, "crosscheck.csv"), ["pair", "linf_gap", "tol", "status"], rows)
     for row in rows:
         print("  ".join(str(x) for x in row))
-    return 1 if failed else 0
+    return (1 if failed else 0), {}
 
 
 def run_validate(p, outdir, tol_scale):
@@ -366,7 +383,7 @@ def run_validate(p, outdir, tol_scale):
         print(f"{r.line()}   [{r.seconds:.1f}s]")
     rows = [(r.check_id, r.name, "pass" if r.passed else "fail", r.details) for r in results]
     write_csv(os.path.join(outdir, "validate.csv"), ["check", "name", "status", "details"], rows)
-    return 0 if results and all(r.passed for r in results) else 1
+    return (0 if results and all(r.passed for r in results) else 1), {}
 
 
 RUNNERS = {
@@ -428,10 +445,11 @@ def main(argv=None):
     try:
         os.makedirs(outdir, exist_ok=True)
         if name in CHECKERS:
-            code = CHECKERS[name](params, outdir, 0.5 if args.tol_profile == "strict" else 1.0)
+            code, notes = CHECKERS[name](params, outdir,
+                                         0.5 if args.tol_profile == "strict" else 1.0)
         else:
-            code = RUNNERS[name](params, outdir)
-        write_manifest(outdir, name, params, time.perf_counter() - started)
+            code, notes = RUNNERS[name](params, outdir)
+        write_manifest(outdir, name, params, time.perf_counter() - started, notes)
     except ValueError as exc:
         # ConfigError, and domain errors from builders, preconditions and input files
         sys.stderr.write(f"config error: {exc}\n")

@@ -40,10 +40,11 @@ ufuncs in a workspace ws: a Workspace of named arrays, made once and
 reused, or by default a fresh array per request.  evolve_membrane keeps one
 Workspace per run, so its RK4 stages allocate only their results, and its
 stability estimates run metric_planes there under names of their own.
-The filament solvers keep one per run for their stages, and the Da Rios
-and fluid stages keep padded rows there, each buffer's halo fill made once.
-Every stencil, product and sum keeps the operation order of the plain
-expression, so the results are bitwise those of allocating code.
+The 1D stages build their padded buffers once per run: the filament's
+points, and the Da Rios and fluid fields as padded rows in a Workspace,
+each buffer's halo fill and neighbour views made once.  Every stencil,
+product and sum keeps the operation order of the plain expression, so the
+results are bitwise those of allocating code.
 
 A ShapeField holds its fields as contiguous component planes, index axes
 first: t (n, d, *s), g and g_inv (n, n, *s), A (n, n, d, *s) and H (d, *s);
@@ -264,8 +265,8 @@ class Workspace:
     """Named float arrays, made on the first request for a name and handed
     out again on every later one: ws(name, shape).
 
-    evolve_membrane and the filament solvers keep one per run, so their RK4
-    stages allocate only their results.  An array a kernel returns
+    evolve_membrane and the Da Rios and fluid solvers keep one per run, so
+    their RK4 stages allocate only their results.  An array a kernel returns
     from here holds its values until the next request under the same name;
     "tmp" and "scalar_tmp" are scratch that any kernel may overwrite.
     """

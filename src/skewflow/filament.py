@@ -14,13 +14,15 @@ discretizations are exactly conjugate under (rho, v) = (kappa^2, 2 tau), and
 the conservative form -(rho v)' makes the discrete total mass exact.
 
 Spatial derivatives are 4th-order centered differences (diffgeo's periodic
-stencils); time stepping is classical RK4.  A stage pads its fields into its
-run's diffgeo.Workspace and wraps them once per derivative level: the
-filament's points, or the curvature/torsion and fluid fields as the rows of
-one buffer and the field built from their second difference.  The binormal
-velocity is normal to the curve, so arclength parametrization only drifts
-by truncation: a run resamples its input to uniform arclength once and
-never again.
+stencils); time stepping is classical RK4.  A run builds its stage once:
+padded buffers with their halo fill (diffgeo._halo) and neighbour views,
+and the planes the differences are taken into.  A stage call copies its
+fields into those buffers and wraps them once per derivative level: the
+filament's points (_binormal_stage), or the curvature/torsion and fluid
+fields as the rows of one buffer and the field built from their second
+difference (_padded_rows).  The binormal velocity is normal to the curve,
+so arclength parametrization only drifts by truncation: a run resamples its
+input to uniform arclength once and never again.
 
 The package depends on numpy alone, so a CLI call starts without loading a
 larger library.  The resampling's cubic splines (a periodic one through the
@@ -62,6 +64,7 @@ D_MIN_FACTOR = 0.2     # self-intersection proxy, fraction of mean sample spacin
 BLOWUP_CAP = 1e6       # abort when max |velocity| exceeds this
 GUARD_EVERY = 10       # steps between blow-up / self-intersection guards
 HOLONOMY_TOL = 1e-8    # torsion holonomy treated as a multiple of 2 pi
+SPEED_DEVIATION_WARN = 1e-3   # resampled speed deviation above which a grid is too coarse
 MIN_SAMPLES = 32
 
 # relative slack of the self-intersection guard's pruning bound, far above the
@@ -266,6 +269,14 @@ def curve_length(curve):
     return float(np.sum(speed) * curve.spacings[0])
 
 
+def speed_deviation(curve):
+    """max | |gamma'| / mean - 1 | of the order-4 speed: zero on a uniform
+    arclength grid that resolves the curve.  A resampled curve reads it well
+    above roundoff where the grid is too coarse for its stencils."""
+    speed = np.linalg.norm(derivative(curve.points, curve.param_periods[0], 1), axis=1)
+    return float(np.max(np.abs(speed / speed.mean() - 1.0)))
+
+
 def willmore_1d(curve):
     """Bending energy: Riemann sum of kappa^2 ds on the arclength grid."""
     gpp = derivative(curve.points, curve.param_periods[0], 2)
@@ -342,16 +353,29 @@ def min_nonneighbor_distance(points):
 # binormal flow
 # ---------------------------------------------------------------------------
 
-def binormal_rhs(points, period, ws=None):
+def _binormal_stage(n, period):
+    """rhs(points): the velocity gamma' x gamma'' of the filament equation on
+    n arclength samples, as a new array.  The points are padded into one
+    (n + 4, 3) buffer whose halo fill (diffgeo._halo) and neighbour views
+    are made here, once per run, and both differences are taken into planes
+    the stage owns; the velocity is bitwise that of per-call derivatives."""
+    h, padded = period / n, np.empty((n + 4, 3))
+    fill, at = dg._halo(padded, (0,), 2), dg._neighbour_views(padded, 0, 2)
+    gp, gpp, tmp = np.empty((3, n, 3))
+
+    def rhs(points):
+        fill(points)
+        dg._first(at, h, 4, gp, tmp)
+        dg._second(at, h, 4, gpp, tmp)
+        return dg.generalised_cross([gp.T], gpp.T).T
+
+    return rhs
+
+
+def binormal_rhs(points, period):
     """Velocity gamma' x gamma'' of the filament equation (arclength samples),
-    as a new array; both derivatives read one padded copy of the points and
-    write into the diffgeo.Workspace ws (by default a fresh one)."""
-    ws = dg.Workspace() if ws is None else ws
-    n = points.shape[0]
-    h, tmp, at = period / n, ws("tmp", (n, 3)), dg._neighbours(points, 0, 4)
-    gp = dg._first(at, h, 4, ws("gp", (n, 3)), tmp)
-    gpp = dg._second(at, h, 4, ws("gpp", (n, 3)), tmp)
-    return dg.generalised_cross([gp.T], gpp.T, ws=ws).T
+    as a new array: one call of the stage a filament run keeps."""
+    return _binormal_stage(points.shape[0], period)(points)
 
 
 def stability_limit(n, period):
@@ -369,8 +393,9 @@ def evolve_filament(curve, dt, t_final, stride=None):
     drifts only by truncation.  The state is the (N, 3) points, and only
     the recorded ones, every `stride` steps (default: initial and final
     only), become GridImmersions.  A step size above the dispersion
-    stability bound is rejected up front, before any guard.  The guard
-    aborts on non-finite coordinates at any step, and checks the
+    stability bound is rejected up front, before any guard.  The RK4 stages
+    and the guard call one _binormal_stage, built here for the run.  The
+    guard aborts on non-finite coordinates at any step, and checks the
     self-intersection proxy and the velocity blow-up cap on the input, every
     GUARD_EVERY steps and at the last step.
     """
@@ -381,19 +406,19 @@ def evolve_filament(curve, dt, t_final, stride=None):
     dt_max = stability_limit(n, period)
     if dt > dt_max:
         raise ValueError(f"dt={dt:.3e} above the stability bound {dt_max:.3e} at N={n}")
-    ws = dg.Workspace()
+    rhs = _binormal_stage(n, period)
 
     def guard(pts, i):
-        if not np.all(np.isfinite(pts)):
+        if not dg.all_finite(pts):
             raise BlowUpAbort("non-finite coordinates", i * dt)
         if i % GUARD_EVERY and i != nsteps:
             return
-        if np.max(np.abs(binormal_rhs(pts, period, ws))) > BLOWUP_CAP:
+        if np.max(np.abs(rhs(pts))) > BLOWUP_CAP:
             raise BlowUpAbort("binormal velocity exceeded the blow-up cap", i * dt)
         if min_nonneighbor_distance(pts) < d_min:
             raise SelfIntersectionAbort("non-neighbor samples closer than d_min", i * dt)
 
-    return integrate(lambda pts, i: rk4_step(lambda p: binormal_rhs(p, period, ws), pts, dt),
+    return integrate(lambda pts, i: rk4_step(rhs, pts, dt),
                      c.points, dt, t_final, stride, guard=guard,
                      record=lambda pts, t: dg.GridImmersion(pts, c.param_periods))
 
@@ -500,7 +525,7 @@ def nls_evolve(wave, dt, t_final, stride=None):
         return psi * np.exp(0.25j * dt * np.abs(psi) ** 2)
 
     def guard(psi, i):
-        if not np.all(np.isfinite(psi)):
+        if not dg.all_finite(psi):
             raise EvolutionAbort("wave function became non-finite", i * dt)
 
     return integrate(step, wave.psi, dt, t_final, stride, guard=guard,
@@ -554,7 +579,7 @@ def darios_evolve(kappa, tau, length, dt, t_final, stride=None):
         return np.array((-d_kkt / k, -2.0 * t * d_t + level2(0.5 * k * k + kpp / k)))
 
     def guard(y, i):
-        if not np.all(np.isfinite(y)):
+        if not dg.all_finite(y):
             raise EvolutionAbort("curvature/torsion became non-finite", i * dt)
         if y[0].min() <= KAPPA_MIN:
             raise CurvatureDegeneracyAbort("curvature touched kappa_min", i * dt)
@@ -605,7 +630,7 @@ def fluid_evolve(state, dt, t_final, stride=None):
 
     def guard(y, i):
         # before a step's record, FluidState1D, which rejects rho <= 0 with a ValueError
-        if not np.all(np.isfinite(y)):
+        if not dg.all_finite(y):
             raise EvolutionAbort("fluid state became non-finite", i * dt)
         if y[0].min() <= RHO_MIN:
             raise VacuumAbort("density touched rho_min", i * dt)

@@ -132,6 +132,22 @@ def test_filament_run_willmore_column_constant(tmp_path):
     assert max(abs(x / w[0] - 1.0) for x in w) <= 1e-4
 
 
+@pytest.mark.parametrize("shape,warns", [
+    (["eps=0.3", "k=5", "N=64"], True),      # the wobbly curve: deviation 0.142
+    (["eps=0.05", "k=3", "N=256"], False),   # the acceptance curve: 1.9e-7
+])
+def test_filament_run_reports_its_speed_deviation(tmp_path, capsys, shape, warns):
+    out = tmp_path / "fil"
+    code = cli.main(["filament-run", "shape=perturbed_circle", "R=1", *shape,
+                     "dt=1e-4", "T=1e-3", "--out", str(out)])
+    assert code == 0
+    notes = dict(line.split(" ", 1) for line in (out / "manifest.txt").read_text().splitlines())
+    deviation = float(notes["speed_deviation"])
+    assert (deviation > fl.SPEED_DEVIATION_WARN) == warns
+    err = capsys.readouterr().err
+    assert err.startswith("warning: speed deviation 0.142 ") if warns else err == ""
+
+
 def test_byte_identical_reruns(tmp_path):
     args = ["sphere-run", "m=1", "l=1", "a=1", "b=2", "dt=1e-3", "T=0.2"]
     out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -205,11 +205,22 @@ def _fresh_each_call(stage, state, oracle):
 def test_binormal_stage_equals_the_per_call_form_bitwise(n):
     start = fl.arclength_resample(fl.twisted_circle(1.0, 0.3, 2, n))
     mid = fl.evolve_filament(start, 1e-4, 2e-3).final   # a mid-run state
-    ws = dg.Workspace()   # one workspace for both curves, as a run keeps one
-    for c in (start, mid):
-        p, L = c.points, c.param_periods[0]
-        _fresh_each_call(lambda q: fl.binormal_rhs(q, L, ws), p, _binormal_per_call(p, L))
-        assert np.array_equal(fl.binormal_rhs(p, L), _binormal_per_call(p, L))
+    L = start.param_periods[0]
+    stage = fl._binormal_stage(n, L)   # one stage for every state, as a run keeps one
+    for c in (start, mid, start):
+        _fresh_each_call(stage, c.points, _binormal_per_call(c.points, L))
+    assert np.array_equal(fl.binormal_rhs(mid.points, L), _binormal_per_call(mid.points, L))
+
+
+def test_filament_run_pads_only_through_its_stage(monkeypatch):
+    c = planar_curve(n=64)
+    expected = fl.evolve_filament(c, 1e-4, 1e-3).final.points
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a filament run padded a per-call copy")
+
+    monkeypatch.setattr(dg, "_neighbours", refuse)
+    assert np.array_equal(fl.evolve_filament(c, 1e-4, 1e-3).final.points, expected)
 
 
 def _stage_of(monkeypatch, run):

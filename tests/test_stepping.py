@@ -123,7 +123,7 @@ def _nls(dt, T, stride):
 
 # solver, step size, the function one step calls and how often
 SOLVERS = {
-    "filament": (_filament, 1e-3, (fl, "binormal_rhs"), 4),
+    "filament": (_filament, 1e-3, (dg, "generalised_cross"), 4),
     "membrane": (_membrane, 1e-3, (mb, "smc_rhs"), 4),
     # a curvature/torsion or fluid stage takes two first differences
     "darios": (_darios, 2e-4, (dg, "_first"), 8),
