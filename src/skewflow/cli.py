@@ -295,6 +295,8 @@ def run_darios(p, outdir):
 
 def run_nls(p, outdir):
     if p["source"] == "plane":
+        if not np.isfinite(p["A"]):
+            raise ConfigError(f"A must be finite, got {p['A']}")
         wave = fl.WaveField(np.full(p["M"], p["A"], dtype=complex), p["L"])
     elif p["source"] == "curve":
         fr = fl.frenet_data(fl.arclength_resample(_curve_from_params(p)))
@@ -342,6 +344,9 @@ def run_membrane(p, outdir):
 
 
 def run_crosscheck(p, outdir, tol_scale):
+    for key in ("tol", "tol_radii"):
+        if not (np.isfinite(p[key]) and p[key] >= 0):
+            raise ConfigError(f"{key} must be finite and >= 0, got {p[key]}")
     rows = []
     failed = False
     p = dict(p, tol=p["tol"] * tol_scale, tol_radii=p["tol_radii"] * tol_scale)

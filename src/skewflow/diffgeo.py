@@ -12,9 +12,10 @@ arithmetic wraps.  From the sampled positions we build
     quarter turn    J v = -(t_1 x ... x t_n x v) / sqrt(det g)
 
 The metric algebra is closed-form for n <= 2: det g and g^-1 are the
-explicit 1x1/2x2 expressions (metric_planes), and shape_field's normal
-projection subtracts (X, t_i) t^i with the dual tangents t^i = g^ij t_j
-(project_planes); the stage skips it.  All of it is elementwise
+explicit 1x1/2x2 expressions (metric_planes).  The one normal projection,
+project_planes, subtracts sum_i (sum_j g^ij (X, t_j)) t_i in place: shape_field
+applies it to the X_ij, project_normal to a copy and normal_derivative to its
+fresh difference; the stage skips it.  All of it is elementwise
 arithmetic on (d, *s) component planes, with no per-point LAPACK call.  The
 positions are held as padded planes: wrapped order/2 entries past both ends
 of every grid axis, so the halo is the periodic wrap.  One helper, _halo,
@@ -52,8 +53,9 @@ the per-point names (tangents, metric, metric_inv, second_form,
 mean_curvature) are read-only views of them.  The operators on a field and
 the membrane residuals sum over planes with _dot, difference them along
 grid axis i + 1 and return (*s, ...) views of planes, with no per-point
-einsum or gather; plane_einsum writes the 2x2 index contractions the same
-way, in np.einsum's order.  J H (jh), the continuity source (source) and the
+einsum or gather: an index is contracted by a plane sum (inner_product,
+raise_index, raise_indices for both indices of an n x n field,
+second_form_pairing).  J H (jh), the continuity source (source) and the
 torsion form (tau) are each computed on first use and kept read-only, so a
 field computes each once however many residuals read it.
 
@@ -70,7 +72,6 @@ spectrally accurate for smooth periodic integrands.
 
 import contextlib
 import functools
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -468,16 +469,14 @@ def plane_derivatives(padded, spacings, order, ws=_fresh):
 
 def project_normal(sf, X):
     """Normal-plane projection X - g^ij (t_j, X) t_i of an ambient vector field
-    X (*s, d), as an (*s, d) view of (d, *s) planes.
+    X (*s, d): project_planes on a copy of its planes, as an (*s, d) view of
+    them.  Bitwise the projection shape_field applies to the X_ij.
 
     Projection is with respect to the discrete tangent span (contraction with
     the inverse metric), so it is defined wherever the metric is, including
     where |H| is small.
     """
-    x = _planes(X, 1)
-    alpha = _dot_rows(sf.g_inv, _dot_rows(sf.t, x, 1), 1)
-    r = _dot(alpha, sf.t)
-    return _points(np.subtract(x, r, out=r), 1)
+    return _points(project_planes(_planes(X, 1).copy(), sf.t, sf.g_inv), 1)
 
 
 def tangential_defect(sf, X):
@@ -539,6 +538,12 @@ def raise_index(sf, v):
     return _points(_dot_rows(sf.g_inv, _planes(v, 1), 1), 1)
 
 
+def raise_indices(sf, m):
+    """g^ik m_kl g^lj of an (n, n) field m (*s, n, n), as an (*s, n, n) view of
+    planes: g^-1 against m's rows, then the result against g^-1."""
+    return _points(_dot_rows(_dot_rows(sf.g_inv, _planes(m, 2), 1), sf.g_inv, 1), 2)
+
+
 def second_form_pairing(sf, v):
     """(A_ij, v) of a field v (*s, d), as an (*s, n, n) view of planes."""
     return _points(_dot_rows(sf.A, _planes(v, 1), 2), 2)
@@ -579,12 +584,16 @@ def metric_planes(t, ws=_fresh, inner=(Ellipsis,)):
     return g, det_g, g_inv
 
 
-def project_planes(x, t, dual, ws=_fresh):
-    """Normal projection x - sum_k (x, t_k) t^k of a (d, *s) field, in place."""
+def project_planes(x, t, g_inv, ws=_fresh):
+    """Normal projection x - sum_i (sum_j g^ij (x, t_j)) t_i of a (d, *s) field,
+    in place: the one normal projection.  t holds the n tangent planes t_j,
+    g_inv the n x n planes of g^-1 (nested lists or an array)."""
     s = x.shape[1:]
-    coeffs = [_dot(x, tk, ws(f"coeff{k}", s), ws("scalar_tmp", s)) for k, tk in enumerate(t)]
-    for c, dk in zip(coeffs, dual):
-        x -= np.multiply(c, dk, out=ws("tmp", x.shape))
+    tmp = ws("scalar_tmp", s)
+    b = [_dot(x, tj, ws(f"b{j + 1}", s), tmp) for j, tj in enumerate(t)]
+    for i, ti in enumerate(t):
+        alpha = _dot(g_inv[i], b, ws("alpha", s), tmp)
+        x -= np.multiply(alpha, ti, out=ws("tmp", x.shape))
     return x
 
 
@@ -595,8 +604,9 @@ def shape_field(imm, order=2, ws=_fresh):
     the points are padded once (`pad_planes`) and differenced along the grid
     axes (`plane_derivatives`), det g and g^-1 are the closed-form 1x1/2x2
     expressions of `metric_planes`, and each second derivative X_ij is
-    projected with the dual tangents t^k = g^kl t_l, built here, as
-    A_ij = X_ij - sum_k (X_ij, t_k) t^k (`project_planes`).  All of it runs
+    projected in place with that g^-1 as
+    A_ij = X_ij - sum_k (sum_l g^kl (X_ij, t_l)) t_k (`project_planes`, the
+    projection project_normal applies to a copy).  All of it runs
     on the band planes of plane_derivatives, in the workspace ws; the
     returned ShapeField holds planes of its own, copied from the interior.
 
@@ -611,15 +621,12 @@ def shape_field(imm, order=2, ws=_fresh):
     h = np.zeros(t[0].shape)
     norm_sq = None
     with np.errstate(all="ignore"):  # the band's halo columns hold no geometry
-        # the dual tangents t^i = sum_j g^ij t_j, row i of g^-1 against the t_j
-        dual = [_dot(g_inv[i], t, ws(f"dual{i + 1}", h.shape), ws("tmp", h.shape))
-                for i in range(n)]
         for i in range(n):
             for j in range(i, n):
                 x = xx[i] if i == j else mixed
                 x_sq = _dot(x, x)
                 norm_sq = x_sq if norm_sq is None else np.maximum(norm_sq, x_sq)
-                project_planes(x, t, dual, ws)
+                project_planes(x, t, g_inv, ws)
                 A[i, j] = A[j, i] = x[inner]
                 h += (g_inv[i][j] if i == j else 2.0 * g_inv[i][j]) * x
     h = h[inner]
@@ -696,9 +703,10 @@ def apply_j(sf, v):
 # ---------------------------------------------------------------------------
 
 def normal_derivative(sf, X, axis):
-    """Normal connection applied to a normal field: project(dX/dx_axis)."""
+    """Normal connection applied to a normal field: project(dX/dx_axis), the
+    fresh difference projected in place (project_planes)."""
     h = sf.immersion.spacings[axis]
-    return project_normal(sf, _points(diff(_planes(X, 1), axis + 1, h, sf.order), 1))
+    return _points(project_planes(diff(_planes(X, 1), axis + 1, h, sf.order), sf.t, sf.g_inv), 1)
 
 
 def grid_integral(imm, values):
@@ -727,14 +735,16 @@ def torsion_form(sf):
     the right way); pairing with +J instead negates tau.
 
     Points with |H| < H_MIN are masked with NaN components; the frame
-    rotation rate is undefined there.  Returns an (*s, n) view of (n, *s)
-    planes; sf.tau keeps it per shape field.
+    rotation rate is undefined there.  J h is the field's kept J H over |H|
+    (sf.jh), with the division by |H| taken after the pairing, so J h is
+    never a field of its own.  Returns an (*s, n) view of (n, *s) planes;
+    sf.tau keeps it per shape field.
     """
     absH = np.sqrt(sf.rho)
     mask = absH < H_MIN
-    h_sec = _points(sf.H / np.where(mask, 1.0, absH), 1)
-    jh = apply_j(sf, h_sec)
-    tau = np.stack([-inner_product(normal_derivative(sf, h_sec, i), jh)
+    safe = np.where(mask, 1.0, absH)
+    h_sec = _points(sf.H / safe, 1)
+    tau = np.stack([-inner_product(normal_derivative(sf, h_sec, i), sf.jh) / safe
                     for i in range(sf.immersion.dim)])
     tau[:, mask] = np.nan
     return _points(tau, 1)
@@ -784,66 +794,12 @@ def willmore_gradient(sf):
     return 2.0 * half
 
 
-def plane_einsum(spec, *operands):
-    """np.einsum(spec, *operands), bitwise, as explicit sums of per-point
-    products of component planes.
-
-    For the contractions of per-point n x n and n-vector fields in the
-    membrane residuals: every subscript starts with '...', and the output has
-    no label, or one label and two summed labels.  The terms are taken in
-    np.einsum's own order (numpy 2.x, no `optimize`).  Each term multiplies
-    its factors left to right.  A scalar output adds the terms one by one,
-    the summed labels running in alphabetical order with the last innermost.
-    A vector output sums over the last summed label for each value of the
-    first, then adds those partial sums.  Component planes are read where
-    they lie (no copy), so views of planes are the operands to pass; a vector
-    output is an (*s, k) view of planes.
-    """
-    lhs, out = spec.replace("...", "").split("->")
-    subs = lhs.split(",")
-    summed = sorted(set(lhs) - set(out) - {","})
-    if len(operands) != len(subs) or len(out) > 1 or (out and len(summed) != 2):
-        raise ValueError(f"unsupported contraction {spec!r}")
-    size, planes = {}, []
-    for sub, op in zip(subs, operands):
-        tail = op.shape[op.ndim - len(sub):]
-        size.update(zip(sub, tail))
-        planes.append({k: op[(Ellipsis,) + k] for k in np.ndindex(tail)})
-
-    def total(fixed, labels):
-        """Sum over `labels`, the last innermost, of the terms with `fixed` set."""
-        acc = term = None
-        for values in itertools.product(*(range(size[c]) for c in labels)):
-            at = dict(fixed, **dict(zip(labels, values)))
-            factors = [p[tuple(at[c] for c in sub)] for p, sub in zip(planes, subs)]
-            term = np.multiply(factors[0], factors[1], out=term)
-            for f in factors[2:]:
-                term *= f
-            if acc is None:  # 0 + term, as np.einsum starts: -0.0 becomes +0.0
-                acc, term = np.add(term, 0.0, out=term), None
-            else:
-                acc += term
-        return acc
-
-    if not out:
-        return total({}, summed)
-    first, last = summed
-    components = []
-    for o in range(size[out]):
-        acc = total({out: o, first: 0}, last)
-        for k in range(1, size[first]):
-            acc += total({out: o, first: k}, last)
-        components.append(acc)
-    return _points(np.stack(components), 1)
-
-
 def source_term(sf):
     """Source of the curvature-density continuity equation at every grid point,
     -2 g^ik g^jl (A_ij, H)(A_kl, JH).  sf.source keeps it per shape field."""
     s = second_form_pairing(sf, sf.mean_curvature)
-    p = second_form_pairing(sf, sf.jh)
-    return -2.0 * plane_einsum("...ik,...jl,...ij,...kl->...",
-                               sf.metric_inv, sf.metric_inv, s, p)
+    p = raise_indices(sf, second_form_pairing(sf, sf.jh))
+    return -2.0 * sum(inner_product(s[..., i, :], p[..., i, :]) for i in range(sf.immersion.dim))
 
 
 def energy_derivative_integrand(sf):
@@ -886,7 +842,9 @@ def normal_curvature_check(sf):
 
     The curvature side is read off from the commutator of normal-projected
     derivatives applied to h = H/|H|, against Jh, with the sign for which the two
-    fields cancel: returns (dtau, r_perp, max |dtau + r_perp|).
+    fields cancel: returns (dtau, r_perp, max |dtau + r_perp|).  J h is the
+    field's kept J H over |H| (sf.jh), divided after the pairing as in
+    torsion_form.
     """
     imm = sf.immersion
     if imm.dim != 2:
@@ -898,9 +856,11 @@ def normal_curvature_check(sf):
     dtau = _plaquette_curl(e1, e2, imm.spacings)
 
     h = _points(sf.H / np.sqrt(sf.rho), 1)
-    d0d1 = normal_derivative(sf, normal_derivative(sf, h, 1), 0)
-    d1d0 = normal_derivative(sf, normal_derivative(sf, h, 0), 1)
-    r_perp_pts = inner_product(d0d1 - d1d0, apply_j(sf, h))
+    first = [normal_derivative(sf, h, axis) for axis in (0, 1)]
+    del h  # h and each first derivative are dropped once used: they set the peak memory
+    commutator = normal_derivative(sf, first.pop(1), 0)    # D_0 D_1 h
+    commutator -= normal_derivative(sf, first.pop(0), 1)   # - D_1 D_0 h
+    r_perp_pts = inner_product(commutator, sf.jh) / np.sqrt(sf.rho)
     # interpolate the point values to plaquette centers
     r_perp = 0.25 * (
         r_perp_pts

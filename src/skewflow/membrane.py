@@ -185,23 +185,29 @@ def momentum_residual(fields, span):
     def grad(scalar):
         return covector([dg.diff(scalar, k, hs[k], sf0.order) for k in range(n)])
 
-    tau_sq = dg.plane_einsum("...ij,...i,...j->...", sf0.metric_inv, sf0.tau, sf0.tau)
+    def paired(a, b):  # a_ij b^ij of two (*s, n, n) fields, summed row by row
+        return sum(dg.inner_product(a[..., i, :], b[..., i, :]) for i in range(n))
+
+    # ordered for peak memory: the D JH planes are dropped once paired, and
+    # (A_ij, H) is made only once q's raised planes are freed
+    jh = sf0.jh
+    djh = [dg.normal_derivative(sf0, jh, k) for k in range(n)]
+    # g^kl (D_l JH, JH) and g^kl (D_l JH, H)
+    u_up = dg.raise_index(sf0, covector([dg.inner_product(d, jh) for d in djh]))
+    w_up = dg.raise_index(sf0, covector([dg.inner_product(d, sf0.mean_curvature) for d in djh]))
+    del djh
+
+    tau_sq = dg.inner_product(sf0.tau, dg.raise_index(sf0, sf0.tau))
     absH = np.sqrt(sf0.rho)
     lap_term = grad(dg.laplace_beltrami(sf0, absH) / absH)
 
-    jh = sf0.jh
     p = dg.second_form_pairing(sf0, jh)                    # (A_ij, JH)
+    grad_q = grad(paired(p, dg.raise_indices(sf0, p)) / sf0.rho)
     s = dg.second_form_pairing(sf0, sf0.mean_curvature)    # (A_ij, H)
-    q = dg.plane_einsum("...mk,...jl,...mj,...kl->...", sf0.metric_inv, sf0.metric_inv, p, p)
-    grad_q = grad(q / sf0.rho)
-
-    djh = [dg.normal_derivative(sf0, jh, k) for k in range(n)]
-    u = covector([dg.inner_product(d, jh) for d in djh])                   # (D_l JH, JH)
-    w = covector([dg.inner_product(d, sf0.mean_curvature) for d in djh])   # (D_k JH, H)
-    frame_term = (
-        dg.plane_einsum("...kl,...ik,...l->...i", sf0.metric_inv, s, u)
-        - dg.plane_einsum("...kl,...il,...k->...i", sf0.metric_inv, p, w)
-    ) / sf0.rho[..., None]
+    frame_term = covector([
+        dg.inner_product(s[..., i, :], u_up) - dg.inner_product(p[..., i, :], w_up)
+        for i in range(n)
+    ]) / sf0.rho[..., None]
 
     resid = d_tau + grad(tau_sq) - lap_term - grad_q - frame_term
     return resid, float(np.nanmax(np.abs(resid)))

@@ -366,12 +366,18 @@ CHECKS = [
 
 
 def run_all(tol_scale=1.0, only=None):
-    """Run the acceptance checks; `only` filters by check id prefix."""
+    """Run the acceptance checks; `only` filters by check id prefix.  Raises
+    ValueError, naming it, for an id in `only` that names no check."""
+    known = [check_id.split("-", 1)[0] for check_id, _, _ in CHECKS]
+    wanted = set(known) if only is None else {str(o).split("-", 1)[0] for o in only}
+    unknown = sorted(wanted - set(known))
+    if unknown:
+        raise ValueError(f"no check has the id {', '.join(map(repr, unknown))}; "
+                         f"the ids are {', '.join(known)}")
     ctx = ValidationContext(tol_scale=tol_scale)
-    wanted = None if only is None else {str(o).split("-", 1)[0] for o in only}
     results = []
-    for check_id, name, fn in CHECKS:
-        if wanted is not None and check_id.split("-", 1)[0] not in wanted:
+    for key, (check_id, name, fn) in zip(known, CHECKS):
+        if key not in wanted:
             continue
         start = time.perf_counter()
         try:

@@ -753,3 +753,31 @@ def test_write_csv_quotes_only_when_needed(tmp_path):
     path = tmp_path / "t.csv"
     cli.write_csv(path, ["a", "b"], [(0.5, 'x, "y"'), (2, "z")])
     assert path.read_text() == 'a,b\n0.5,"x, ""y"""\n2,z\n'
+
+
+@pytest.mark.parametrize("args,message", [
+    (["nls-run", "source=plane", "A=nan"], "A must be finite, got nan"),
+    (["nls-run", "source=plane", "A=inf"], "A must be finite, got inf"),
+    (["crosscheck", "mode=sphere-membrane", "tol_radii=nan"],
+     "tol_radii must be finite and >= 0, got nan"),
+    (["crosscheck", "mode=sphere-membrane", "tol_radii=inf"],
+     "tol_radii must be finite and >= 0, got inf"),
+    (["crosscheck", "mode=filament-square", "tol=-1e-3"],
+     "tol must be finite and >= 0, got -0.001"),
+    (["validate", "suite=99"],
+     "no check has the id '99'; the ids are 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12"),
+    (["validate", "suite=12,foo"],
+     "no check has the id 'foo'; the ids are 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12"),
+], ids=["nls-A-nan", "nls-A-inf", "tol_radii-nan", "tol_radii-inf", "tol-negative",
+        "suite-99", "suite-12-foo"])
+def test_a_bad_value_exits_2_before_anything_runs(tmp_path, capsys, args, message):
+    # an NLS plane wave of amplitude nan used to abort as non-finite at t = 0
+    # (exit 3); a nan tolerance marked every crosscheck row failed (exit 1);
+    # an unknown suite id gave an empty report (exit 1) or was dropped (exit 0)
+    out = tmp_path / "o"
+    code = cli.main(args + ["--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n"
+    assert captured.out == ""
+    assert not list(out.glob("*"))

@@ -432,85 +432,54 @@ def test_energy_rate_integrand():
     assert abs(integral) < 1e-12
 
 
-# the contractions of the continuity source and the momentum residual, with
-# the shape-field operands they are applied to
-CONTRACTIONS = {
-    "...ik,...jl,...ij,...kl->...": ("g_inv", "g_inv", "s", "p"),
-    "...ij,...i,...j->...": ("g_inv", "tau", "tau"),
-    "...mk,...jl,...mj,...kl->...": ("g_inv", "g_inv", "p", "p"),
-    "...kl,...ik,...l->...i": ("g_inv", "s", "u"),
-    "...kl,...il,...k->...i": ("g_inv", "p", "w"),
-}
-
-
-def _residual_operands(sf):
-    """The operands of CONTRACTIONS, with the values membrane.momentum_residual
-    gives them, as C-ordered arrays: np.einsum's order of summation depends
-    on its operands' strides, and plane_einsum takes its order on C-ordered
-    operands."""
-    jh = dg.apply_j(sf, sf.mean_curvature)
-    tau = dg.torsion_form(sf)
-    djh = np.stack([dg.normal_derivative(sf, jh, k) for k in range(2)], axis=-2)
-    operands = {
-        "g_inv": sf.metric_inv,
-        "s": np.einsum("...ijd,...d->...ij", sf.second_form, sf.mean_curvature),
-        "p": np.einsum("...ijd,...d->...ij", sf.second_form, jh),
-        "tau": tau,
-        "u": np.einsum("...ld,...d->...l", djh, jh),
-        "w": np.einsum("...kd,...d->...k", djh, sf.mean_curvature),
-    }
-    return {name: np.ascontiguousarray(a) for name, a in operands.items()}
-
-
 def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-@pytest.mark.parametrize("spec", list(CONTRACTIONS))
-def test_plane_einsum_equals_einsum_bitwise(spec):
-    # random operands are neither symmetric nor sign-definite, so a transposed
-    # operand or a reordered sum shows; the shape field gives the data the
-    # residuals contract
-    rng = np.random.default_rng(7)
-    operands = [rng.standard_normal((24, 40) + (2,) * len(sub))
-                for sub in spec.split("->")[0].replace("...", "").split(",")]
-    assert _same_bits(dg.plane_einsum(spec, *operands), np.einsum(spec, *operands))
-
-    imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (24, 40))
-    fields = _residual_operands(dg.shape_field(imm, order=4))
-    operands = [fields[name] for name in CONTRACTIONS[spec]]
-    assert _same_bits(dg.plane_einsum(spec, *operands), np.einsum(spec, *operands))
-
-
-def test_plane_einsum_keeps_the_sign_of_zero_sums():
-    # np.einsum adds the terms to a zero start, so a sum of -0.0 terms is +0.0
-    rng = np.random.default_rng(8)
-    for spec in CONTRACTIONS:
-        subs = spec.split("->")[0].replace("...", "").split(",")
-        for _ in range(50):
-            operands = [rng.choice([-0.0, 0.0, 1.0, -1.0], size=(9,) + (2,) * len(sub))
-                        for sub in subs]
-            assert _same_bits(dg.plane_einsum(spec, *operands), np.einsum(spec, *operands))
-
-
-def test_plane_einsum_rejects_other_contractions():
-    g, v = np.ones((8, 2, 2)), np.ones((8, 2))
-    for spec, operands in [("...ij,...j->...i", (g, v)), ("...ij,...kl->...ik", (g, g)),
-                           ("...ij,...j->...", (g,))]:
-        with pytest.raises(ValueError, match="unsupported contraction"):
-            dg.plane_einsum(spec, *operands)
 
 
 def test_source_term_and_its_kept_copy_equal_the_einsum_form():
     imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (24, 40))
     sf = dg.shape_field(imm, order=4)
-    ops = _residual_operands(sf)
-    want = -2.0 * np.einsum("...ik,...jl,...ij,...kl->...", ops["g_inv"], ops["g_inv"],
-                            ops["s"], ops["p"])
-    assert _same_bits(dg.source_term(sf), want)
-    assert _same_bits(sf.jh, dg.apply_j(sf, sf.mean_curvature))
-    assert sf.source is sf.source and _same_bits(sf.source, want)
+    jh = dg.apply_j(sf, sf.mean_curvature)
+    s = np.einsum("...ijd,...d->...ij", sf.second_form, sf.mean_curvature)
+    p = np.einsum("...ijd,...d->...ij", sf.second_form, jh)
+    want = -2.0 * np.einsum("...ik,...jl,...ij,...kl->...", sf.metric_inv, sf.metric_inv, s, p)
+    got = dg.source_term(sf)
+    # the plane sums take the terms in another order: within the tolerance
+    # of tests/test_plane_operators.py (RTOL)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert _same_bits(sf.jh, jh)
+    assert sf.source is sf.source and _same_bits(sf.source, got)
     assert not sf.source.flags.writeable and not sf.jh.flags.writeable
+
+
+def test_torsion_form_reuses_the_kept_jh(monkeypatch):
+    # torsion_form takes J h as sf.jh / |H|, so once jh is kept, reading tau
+    # turns no further vector by J
+    sf = dg.shape_field(dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (16, 16)), order=4)
+    assert sf.jh is sf.jh
+    calls = []
+    cross = dg.generalised_cross
+    monkeypatch.setattr(dg, "generalised_cross", lambda *a, **k: calls.append(1) or cross(*a, **k))
+    assert np.isfinite(sf.tau).all()
+    assert calls == []
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_project_normal_is_the_shape_field_projection_bitwise(order):
+    # one normal projection: project_normal of each second derivative X_ij,
+    # taken per point with diff/diff2, is bitwise the second form A_ij that
+    # shape_field projects on its band planes; periods (3, 7) tell the two
+    # grid axes and their spacings apart
+    pts = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (24, 40)).points
+    imm = dg.GridImmersion(pts, (3.0, 7.0))
+    sf = dg.shape_field(imm, order=order)
+    h0, h1 = imm.spacings
+    second = {(0, 0): dg.diff2(pts, 0, h0, order), (1, 1): dg.diff2(pts, 1, h1, order),
+              (0, 1): dg.diff(dg.diff(pts, 0, h0, order), 1, h1, order)}
+    for (i, j), x in second.items():
+        got = np.ascontiguousarray(dg.project_normal(sf, x))
+        assert _same_bits(got, np.ascontiguousarray(sf.second_form[..., i, j, :])), (i, j)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,9 @@
 # t = 0.01 (exit 3; its standard error and exit status are kept, so the
 # abort time, the rows recorded before it and its speed deviation warning
 # are compared too),
+# an NLS run on a plane wave of amplitude nan and `validate suite=99`, a
+# check id that names no check (both exit 2 before anything runs; their
+# standard error and exit status are kept),
 # `skewflow validate`, `validate suite=6` and `suite=3,4,9`, and
 # `validate suite=1,12 --tol-profile strict`.  The full
 # suite shares one filament run between checks 5 and 6 and one pass over the
@@ -86,7 +89,8 @@ src=$(cd "$1" && pwd)/src
 out=$2
 mkdir -p "$out/validate" "$out/validate_6" "$out/validate_3_4_9" "$out/validate_1_12_strict" \
     "$out/membrane_abort" "$out/sphere_underflow" "$out/pinched" "$out/curve_as_surface" \
-    "$out/darios_singular" "$out/fluid_singular" "$out/fluid_nonfinite" "$out/wobbly"
+    "$out/darios_singular" "$out/fluid_singular" "$out/fluid_nonfinite" "$out/wobbly" \
+    "$out/nls_nan" "$out/validate_99"
 
 skewflow() {
     PYTHONPATH="$src" python3 -m skewflow.cli "$@"
@@ -200,6 +204,14 @@ status=0
 skewflow filament-run shape=circle curve_file="$out/pinched/input.txt" dt=2e-4 T=0.05 stride=10 \
     --out "$out/pinched/run" >/dev/null 2>"$out/pinched/stderr.txt" || status=$?
 echo "exit $status" >>"$out/pinched/stderr.txt"
+status=0
+skewflow nls-run source=plane A=nan --out "$out/nls_nan/run" \
+    >/dev/null 2>"$out/nls_nan/stderr.txt" || status=$?
+echo "exit $status" >>"$out/nls_nan/stderr.txt"
+status=0
+skewflow validate suite=99 --out "$out/validate_99/run" \
+    >/dev/null 2>"$out/validate_99/stderr.txt" || status=$?
+echo "exit $status" >>"$out/validate_99/stderr.txt"
 skewflow validate --out "$out/validate" | sed 's/ *\[[0-9.]*s\]$//' >"$out/validate/stdout.txt"
 skewflow validate suite=6 --out "$out/validate_6" | sed 's/ *\[[0-9.]*s\]$//' \
     >"$out/validate_6/stdout.txt"
