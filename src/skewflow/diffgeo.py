@@ -47,17 +47,20 @@ each buffer's halo fill and neighbour views made once.  Every stencil,
 product and sum keeps the operation order of the plain expression, so the
 results are bitwise those of allocating code.
 
-A ShapeField holds its fields as contiguous component planes, index axes
-first: t (n, d, *s), g and g_inv (n, n, *s), A (n, n, d, *s) and H (d, *s);
-the per-point names (tangents, metric, metric_inv, second_form,
-mean_curvature) are read-only views of them.  The operators on a field and
-the membrane residuals sum over planes with _dot, difference them along
-grid axis i + 1 and return (*s, ...) views of planes, with no per-point
-einsum or gather: an index is contracted by a plane sum (inner_product,
-raise_index, raise_indices for both indices of an n x n field,
-second_form_pairing).  J H (jh), the continuity source (source) and the
-torsion form (tau) are each computed on first use and kept read-only, so a
-field computes each once however many residuals read it.
+A ShapeField holds its fields as read-only contiguous component planes,
+index axes first: t (n, d, *s), g and g_inv (n, n, *s), A (n, n, d, *s) and
+H (d, *s).  Component planes are the one layout of the operators on a field
+and of the membrane residuals: they take and return vectors as (d, *s),
+covectors as (n, *s) and 2-tensors as (n, n, *s) planes.  They sum over
+planes with _dot, difference them along grid axis i + 1 and make no einsum
+or gather: an index is contracted by a plane sum (inner_product, which is
+_dot, raise_index, raise_indices for both indices of an n x n field,
+second_form_pairing), the Willmore gradient and its Christoffel symbols
+included.  Points (*s, d) appear only at the edge of the layer: a
+GridImmersion's points, pad_planes/interior_points and snapshot I/O.  J H
+(jh), the continuity source (source) and the torsion form (tau) are each
+computed on first use and kept read-only, so a field computes each once
+however many residuals read it.
 
 J is the quarter-turn of the normal plane.  Its direction is fixed by the
 sign convention det[t_1, ..., t_n, v, Jv] < 0 in ambient coordinates; this
@@ -144,10 +147,10 @@ class GridImmersion:
 
 @dataclass
 class ShapeField:
-    """Geometry bundle of a GridImmersion, as read-only component planes: index
-    axes first, so t[i] is the tangent t_i as (d, *s) planes, g[i, j] is the
-    (*s,) plane of g_ij, A[i, j] is A_ij as (d, *s) planes.  The per-point
-    names (tangents, ...) are views of them with the index axes last."""
+    """Geometry bundle of a GridImmersion, as read-only C-contiguous component
+    planes, index axes first: t[i] is the tangent t_i as (d, *s) planes,
+    g[i, j] the (*s,) plane of g_ij, A[i, j] is A_ij as (d, *s) planes.  The
+    operators take and return fields in this layout."""
 
     immersion: GridImmersion
     order: int
@@ -160,17 +163,10 @@ class ShapeField:
     rho: np.ndarray             # (*s,), |H|^2
     tol_perp: np.ndarray        # (*s,)
 
-    # the per-point views, index axes last
-    tangents = property(lambda self: _points(self.t, 2))         # (*s, n, d)
-    metric = property(lambda self: _points(self.g, 2))           # (*s, n, n)
-    metric_inv = property(lambda self: _points(self.g_inv, 2))   # (*s, n, n)
-    second_form = property(lambda self: _points(self.A, 3))      # (*s, n, n, d)
-    mean_curvature = property(lambda self: _points(self.H, 1))   # (*s, d)
-
     @functools.cached_property
     def jh(self):
-        """J H, (*s, d): computed on first use and kept, read-only."""
-        return _read_only(apply_j(self, self.mean_curvature))
+        """J H, (d, *s): computed on first use and kept, read-only."""
+        return _read_only(apply_j(self, self.H))
 
     @functools.cached_property
     def source(self):
@@ -180,7 +176,7 @@ class ShapeField:
 
     @functools.cached_property
     def tau(self):
-        """torsion_form of this field, (*s, n): computed on first use and
+        """torsion_form of this field, (n, *s): computed on first use and
         kept, read-only."""
         return _read_only(torsion_form(self))
 
@@ -469,19 +465,20 @@ def plane_derivatives(padded, spacings, order, ws=_fresh):
 
 def project_normal(sf, X):
     """Normal-plane projection X - g^ij (t_j, X) t_i of an ambient vector field
-    X (*s, d): project_planes on a copy of its planes, as an (*s, d) view of
-    them.  Bitwise the projection shape_field applies to the X_ij.
+    X (d, *s): project_planes on a copy of X.  Bitwise the projection
+    shape_field applies to the X_ij.
 
     Projection is with respect to the discrete tangent span (contraction with
     the inverse metric), so it is defined wherever the metric is, including
     where |H| is small.
     """
-    return _points(project_planes(_planes(X, 1).copy(), sf.t, sf.g_inv), 1)
+    return project_planes(X.copy(), sf.t, sf.g_inv)
 
 
 def tangential_defect(sf, X):
-    """Max-norm of the tangential component of X, for normality checks."""
-    return np.linalg.norm(X - project_normal(sf, X), axis=-1)
+    """Pointwise norm (*s,) of the tangential component of X (d, *s), for
+    normality checks."""
+    return np.linalg.norm(X - project_normal(sf, X), axis=0)
 
 
 def _require_normal(sf, X, what):
@@ -516,37 +513,23 @@ def _dot_rows(rows, v, k):
     return out
 
 
-def _planes(a, k):
-    """View of a per-point array (*s, *tail) with k tail axes as (*tail, *s)."""
-    lead = a.ndim - k
-    return a.transpose(*range(lead, a.ndim), *range(lead))
-
-
-def _points(a, k):
-    """View of planes (*tail, *s), k axes in tail, as (*s, *tail): _planes undone."""
-    return a.transpose(*range(k, a.ndim), *range(k))
-
-
-def inner_product(u, v):
-    """Pointwise inner product (u, v) of two (*s, d) fields, summed over
-    their component planes in order, as an (*s,) array."""
-    return _dot(_planes(u, 1), _planes(v, 1))
+inner_product = _dot   # the pointwise inner product (u, v) of two (d, *s) fields
 
 
 def raise_index(sf, v):
-    """g^ij v_j of a covector field v (*s, n), as an (*s, n) view of planes."""
-    return _points(_dot_rows(sf.g_inv, _planes(v, 1), 1), 1)
+    """g^ij v_j of a covector field v (n, *s), as (n, *s) planes."""
+    return _dot_rows(sf.g_inv, v, 1)
 
 
 def raise_indices(sf, m):
-    """g^ik m_kl g^lj of an (n, n) field m (*s, n, n), as an (*s, n, n) view of
-    planes: g^-1 against m's rows, then the result against g^-1."""
-    return _points(_dot_rows(_dot_rows(sf.g_inv, _planes(m, 2), 1), sf.g_inv, 1), 2)
+    """g^ik m_kl g^lj of an (n, n, *s) field m, as (n, n, *s) planes: g^-1
+    against m's rows, then the result against g^-1."""
+    return _dot_rows(_dot_rows(sf.g_inv, m, 1), sf.g_inv, 1)
 
 
 def second_form_pairing(sf, v):
-    """(A_ij, v) of a field v (*s, d), as an (*s, n, n) view of planes."""
-    return _points(_dot_rows(sf.A, _planes(v, 1), 2), 2)
+    """(A_ij, v) of a field v (d, *s), as (n, n, *s) planes."""
+    return _dot_rows(sf.A, v, 2)
 
 
 def metric_planes(t, ws=_fresh, inner=(Ellipsis,)):
@@ -692,10 +675,11 @@ def generalised_cross(t, v, out=None, ws=_fresh):
 
 
 def apply_j(sf, v):
-    """Quarter-turn J of a normal vector field, Jv = -(t_1 x ... x t_n x v) / sqrt(det g)."""
-    jv = generalised_cross(sf.t, _planes(v, 1))
+    """Quarter-turn J of a normal vector field v (d, *s),
+    Jv = -(t_1 x ... x t_n x v) / sqrt(det g), as (d, *s) planes."""
+    jv = generalised_cross(sf.t, v)
     jv /= -sf.sqrt_det_g
-    return _points(jv, 1)
+    return jv
 
 
 # ---------------------------------------------------------------------------
@@ -703,10 +687,11 @@ def apply_j(sf, v):
 # ---------------------------------------------------------------------------
 
 def normal_derivative(sf, X, axis):
-    """Normal connection applied to a normal field: project(dX/dx_axis), the
-    fresh difference projected in place (project_planes)."""
+    """Normal connection applied to a normal field X (d, *s): project(dX/dx_axis),
+    the fresh difference along grid axis axis + 1 of the planes, projected in
+    place (project_planes)."""
     h = sf.immersion.spacings[axis]
-    return _points(project_planes(diff(_planes(X, 1), axis + 1, h, sf.order), sf.t, sf.g_inv), 1)
+    return project_planes(diff(X, axis + 1, h, sf.order), sf.t, sf.g_inv)
 
 
 def grid_integral(imm, values):
@@ -737,69 +722,68 @@ def torsion_form(sf):
     Points with |H| < H_MIN are masked with NaN components; the frame
     rotation rate is undefined there.  J h is the field's kept J H over |H|
     (sf.jh), with the division by |H| taken after the pairing, so J h is
-    never a field of its own.  Returns an (*s, n) view of (n, *s) planes;
-    sf.tau keeps it per shape field.
+    never a field of its own.  Returns (n, *s) planes; sf.tau keeps them per
+    shape field.
     """
     absH = np.sqrt(sf.rho)
     mask = absH < H_MIN
     safe = np.where(mask, 1.0, absH)
-    h_sec = _points(sf.H / safe, 1)
-    tau = np.stack([-inner_product(normal_derivative(sf, h_sec, i), sf.jh) / safe
+    h_sec = sf.H / safe
+    tau = np.stack([-_dot(normal_derivative(sf, h_sec, i), sf.jh) / safe
                     for i in range(sf.immersion.dim)])
     tau[:, mask] = np.nan
-    return _points(tau, 1)
+    return tau
 
 
 def normal_laplacian(sf, V):
-    """Connection Laplacian in the normal bundle with the metric correction.
+    """Connection Laplacian in the normal bundle with the metric correction,
+    of a normal field V (d, *s), as (d, *s) planes.
 
-    Delta_perp V = g^ij (D_i D_j V - Gamma^k_ij D_k V), where D is the
+    Delta_perp V = sum_ij g^ij (D_i D_j V - Gamma^k_ij D_k V), where D is the
     normal-projected coordinate derivative.  Dropping the Christoffel term
     breaks the energy-gradient identity on non-flat parameter metrics.
     """
     _require_normal(sf, V, "normal_laplacian input")
     n = sf.immersion.dim
     first = [normal_derivative(sf, V, j) for j in range(n)]
-    second = np.empty(sf.metric.shape + V.shape[-1:])
+    gamma = _christoffel(sf)
+    lap = np.zeros(V.shape)
     for i in range(n):
         for j in range(n):
-            second[..., i, j, :] = normal_derivative(sf, first[j], i)
-    gamma = _christoffel(sf)
-    corr = np.einsum("...kij,...kd->...ijd", gamma, np.stack(first, axis=-2))
-    return np.einsum("...ij,...ijd->...d", sf.metric_inv, second - corr)
+            d_ij = normal_derivative(sf, first[j], i)   # D_i D_j V
+            lap += sf.g_inv[i, j] * (d_ij - _dot(gamma[:, i, j], first))
+    return lap
 
 
 def _christoffel(sf):
-    """Gamma^k_ij = 0.5 g^kl (d_i g_lj + d_j g_li - d_l g_ij), (*s, k, i, j)."""
+    """Gamma^k_ij = 0.5 g^kl (d_i g_lj + d_j g_li - d_l g_ij), as (k, i, j, *s)
+    planes."""
     n, hs = sf.immersion.dim, sf.immersion.spacings
-    dg = np.stack([diff(sf.metric, l, hs[l], sf.order) for l in range(n)], axis=-3)
-    # dg[..., l, i, j] = d_l g_ij
-    t1 = np.einsum("...ilj->...lij", dg)   # d_i g_lj
-    t2 = np.einsum("...jli->...lij", dg)   # d_j g_li
-    t3 = dg                                 # d_l g_ij
-    return 0.5 * np.einsum("...kl,...lij->...kij", sf.metric_inv, t1 + t2 - t3)
+    dg = [diff(sf.g, l + 2, hs[l], sf.order) for l in range(n)]   # dg[l][i, j] = d_l g_ij
+    lower = np.array([[[dg[i][l, j] + dg[j][l, i] - dg[l][i, j] for j in range(n)]
+                       for i in range(n)] for l in range(n)])
+    return 0.5 * _dot_rows(sf.g_inv, lower, 1)
 
 
 def willmore_gradient(sf):
-    """L2 gradient of the Willmore energy with respect to normal variations.
+    """L2 gradient of the Willmore energy with respect to normal variations,
+    as (d, *s) planes.
 
     Returns the full gradient; half of it is
         Delta_perp H + g^ik g^jl (A_ij, H) A_kl - 0.5 |H|^2 H.
     """
-    lap = normal_laplacian(sf, sf.mean_curvature)
-    s = np.einsum("...ijd,...d->...ij", sf.second_form, sf.mean_curvature)
-    quad = np.einsum("...ik,...jl,...ij,...kld->...d", sf.metric_inv, sf.metric_inv,
-                     s, sf.second_form)
-    half = lap + quad - 0.5 * sf.rho[..., None] * sf.mean_curvature
-    return 2.0 * half
+    n = sf.immersion.dim
+    raised = raise_indices(sf, second_form_pairing(sf, sf.H))   # g^ik g^jl (A_ij, H)
+    quad = sum(_dot(raised[k], sf.A[k]) for k in range(n))
+    return 2.0 * (normal_laplacian(sf, sf.H) + quad - 0.5 * sf.rho * sf.H)
 
 
 def source_term(sf):
     """Source of the curvature-density continuity equation at every grid point,
     -2 g^ik g^jl (A_ij, H)(A_kl, JH).  sf.source keeps it per shape field."""
-    s = second_form_pairing(sf, sf.mean_curvature)
+    s = second_form_pairing(sf, sf.H)
     p = raise_indices(sf, second_form_pairing(sf, sf.jh))
-    return -2.0 * sum(inner_product(s[..., i, :], p[..., i, :]) for i in range(sf.immersion.dim))
+    return -2.0 * sum(_dot(s[i], p[i]) for i in range(sf.immersion.dim))
 
 
 def energy_derivative_integrand(sf):
@@ -817,10 +801,11 @@ def energy_derivative_integrand(sf):
 # ---------------------------------------------------------------------------
 
 def _edge_integrals(tau, spacings):
-    """Trapezoid edge integrals of a point-sampled 1-form on the 2D grid."""
+    """Trapezoid edge integrals of a point-sampled 1-form (2, *s) on the 2D
+    grid."""
     h1, h2 = spacings
-    e1 = 0.5 * h1 * (tau[..., 0] + np.roll(tau[..., 0], -1, axis=0))
-    e2 = 0.5 * h2 * (tau[..., 1] + np.roll(tau[..., 1], -1, axis=1))
+    e1 = 0.5 * h1 * (tau[0] + np.roll(tau[0], -1, axis=0))
+    e2 = 0.5 * h2 * (tau[1] + np.roll(tau[1], -1, axis=1))
     return e1, e2
 
 
@@ -855,12 +840,12 @@ def normal_curvature_check(sf):
     e1, e2 = _edge_integrals(sf.tau, imm.spacings)
     dtau = _plaquette_curl(e1, e2, imm.spacings)
 
-    h = _points(sf.H / np.sqrt(sf.rho), 1)
+    h = sf.H / np.sqrt(sf.rho)
     first = [normal_derivative(sf, h, axis) for axis in (0, 1)]
     del h  # h and each first derivative are dropped once used: they set the peak memory
     commutator = normal_derivative(sf, first.pop(1), 0)    # D_0 D_1 h
     commutator -= normal_derivative(sf, first.pop(0), 1)   # - D_1 D_0 h
-    r_perp_pts = inner_product(commutator, sf.jh) / np.sqrt(sf.rho)
+    r_perp_pts = _dot(commutator, sf.jh) / np.sqrt(sf.rho)
     # interpolate the point values to plaquette centers
     r_perp = 0.25 * (
         r_perp_pts
@@ -877,18 +862,18 @@ def normal_curvature_check(sf):
 # ---------------------------------------------------------------------------
 
 def metric_divergence(sf, vec):
-    """(1/sqrt g) d_i (sqrt g X^i) for contravariant components vec (*s, n)."""
+    """(1/sqrt g) d_i (sqrt g X^i) for contravariant components vec (n, *s)."""
     n, hs = sf.immersion.dim, sf.immersion.spacings
     acc = np.zeros_like(sf.sqrt_det_g)
     for i in range(n):
-        acc = acc + diff(sf.sqrt_det_g * vec[..., i], i, hs[i], sf.order)
+        acc = acc + diff(sf.sqrt_det_g * vec[i], i, hs[i], sf.order)
     return acc / sf.sqrt_det_g
 
 
 def laplace_beltrami(sf, scalar):
-    """Scalar Laplacian of the induced metric in divergence form."""
+    """Scalar Laplacian (*s,) of the induced metric in divergence form."""
     n, hs = sf.immersion.dim, sf.immersion.spacings
-    grad = _points(np.stack([diff(scalar, i, hs[i], sf.order) for i in range(n)]), 1)
+    grad = np.stack([diff(scalar, i, hs[i], sf.order) for i in range(n)])
     return metric_divergence(sf, raise_index(sf, grad))
 
 

@@ -78,7 +78,7 @@ def stability_limit(imm, order=2, ws=None):
     g^ii needs the tangents alone: each t_i is dg.diff of the points, bitwise
     the tangent of dg.plane_derivatives on the interior, and dg.metric_planes
     inverts the metric in the workspace ws, so the bound is bitwise that of
-    the full shape field's metric_inv.  Its planes take names of their own
+    the full shape field's g_inv.  Its planes take names of their own
     there: the stage asks for metric_planes' names at the band shape, and a
     shared name would be made anew at each request.  Raises
     DegenerateImmersionError where det g <= G_MIN.
@@ -145,7 +145,7 @@ def continuity_residual(fields, span):
     """Pointwise residual of the curvature-density continuity equation at the
     middle of the shape fields (i - 1, i, i + 1), span apart end to end:
     centered d/dt of rho + div(rho chi) - source, with the transport
-    velocity chi = 2 tau^sharp = 2 g^-1 tau.
+    velocity chi = 2 tau^sharp = 2 g^-1 tau.  The field is (*s,).
 
     Points where |H| is masked (and their stencil neighbors) carry NaN in the
     returned field and are excluded from the max norm.
@@ -153,14 +153,14 @@ def continuity_residual(fields, span):
     sfm, sf0, sfp = fields
     d_rho = (sfp.rho - sfm.rho) / span
     chi = 2.0 * dg.raise_index(sf0, sf0.tau)
-    div = dg.metric_divergence(sf0, sf0.rho[..., None] * chi)
+    div = dg.metric_divergence(sf0, sf0.rho * chi)
     resid = d_rho + div - sf0.source
     return resid, float(np.nanmax(np.abs(resid)))
 
 
 def momentum_residual(fields, span):
     """Covector residual of the torsion momentum equation at the middle of the
-    shape fields (i - 1, i, i + 1), span apart end to end.
+    shape fields (i - 1, i, i + 1), span apart end to end, as (n, *s) planes.
 
     The equation checked is
 
@@ -179,22 +179,19 @@ def momentum_residual(fields, span):
 
     d_tau = (sfp.tau - sfm.tau) / span
 
-    def covector(parts):  # (*s,) components as an (*s, n) view of (n, *s) planes
-        return np.moveaxis(np.stack(parts), 0, -1)
-
     def grad(scalar):
-        return covector([dg.diff(scalar, k, hs[k], sf0.order) for k in range(n)])
+        return np.stack([dg.diff(scalar, k, hs[k], sf0.order) for k in range(n)])
 
-    def paired(a, b):  # a_ij b^ij of two (*s, n, n) fields, summed row by row
-        return sum(dg.inner_product(a[..., i, :], b[..., i, :]) for i in range(n))
+    def paired(a, b):  # a_ij b^ij of two (n, n, *s) fields, summed row by row
+        return sum(dg.inner_product(a[i], b[i]) for i in range(n))
 
     # ordered for peak memory: the D JH planes are dropped once paired, and
     # (A_ij, H) is made only once q's raised planes are freed
     jh = sf0.jh
     djh = [dg.normal_derivative(sf0, jh, k) for k in range(n)]
     # g^kl (D_l JH, JH) and g^kl (D_l JH, H)
-    u_up = dg.raise_index(sf0, covector([dg.inner_product(d, jh) for d in djh]))
-    w_up = dg.raise_index(sf0, covector([dg.inner_product(d, sf0.mean_curvature) for d in djh]))
+    u_up = dg.raise_index(sf0, np.stack([dg.inner_product(d, jh) for d in djh]))
+    w_up = dg.raise_index(sf0, np.stack([dg.inner_product(d, sf0.H) for d in djh]))
     del djh
 
     tau_sq = dg.inner_product(sf0.tau, dg.raise_index(sf0, sf0.tau))
@@ -203,11 +200,10 @@ def momentum_residual(fields, span):
 
     p = dg.second_form_pairing(sf0, jh)                    # (A_ij, JH)
     grad_q = grad(paired(p, dg.raise_indices(sf0, p)) / sf0.rho)
-    s = dg.second_form_pairing(sf0, sf0.mean_curvature)    # (A_ij, H)
-    frame_term = covector([
-        dg.inner_product(s[..., i, :], u_up) - dg.inner_product(p[..., i, :], w_up)
-        for i in range(n)
-    ]) / sf0.rho[..., None]
+    s = dg.second_form_pairing(sf0, sf0.H)                 # (A_ij, H)
+    frame_term = np.stack([
+        dg.inner_product(s[i], u_up) - dg.inner_product(p[i], w_up) for i in range(n)
+    ]) / sf0.rho
 
     resid = d_tau + grad(tau_sq) - lap_term - grad_q - frame_term
     return resid, float(np.nanmax(np.abs(resid)))

@@ -18,12 +18,19 @@ from skewflow.errors import (
 )
 
 
+def planes(points):
+    """A per-point field (*s, d) as the (d, *s) component planes the operators
+    take."""
+    return np.moveaxis(points, -1, 0)
+
+
 def torus_normals(shape):
+    """The unit normals n1, n2 of a product torus, as (4, *shape) planes."""
     th = np.arange(shape[0]) * 2 * np.pi / shape[0]
     ph = np.arange(shape[1]) * 2 * np.pi / shape[1]
     TH, PH = np.meshgrid(th, ph, indexing="ij")
-    n1 = np.stack([np.cos(TH), np.sin(TH), 0 * TH, 0 * TH], axis=-1)
-    n2 = np.stack([0 * PH, 0 * PH, np.cos(PH), np.sin(PH)], axis=-1)
+    n1 = np.stack([np.cos(TH), np.sin(TH), 0 * TH, 0 * TH])
+    n2 = np.stack([0 * PH, 0 * PH, np.cos(PH), np.sin(PH)])
     return n1, n2
 
 
@@ -213,11 +220,11 @@ def test_torus_second_form_and_mean_curvature():
     n1, n2 = torus_normals((64, 64))
     h = 2 * np.pi / 64
 
-    assert np.abs(sf.second_form[..., 0, 0, :] + a * n1).max() < h * h
-    assert np.abs(sf.second_form[..., 1, 1, :] + b * n2).max() < h * h
-    assert np.abs(sf.second_form[..., 0, 1, :]).max() < 1e-12
+    assert np.abs(sf.A[0, 0] + a * n1).max() < h * h
+    assert np.abs(sf.A[1, 1] + b * n2).max() < h * h
+    assert np.abs(sf.A[0, 1]).max() < 1e-12
     H_exact = -n1 / a - n2 / b
-    assert np.abs(sf.mean_curvature - H_exact).max() < h * h
+    assert np.abs(sf.H - H_exact).max() < h * h
 
 
 def test_equal_radii_torus_density():
@@ -230,8 +237,8 @@ def test_equal_radii_torus_density():
 def test_circle_curvature():
     R = 2.0
     sf = dg.shape_field(fl.circle_curve(R, 256))
-    e_r = sf.immersion.points / R
-    assert np.abs(sf.mean_curvature + e_r / R).max() < 1e-4
+    e_r = planes(sf.immersion.points) / R
+    assert np.abs(sf.H + e_r / R).max() < 1e-4
     assert np.abs(np.sqrt(sf.rho) - 1.0 / R).max() < 1e-4
 
 
@@ -241,7 +248,7 @@ def test_mean_curvature_convergence_order():
         imm = dg.torus_immersion(1.0, 2.0, (n, n))
         sf = dg.shape_field(imm)
         n1, n2 = torus_normals((n, n))
-        errs.append(np.abs(sf.mean_curvature + n1 + 0.5 * n2).max())
+        errs.append(np.abs(sf.H + n1 + 0.5 * n2).max())
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 1.8, f"observed orders {orders}"
 
@@ -267,7 +274,7 @@ def test_orientation_lock_on_torus():
     n1, n2 = torus_normals((64, 64))
     assert np.abs(dg.apply_j(sf, n1) - n2).max() < 1e-12
     assert np.abs(dg.apply_j(sf, n2) + n1).max() < 1e-12
-    minus_jh = -dg.apply_j(sf, sf.mean_curvature)
+    minus_jh = -dg.apply_j(sf, sf.H)
     h = 2 * np.pi / 64
     assert np.abs(minus_jh - (-n1 / b + n2 / a)).max() < h * h
 
@@ -275,11 +282,11 @@ def test_orientation_lock_on_torus():
 def test_j_is_isometric_quarter_turn():
     sf = dg.shape_field(dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (32, 32)))
     rng = np.random.default_rng(5)
-    v = dg.project_normal(sf, rng.normal(size=(32, 32, 4)))
+    v = dg.project_normal(sf, planes(rng.normal(size=(32, 32, 4))))
     jv = dg.apply_j(sf, v)
-    assert np.abs(np.einsum("...d,...d->...", jv, v)).max() < 1e-12
+    assert np.abs(dg.inner_product(jv, v)).max() < 1e-12
     assert np.abs(
-        np.linalg.norm(jv, axis=-1) - np.linalg.norm(v, axis=-1)
+        np.linalg.norm(jv, axis=0) - np.linalg.norm(v, axis=0)
     ).max() < 1e-12
     assert np.abs(dg.apply_j(sf, jv) + v).max() < 1e-12
 
@@ -291,14 +298,16 @@ def test_j_matches_determinant_cross_product():
     for imm in (dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (16, 16)),
                 dg.GridImmersion(curve, (2 * np.pi,))):
         sf = dg.shape_field(imm)
-        v = dg.project_normal(sf, rng.normal(size=imm.points.shape))
-        columns = np.concatenate([np.moveaxis(sf.tangents, -2, -1), v[..., None]], axis=-1)
+        v = rng.normal(size=imm.points.shape)
+        v = np.moveaxis(dg.project_normal(sf, planes(v)), 0, -1)   # (*s, d) for the dets
+        # columns (*s, d, n + 1): the tangents t[i] (d, *s) as columns, then v
+        columns = np.concatenate([np.moveaxis(sf.t, (0, 1), (-1, -2)), v[..., None]], axis=-1)
         cross = np.stack([
             np.linalg.det(np.concatenate(
                 [columns, np.broadcast_to(e, v.shape)[..., None]], axis=-1))
             for e in np.eye(imm.ambient_dim)
-        ], axis=-1)
-        assert np.abs(dg.apply_j(sf, v) + cross / sf.sqrt_det_g[..., None]).max() < 1e-12
+        ])
+        assert np.abs(dg.apply_j(sf, planes(v)) + cross / sf.sqrt_det_g).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +347,9 @@ def test_torsion_metric_duality():
     imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (32, 32))
     sf = dg.shape_field(imm)
     resid, _ = mb.continuity_residual([sf, sf, sf], 2e-3)
-    chi = 2.0 * np.linalg.solve(sf.metric, sf.tau[..., None])[..., 0]
-    expected = dg.metric_divergence(sf, sf.rho[..., None] * chi) - sf.source
+    metric, tau = np.moveaxis(sf.g, (0, 1), (-2, -1)), np.moveaxis(sf.tau, 0, -1)  # per point
+    chi = 2.0 * np.linalg.solve(metric, tau[..., None])[..., 0]
+    expected = dg.metric_divergence(sf, sf.rho * planes(chi)) - sf.source
     assert np.abs(expected).max() > 1e-2
     assert np.abs(resid - expected).max() < 1e-10
 
@@ -367,7 +377,7 @@ def test_shape_field_keeps_its_torsion_form_read_only(monkeypatch):
 def test_normal_laplacian_zero_modes_on_torus():
     imm = dg.torus_immersion(1.0, 2.0, (32, 32))
     sf = dg.shape_field(imm)
-    assert np.abs(dg.normal_laplacian(sf, sf.mean_curvature)).max() < 1e-10
+    assert np.abs(dg.normal_laplacian(sf, sf.H)).max() < 1e-10
     n1, n2 = torus_normals((32, 32))
     assert np.abs(dg.normal_laplacian(sf, 0.7 * n1 - 1.3 * n2)).max() < 1e-10
 
@@ -375,7 +385,7 @@ def test_normal_laplacian_zero_modes_on_torus():
 def test_normal_laplacian_linearity():
     imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (32, 32))
     sf = dg.shape_field(imm)
-    h = sf.mean_curvature / np.sqrt(sf.rho)[..., None]
+    h = sf.H / np.sqrt(sf.rho)
     jh = dg.apply_j(sf, h)
     u = 0.4 * h - 1.1 * jh
     v = 0.9 * jh
@@ -388,7 +398,7 @@ def test_normal_laplacian_rejects_tangential_input():
     imm = dg.torus_immersion(1.0, 2.0, (16, 16))
     sf = dg.shape_field(imm)
     with pytest.raises(ValueError, match="not normal"):
-        dg.normal_laplacian(sf, sf.tangents[..., 0, :])
+        dg.normal_laplacian(sf, sf.t[0])
 
 
 def test_willmore_gradient_hand_values():
@@ -439,10 +449,10 @@ def _same_bits(a, b):
 def test_source_term_and_its_kept_copy_equal_the_einsum_form():
     imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (24, 40))
     sf = dg.shape_field(imm, order=4)
-    jh = dg.apply_j(sf, sf.mean_curvature)
-    s = np.einsum("...ijd,...d->...ij", sf.second_form, sf.mean_curvature)
-    p = np.einsum("...ijd,...d->...ij", sf.second_form, jh)
-    want = -2.0 * np.einsum("...ik,...jl,...ij,...kl->...", sf.metric_inv, sf.metric_inv, s, p)
+    jh = dg.apply_j(sf, sf.H)
+    s = np.einsum("ijd...,d...->ij...", sf.A, sf.H)
+    p = np.einsum("ijd...,d...->ij...", sf.A, jh)
+    want = -2.0 * np.einsum("ik...,jl...,ij...,kl...->...", sf.g_inv, sf.g_inv, s, p)
     got = dg.source_term(sf)
     # the plane sums take the terms in another order: within the tolerance
     # of tests/test_plane_operators.py (RTOL)
@@ -478,8 +488,7 @@ def test_project_normal_is_the_shape_field_projection_bitwise(order):
     second = {(0, 0): dg.diff2(pts, 0, h0, order), (1, 1): dg.diff2(pts, 1, h1, order),
               (0, 1): dg.diff(dg.diff(pts, 0, h0, order), 1, h1, order)}
     for (i, j), x in second.items():
-        got = np.ascontiguousarray(dg.project_normal(sf, x))
-        assert _same_bits(got, np.ascontiguousarray(sf.second_form[..., i, j, :])), (i, j)
+        assert _same_bits(dg.project_normal(sf, np.ascontiguousarray(planes(x))), sf.A[i, j]), (i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +548,7 @@ def mw_pairing(sf, u, v):
     det[u, v, t_1..t_n] dx.  The program has no use for it; these tests pin
     the orientation of the tangents against it."""
     cols = np.concatenate(
-        [u[..., None], v[..., None], np.moveaxis(sf.tangents, -2, -1)], axis=-1
+        [u[..., None], v[..., None], np.moveaxis(sf.t, (0, 1), (-1, -2))], axis=-1
     )
     return dg.grid_integral(sf.immersion, np.linalg.det(cols))
 
@@ -549,7 +558,7 @@ def test_mw_pairing_antisymmetry_and_degeneracy():
     sf = dg.shape_field(imm)
     u = np.tile(np.array([0.3, -1.0, 0.4]), (128, 1))
     assert mw_pairing(sf, u, u) == 0.0
-    t = sf.tangents[:, 0, :]
+    t = sf.t[0].T   # per point, (N, 3)
     assert abs(mw_pairing(sf, t, 0.5 * t)) < 1e-14
 
 

@@ -65,9 +65,9 @@ def test_smc_velocity_on_torus():
 def test_smc_velocity_is_normal_isometry():
     imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (32, 32))
     sf = dg.shape_field(imm)
-    v = stage(imm.points, imm.spacings)
+    v = np.moveaxis(stage(imm.points, imm.spacings), -1, 0)   # as (d, *s) planes
     assert (dg.tangential_defect(sf, v) <= sf.tol_perp).all()
-    assert np.abs(np.einsum("...d,...d->...", v, v) - sf.rho).max() < 1e-12
+    assert np.abs(dg.inner_product(v, v) - sf.rho).max() < 1e-12
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -76,7 +76,7 @@ def test_smc_rhs_matches_the_shape_field_path(order):
     base = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (24, 40))
     imm = dg.GridImmersion(base.points, (3.0, 7.0))
     sf = dg.shape_field(imm, order=order)
-    expected = -dg.apply_j(sf, sf.mean_curvature)
+    expected = np.moveaxis(-dg.apply_j(sf, sf.H), 0, -1)   # per point, as stage returns
     v = stage(imm.points, imm.spacings, order)
     assert v.shape == imm.points.shape
     assert np.abs(v - expected).max() <= 1e-13 * np.abs(expected).max()
@@ -88,7 +88,9 @@ def test_smc_rhs_matches_the_shape_field_path(order):
     assert np.abs(v - v_2pi).max() <= 1e-13 * np.abs(v_2pi).max()
     # and against det[t_1, t_2, H, e_l] / sqrt(det g), which shares no code
     # with the Pluecker form that smc_rhs and apply_j both use
-    cols = np.concatenate([np.moveaxis(sf.tangents, -2, -1), sf.mean_curvature[..., None]], -1)
+    # columns (*s, d, n + 1): the tangents t[i] (d, *s) as columns, then H
+    cols = np.concatenate([np.moveaxis(sf.t, (0, 1), (-1, -2)), np.moveaxis(sf.H, 0, -1)[..., None]],
+                          -1)
     dets = [np.linalg.det(np.concatenate([cols, np.broadcast_to(e[:, None], cols.shape[:-1] + (1,))],
                                          -1)) for e in np.eye(4)]
     by_det = np.stack(dets, axis=-1) / sf.sqrt_det_g[..., None]
@@ -187,7 +189,7 @@ def test_stability_limit_is_the_shape_field_bound_bitwise(order):
     # spacing for the other's reads a different bound
     imm = _random_grid((9, 12), 4)
     sf = dg.shape_field(imm, order=order)
-    lam = sum(mb._FD_SECOND_MAX[order] * sf.metric_inv[..., i, i].max() / imm.spacings[i] ** 2
+    lam = sum(mb._FD_SECOND_MAX[order] * sf.g_inv[i, i].max() / imm.spacings[i] ** 2
               for i in range(2))
     assert mb.stability_limit(imm, order) == mb.RK4_IMAG_STABILITY / lam
 
@@ -230,8 +232,7 @@ def test_poisoned_workspace_planes_change_no_result(poison, order):
     assert np.array_equal(mb.smc_rhs(padded, imm.spacings, order, poisoned()), v)
     assert mb.stability_limit(imm, order, poisoned()) == dt_max
     again = dg.shape_field(imm, order, poisoned())
-    for key in ("tangents", "metric", "metric_inv", "sqrt_det_g", "second_form",
-                "mean_curvature", "rho", "tol_perp"):
+    for key in ("t", "g", "g_inv", "sqrt_det_g", "A", "H", "rho", "tol_perp"):
         assert np.array_equal(getattr(again, key), getattr(sf, key)), key
 
 
@@ -402,23 +403,16 @@ def corollary_residual(fields, span):
     """Normal-vector residual of the contracted continuity form at the middle
     of the shape fields (i - 1, i, i + 1), span apart end to end.  The
     program reports only the scalar continuity residual; these tests pin how
-    the vector form relates to it."""
+    the vector form relates to it.  The residual is (d, *s) planes."""
     sfm, sf0, sfp = fields
-    dH = dg.project_normal(sf0, (sfp.mean_curvature - sfm.mean_curvature) / span)
-    gradH = np.stack(
-        [dg.normal_derivative(sf0, sf0.mean_curvature, j) for j in range(2)], axis=-2
-    )
-    advect = 2.0 * np.einsum("...ij,...i,...jd->...d", sf0.metric_inv, sf0.tau, gradH)
-    div_tau = dg.metric_divergence(
-        sf0, np.einsum("...ij,...j->...i", sf0.metric_inv, sf0.tau)
-    )
-    p = np.einsum("...ijd,...d->...ij", sf0.second_form, sf0.jh)
-    quad = np.einsum(
-        "...ik,...jl,...kl,...ijd->...d",
-        sf0.metric_inv, sf0.metric_inv, p, sf0.second_form,
-    )
-    resid = dH + advect + div_tau[..., None] * sf0.mean_curvature + quad
-    return resid, float(np.nanmax(np.linalg.norm(resid, axis=-1)))
+    dH = dg.project_normal(sf0, (sfp.H - sfm.H) / span)
+    gradH = np.stack([dg.normal_derivative(sf0, sf0.H, j) for j in range(2)])
+    advect = 2.0 * np.einsum("ij...,i...,jd...->d...", sf0.g_inv, sf0.tau, gradH)
+    div_tau = dg.metric_divergence(sf0, np.einsum("ij...,j...->i...", sf0.g_inv, sf0.tau))
+    p = np.einsum("ijd...,d...->ij...", sf0.A, sf0.jh)
+    quad = np.einsum("ik...,jl...,kl...,ijd...->d...", sf0.g_inv, sf0.g_inv, p, sf0.A)
+    resid = dH + advect + div_tau * sf0.H + quad
+    return resid, float(np.nanmax(np.linalg.norm(resid, axis=0)))
 
 
 def test_corollary_residual_small_on_torus():
@@ -430,22 +424,16 @@ def test_corollary_contraction_matches_continuity_identically():
     fields, span = evolved_perturbed_triple(32)
     sfm, sf0, sfp = fields
     res, _ = corollary_residual(fields, span)
-    lhs = 2.0 * np.einsum("...d,...d->...", res, sf0.mean_curvature)
+    lhs = 2.0 * np.einsum("d...,d...->...", res, sf0.H)
 
     # continuity residual in the expanded grouping the contraction produces
-    dH = dg.project_normal(sf0, (sfp.mean_curvature - sfm.mean_curvature) / span)
+    dH = dg.project_normal(sf0, (sfp.H - sfm.H) / span)
     tau = dg.torsion_form(sf0)
-    gradH = np.stack(
-        [dg.normal_derivative(sf0, sf0.mean_curvature, j) for j in range(2)], axis=-2
-    )
-    div_tau = dg.metric_divergence(
-        sf0, np.einsum("...ij,...j->...i", sf0.metric_inv, tau)
-    )
+    gradH = np.stack([dg.normal_derivative(sf0, sf0.H, j) for j in range(2)])
+    div_tau = dg.metric_divergence(sf0, np.einsum("ij...,j...->i...", sf0.g_inv, tau))
     expanded = (
-        2.0 * np.einsum("...d,...d->...", dH, sf0.mean_curvature)
-        + 4.0 * np.einsum(
-            "...ij,...i,...jd,...d->...", sf0.metric_inv, tau, gradH, sf0.mean_curvature
-        )
+        2.0 * np.einsum("d...,d...->...", dH, sf0.H)
+        + 4.0 * np.einsum("ij...,i...,jd...,d...->...", sf0.g_inv, tau, gradH, sf0.H)
         + 2.0 * div_tau * sf0.rho
         - dg.source_term(sf0)
     )
@@ -466,12 +454,12 @@ def test_corollary_vector_form_fails_off_torus():
     sf0 = fields[1]
     res, _ = corollary_residual(fields, span)
     absH = np.sqrt(sf0.rho)
-    h_sec = sf0.mean_curvature / absH[..., None]
+    h_sec = sf0.H / absH
     jh = dg.apply_j(sf0, h_sec)
-    res_h = np.einsum("...d,...d->...", res, h_sec)
-    res_jh = np.einsum("...d,...d->...", res, jh)
+    res_h = np.einsum("d...,d...->...", res, h_sec)
+    res_jh = np.einsum("d...,d...->...", res, jh)
     tau = dg.torsion_form(sf0)
-    tau_sq = np.einsum("...ij,...i,...j->...", sf0.metric_inv, tau, tau)
+    tau_sq = np.einsum("ij...,i...,j...->...", sf0.g_inv, tau, tau)
     predicted = -(dg.laplace_beltrami(sf0, absH) + absH * tau_sq)
     assert np.abs(res_jh - predicted).max() < 0.15      # the defect field
     assert np.abs(predicted).max() > 1.0                 # and it is not small
@@ -502,14 +490,11 @@ def test_momentum_sign_of_squared_form_gradient():
         fields, span = evolved_perturbed_triple(n)
         sf0 = fields[1]
         res, worst = mb.momentum_residual(fields, span)
-        jh = dg.apply_j(sf0, sf0.mean_curvature)
-        p = np.einsum("...ijd,...d->...ij", sf0.second_form, jh)
-        q = np.einsum("...mk,...jl,...mj,...kl->...",
-                      sf0.metric_inv, sf0.metric_inv, p, p)
+        jh = dg.apply_j(sf0, sf0.H)
+        p = np.einsum("ijd...,d...->ij...", sf0.A, jh)
+        q = np.einsum("mk...,jl...,mj...,kl...->...", sf0.g_inv, sf0.g_inv, p, p)
         hs = sf0.immersion.spacings
-        grad_q = np.stack(
-            [dg.diff(q / sf0.rho, k, hs[k], sf0.order) for k in range(2)], axis=-1
-        )
+        grad_q = np.stack([dg.diff(q / sf0.rho, k, hs[k], sf0.order) for k in range(2)])
         resids.append(worst)
         resids_flipped.append(float(np.max(np.abs(res + 2.0 * grad_q))))
     assert math.log2(resids[0] / resids[1]) >= 1.0

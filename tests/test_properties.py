@@ -124,8 +124,15 @@ def test_generalised_cross_vanishes_on_tangent_vectors(n, seed, decade):
 # closed-form shape field vs the per-point LAPACK algebra
 # ---------------------------------------------------------------------------
 
+def _planes(a, k):
+    """A per-point array (*s, *tail) with k tail axes as planes (*tail, *s),
+    the layout of a ShapeField."""
+    return np.moveaxis(a, tuple(range(-k, 0)), tuple(range(k)))
+
+
 def _reference_shape_field(imm, order):
-    """The shape field from np.linalg det/inv/solve on stacked per-point arrays."""
+    """The shape field from np.linalg det/inv/solve on stacked per-point
+    arrays, returned as planes."""
     pts, n, hs = imm.points, imm.dim, imm.spacings
     tangents = np.stack([dg.diff(pts, i, hs[i], order) for i in range(n)], axis=-2)
     metric = np.einsum("...id,...jd->...ij", tangents, tangents)
@@ -143,11 +150,11 @@ def _reference_shape_field(imm, order):
     second_form = (flat - np.einsum("...im,...id->...md", alpha, tangents)).reshape(second.shape)
     H = np.einsum("...ij,...ijd->...d", metric_inv, second_form)
     return {
-        "metric": metric,
-        "metric_inv": metric_inv,
+        "g": _planes(metric, 2),
+        "g_inv": _planes(metric_inv, 2),
         "sqrt_det_g": np.sqrt(np.linalg.det(metric)),
-        "second_form": second_form,
-        "mean_curvature": H,
+        "A": _planes(second_form, 3),
+        "H": _planes(H, 1),
         "rho": np.einsum("...d,...d->...", H, H),
         "tol_perp": np.maximum(dg.TOL_PERP_FACTOR * norms, dg.TOL_PERP_FACTOR),
     }
@@ -190,7 +197,7 @@ def sheared_immersions(draw):
 def test_closed_form_shape_field_matches_linalg_algebra(imm, order):
     sf = dg.shape_field(imm, order=order)
     if imm.dim == 2:
-        assert np.abs(sf.metric[..., 0, 1]).max() > 0.1
+        assert np.abs(sf.g[0, 1]).max() > 0.1
     for name, ref in _reference_shape_field(imm, order).items():
         got = getattr(sf, name)
         assert got.shape == ref.shape, name
