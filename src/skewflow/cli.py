@@ -217,19 +217,24 @@ def _curve_from_params(p):
 def run_sphere(p, outdir):
     if p["stride"] < 1:
         raise ConfigError(f"stride must be >= 1, got {p['stride']}")
-    state = sp.SphereProductState(p["m"], p["l"], p["a"], p["b"])
+    state, notes = sp.SphereProductState(p["m"], p["l"], p["a"], p["b"]), {}
     if p["mode"] == "to-collapse":
         run = functools.partial(sp.run_to_collapse, state, p["dt"], p["a_stop"], p["stride"])
     elif p["mode"] == "fixed":
         if p["T"] is None:
             raise ConfigError("fixed mode needs T")
+        notes["collapse_time"] = sp.collapse_time(state)
+        if sp.reaches_step_halving(state, p["dt"], p["T"]):
+            sys.stderr.write(
+                f"warning: T={p['T']:.6g} reaches the step halving before the collapse at "
+                f"t={notes['collapse_time']:.6g}; rows there carry few significant digits\n")
         run = functools.partial(sp.evolve_numeric, state, p["dt"], p["T"], p["stride"])
     else:
         raise ConfigError(f"unknown mode {p['mode']!r}")
     traj, code = _evolve("sphere-product", run)
     table = sp.trajectory_table(traj)
     write_csv(os.path.join(outdir, "sphere.csv"), list(table), zip(*table.values()))
-    return code, {}
+    return code, notes
 
 
 def _evolve(label, run):

@@ -38,12 +38,12 @@ ShapeField, and the filament velocity filament.binormal_rhs.
 The plane kernels (plane_derivatives, metric_planes, project_planes,
 generalised_cross, shape_field) fill their intermediate planes with out=
 ufuncs in a workspace ws: a Workspace of named arrays, made once and
-reused, or by default a fresh array per request.  evolve_membrane keeps one
-Workspace per run, so its RK4 stages allocate only their results, and its
-stability estimates run metric_planes there under names of their own.
-The 1D stages build their padded buffers once per run: the filament's
-points, and the Da Rios and fluid fields as padded rows in a Workspace,
-each buffer's halo fill and neighbour views made once.  Every stencil,
+reused, or by default a fresh array per request.  evolve_membrane keeps
+one Workspace per run, for its RK4 stages and its stability estimates, the
+stage's first half on the same padded state under the same names.  The 1D
+stages own plain arrays made once per run: the filament's padded points,
+and the Da Rios and fluid fields as padded rows, each buffer's halo fill
+and neighbour views made once.  Every stencil,
 product and sum keeps the operation order of the plain expression, so the
 results are bitwise those of allocating code.
 
@@ -262,8 +262,8 @@ class Workspace:
     """Named float arrays, made on the first request for a name and handed
     out again on every later one: ws(name, shape).
 
-    evolve_membrane and the Da Rios and fluid solvers keep one per run, so
-    their RK4 stages allocate only their results.  An array a kernel returns
+    evolve_membrane keeps one per run, so its RK4 stages and stability
+    estimates allocate only the stages' results.  An array a kernel returns
     from here holds its values until the next request under the same name;
     "tmp" and "scalar_tmp" are scratch that any kernel may overwrite.
     """
@@ -415,7 +415,7 @@ def interior_points(padded, order):
     return np.ascontiguousarray(np.moveaxis(interior(padded, order), 0, -1))
 
 
-def plane_derivatives(padded, spacings, order, ws=_fresh):
+def plane_derivatives(padded, spacings, order, ws=_fresh, tangents_only=False):
     """Differences of the positions, from their padded planes (pad_planes).
 
     Returns (t, xx, mixed, inner): the tangents t_i = dF/dx_i, the second
@@ -434,7 +434,8 @@ def plane_derivatives(padded, spacings, order, ws=_fresh):
     rows: they are no geometry, may hold any value, and whatever reads the
     band reduces over band[inner] alone.  On the interior the results are
     bitwise diff/diff2 of the unpadded planes.  The order is the one the
-    planes were padded with, which pad_planes has checked.
+    planes were padded with, which pad_planes has checked.  tangents_only
+    takes t alone, for membrane.stability_limit; xx and mixed are then None.
     """
     w, d, n = order // 2, padded.shape[0], padded.ndim - 1
     band = (d, padded.shape[1] - 2 * w) + padded.shape[2:]
@@ -442,21 +443,25 @@ def plane_derivatives(padded, spacings, order, ws=_fresh):
     tmp = ws("tmp", band)
     t1_flat = ws("t1", (d, size + 2 * w))
     t = [t1_flat[:, w:w + size].reshape(band)] + [ws(f"t{a}", band) for a in range(2, n + 1)]
-    xx = [ws(f"xx{a}", band) for a in range(1, n + 1)]
+    xx = None if tangents_only else [ws(f"xx{a}", band) for a in range(1, n + 1)]
     at = _neighbour_views(padded, 1, w)
     _first(at, spacings[0], order, t[0], tmp)
-    _second(at, spacings[0], order, xx[0], tmp)
+    if xx:
+        _second(at, spacings[0], order, xx[0], tmp)
     if n == 1:
         return t, xx, None, (Ellipsis,)
     start = w * padded.shape[2]  # the band's first entry in a flattened plane
     at = _neighbour_views(padded.reshape(d, -1)[:, start - w:start + size + w], 1, w)
-    flat_tmp, mixed = tmp.reshape(d, size), ws("mixed", band)
+    flat_tmp, inner = tmp.reshape(d, size), (Ellipsis, slice(w, padded.shape[2] - w))
     _first(at, spacings[1], order, t[1].reshape(d, size), flat_tmp)
+    if tangents_only:
+        return t, None, None, inner
+    mixed = ws("mixed", band)
     _second(at, spacings[1], order, xx[1].reshape(d, size), flat_tmp)
     # the spare entries feed only halo columns; keep them finite
     t1_flat[:, :w] = t1_flat[:, -w:] = 0.0
     _first(_neighbour_views(t1_flat, 1, w), spacings[1], order, mixed.reshape(d, size), flat_tmp)
-    return t, xx, mixed, (Ellipsis, slice(w, padded.shape[2] - w))
+    return t, xx, mixed, inner
 
 
 # ---------------------------------------------------------------------------

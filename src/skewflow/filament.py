@@ -537,17 +537,16 @@ def nls_evolve(wave, dt, t_final, stride=None):
 # ---------------------------------------------------------------------------
 
 def _padded_rows(n, period):
-    """Order-4 differences on padded rows of one run's diffgeo.Workspace:
-    level1(a, b, c) pads a, b, c as the rows of one buffer, wraps it once and
-    returns a' and b' as one (2, n) array, and c''; level2(f) returns f'.
-    Each buffer's halo fill (diffgeo._halo) is made here, once per run.  Each
-    result, bitwise derivative's, holds until the next call of its level."""
-    ws, h = dg.Workspace(), period / n
-    one, two = ws("level1", (3, n + 4)), ws("level2", (1, n + 4))
+    """Order-4 differences on padded rows, made once per run with their halo
+    fills (diffgeo._halo): level1(a, b, c) pads a, b, c as the rows of one
+    buffer, wraps it once and returns a' and b' as one (2, n) array, and c'';
+    level2(f) returns f'.  Each result, bitwise derivative's, holds until
+    the next call of its level."""
+    h, one, two = period / n, np.empty((3, n + 4)), np.empty((1, n + 4))
     wrap_one, fill_two = dg._halo(one, (1,), 2), dg._halo(two, (1,), 2)
     rows = dg.interior(one, 4)
     at_ab, at_c, at_f = (dg._neighbour_views(b, 1, 2) for b in (one[:2], one[2:], two))
-    d_ab, tmp, d_c, d_f = ws("d_ab", (2, n)), ws("tmp", (2, n)), ws("d_c", (1, n)), ws("d_f", (1, n))
+    (d_ab, tmp), (d_c, d_f) = np.empty((2, 2, n)), np.empty((2, 1, n))
 
     def level1(a, b, c):
         rows[0], rows[1], rows[2] = a, b, c

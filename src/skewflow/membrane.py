@@ -36,7 +36,7 @@ RK4_IMAG_STABILITY = 2.0   # conservative fraction of the RK4 imaginary-axis lim
 _FD_SECOND_MAX = {2: 4.0, 4: 16.0 / 3.0}
 
 
-def smc_rhs(padded, spacings, order=2, ws=None):
+def smc_rhs(padded, spacings, order=2, ws=dg._fresh):
     """Marker velocity -J H = (t_1 x ... x t_n x H) / sqrt(det g) per grid point.
 
     The RK4 stage kernel.  It takes the positions as padded (d, *s) component
@@ -48,11 +48,10 @@ def smc_rhs(padded, spacings, order=2, ws=None):
     of interior rows; the det g floor reads the interior alone.  H enters
     unprojected, as g^ij X_ij: the wedge vanishes on tangent vectors, so the
     result is that of g^ij A_ij up to roundoff.  Every intermediate plane
-    lives in ws, which evolve_membrane keeps for all stages of a run;
-    without one the call starts a fresh workspace.  The returned velocity is
-    always a new array.  Raises DegenerateImmersionError where det g <= G_MIN.
+    lives in ws, which evolve_membrane keeps for all stages of a run; by
+    default each is a fresh array.  The returned velocity is always a new
+    array.  Raises DegenerateImmersionError where det g <= G_MIN.
     """
-    ws = dg.Workspace() if ws is None else ws
     t, xx, mixed, inner = dg.plane_derivatives(padded, spacings, order, ws)
     _, det_g, g_inv = dg.metric_planes(t, ws, inner)
     scalar_tmp = ws("scalar_tmp", det_g.shape)
@@ -69,25 +68,22 @@ def smc_rhs(padded, spacings, order=2, ws=None):
     return dg._halo(v, range(1, v.ndim), w)()
 
 
-def stability_limit(imm, order=2, ws=None):
+def stability_limit(padded, spacings, order=2, ws=dg._fresh):
     """Estimated RK4 step bound for the dispersive (Schrodinger-like) flow.
 
     The stiffest linearized mode oscillates at roughly
     c_ord * sum_i max(g^ii) / h_i^2 with c_ord the peak symbol of the second
     difference; the usable step is a conservative fraction of 2.83 over that.
-    g^ii needs the tangents alone: each t_i is dg.diff of the points, bitwise
-    the tangent of dg.plane_derivatives on the interior, and dg.metric_planes
-    inverts the metric in the workspace ws, so the bound is bitwise that of
-    the full shape field's g_inv.  Its planes take names of their own
-    there: the stage asks for metric_planes' names at the band shape, and a
-    shared name would be made anew at each request.  Raises
+    It is the first half of smc_rhs on the same padded (d, *s) planes, a
+    curve's or a membrane's: the tangents of dg.plane_derivatives, then
+    dg.metric_planes, under the stage's names in ws; max g^ii reads the
+    band's interior, bitwise the full shape field's g_inv.  Raises
     DegenerateImmersionError where det g <= G_MIN.
     """
-    ws = dg.Workspace() if ws is None else ws
-    hs = imm.spacings
-    t = [np.moveaxis(dg.diff(imm.points, i, hs[i], order), -1, 0) for i in range(imm.dim)]
-    _, _, g_inv = dg.metric_planes(t, lambda name, shape: ws("guard " + name, shape))
-    lam = sum(_FD_SECOND_MAX[order] * g_inv[i][i].max() / hs[i] ** 2 for i in range(imm.dim))
+    t, _, _, inner = dg.plane_derivatives(padded, spacings, order, ws, tangents_only=True)
+    _, _, g_inv = dg.metric_planes(t, ws, inner)
+    lam = sum(_FD_SECOND_MAX[order] * g_inv[i][i][inner].max() / spacings[i] ** 2
+              for i in range(len(t)))
     return RK4_IMAG_STABILITY / lam
 
 
@@ -96,24 +92,24 @@ def evolve_membrane(imm, dt, t_final, stride=1, order=2):
 
     The RK4 state is the padded planes of smc_rhs, so a stage needs no copy
     in, wrap or transpose out; the guard checks their interior for
-    non-finite coordinates.  Only the recorded steps build a snapshot, a
-    GridImmersion of the interior, and check its stability estimate against
-    dt; the record at t = 0 is imm itself, whose estimate is taken up front.
-    Raises ValueError for an input that is not a membrane or a step size
-    above the stability estimate, and EvolutionAbort on metric degeneration,
-    non-finite coordinates, or a snapshot whose stability estimate has
-    dropped below dt.  The estimates read the tangents alone, so the run
-    builds no shape field: the returned stepping.Trajectory, and the one an
-    abort carries, hold snapshots only.
+    non-finite coordinates.  The input is padded once; the stability
+    estimate, in the stages' workspace, reads that state up front and each
+    recorded state before its snapshot, a GridImmersion of the interior
+    (imm itself at t = 0), is built.  Raises ValueError for a non-membrane
+    input or a step above the estimate, and EvolutionAbort on metric
+    degeneration, non-finite coordinates or a state whose estimate fell
+    below dt.  No shape field is built: the returned stepping.Trajectory,
+    and the one an abort carries, hold snapshots only.
     """
     if imm.dim != 2:
         raise ValueError(f"need a dim-2 immersion in R^4, got dim={imm.dim}")
     step_count(dt, t_final, stride)  # its ValueErrors before the stability estimate's
+    periods, spacings = imm.param_periods, imm.spacings
     ws = dg.Workspace()  # every stage and stability estimate of this run works in it
-    dt_max = stability_limit(imm, order, ws)
+    y0 = dg.pad_planes(imm.points, order)
+    dt_max = stability_limit(y0, spacings, order, ws)
     if dt > dt_max:
         raise ValueError(f"dt={dt:.3e} above the stability estimate {dt_max:.3e}")
-    periods, spacings = imm.param_periods, imm.spacings
 
     def guard(y, i):
         if not dg.all_finite(dg.interior(y, order)):
@@ -122,15 +118,13 @@ def evolve_membrane(imm, dt, t_final, stride=1, order=2):
     def record(y, t):
         if t == 0.0:
             return imm
-        snap = dg.GridImmersion(dg.interior_points(y, order), periods)
-        if dt > stability_limit(snap, order, ws):
+        if dt > stability_limit(y, spacings, order, ws):
             raise EvolutionAbort("dt no longer within the stability estimate", t)
-        return snap
+        return dg.GridImmersion(dg.interior_points(y, order), periods)
 
     with np.errstate(all="ignore"):  # a non-finite stage is caught by the guard
         return integrate(lambda y, i: rk4_step(lambda p: smc_rhs(p, spacings, order, ws), y, dt),
-                         dg.pad_planes(imm.points, order), dt, t_final, stride,
-                         guard=guard, record=record)
+                         y0, dt, t_final, stride, guard=guard, record=record)
 
 
 def extract_radii(imm):

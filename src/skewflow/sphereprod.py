@@ -93,6 +93,17 @@ def closed_form(state, t):
     return SphereProductState(m, l, new_a, new_b, state.t + t)
 
 
+def reaches_step_halving(state, dt, t):
+    """Whether a run at step dt over elapsed time t reaches, by the closed
+    form, the zone near collapse where _run halves its step (a < 10 dt l / b);
+    a horizon at or past the collapse time always does."""
+    try:
+        end = closed_form(state, t)
+    except CollapseError:
+        return True
+    return end.a < 10.0 * dt * state.l / end.b
+
+
 def hamiltonian(state):
     """Conserved quantity ln(a^m b^l)."""
     return state.m * math.log(state.a) + state.l * math.log(state.b)

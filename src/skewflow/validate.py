@@ -296,7 +296,7 @@ def _evolved_momentum_residual(n):
     fields of its first three snapshots; the trajectory and its shape fields
     are dropped before the next grid runs."""
     imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (n, n))
-    dt = 0.25 * mb.stability_limit(imm, order=2)
+    dt = 0.25 * mb.stability_limit(dg.pad_planes(imm.points, 2), imm.spacings, 2)
     traj = mb.evolve_membrane(imm, dt, 2 * dt, stride=1, order=2)
     fields = [dg.shape_field(snap, order=2) for snap in traj.states]
     return mb.momentum_residual(fields, traj.times[2] - traj.times[0])[1]

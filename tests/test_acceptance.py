@@ -8,10 +8,11 @@ printing one PASS/FAIL line per criterion (visible with pytest -s / -rA).
  3. ln(a^m b^l) drift <= 1e-8; membrane volume drift <= 0.2% over T=0.2
  4. Willmore non-conservation: torus(1,2) tracks the analytic series to 1%
     and changes by > 5% over t in [0, 0.2]
- 5. 1D bending energy drift <= 1e-4 over T=1 (N=256, dt=1e-4)
+ 5. 1D bending energy drift <= 1e-10 over T=1 (N=256, dt=1e-4)
  6. four-corner curvature agreement L_inf <= 5e-3 at t=0.2
  7. Willmore gradient: zero at equal radii, hand value at (1,2), and the
-    central-difference oracle, all <= 1e-3 at 64x64
+    central-difference oracle, all <= 1e-3 at 64x64; the oracle must
+    accept all 3 of its directions
  8. continuity-with-source residual <= 1e-3 at 64x64; d(rho)/dt = 0.75 at t=0
  9. energy rate identity within 1%; rate = 8 pi^2 * 3/4 at (1,2) within 0.5%
 10. momentum residual ~ 0 on tori; refinement order >= 1 on perturbed tori

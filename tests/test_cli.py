@@ -648,13 +648,28 @@ def test_sphere_run_collapse_abort_writes_recorded_rows(tmp_path, capsys):
     code = cli.main(["sphere-run", "m=1", "l=2", "a=1", "b=1", "mode=fixed", "T=2",
                      "dt=1e-2", "--out", str(out)])
     assert code == 3
-    t_abort = _abort_time(capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert err.startswith("warning: T=2 reaches the step halving before the collapse at t=1;")
+    t_abort = _abort_time(err)
     assert abs(t_abort - 1.0) < 1e-3
     ts = column(out / "sphere.csv", "t")
     assert ts[0] == 0.0 and len(ts) > 100
     assert all(t1 < t2 for t1, t2 in zip(ts, ts[1:]))
     assert abs(ts[-1] - t_abort) < 1e-6
     assert min(column(out / "sphere.csv", "a")) > 0.0
+
+
+@pytest.mark.parametrize("config", [
+    ["m=1", "l=1", "a=1", "b=2", "T=1.0", "dt=1e-3", "stride=100"],
+    ["m=1", "l=2", "a=1", "b=1", "dt=1e-4", "mode=to-collapse", "a_stop=1e-10"],
+    ["m=1", "l=2", "a=1", "b=1", "dt=1e-4", "mode=to-collapse", "a_stop=1e-10", "stride=7"],
+], ids=["fixed", "to-collapse", "to-collapse-stride-7"])
+def test_sphere_runs_short_of_the_step_halving_do_not_warn(tmp_path, capsys, config):
+    out = tmp_path / "sphere"
+    assert cli.main(["sphere-run", *config, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    notes = dict(line.split(" ", 1) for line in (out / "manifest.txt").read_text().splitlines())
+    assert ("collapse_time" in notes) == ("T=1.0" in config)
 
 
 def test_degenerate_surface_file_exits_2(tmp_path, capsys):

@@ -27,7 +27,7 @@ def evolved_perturbed_triple(n, order=2):
     """Shape fields of the first three snapshots of a perturbed torus run, one
     step apart, and their span."""
     imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (n, n))
-    dt = 0.25 * mb.stability_limit(imm, order)
+    dt = 0.25 * mb.stability_limit(dg.pad_planes(imm.points, order), imm.spacings, order)
     traj = mb.evolve_membrane(imm, dt, 2 * dt, stride=1, order=order)
     fields = [dg.shape_field(snap, order=order) for snap in traj.states]
     return fields, traj.times[2] - traj.times[0]
@@ -39,7 +39,7 @@ def frozen_triple(imm, order=2):
     return [sf, sf, sf]
 
 
-def stage(points, spacings, order=2, ws=None):
+def stage(points, spacings, order=2, ws=dg._fresh):
     """smc_rhs on points (*s, d), padded as evolve_membrane pads them; the
     velocity's interior, as (*s, d)."""
     padded = dg.pad_planes(points, order)
@@ -104,15 +104,19 @@ def test_smc_rhs_rejects_a_collapsed_grid():
     imm = dg.torus_immersion(1.0, 2.0, (16, 16))
     collapsed = imm.points.copy()
     collapsed[5] = collapsed[6] = collapsed[4]
+    padded = dg.pad_planes(collapsed, 2)
     with pytest.raises(DegenerateImmersionError, match="grid index") as err:
-        mb.smc_rhs(dg.pad_planes(collapsed, 2), imm.spacings, 2)
+        mb.smc_rhs(padded, imm.spacings, 2)
     assert err.value.grid_index == (5, 0)
     assert err.value.det_value == 0.0
-    # the kernels that pad an immersion report the same interior index
-    for kernel in (mb.stability_limit, dg.shape_field):
-        with pytest.raises(DegenerateImmersionError) as err:
-            kernel(dg.GridImmersion(collapsed, imm.param_periods), 2)
-        assert err.value.grid_index == (5, 0)
+    # the estimate on the same planes, and shape_field, which pads an
+    # immersion, report the same interior index
+    with pytest.raises(DegenerateImmersionError) as err:
+        mb.stability_limit(padded, imm.spacings, 2)
+    assert err.value.grid_index == (5, 0)
+    with pytest.raises(DegenerateImmersionError) as err:
+        dg.shape_field(dg.GridImmersion(collapsed, imm.param_periods), 2)
+    assert err.value.grid_index == (5, 0)
 
 
 def _roll_first(f, axis, h, order):
@@ -185,13 +189,16 @@ def _random_grid(shape, seed):
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_stability_limit_is_the_shape_field_bound_bitwise(order):
-    # the spacings 3/9 and 7/12 differ, so a guard that takes one axis's
-    # spacing for the other's reads a different bound
-    imm = _random_grid((9, 12), 4)
-    sf = dg.shape_field(imm, order=order)
-    lam = sum(mb._FD_SECOND_MAX[order] * sf.g_inv[i, i].max() / imm.spacings[i] ** 2
-              for i in range(2))
-    assert mb.stability_limit(imm, order) == mb.RK4_IMAG_STABILITY / lam
+    # the spacings 3/9 and 7/12 differ, and so do 3/24 and 7/40, so a guard
+    # that takes one axis's spacing for the other's reads a different bound;
+    # a resampled curve's (3, N + 4) planes take the n = 1 path
+    curve = fl.arclength_resample(fl.perturbed_circle(1.0, 0.1, 3, 64))
+    for imm in (_random_grid((9, 12), 4), _skewed_grid((3.0, 7.0)), curve):
+        sf = dg.shape_field(imm, order=order)
+        lam = sum(mb._FD_SECOND_MAX[order] * sf.g_inv[i, i].max() / imm.spacings[i] ** 2
+                  for i in range(imm.dim))
+        padded = dg.pad_planes(imm.points, order)
+        assert mb.stability_limit(padded, imm.spacings, order) == mb.RK4_IMAG_STABILITY / lam
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -221,7 +228,7 @@ def test_poisoned_workspace_planes_change_no_result(poison, order):
     padded = dg.pad_planes(imm.points, order)
     ws = dg.Workspace()
     v = mb.smc_rhs(padded, imm.spacings, order, ws)
-    dt_max = mb.stability_limit(imm, order, ws)
+    dt_max = mb.stability_limit(padded, imm.spacings, order, ws)
     sf = dg.shape_field(imm, order, ws)
 
     def poisoned():
@@ -230,7 +237,7 @@ def test_poisoned_workspace_planes_change_no_result(poison, order):
         return ws
 
     assert np.array_equal(mb.smc_rhs(padded, imm.spacings, order, poisoned()), v)
-    assert mb.stability_limit(imm, order, poisoned()) == dt_max
+    assert mb.stability_limit(padded, imm.spacings, order, poisoned()) == dt_max
     again = dg.shape_field(imm, order, poisoned())
     for key in ("t", "g", "g_inv", "sqrt_det_g", "A", "H", "rho", "tol_perp"):
         assert np.array_equal(getattr(again, key), getattr(sf, key)), key
@@ -240,7 +247,7 @@ def test_poisoned_workspace_planes_change_no_result(poison, order):
 @pytest.mark.parametrize("shape", [(8, 8), (8, 9), (9, 12)])
 def test_five_steps_equal_the_unpadded_stage_stepped_bitwise(shape, order):
     imm = _random_grid(shape, 3)
-    dt = 0.25 * mb.stability_limit(imm, order)
+    dt = 0.25 * mb.stability_limit(dg.pad_planes(imm.points, order), imm.spacings, order)
     traj = mb.evolve_membrane(imm, dt, 5 * dt, stride=1, order=order)
     ref = integrate(
         lambda pts, i: rk4_step(lambda p: _unpadded_stage(p, imm.spacings, order), pts, dt),
@@ -276,8 +283,9 @@ def test_evolution_equals_the_roll_reference_stage_bitwise(order, stride, period
 @pytest.mark.parametrize("order", [2, 4])
 def test_a_run_makes_each_workspace_plane_once(monkeypatch, order):
     # the stability estimate at every recorded step and the stages between
-    # them ask for planes of two shapes; a name shared by both would be made
-    # anew at each request
+    # them share the workspace: a name asked for at two shapes would be made
+    # anew at each request, and the estimate may ask only for the stage's
+    # names
     made = []
 
     class Counting(dg.Workspace):
@@ -291,9 +299,15 @@ def test_a_run_makes_each_workspace_plane_once(monkeypatch, order):
     monkeypatch.setattr(dg, "Workspace", Counting)
     traj = mb.evolve_membrane(imm, 2e-3, 5 * 2e-3, stride=1, order=order)
     assert made and len(made) == len(set(made))
+    run_names, made[:] = set(made), []
     ws = Counting()
-    mb.smc_rhs(dg.pad_planes(imm.points, order), imm.spacings, order, ws)
-    assert mb.stability_limit(imm, order, ws) == mb.stability_limit(imm, order)
+    padded = dg.pad_planes(imm.points, order)
+    mb.smc_rhs(padded, imm.spacings, order, ws)  # a lone stage
+    stage_names = set(made)
+    assert run_names <= stage_names
+    dt_max = mb.stability_limit(padded, imm.spacings, order)
+    assert mb.stability_limit(padded, imm.spacings, order, ws) == dt_max
+    assert set(made) == stage_names
     for snap, ref in zip(traj.states, expected.states):
         assert np.array_equal(snap.points, ref.points)
 
@@ -332,7 +346,7 @@ def test_stage_and_shape_field_make_no_roll_calls(monkeypatch):
 
 def test_stability_guard():
     imm = dg.torus_immersion(1.0, 2.0, (32, 32))
-    dt_max = mb.stability_limit(imm)
+    dt_max = mb.stability_limit(dg.pad_planes(imm.points, 2), imm.spacings)
     with pytest.raises(ValueError, match="stability"):
         mb.evolve_membrane(imm, 2.0 * dt_max, 10 * dt_max, stride=1)
 

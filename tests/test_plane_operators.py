@@ -191,7 +191,7 @@ def triple(request):
     order = request.param
     pts = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (24, 40)).points
     imm = dg.GridImmersion(pts, (3.0, 7.0))
-    dt = 0.25 * mb.stability_limit(imm, order)
+    dt = 0.25 * mb.stability_limit(dg.pad_planes(imm.points, order), imm.spacings, order)
     traj = mb.evolve_membrane(imm, dt, 2 * dt, stride=1, order=order)
     return [dg.shape_field(snap, order=order) for snap in traj.states], traj.times[2] - traj.times[0]
 

@@ -19,7 +19,10 @@
 # strongly perturbed 16 x 16 torus (eps 0.4, k1 3, k2 5) whose stability
 # estimate drops below dt = 0.03, so it aborts at t = 0.21 (exit 3; its
 # standard error and exit status are kept, so the snapshots and the
-# diagnostics of an aborted run are compared too), a stride-5 membrane run on
+# diagnostics of an aborted run are compared too), a stride-1 membrane run on
+# a 32 x 32 torus at dt = 0.05, above its up-front stability estimate
+# 1.522e-2 (it exits 2 and writes nothing; its standard error, which prints
+# the estimate, and its exit status are kept), a stride-5 membrane run on
 # a 16 x 16 torus of radii 0.004 and 3000 at dt = 1e-6 (its snapshots hold
 # coordinates of decimal exponent -25, -19, -18, -13, -3 and 3, and zeros, so
 # the snapshot writer's exponential layout, its fixed layouts and its scaling
@@ -51,10 +54,11 @@
 # tolerances and once with --tol-profile strict, both `sphere-run`
 # examples of the README (to collapse and over a fixed horizon), the run to
 # collapse again with stride=7 (so the stop is recorded off the stride), a
-# fixed-horizon sphere run past the collapse time (its step underflows: the
-# run exits 3 with the rows recorded so far, and its standard error and exit
-# status are kept), a filament run on a pinched curve that this script writes
-# with python3 (a crushed ellipse, N = 96, read with curve_file=) whose
+# fixed-horizon sphere run past the collapse time (it warns that its horizon
+# reaches the step halving, its step underflows, and the run exits 3 with the
+# rows recorded so far; its standard error and exit status are kept), a
+# filament run on a pinched curve that this script writes with python3 (a
+# crushed ellipse, N = 96, read with curve_file=) whose
 # strands close in until the self-intersection guard aborts the run at
 # t = 0.01 (exit 3; its standard error and exit status are kept, so the
 # abort time, the rows recorded before it and its speed deviation warning
@@ -88,7 +92,7 @@ fi
 src=$(cd "$1" && pwd)/src
 out=$2
 mkdir -p "$out/validate" "$out/validate_6" "$out/validate_3_4_9" "$out/validate_1_12_strict" \
-    "$out/membrane_abort" "$out/sphere_underflow" "$out/pinched" "$out/curve_as_surface" \
+    "$out/membrane_abort" "$out/membrane_dt_above" "$out/sphere_underflow" "$out/pinched" "$out/curve_as_surface" \
     "$out/darios_singular" "$out/fluid_singular" "$out/fluid_nonfinite" "$out/wobbly" \
     "$out/nls_nan" "$out/validate_99"
 
@@ -120,6 +124,10 @@ skewflow membrane-run surface=perturbed_torus a=1 b=2 eps=0.4 k1=3 k2=5 n1=16 n2
     order=2 dt=0.03 T=3 stride=1 --out "$out/membrane_abort" \
     >/dev/null 2>"$out/membrane_abort/stderr.txt" || status=$?
 echo "exit $status" >>"$out/membrane_abort/stderr.txt"
+status=0
+skewflow membrane-run surface=torus_product a=1 b=2 n1=32 n2=32 dt=0.05 T=0.1 stride=1 \
+    --out "$out/membrane_dt_above" >/dev/null 2>"$out/membrane_dt_above/stderr.txt" || status=$?
+echo "exit $status" >>"$out/membrane_dt_above/stderr.txt"
 skewflow membrane-run surface=torus_product a=0.004 b=3000 n1=16 n2=16 dt=1e-6 T=1e-5 stride=5 \
     --out "$out/membrane_exponents" >/dev/null
 restart="surface=torus_product a=1.0 b=2.0 n1=128 n2=128 order=4 dt=5e-4 stride=1"
