@@ -248,13 +248,24 @@ def _evolve(label, run):
         return exc.trajectory, 3
 
 
+def _default_stride(nsteps):
+    """The smallest divisor of nsteps that is at least max(1, nsteps // 10):
+    nsteps // 10 where it divides, else a stride giving at most ten
+    intervals (a prime count records t = 0 and the end alone)."""
+    stride = max(1, nsteps // 10)
+    while nsteps % stride:
+        stride += 1
+    return stride
+
+
 def _run_1d(p, outdir, label, solve, table, columns, rows_of, diag_columns, diag_of,
             notes_of=lambda state: {}):
-    """Run a 1D solver once, with ten snapshots unless `stride` is set, and
-    write what it recorded: one `table` row per sample from rows_of(state),
-    one diagnostics.csv row per snapshot from diag_of(state).  Returns the
-    exit code and the manifest notes of the first state, notes_of(state)."""
-    stride = p["stride"] or max(1, step_count(p["dt"], p["T"]) // 10)
+    """Run a 1D solver once, with the snapshots of _default_stride unless
+    `stride` is set, and write what it recorded: one `table` row per sample
+    from rows_of(state), one diagnostics.csv row per snapshot from
+    diag_of(state).  Returns the exit code and the manifest notes of the
+    first state, notes_of(state)."""
+    stride = p["stride"] or _default_stride(step_count(p["dt"], p["T"]))
     traj, code = _evolve(label, lambda: solve(stride))
     rows, diag = [], []
     for t, state in zip(traj.times, traj.states):
@@ -302,10 +313,10 @@ def run_nls(p, outdir):
     if p["source"] == "plane":
         if not np.isfinite(p["A"]):
             raise ConfigError(f"A must be finite, got {p['A']}")
-        wave = fl.WaveField(np.full(p["M"], p["A"], dtype=complex), p["L"])
+        psi, length = np.full(p["M"], p["A"], dtype=complex), p["L"]
     elif p["source"] == "curve":
         fr = fl.frenet_data(fl.arclength_resample(_curve_from_params(p)))
-        wave, holonomy = fl.hasimoto(fr)
+        (psi, holonomy), length = fl.hasimoto(fr), fr.length
         if fl.holonomy_defect(holonomy) > fl.HOLONOMY_TOL:
             sys.stderr.write(
                 f"warning: holonomy angle {holonomy:.6g} is not a multiple of 2*pi; "
@@ -315,19 +326,20 @@ def run_nls(p, outdir):
         raise ConfigError(f"unknown source {p['source']!r}")
     return _run_1d(
         p, outdir, "wave",
-        lambda stride: fl.nls_evolve(wave, p["dt"], p["T"], stride),
-        "psi.csv", ["re", "im", "abs"], lambda w: ((z.real, z.imag, abs(z)) for z in w.psi),
-        ["mass"], lambda w: (w.mass(),),
+        lambda stride: fl.nls_evolve(psi, length, p["dt"], p["T"], stride),
+        "psi.csv", ["re", "im", "abs"], lambda w: ((z.real, z.imag, abs(z)) for z in w),
+        ["mass"], lambda w: (fl.mass(np.abs(w) ** 2, length),),
     )
 
 
 def run_fluid(p, outdir):
-    state = fl.to_fluid(fl.frenet_data(fl.arclength_resample(_curve_from_params(p))))
+    fr = fl.frenet_data(fl.arclength_resample(_curve_from_params(p)))
+    rho, v = fl.to_fluid(fr)
     return _run_1d(
         p, outdir, "fluid",
-        lambda stride: fl.fluid_evolve(state, p["dt"], p["T"], stride),
-        "fluid.csv", ["rho", "v"], lambda st: zip(st.rho, st.v),
-        ["mass"], lambda st: (st.mass(),),
+        lambda stride: fl.fluid_evolve(rho, v, fr.length, p["dt"], p["T"], stride),
+        "fluid.csv", ["rho", "v"], lambda y: zip(y[0], y[1]),
+        ["mass"], lambda y: (fl.mass(y[0], fr.length),),
     )
 
 

@@ -134,9 +134,7 @@ def derivative(f, period, nu=1):
         return dg.diff(f, 0, h, 4)
     if nu == 2:
         return dg.diff2(f, 0, h, 4)
-    if nu == 3:
-        return dg.diff(dg.diff2(f, 0, h, 4), 0, h, 4)
-    raise ValueError(f"nu must be 1, 2 or 3, got {nu}")
+    raise ValueError(f"nu must be 1 or 2, got {nu}")
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +451,7 @@ def frenet_data(curve):
     pts, (period,) = curve.points, curve.param_periods
     gp = derivative(pts, period, 1)
     gpp = derivative(pts, period, 2)
-    gppp = derivative(pts, period, 3)
+    gppp = derivative(gpp, period, 1)
     kappa = np.linalg.norm(gpp, axis=1)
     mask = kappa < KAPPA_MIN
     gp_x_gpp = dg.generalised_cross([gp.T], gpp.T).T
@@ -463,33 +461,25 @@ def frenet_data(curve):
     return FrenetData(s=s, kappa=kappa, tau=tau, mask=mask, length=period)
 
 
-@dataclass(frozen=True)
-class WaveField:
-    psi: np.ndarray   # complex samples on a periodic grid
-    L: float          # domain length
-
-    @property
-    def m(self):
-        return self.psi.size
-
-    def mass(self):
-        return float(np.sum(np.abs(self.psi) ** 2) * self.L / self.m)
+def mass(density, length):
+    """Total mass of a density sampled on a periodic grid of the given length,
+    the Riemann sum that the wave (|psi|^2) and fluid (rho) runs report."""
+    return float(np.sum(density) * length / density.size)
 
 
 def hasimoto(frenet, s0=0):
-    """Wave function kappa e^(i int tau ds) from the basepoint index s0.
+    """(psi, holonomy): the wave function kappa e^(i int tau ds) from the
+    basepoint index s0, on the curve's grid of length frenet.length, and the
+    total torsion angle around the curve.
 
-    psi(s0) is real (= kappa(s0)).  The returned holonomy is the total
-    torsion angle around the curve; psi is single-valued on the circle only
-    when it is a multiple of 2 pi, otherwise the samples are the
+    psi(s0) is real (= kappa(s0)).  psi is single-valued on the circle only
+    when the holonomy is a multiple of 2 pi, otherwise the samples are the
     quasi-periodic representative and the mismatch is exactly the holonomy.
     """
     tau = frenet.tau
     phase = np.concatenate(([0.0], np.cumsum(frenet.ds * (tau[1:] + tau[:-1]) / 2.0)))
     phase = phase - phase[s0]
-    psi = frenet.kappa * np.exp(1j * phase)
-    holonomy = frenet.total_torsion
-    return WaveField(psi, frenet.length), holonomy
+    return frenet.kappa * np.exp(1j * phase), frenet.total_torsion
 
 
 def holonomy_defect(angle):
@@ -501,22 +491,23 @@ def holonomy_defect(angle):
 # focusing cubic Schrodinger equation, Strang split-step
 # ---------------------------------------------------------------------------
 
-def nls_evolve(wave, dt, t_final, stride=None):
-    """i psi_t + psi'' + |psi|^2 psi / 2 = 0 by spectral Strang splitting.
+def nls_evolve(psi, length, dt, t_final, stride=None):
+    """i psi_t + psi'' + |psi|^2 psi / 2 = 0 by spectral Strang splitting, for
+    the samples psi on a periodic grid of the given length.
 
     Half-step nonlinear phase, full linear step exp(-i dt k^2) in frequency
     space, half-step nonlinear.  Mass is conserved to roundoff.  Returns a
-    stepping.Trajectory of WaveFields.  ValueError unless the grid size is a
-    power of two (1 included) and the domain length L is finite and > 0.
-    The state is the samples psi; only the recorded ones become WaveFields.
+    stepping.Trajectory of the complex samples.  ValueError unless the grid
+    size is a power of two (1 included) and the length is finite and > 0.
     """
-    m = wave.m
+    psi = np.asarray(psi, dtype=complex)
+    m = psi.size
     if m < 1 or m & (m - 1):
         raise ValueError(f"grid size must be a power of two, got {m}")
-    if not (math.isfinite(wave.L) and wave.L > 0):
-        raise ValueError(f"domain length L must be finite and > 0, got {wave.L}")
+    if not (math.isfinite(length) and length > 0):
+        raise ValueError(f"domain length L must be finite and > 0, got {length}")
     check_times(dt, t_final)  # before dt enters the linear propagator
-    k = 2.0 * np.pi * np.fft.fftfreq(m, d=wave.L / m)
+    k = 2.0 * np.pi * np.fft.fftfreq(m, d=length / m)
     linear = np.exp(-1j * dt * (k * k))
 
     def step(psi, i):
@@ -528,8 +519,7 @@ def nls_evolve(wave, dt, t_final, stride=None):
         if not dg.all_finite(psi):
             raise EvolutionAbort("wave function became non-finite", i * dt)
 
-    return integrate(step, wave.psi, dt, t_final, stride, guard=guard,
-                     record=lambda psi, t: WaveField(psi, wave.L))
+    return integrate(step, psi, dt, t_final, stride, guard=guard)
 
 
 # ---------------------------------------------------------------------------
@@ -587,39 +577,27 @@ def darios_evolve(kappa, tau, length, dt, t_final, stride=None):
         return integrate(lambda y, i: rk4_step(rhs, y, dt), y0, dt, t_final, stride, guard=guard)
 
 
-@dataclass(frozen=True)
-class FluidState1D:
-    rho: np.ndarray
-    v: np.ndarray
-    L: float
-
-    def __post_init__(self):
-        if np.any(self.rho <= 0):
-            raise ValueError("density must be positive everywhere")
-
-    def mass(self):
-        return float(np.sum(self.rho) * self.L / self.rho.size)
-
-
 def to_fluid(frenet):
-    """Fluid variables rho = kappa^2, v = 2 tau of the curvature/torsion pair."""
+    """(rho, v) = (kappa^2, 2 tau), the fluid variables of the curvature/torsion
+    pair, on the curve's grid of length frenet.length.  ValueError where the
+    torsion is masked (kappa < KAPPA_MIN), so rho >= KAPPA_MIN^2 > 0."""
     if frenet.mask.any():
         raise ValueError("torsion is masked somewhere; fluid form needs kappa > 0")
-    return FluidState1D(frenet.kappa ** 2, 2.0 * frenet.tau, frenet.length)
+    return frenet.kappa ** 2, 2.0 * frenet.tau
 
 
-def fluid_evolve(state, dt, t_final, stride=None):
+def fluid_evolve(rho, v, length, dt, t_final, stride=None):
     """Conservative method-of-lines RK4 for the barotropic pair (rho, v).
 
     rho_t = -(rho v)' keeps the discrete total mass exact; the velocity
     equation uses the same stencils as the curvature/torsion system, making
     the two solvers exactly conjugate under rho = kappa^2, v = 2 tau.
-    The state is the stacked (rho, v) arrays; the guard aborts on non-finite
-    fields, and where rho touches RHO_MIN, the input included.  Returns a
-    stepping.Trajectory of FluidState1D, built for its records alone.
+    Returns a stepping.Trajectory of stacked (rho, v) arrays.  The guard
+    aborts on non-finite fields, and where rho touches RHO_MIN, the input
+    included.
     """
-    L = state.L
-    level1, level2 = _padded_rows(state.rho.size, L)
+    y0 = np.stack([np.asarray(rho, dtype=float), np.asarray(v, dtype=float)])
+    level1, level2 = _padded_rows(y0.shape[1], length)
 
     def rhs(y):
         rho, v = y
@@ -628,16 +606,13 @@ def fluid_evolve(state, dt, t_final, stride=None):
         return np.array((-d_rhov, -v * d_v + level2(rho + 2.0 * sqpp / sq)))
 
     def guard(y, i):
-        # before a step's record, FluidState1D, which rejects rho <= 0 with a ValueError
         if not dg.all_finite(y):
             raise EvolutionAbort("fluid state became non-finite", i * dt)
         if y[0].min() <= RHO_MIN:
             raise VacuumAbort("density touched rho_min", i * dt)
 
-    y0 = np.stack([state.rho.astype(float), state.v.astype(float)])
     with np.errstate(all="ignore"):  # vacuum crossings are caught by the guard
-        return integrate(lambda y, i: rk4_step(rhs, y, dt), y0, dt, t_final, stride,
-                         guard=guard, record=lambda y, t: FluidState1D(y[0], y[1], L))
+        return integrate(lambda y, i: rk4_step(rhs, y, dt), y0, dt, t_final, stride, guard=guard)
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +628,9 @@ def square_profiles(start, filament, dt, t_final, holonomy_tol):
     `start` and `filament` are the first state and the state at t_final of
     one evolve_filament(raw, dt, ...) run: start is arclength_resample(raw),
     and the filament corner reads its profile from `filament`.  The other
-    three corners run from the Frenet data of start.
+    three corners run from the Frenet data of start, on its length: the
+    curvature/torsion pair, hasimoto's psi and to_fluid's (rho, v), whose
+    final arrays give the profiles kappa, |psi| and sqrt(rho).
     Returns (profiles, status): the final curvature of each corner that ran,
     and for every corner "ok", "singular (<abort>)" or, when the holonomy is
     more than holonomy_tol from a multiple of 2 pi, "skipped (holonomy
@@ -667,14 +644,14 @@ def square_profiles(start, filament, dt, t_final, holonomy_tol):
         status["darios"] = "ok"
     except EvolutionAbort as exc:
         status["darios"] = f"singular ({type(exc).__name__})"
-    wave0, holonomy = hasimoto(fr0)
+    psi0, holonomy = hasimoto(fr0)
     if holonomy_defect(holonomy) > holonomy_tol:
         status["nls"] = "skipped (holonomy obstruction)"
     else:
-        profiles["nls"] = np.abs(nls_evolve(wave0, dt, t_final).final.psi)
+        profiles["nls"] = np.abs(nls_evolve(psi0, fr0.length, dt, t_final).final)
         status["nls"] = "ok"
     try:
-        profiles["fluid"] = np.sqrt(fluid_evolve(to_fluid(fr0), dt, t_final).final.rho)
+        profiles["fluid"] = np.sqrt(fluid_evolve(*to_fluid(fr0), fr0.length, dt, t_final).final[0])
         status["fluid"] = "ok"
     except (EvolutionAbort, ValueError) as exc:
         status["fluid"] = f"singular ({type(exc).__name__})"

@@ -439,10 +439,46 @@ def test_abort_time_is_absolute(tmp_path, capsys, sub, table):
     ["filament-run", "shape=perturbed_circle", "N=64"],
 ])
 def test_horizon_not_a_multiple_of_stride_exits_2(tmp_path, capsys, args):
-    # 203 steps, default stride 203 // 10 = 20
-    code = cli.main(args + ["dt=1e-4", "T=0.0203", "--out", str(tmp_path / "o")])
+    # 203 steps and a stride set to 20, which does not divide them
+    code = cli.main(args + ["dt=1e-4", "T=0.0203", "stride=20", "--out", str(tmp_path / "o")])
     assert code == 2
     assert "stride" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nsteps,stride", [(0, 1), (1, 1), (9, 1), (19, 1), (20, 2), (23, 23),
+                                           (25, 5), (203, 29), (1000, 100), (1009, 1009)])
+def test_default_stride_is_the_smallest_divisor_from_a_tenth(nsteps, stride):
+    assert cli._default_stride(nsteps) == stride
+
+
+def test_default_stride_divides_and_leaves_at_most_ten_intervals_where_a_tenth_does_not():
+    for n in range(1000):
+        stride = cli._default_stride(n)
+        tenth = max(1, n // 10)
+        assert n % stride == 0 and stride >= tenth
+        assert all(n % d for d in range(tenth, stride))
+        if n % tenth:
+            assert n // stride <= 10
+
+
+@pytest.mark.parametrize("args,table,times", [
+    # 25 steps: stride 5, where the old default 25 // 10 = 2 did not divide
+    (["filament-run", "shape=circle", "R=1", "N=128", "dt=1e-3", "T=0.025"], "trajectory.csv",
+     [0.0, 0.005, 0.01, 0.015, 0.02, 0.025]),
+    (["darios-run", "shape=perturbed_circle", "N=128", "dt=1e-4", "T=0.0025"], "fields.csv",
+     [0.0, 5e-4, 1e-3, 1.5e-3, 2e-3, 2.5e-3]),
+    (["fluid-run", "shape=perturbed_circle", "N=128", "dt=1e-4", "T=0.0025"], "fluid.csv",
+     [0.0, 5e-4, 1e-3, 1.5e-3, 2e-3, 2.5e-3]),
+    # 23 steps, a prime count: the input and the end alone
+    (["nls-run", "source=plane", "M=64", "dt=1e-3", "T=0.023"], "psi.csv", [0.0, 0.023]),
+    # no step: the input alone
+    (["darios-run", "shape=perturbed_circle", "N=64", "dt=1e-4", "T=0"], "fields.csv", [0.0]),
+], ids=["filament-25", "darios-25", "fluid-25", "nls-23", "darios-0"])
+def test_default_stride_divides_the_step_count(tmp_path, args, table, times):
+    out = tmp_path / "o"
+    assert cli.main(args + ["--out", str(out)]) == 0
+    assert column(out / "diagnostics.csv", "t") == pytest.approx(times, abs=1e-15)
+    assert sorted(set(column(out / table, "t"))) == column(out / "diagnostics.csv", "t")
 
 
 def test_membrane_frame_breakdown_exits_3_with_earlier_snapshots(tmp_path, monkeypatch):

@@ -242,17 +242,17 @@ def test_darios_and_fluid_stages_equal_the_per_call_forms_bitwise(n, monkeypatch
                        lambda: fl.darios_evolve(fr.kappa, fr.tau, fr.length, 1e-4, 1e-4))
     for y in (np.stack([fr.kappa, fr.tau]), mid):   # one stage for both, as a run uses one
         _fresh_each_call(darios, y, _darios_per_call(y, fr.length))
-    fluid = fl.to_fluid(fr)
-    mid = fl.fluid_evolve(fluid, 1e-4, 2e-3).final
-    stage = _stage_of(monkeypatch, lambda: fl.fluid_evolve(fluid, 1e-4, 1e-4))
-    for y in (np.stack([fluid.rho, fluid.v]), np.stack([mid.rho, mid.v])):
+    rho, v = fl.to_fluid(fr)
+    mid = fl.fluid_evolve(rho, v, fr.length, 1e-4, 2e-3).final
+    stage = _stage_of(monkeypatch, lambda: fl.fluid_evolve(rho, v, fr.length, 1e-4, 1e-4))
+    for y in (np.stack([rho, v]), mid):
         _fresh_each_call(stage, y, _fluid_per_call(y, fr.length))
 
 
 def test_darios_and_fluid_runs_take_no_per_call_derivative(monkeypatch):
     fr = fl.frenet_data(planar_curve(n=64))
     expected = (fl.darios_evolve(fr.kappa, fr.tau, fr.length, 1e-4, 1e-3).final,
-                fl.fluid_evolve(fl.to_fluid(fr), 1e-4, 1e-3).final.rho)
+                fl.fluid_evolve(*fl.to_fluid(fr), fr.length, 1e-4, 1e-3).final[0])
 
     def refuse(*args, **kwargs):
         raise AssertionError("a stage took a per-call derivative")
@@ -261,7 +261,8 @@ def test_darios_and_fluid_runs_take_no_per_call_derivative(monkeypatch):
     monkeypatch.setattr(dg, "diff", refuse)
     assert np.array_equal(fl.darios_evolve(fr.kappa, fr.tau, fr.length, 1e-4, 1e-3).final,
                           expected[0])
-    assert np.array_equal(fl.fluid_evolve(fl.to_fluid(fr), 1e-4, 1e-3).final.rho, expected[1])
+    assert np.array_equal(fl.fluid_evolve(*fl.to_fluid(fr), fr.length, 1e-4, 1e-3).final[0],
+                          expected[1])
 
 
 def _brute_min_nonneighbor(points):
@@ -401,7 +402,7 @@ def test_curve_solvers_make_no_roll_calls(monkeypatch):
     calls = _count_rolls(monkeypatch)
     fl.binormal_rhs(c.points, c.param_periods[0])
     fl.darios_evolve(fr.kappa, fr.tau, fr.length, 1e-4, 1e-4)
-    fl.fluid_evolve(fl.to_fluid(fr), 1e-4, 1e-4)
+    fl.fluid_evolve(*fl.to_fluid(fr), fr.length, 1e-4, 1e-4)
     assert len(calls) == 0
 
 
@@ -520,22 +521,22 @@ def test_frenet_perturbed_circle_matches_polar_formula():
 
 def test_wave_map_on_circle_is_constant():
     fr = fl.frenet_data(fl.arclength_resample(fl.circle_curve(2.0, 128)))
-    wave, holonomy = fl.hasimoto(fr)
-    assert np.abs(wave.psi - 0.5).max() < 1e-7
+    psi, holonomy = fl.hasimoto(fr)
+    assert np.abs(psi - 0.5).max() < 1e-7
     assert holonomy == 0.0
 
 
 def test_wave_map_planar_is_real():
     fr = fl.frenet_data(planar_curve())
-    wave, holonomy = fl.hasimoto(fr)
-    assert np.abs(wave.psi.imag).max() < 1e-12
+    psi, holonomy = fl.hasimoto(fr)
+    assert np.abs(psi.imag).max() < 1e-12
     assert holonomy == 0.0
 
 
 def test_wave_modulus_is_curvature():
     fr = fl.frenet_data(fl.arclength_resample(fl.twisted_circle(1.0, 0.3, 2, 256)))
-    wave, _ = fl.hasimoto(fr)
-    assert np.abs(np.abs(wave.psi) - fr.kappa).max() < 1e-13
+    psi, _ = fl.hasimoto(fr)
+    assert np.abs(np.abs(psi) - fr.kappa).max() < 1e-13
 
 
 def test_holonomy_reported_for_nonplanar_curve():
@@ -549,9 +550,9 @@ def test_basepoint_change_is_constant_phase():
     fr = fl.frenet_data(fl.arclength_resample(fl.twisted_circle(1.0, 0.3, 2, 256)))
     w0, _ = fl.hasimoto(fr, s0=0)
     w1, _ = fl.hasimoto(fr, s0=57)
-    ratio = w1.psi / w0.psi
+    ratio = w1 / w0
     assert np.abs(ratio - ratio[0]).max() < 1e-12
-    assert np.abs(np.abs(w1.psi) - np.abs(w0.psi)).max() < 1e-14
+    assert np.abs(np.abs(w1) - np.abs(w0)).max() < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -559,29 +560,27 @@ def test_basepoint_change_is_constant_phase():
 # ---------------------------------------------------------------------------
 
 def test_plane_wave_phase():
-    wave = fl.WaveField(np.full(256, 1.0, dtype=complex), 2 * np.pi)
-    out = fl.nls_evolve(wave, 1e-3, 1.0).final
-    assert np.abs(out.psi - np.exp(0.5j)).max() <= 1e-10
+    out = fl.nls_evolve(np.full(256, 1.0, dtype=complex), 2 * np.pi, 1e-3, 1.0).final
+    assert np.abs(out - np.exp(0.5j)).max() <= 1e-10
 
 
 def test_mass_conservation():
     rng = np.random.default_rng(3)
     spec = np.exp(-np.abs(np.fft.fftfreq(256, 1 / 256)) / 3.0)
     psi0 = np.fft.ifft(spec * rng.normal(size=256) * np.exp(2j * np.pi * rng.random(256)))
-    wave = fl.WaveField(psi0, 2 * np.pi)
-    out = fl.nls_evolve(wave, 1e-3, 1.0).final
-    assert abs(out.mass() / wave.mass() - 1.0) <= 1e-10
+    out = fl.nls_evolve(psi0, 2 * np.pi, 1e-3, 1.0).final
+    assert abs(fl.mass(np.abs(out) ** 2, 2 * np.pi) / fl.mass(np.abs(psi0) ** 2, 2 * np.pi)
+               - 1.0) <= 1e-10
 
 
 def test_zero_stays_zero():
-    wave = fl.WaveField(np.zeros(64, dtype=complex), 2 * np.pi)
-    out = fl.nls_evolve(wave, 1e-2, 0.5).final
-    assert np.abs(out.psi).max() == 0.0
+    out = fl.nls_evolve(np.zeros(64, dtype=complex), 2 * np.pi, 1e-2, 0.5).final
+    assert np.abs(out).max() == 0.0
 
 
 def test_grid_must_be_power_of_two():
     with pytest.raises(ValueError, match="power of two"):
-        fl.nls_evolve(fl.WaveField(np.zeros(100, dtype=complex), 1.0), 1e-2, 0.1)
+        fl.nls_evolve(np.zeros(100, dtype=complex), 1.0, 1e-2, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -621,37 +620,57 @@ def test_darios_aborts_at_vanishing_curvature():
 
 
 def test_fluid_stationary_and_mass():
-    state = fl.FluidState1D(np.full(64, 1.69), np.zeros(64), 2 * np.pi)
-    out = fl.fluid_evolve(state, 1e-3, 0.5).final
-    assert np.abs(out.rho - 1.69).max() == 0.0
+    rho, _ = fl.fluid_evolve(np.full(64, 1.69), np.zeros(64), 2 * np.pi, 1e-3, 0.5).final
+    assert np.abs(rho - 1.69).max() == 0.0
 
     fr = fl.frenet_data(planar_curve())
-    state = fl.to_fluid(fr)
-    out = fl.fluid_evolve(state, 1e-4, 0.2).final
-    assert abs(out.mass() / state.mass() - 1.0) <= 1e-8
+    rho0, v0 = fl.to_fluid(fr)
+    rho, _ = fl.fluid_evolve(rho0, v0, fr.length, 1e-4, 0.2).final
+    assert abs(fl.mass(rho, fr.length) / fl.mass(rho0, fr.length) - 1.0) <= 1e-8
+
+
+# the curvature/torsion, fluid and NLS runs: their input arrays from the
+# Frenet data, the run on (arrays, length, dt, T, stride) and the step its
+# abort below comes at
+FIELD_RUNS = {
+    "darios": (lambda fr: np.stack([fr.kappa, fr.tau]),
+               lambda y, *args: fl.darios_evolve(*y, *args), 115),
+    "fluid": (lambda fr: np.stack(fl.to_fluid(fr)),
+              lambda y, *args: fl.fluid_evolve(*y, *args), 114),
+    "nls": (lambda fr: fl.hasimoto(fr)[0], lambda y, *args: fl.nls_evolve(y, *args), 1),
+}
 
 
 @pytest.mark.parametrize("stride", [None, 5])
-def test_fluid_records_and_aborts_carry_fluid_states(stride):
-    # eps (1 + k^2) just under 1: the curvature nearly vanishes, and the fluid
-    # state turns non-finite at step 114
+@pytest.mark.parametrize("name", sorted(FIELD_RUNS))
+def test_field_records_and_aborts_carry_arrays_of_the_input(name, stride):
+    # eps (1 + k^2) just under 1: the curvature nearly vanishes, so the
+    # curvature/torsion run trips the kappa floor at step 115 and the fluid
+    # state turns non-finite at step 114; the NLS run conserves mass, so one
+    # sample whose square overflows makes its state non-finite at step 1
+    fields, run, abort_step = FIELD_RUNS[name]
     fr = fl.frenet_data(fl.arclength_resample(fl.perturbed_circle(1.0, 0.0995, 3, 64)))
-    traj = fl.fluid_evolve(fl.to_fluid(fr), 1e-4, 1e-2, stride)
+    y0 = fields(fr)
+    traj = run(y0, fr.length, 1e-4, 1e-2, stride)
     assert len(traj.states) == (21 if stride else 2)
-    with pytest.raises(EvolutionAbort, match="non-finite") as info:
-        fl.fluid_evolve(fl.to_fluid(fr), 1e-4, 0.05, stride)
-    assert info.value.t == 114 * 1e-4
-    assert len(info.value.trajectory.states) == (23 if stride else 1)
-    for states in (traj.states, info.value.trajectory.states):
-        assert all(isinstance(st, fl.FluidState1D) for st in states)
+    if name == "nls":
+        y0[7] = 1e160
+    with pytest.raises(EvolutionAbort) as info, np.errstate(all="ignore"):
+        run(y0, fr.length, 1e-4, 0.05, stride)
+    assert info.value.t == abort_step * 1e-4
+    carried = info.value.trajectory.states
+    assert len(carried) == (1 + (abort_step - 1) // 5 if stride else 1)
+    for state in (*traj.states, *carried):
+        assert isinstance(state, np.ndarray)
+        assert state.shape == y0.shape and state.dtype == y0.dtype
 
 
 def test_fluid_conjugate_to_darios():
     fr = fl.frenet_data(planar_curve())
     kappa, tau = fl.darios_evolve(fr.kappa, fr.tau, fr.length, 1e-4, 0.2).final
-    out = fl.fluid_evolve(fl.to_fluid(fr), 1e-4, 0.2).final
-    assert np.abs(out.rho - kappa ** 2).max() <= 1e-8
-    assert np.abs(out.v - 2 * tau).max() <= 1e-8
+    rho, v = fl.fluid_evolve(*fl.to_fluid(fr), fr.length, 1e-4, 0.2).final
+    assert np.abs(rho - kappa ** 2).max() <= 1e-8
+    assert np.abs(v - 2 * tau).max() <= 1e-8
 
 
 def test_to_fluid_needs_positive_curvature():
@@ -659,8 +678,6 @@ def test_to_fluid_needs_positive_curvature():
     fr.mask[3] = True
     with pytest.raises(ValueError, match="masked"):
         fl.to_fluid(fr)
-    with pytest.raises(ValueError):
-        fl.FluidState1D(np.zeros(64), np.zeros(64), 2 * np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -671,8 +688,8 @@ def test_hasimoto_phase_is_cumulative_trapezoid_bitwise():
     fr = fl.frenet_data(fl.arclength_resample(fl.twisted_circle(1.0, 0.3, 2, 256)))
     assert np.abs(fr.tau).min() > 0.0
     phase = cumulative_trapezoid(fr.tau, dx=fr.ds, initial=0.0)
-    wave, _ = fl.hasimoto(fr)
-    assert np.array_equal(wave.psi, fr.kappa * np.exp(1j * phase))
+    psi, _ = fl.hasimoto(fr)
+    assert np.array_equal(psi, fr.kappa * np.exp(1j * phase))
 
 
 def test_madelung_identities():
@@ -682,8 +699,7 @@ def test_madelung_identities():
     rho = fr.kappa ** 2
     theta = 2.0 * cumulative_trapezoid(fr.tau, dx=fr.ds, initial=0.0)
     psi = np.sqrt(rho) * np.exp(0.5j * theta)
-    wave, _ = fl.hasimoto(fr)
-    assert np.abs(psi - wave.psi).max() < 1e-12
+    assert np.abs(psi - fl.hasimoto(fr)[0]).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -699,8 +715,8 @@ def test_four_corner_agreement_quick():
             fl.evolve_filament(c0, dt, horizon).final
         ).kappa,
         "darios": fl.darios_evolve(fr0.kappa, fr0.tau, fr0.length, dt, horizon).final[0],
-        "nls": np.abs(fl.nls_evolve(fl.hasimoto(fr0)[0], dt, horizon).final.psi),
-        "fluid": np.sqrt(fl.fluid_evolve(fl.to_fluid(fr0), dt, horizon).final.rho),
+        "nls": np.abs(fl.nls_evolve(fl.hasimoto(fr0)[0], fr0.length, dt, horizon).final),
+        "fluid": np.sqrt(fl.fluid_evolve(*fl.to_fluid(fr0), fr0.length, dt, horizon).final[0]),
     }
     names = list(profiles)
     for i, u in enumerate(names):
@@ -760,16 +776,16 @@ def test_an_input_guard_abort_carries_the_input():
     assert err.value.t == 0.0 and err.value.trajectory.times == [0.0]
     (y0,) = err.value.trajectory.states
     assert np.array_equal(y0, [kappa, tau])
-    state = fl.FluidState1D(np.maximum(kappa, 1e-12) ** 2, 2.0 * tau, 2.0 * np.pi)
+    rho = np.maximum(kappa, 1e-12) ** 2
     with pytest.raises(VacuumAbort) as err:
-        fl.fluid_evolve(state, 1e-4, 1e-3)
+        fl.fluid_evolve(rho, 2.0 * tau, 2.0 * np.pi, 1e-4, 1e-3)
     assert err.value.t == 0.0 and err.value.trajectory.times == [0.0]
     (record,) = err.value.trajectory.states
-    assert np.array_equal(record.rho, state.rho) and np.array_equal(record.v, state.v)
+    assert np.array_equal(record, [rho, 2.0 * tau])
     psi = np.ones(64, dtype=complex)
     psi[5] = np.nan
     with pytest.raises(EvolutionAbort, match="wave function became non-finite") as err:
-        fl.nls_evolve(fl.WaveField(psi, 2.0 * np.pi), 1e-3, 1e-2)
+        fl.nls_evolve(psi, 2.0 * np.pi, 1e-3, 1e-2)
     assert err.value.t == 0.0 and err.value.trajectory.times == [0.0]
     (record,) = err.value.trajectory.states
-    assert np.array_equal(record.psi, psi, equal_nan=True) and record.L == 2.0 * np.pi
+    assert np.array_equal(record, psi, equal_nan=True)

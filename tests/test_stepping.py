@@ -114,11 +114,13 @@ def _darios(dt, T, stride):
 
 
 def _fluid(dt, T, stride):
-    return fl.fluid_evolve(fl.to_fluid(fl.frenet_data(_curve())), dt, T, stride)
+    fr = fl.frenet_data(_curve())
+    return fl.fluid_evolve(*fl.to_fluid(fr), fr.length, dt, T, stride)
 
 
 def _nls(dt, T, stride):
-    return fl.nls_evolve(fl.hasimoto(fl.frenet_data(_curve()))[0], dt, T, stride)
+    fr = fl.frenet_data(_curve())
+    return fl.nls_evolve(fl.hasimoto(fr)[0], fr.length, dt, T, stride)
 
 
 # solver, step size, the function one step calls and how often
@@ -131,13 +133,11 @@ SOLVERS = {
     "nls": (_nls, 2e-4, (np.fft, "fft"), 1),
 }
 
-# the record type of each solver that builds one (the Da Rios run records its
-# raw arrays)
+# the record type of each solver that builds one (the Da Rios, fluid and NLS
+# runs record their stepped arrays)
 RECORDS = {
     "filament": (dg, "GridImmersion"),
     "membrane": (dg, "GridImmersion"),
-    "fluid": (fl, "FluidState1D"),
-    "nls": (fl, "WaveField"),
 }
 
 

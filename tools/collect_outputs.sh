@@ -49,7 +49,10 @@
 # fluid solver on the filament-square curve at dt = 1e-3, a step too large
 # for it (its state turns non-finite, so the run exits 3 at t = 0.008 with
 # its t = 0 rows; its standard error and exit status are kept, so a
-# non-finite abort reaches a compared file),
+# non-finite abort reaches a compared file), the curvature/torsion solver on
+# 25 steps with no stride set (25 // 10 = 2 does not divide 25, so the
+# default stride is 5, the smallest divisor of 25 from 2 up; its standard
+# error and exit status are kept),
 # `crosscheck mode=sphere-membrane` on a 16 x 16 torus, once with the default
 # tolerances and once with --tol-profile strict, both `sphere-run`
 # examples of the README (to collapse and over a fixed horizon), the run to
@@ -94,6 +97,7 @@ out=$2
 mkdir -p "$out/validate" "$out/validate_6" "$out/validate_3_4_9" "$out/validate_1_12_strict" \
     "$out/membrane_abort" "$out/membrane_dt_above" "$out/sphere_underflow" "$out/pinched" "$out/curve_as_surface" \
     "$out/darios_singular" "$out/fluid_singular" "$out/fluid_nonfinite" "$out/wobbly" \
+    "$out/darios_default_stride" \
     "$out/nls_nan" "$out/validate_99"
 
 skewflow() {
@@ -180,6 +184,11 @@ status=0
 skewflow fluid-run shape=perturbed_circle R=1 eps=0.05 k=3 N=256 dt=1e-3 T=0.1 \
     --out "$out/fluid_nonfinite" >/dev/null 2>"$out/fluid_nonfinite/stderr.txt" || status=$?
 echo "exit $status" >>"$out/fluid_nonfinite/stderr.txt"
+status=0
+skewflow darios-run shape=perturbed_circle N=128 dt=1e-4 T=0.0025 \
+    --out "$out/darios_default_stride" >/dev/null \
+    2>"$out/darios_default_stride/stderr.txt" || status=$?
+echo "exit $status" >>"$out/darios_default_stride/stderr.txt"
 skewflow crosscheck mode=sphere-membrane n1=16 n2=16 order=2 dt=1e-3 T=0.02 \
     --out "$out/crosscheck_sphere" >"$out/crosscheck_sphere.stdout"
 skewflow crosscheck mode=sphere-membrane n1=16 n2=16 order=2 dt=1e-3 T=0.02 \
