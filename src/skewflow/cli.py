@@ -263,14 +263,15 @@ def _run_1d(p, outdir, label, solve, table, columns, rows_of, diag_columns, diag
     """Run a 1D solver once, with the snapshots of _default_stride unless
     `stride` is set, and write what it recorded: one `table` row per sample
     from rows_of(state), one diagnostics.csv row per snapshot from
-    diag_of(state).  Returns the exit code and the manifest notes of the
-    first state, notes_of(state)."""
+    diag_of(state) (an overflow writes inf, silently).  Returns the exit code
+    and the manifest notes of the first state, notes_of(state)."""
     stride = p["stride"] or _default_stride(step_count(p["dt"], p["T"]))
     traj, code = _evolve(label, lambda: solve(stride))
     rows, diag = [], []
-    for t, state in zip(traj.times, traj.states):
-        rows.extend((t, idx, *values) for idx, values in enumerate(rows_of(state)))
-        diag.append((t, *diag_of(state)))
+    with np.errstate(all="ignore"):
+        for t, state in zip(traj.times, traj.states):
+            rows.extend((t, idx, *values) for idx, values in enumerate(rows_of(state)))
+            diag.append((t, *diag_of(state)))
     write_csv(os.path.join(outdir, table), ["t", "index", *columns], rows)
     write_csv(os.path.join(outdir, "diagnostics.csv"), ["t", *diag_columns], diag)
     return code, notes_of(traj.states[0])

@@ -35,12 +35,12 @@ t1_a t2_b - t1_b t2_a of the tangent plane paired with v.  apply_j uses it,
 and so do the flow's stage kernel membrane.smc_rhs, which builds no
 ShapeField, and the filament velocity filament.binormal_rhs.
 
-The plane kernels (plane_derivatives, metric_planes, project_planes,
-generalised_cross, shape_field) fill their intermediate planes with out=
-ufuncs in a workspace ws: a Workspace of named arrays, made once and
-reused, or by default a fresh array per request.  evolve_membrane keeps
-one Workspace per run, for its RK4 stages and its stability estimates, the
-stage's first half on the same padded state under the same names.  The 1D
+The stage's plane kernels (plane_derivatives, metric_planes,
+generalised_cross) fill their intermediate planes with out= ufuncs in a
+workspace ws: a Workspace of named arrays, made once and reused, or by
+default a fresh array per request.  evolve_membrane keeps one per run, for
+its RK4 stages and stability estimates (the stage's first half, under the
+same names); shape_field allocates fresh arrays.  The 1D
 stages own plain arrays made once per run: the filament's padded points,
 and the Da Rios and fluid fields as padded rows, each buffer's halo fill
 and neighbour views made once.  Every stencil,
@@ -393,14 +393,14 @@ def diff2(f, axis, h, order=2):
     return _second(_neighbours(f, axis, order), h, order)
 
 
-def pad_planes(points, order, ws=_fresh):
+def pad_planes(points, order):
     """The (d, *s) component planes of points (*s, d), padded: wrapped
-    order/2 entries past both ends of every grid axis (_halo), in the
-    workspace buffer "padded".  This is the layout plane_derivatives and
+    order/2 entries past both ends of every grid axis (_halo), as a new
+    array.  This is the layout plane_derivatives and
     membrane.smc_rhs read; interior_points undoes it.  The order is checked
     here, before it sizes the halo, for every reader of the planes."""
     _check_order(order)
-    padded = ws("padded", points.shape[-1:] + tuple(N + order for N in points.shape[:-1]))
+    padded = np.empty(points.shape[-1:] + tuple(N + order for N in points.shape[:-1]))
     return _halo(padded, range(1, padded.ndim), order // 2)(np.moveaxis(points, -1, 0))
 
 
@@ -572,20 +572,19 @@ def metric_planes(t, ws=_fresh, inner=(Ellipsis,)):
     return g, det_g, g_inv
 
 
-def project_planes(x, t, g_inv, ws=_fresh):
+def project_planes(x, t, g_inv):
     """Normal projection x - sum_i (sum_j g^ij (x, t_j)) t_i of a (d, *s) field,
     in place: the one normal projection.  t holds the n tangent planes t_j,
     g_inv the n x n planes of g^-1 (nested lists or an array)."""
-    s = x.shape[1:]
-    tmp = ws("scalar_tmp", s)
-    b = [_dot(x, tj, ws(f"b{j + 1}", s), tmp) for j, tj in enumerate(t)]
+    tmp = np.empty(x.shape[1:])
+    b = [_dot(x, tj, tmp=tmp) for tj in t]
     for i, ti in enumerate(t):
-        alpha = _dot(g_inv[i], b, ws("alpha", s), tmp)
-        x -= np.multiply(alpha, ti, out=ws("tmp", x.shape))
+        alpha = _dot(g_inv[i], b, tmp=tmp)
+        x -= alpha * ti
     return x
 
 
-def shape_field(imm, order=2, ws=_fresh):
+def shape_field(imm, order=2):
     """Compute the full geometry bundle of an immersion.
 
     The per-point algebra is elementwise arithmetic on component planes:
@@ -595,15 +594,15 @@ def shape_field(imm, order=2, ws=_fresh):
     projected in place with that g^-1 as
     A_ij = X_ij - sum_k (sum_l g^kl (X_ij, t_l)) t_k (`project_planes`, the
     projection project_normal applies to a copy).  All of it runs
-    on the band planes of plane_derivatives, in the workspace ws; the
+    on the band planes of plane_derivatives, each a fresh array; the
     returned ShapeField holds planes of its own, copied from the interior.
 
     Raises DegenerateImmersionError when det(g) falls below G_MIN, naming the
     offending grid index.
     """
     n, d, s, hs = imm.dim, imm.ambient_dim, imm.shape, imm.spacings
-    t, xx, mixed, inner = plane_derivatives(pad_planes(imm.points, order, ws), hs, order, ws)
-    g, det_g, g_inv = metric_planes(t, ws, inner)
+    t, xx, mixed, inner = plane_derivatives(pad_planes(imm.points, order), hs, order)
+    g, det_g, g_inv = metric_planes(t, inner=inner)
 
     A = np.empty((n, n, d) + s)
     h = np.zeros(t[0].shape)
@@ -614,11 +613,11 @@ def shape_field(imm, order=2, ws=_fresh):
                 x = xx[i] if i == j else mixed
                 x_sq = _dot(x, x)
                 norm_sq = x_sq if norm_sq is None else np.maximum(norm_sq, x_sq)
-                project_planes(x, t, g_inv, ws)
+                project_planes(x, t, g_inv)
                 A[i, j] = A[j, i] = x[inner]
                 h += (g_inv[i][j] if i == j else 2.0 * g_inv[i][j]) * x
     h = h[inner]
-    del xx, mixed, x  # copied out: without a workspace their planes are freed here
+    del xx, mixed, x  # copied out: their planes are freed here
     H = h.copy()
 
     return ShapeField(

@@ -393,9 +393,9 @@ def evolve_filament(curve, dt, t_final, stride=None):
     only), become GridImmersions.  A step size above the dispersion
     stability bound is rejected up front, before any guard.  The RK4 stages
     and the guard call one _binormal_stage, built here for the run.  The
-    guard aborts on non-finite coordinates at any step, and checks the
-    self-intersection proxy and the velocity blow-up cap on the input, every
-    GUARD_EVERY steps and at the last step.
+    loop (stepping.integrate) aborts on non-finite coordinates at any step;
+    the guard checks the self-intersection proxy and the velocity blow-up cap
+    on the input, every GUARD_EVERY steps and at the last step.
     """
     c = arclength_resample(curve)
     (n,), (period,) = c.shape, c.param_periods
@@ -407,8 +407,6 @@ def evolve_filament(curve, dt, t_final, stride=None):
     rhs = _binormal_stage(n, period)
 
     def guard(pts, i):
-        if not dg.all_finite(pts):
-            raise BlowUpAbort("non-finite coordinates", i * dt)
         if i % GUARD_EVERY and i != nsteps:
             return
         if np.max(np.abs(rhs(pts))) > BLOWUP_CAP:
@@ -497,8 +495,9 @@ def nls_evolve(psi, length, dt, t_final, stride=None):
 
     Half-step nonlinear phase, full linear step exp(-i dt k^2) in frequency
     space, half-step nonlinear.  Mass is conserved to roundoff.  Returns a
-    stepping.Trajectory of the complex samples.  ValueError unless the grid
-    size is a power of two (1 included) and the length is finite and > 0.
+    stepping.Trajectory of the complex samples; no guard, as the loop checks
+    finiteness.  ValueError unless the grid size is a power of two (1
+    included) and the length is finite and > 0.
     """
     psi = np.asarray(psi, dtype=complex)
     m = psi.size
@@ -515,11 +514,7 @@ def nls_evolve(psi, length, dt, t_final, stride=None):
         psi = np.fft.ifft(np.fft.fft(psi) * linear)
         return psi * np.exp(0.25j * dt * np.abs(psi) ** 2)
 
-    def guard(psi, i):
-        if not dg.all_finite(psi):
-            raise EvolutionAbort("wave function became non-finite", i * dt)
-
-    return integrate(step, psi, dt, t_final, stride, guard=guard)
+    return integrate(step, psi, dt, t_final, stride)
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +549,10 @@ def darios_evolve(kappa, tau, length, dt, t_final, stride=None):
     """Method-of-lines RK4 for the curvature/torsion system, on two padded
     rows buffers (_padded_rows).
 
-    Returns a stepping.Trajectory of stacked (kappa, tau) arrays.  The guard
-    aborts on non-finite fields, and where kappa touches KAPPA_MIN, the input
-    included (the kappa''/kappa term is singular there; the system offers no
-    desingularization).
+    Returns a stepping.Trajectory of stacked (kappa, tau) arrays.  The loop
+    (stepping.integrate) aborts on non-finite fields; the guard aborts where
+    kappa touches KAPPA_MIN, the input included (the kappa''/kappa term is
+    singular there; the system offers no desingularization).
     """
     y0 = np.stack([np.asarray(kappa, dtype=float), np.asarray(tau, dtype=float)])
     level1, level2 = _padded_rows(y0.shape[1], length)
@@ -568,13 +563,10 @@ def darios_evolve(kappa, tau, length, dt, t_final, stride=None):
         return np.array((-d_kkt / k, -2.0 * t * d_t + level2(0.5 * k * k + kpp / k)))
 
     def guard(y, i):
-        if not dg.all_finite(y):
-            raise EvolutionAbort("curvature/torsion became non-finite", i * dt)
         if y[0].min() <= KAPPA_MIN:
             raise CurvatureDegeneracyAbort("curvature touched kappa_min", i * dt)
 
-    with np.errstate(all="ignore"):  # blow-ups are caught by the guard
-        return integrate(lambda y, i: rk4_step(rhs, y, dt), y0, dt, t_final, stride, guard=guard)
+    return integrate(lambda y, i: rk4_step(rhs, y, dt), y0, dt, t_final, stride, guard=guard)
 
 
 def to_fluid(frenet):
@@ -592,9 +584,9 @@ def fluid_evolve(rho, v, length, dt, t_final, stride=None):
     rho_t = -(rho v)' keeps the discrete total mass exact; the velocity
     equation uses the same stencils as the curvature/torsion system, making
     the two solvers exactly conjugate under rho = kappa^2, v = 2 tau.
-    Returns a stepping.Trajectory of stacked (rho, v) arrays.  The guard
-    aborts on non-finite fields, and where rho touches RHO_MIN, the input
-    included.
+    Returns a stepping.Trajectory of stacked (rho, v) arrays.  The loop
+    (stepping.integrate) aborts on non-finite fields; the guard aborts where
+    rho touches RHO_MIN, the input included.
     """
     y0 = np.stack([np.asarray(rho, dtype=float), np.asarray(v, dtype=float)])
     level1, level2 = _padded_rows(y0.shape[1], length)
@@ -606,13 +598,10 @@ def fluid_evolve(rho, v, length, dt, t_final, stride=None):
         return np.array((-d_rhov, -v * d_v + level2(rho + 2.0 * sqpp / sq)))
 
     def guard(y, i):
-        if not dg.all_finite(y):
-            raise EvolutionAbort("fluid state became non-finite", i * dt)
         if y[0].min() <= RHO_MIN:
             raise VacuumAbort("density touched rho_min", i * dt)
 
-    with np.errstate(all="ignore"):  # vacuum crossings are caught by the guard
-        return integrate(lambda y, i: rk4_step(rhs, y, dt), y0, dt, t_final, stride, guard=guard)
+    return integrate(lambda y, i: rk4_step(rhs, y, dt), y0, dt, t_final, stride, guard=guard)
 
 
 # ---------------------------------------------------------------------------

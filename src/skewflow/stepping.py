@@ -2,13 +2,17 @@
 variable ones for the sphere-product radii) and the RK4 step of all but NLS.
 
 Each solver hands `integrate` its step (the update alone), its guard (every
-check on a state) and its record (what a recorded state becomes); `integrate`
-owns the step count, the stop tests, when the guard runs, the snapshot cadence,
-absolute abort times and the records an abort carries."""
+other check on a state) and its record (what a recorded state becomes);
+`integrate` owns the step count, the stop tests, when the guard runs, the
+snapshot cadence, absolute abort times, the records an abort carries and
+breakdown: numpy's warnings off, and at fixed steps a finiteness check."""
 
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from .diffgeo import all_finite
 from .errors import DegenerateImmersionError, EvolutionAbort
 
 
@@ -54,6 +58,7 @@ def step_count(dt, t_final, stride=None):
     return nsteps
 
 
+@np.errstate(all="ignore")  # a state's breakdown is an abort, not a warning
 def integrate(step, y0, dt, t_final, stride=None, done=None, step_size=None,
               max_steps=math.inf, t0=0.0, guard=None, record=None):
     """Advance y0 from time t0 to t0 + t_final (None: no horizon) or until done(t, y).
@@ -62,12 +67,14 @@ def integrate(step, y0, dt, t_final, stride=None, done=None, step_size=None,
     Variable steps: y = step(y, t, h) from time t with h = step_size(y, t), cut
     short to end at the horizon; t is the running sum of the steps.
     guard(y, i) checks y0 (i = 0) once it is recorded and each later state
-    before it is.  The trajectory holds record(y, t) (default y) of y0, every
-    stride-th state (stride None or 0: none) and the state the run stops on;
-    step, done and step_size get the raw y.  An EvolutionAbort from a callback, or
-    max_steps taken without a stop, leaves with the records so far as
-    `exc.trajectory`; a degenerate immersion inside a step, its guard or its
-    record becomes such an abort at the step's end."""
+    before it is; at fixed steps a state that is not diffgeo.all_finite
+    aborts first, at t0 + i*dt (a variable step checks its own).  All of it
+    runs under np.errstate(all="ignore").  The trajectory holds record(y, t)
+    (default y) of y0, every stride-th state (stride None or 0: none) and the
+    state the run stops on; step, done and step_size get the raw y.  An
+    EvolutionAbort, or max_steps taken without a stop, leaves with the
+    records so far as `exc.trajectory`; a degenerate immersion inside a
+    step, its guard or its record becomes such an abort at the step's end."""
     fixed = step_size is None
     if fixed:
         nsteps, t_end = step_count(dt, t_final, stride), math.inf
@@ -76,13 +83,19 @@ def integrate(step, y0, dt, t_final, stride=None, done=None, step_size=None,
         nsteps, t_end = None, math.inf if t_final is None else t0 + t_final
     guard = guard or (lambda y, i: None)
     record = record or (lambda y, t: y)
+
+    def check(y, i):  # the loop's own check on a state, then the guard
+        if fixed and not all_finite(y):
+            raise EvolutionAbort("state became non-finite", t0 + i * dt)
+        guard(y, i)
+
     # a step cut short to end at t_end may end an ulp short of it
     t_near = t_end - 1e-15 * max(1.0, t_end) if t_end < math.inf else t_end
     traj, y, t, i = Trajectory(), y0, t0, 0
     try:
         traj.states.append(record(y, t))
         traj.times.append(t)
-        guard(y, i)
+        check(y, i)
         stop = i == nsteps or t >= t_near or (done is not None and done(t, y))
         while not stop:
             if i >= max_steps:
@@ -92,7 +105,7 @@ def integrate(step, y0, dt, t_final, stride=None, done=None, step_size=None,
             t_next = t0 + i * dt if fixed else t + h
             try:
                 y = step(y, i) if fixed else step(y, t, h)
-                guard(y, i)
+                check(y, i)
                 t = t_next
                 stop = i == nsteps or t >= t_near or (done is not None and done(t, y))
                 if (stride and i % stride == 0) or stop:

@@ -393,6 +393,22 @@ def test_cli_import_loads_no_scipy():
 # exit codes and what an abort leaves behind
 # ---------------------------------------------------------------------------
 
+def test_an_overflowing_nls_run_aborts_on_one_line_and_writes_inf(tmp_path):
+    # |psi|^2 of a 1e160 sample overflows: the run aborts after its first step
+    # and its t = 0 mass is inf, with no numpy warning on stderr (a child
+    # process, so that stderr is the program's own)
+    out = tmp_path / "nls"
+    res = subprocess.run(
+        [sys.executable, "-m", "skewflow.cli", "nls-run", "source=plane", "A=1e160", "M=64",
+         "dt=1e-3", "T=0.01", "--out", str(out)],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert res.returncode == 3
+    assert res.stderr == "wave run aborted: state became non-finite (aborted at t=0.001)\n"
+    assert column(out / "diagnostics.csv", "t") == [0.0]
+    assert column(out / "diagnostics.csv", "mass") == [np.inf]
+
+
 @pytest.mark.parametrize("args,message", [
     (["filament-run", "shape=circle", "N=64", "dt=-1e-3", "T=0.01"], "dt must be finite and > 0"),
     (["filament-run", "shape=circle", "N=64", "dt=1e-3", "T=-0.01"], "T must be finite and >= 0"),

@@ -641,6 +641,7 @@ FIELD_RUNS = {
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("stride", [None, 5])
 @pytest.mark.parametrize("name", sorted(FIELD_RUNS))
 def test_field_records_and_aborts_carry_arrays_of_the_input(name, stride):
@@ -655,7 +656,7 @@ def test_field_records_and_aborts_carry_arrays_of_the_input(name, stride):
     assert len(traj.states) == (21 if stride else 2)
     if name == "nls":
         y0[7] = 1e160
-    with pytest.raises(EvolutionAbort) as info, np.errstate(all="ignore"):
+    with pytest.raises(EvolutionAbort) as info:  # and no floating-point warning
         run(y0, fr.length, 1e-4, 0.05, stride)
     assert info.value.t == abort_step * 1e-4
     carried = info.value.trajectory.states
@@ -765,10 +766,11 @@ def test_square_profiles_skip_the_wave_corner_above_the_holonomy_tol():
 
 def test_an_input_guard_abort_carries_the_input():
     # kappa reaches zero at one sample, and psi is NaN at one: the
-    # curvature/torsion, fluid and NLS guards trip on the input, before the
-    # first step, and the abort carries it as its one record (the filament's
-    # case is in test_blowup_abort; the membrane's guard checks finiteness
-    # alone, which no GridImmersion input can fail)
+    # curvature/torsion and fluid guards and the loop's finiteness check on
+    # the NLS run trip on the input, before the first step, and the abort
+    # carries it as its one record (the filament's case is in
+    # test_blowup_abort; the membrane's input is a GridImmersion, which
+    # cannot be non-finite)
     s = np.arange(64) * (2.0 * np.pi / 64)
     kappa, tau = 1.0 + np.cos(s), 0.1 * np.sin(s)
     with pytest.raises(CurvatureDegeneracyAbort) as err:
@@ -784,7 +786,7 @@ def test_an_input_guard_abort_carries_the_input():
     assert np.array_equal(record, [rho, 2.0 * tau])
     psi = np.ones(64, dtype=complex)
     psi[5] = np.nan
-    with pytest.raises(EvolutionAbort, match="wave function became non-finite") as err:
+    with pytest.raises(EvolutionAbort, match="state became non-finite") as err:
         fl.nls_evolve(psi, 2.0 * np.pi, 1e-3, 1e-2)
     assert err.value.t == 0.0 and err.value.trajectory.times == [0.0]
     (record,) = err.value.trajectory.states

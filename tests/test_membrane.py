@@ -229,7 +229,6 @@ def test_poisoned_workspace_planes_change_no_result(poison, order):
     ws = dg.Workspace()
     v = mb.smc_rhs(padded, imm.spacings, order, ws)
     dt_max = mb.stability_limit(padded, imm.spacings, order, ws)
-    sf = dg.shape_field(imm, order, ws)
 
     def poisoned():
         for a in ws._arrays.values():  # every workspace plane, halo included
@@ -238,9 +237,6 @@ def test_poisoned_workspace_planes_change_no_result(poison, order):
 
     assert np.array_equal(mb.smc_rhs(padded, imm.spacings, order, poisoned()), v)
     assert mb.stability_limit(padded, imm.spacings, order, poisoned()) == dt_max
-    again = dg.shape_field(imm, order, poisoned())
-    for key in ("t", "g", "g_inv", "sqrt_det_g", "A", "H", "rho", "tol_perp"):
-        assert np.array_equal(getattr(again, key), getattr(sf, key)), key
 
 
 @pytest.mark.parametrize("order", [2, 4])

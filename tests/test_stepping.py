@@ -93,6 +93,44 @@ def test_step_size_abort_carries_the_time_its_step_would_have_started():
 
 
 # ---------------------------------------------------------------------------
+# breakdown: the loop's finiteness check and floating-point policy
+# ---------------------------------------------------------------------------
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [0, 3])
+@pytest.mark.parametrize("blow_up", [lambda y: y * 1e308 * 10.0, lambda y: y * np.inf * 0.0],
+                         ids=["overflow", "invalid"])
+def test_a_fixed_step_run_aborts_on_a_non_finite_state_before_its_guard(k, blow_up):
+    # the input (k = 0) or the state of step k turns inf or NaN: the loop
+    # aborts at t0 + k dt with the records so far, warns of nothing, and the
+    # guard never sees that state
+    t0, dt, seen = 1.0, 0.25, []
+    with np.errstate(all="ignore"):
+        y0 = blow_up(np.ones(4)) if k == 0 else np.zeros(4)
+
+    def step(y, i):
+        y = y + 1.0
+        return blow_up(y) if i == k else y
+
+    with pytest.raises(EvolutionAbort, match="state became non-finite") as err:
+        integrate(step, y0, dt, 2.0, 1, t0=t0, guard=lambda y, i: seen.append(i))
+    assert err.value.t == t0 + k * dt
+    assert seen == list(range(k))
+    traj = err.value.trajectory
+    assert traj.times == [t0 + i * dt for i in range(max(k, 1))]
+    assert [y[0] for y in traj.states[1:]] == list(range(1, k))
+
+
+def test_a_variable_step_run_has_no_finiteness_check():
+    # the radii run's step checks its own state, so the loop passes a NaN on
+    seen = []
+    traj = integrate(lambda y, t, h: y * np.nan, np.ones(2), 0.25, 1.0, 1,
+                     step_size=lambda y, t: 0.25, guard=lambda y, i: seen.append(i))
+    assert traj.times == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert seen == [0, 1, 2, 3, 4] and np.isnan(traj.final).all()
+
+
+# ---------------------------------------------------------------------------
 # the five grid solvers share the contract
 # ---------------------------------------------------------------------------
 

@@ -68,7 +68,10 @@
 # are compared too),
 # an NLS run on a plane wave of amplitude nan and `validate suite=99`, a
 # check id that names no check (both exit 2 before anything runs; their
-# standard error and exit status are kept),
+# standard error and exit status are kept), an NLS run on a plane wave of
+# amplitude 1e160, whose |psi|^2 overflows (it exits 3 at t = 0.001 with its
+# t = 0 rows and an inf mass; its standard error and exit status are kept, so
+# a numpy warning on it reaches a compared file),
 # `skewflow validate`, `validate suite=6` and `suite=3,4,9`, and
 # `validate suite=1,12 --tol-profile strict`.  The full
 # suite shares one filament run between checks 5 and 6 and one pass over the
@@ -98,7 +101,7 @@ mkdir -p "$out/validate" "$out/validate_6" "$out/validate_3_4_9" "$out/validate_
     "$out/membrane_abort" "$out/membrane_dt_above" "$out/sphere_underflow" "$out/pinched" "$out/curve_as_surface" \
     "$out/darios_singular" "$out/fluid_singular" "$out/fluid_nonfinite" "$out/wobbly" \
     "$out/darios_default_stride" \
-    "$out/nls_nan" "$out/validate_99"
+    "$out/nls_nan" "$out/nls_overflow" "$out/validate_99"
 
 skewflow() {
     PYTHONPATH="$src" python3 -m skewflow.cli "$@"
@@ -225,6 +228,10 @@ status=0
 skewflow nls-run source=plane A=nan --out "$out/nls_nan/run" \
     >/dev/null 2>"$out/nls_nan/stderr.txt" || status=$?
 echo "exit $status" >>"$out/nls_nan/stderr.txt"
+status=0
+skewflow nls-run source=plane A=1e160 M=64 dt=1e-3 T=0.01 --out "$out/nls_overflow/run" \
+    >/dev/null 2>"$out/nls_overflow/stderr.txt" || status=$?
+echo "exit $status" >>"$out/nls_overflow/stderr.txt"
 status=0
 skewflow validate suite=99 --out "$out/validate_99/run" \
     >/dev/null 2>"$out/validate_99/stderr.txt" || status=$?
