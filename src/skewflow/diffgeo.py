@@ -39,8 +39,9 @@ The stage's plane kernels (plane_derivatives, metric_planes,
 generalised_cross) fill their intermediate planes with out= ufuncs in a
 workspace ws: a Workspace of named arrays, made once and reused, or by
 default a fresh array per request.  evolve_membrane keeps one per run, for
-its RK4 stages and stability estimates (the stage's first half, under the
-same names); shape_field allocates fresh arrays.  The 1D
+its RK4 steps, stages and stability estimates (the stage's first half,
+under the same names); its planes and the stage's velocity start on a
+cache line (_aligned), and shape_field allocates fresh arrays.  The 1D
 stages own plain arrays made once per run: the filament's padded points,
 and the Da Rios and fluid fields as padded rows, each buffer's halo fill
 and neighbour views made once.  Every stencil,
@@ -258,14 +259,33 @@ def build_immersion(kind, shape, **params):
 # periodic finite differences
 # ---------------------------------------------------------------------------
 
+_ALIGN = 64  # bytes: a cache line, and the width of an AVX-512 store
+
+
+def _aligned(shape):
+    """np.empty(shape) whose data starts on a _ALIGN-byte boundary.
+
+    numpy's own arrays start 16-byte aligned, at any of the four offsets mod
+    64; a ufunc writing to an output that starts off a cache line splits its
+    stores and runs about 2x slower on L2-resident planes.  Misaligned
+    inputs cost far less, so only the buffers the stage writes most are made
+    here: Workspace planes and smc_rhs's velocity."""
+    n = math.prod(shape)
+    buf = np.empty(n + _ALIGN // 8 - 1)
+    start = (-buf.ctypes.data % _ALIGN) // 8
+    return buf[start:start + n].reshape(shape)
+
+
 class Workspace:
     """Named float arrays, made on the first request for a name and handed
-    out again on every later one: ws(name, shape).
+    out again on every later one: ws(name, shape).  Each is made by
+    _aligned, so it starts on a 64-byte boundary.
 
-    evolve_membrane keeps one per run, so its RK4 stages and stability
-    estimates allocate only the stages' results.  An array a kernel returns
-    from here holds its values until the next request under the same name;
-    "tmp" and "scalar_tmp" are scratch that any kernel may overwrite.
+    evolve_membrane keeps one per run for its RK4 steps (stepping.rk4_step's
+    three planes), stages and stability estimates, so a step allocates only
+    the four velocities smc_rhs returns.  An array a kernel returns from here
+    holds its values until the next request under the same name; "tmp" and
+    "scalar_tmp" are scratch that any kernel may overwrite.
     """
 
     def __init__(self):
@@ -274,7 +294,7 @@ class Workspace:
     def __call__(self, name, shape):
         a = self._arrays.get(name)
         if a is None or a.shape != shape:
-            a = self._arrays[name] = np.empty(shape)
+            a = self._arrays[name] = _aligned(shape)
         return a
 
 
@@ -575,12 +595,16 @@ def metric_planes(t, ws=_fresh, inner=(Ellipsis,)):
 def project_planes(x, t, g_inv):
     """Normal projection x - sum_i (sum_j g^ij (x, t_j)) t_i of a (d, *s) field,
     in place: the one normal projection.  t holds the n tangent planes t_j,
-    g_inv the n x n planes of g^-1 (nested lists or an array)."""
+    g_inv the n x n planes of g^-1 (nested lists or an array).  alpha t_i is
+    subtracted a component at a time through one scalar plane, bitwise the
+    whole-field product, so the projection allocates no (d, *s) temporary,
+    which would set validate's peak memory (check 11's 384² fields)."""
     tmp = np.empty(x.shape[1:])
     b = [_dot(x, tj, tmp=tmp) for tj in t]
     for i, ti in enumerate(t):
         alpha = _dot(g_inv[i], b, tmp=tmp)
-        x -= alpha * ti
+        for xc, tc in zip(x, ti):
+            xc -= np.multiply(alpha, tc, out=tmp)
     return x
 
 
@@ -841,8 +865,8 @@ def normal_curvature_check(sf):
     if np.isnan(sf.tau).any():
         raise FrameDegeneracyError("torsion form is masked; curvature check unavailable")
 
-    e1, e2 = _edge_integrals(sf.tau, imm.spacings)
-    dtau = _plaquette_curl(e1, e2, imm.spacings)
+    # the edge integrals are freed here, before the first derivatives are made
+    dtau = _plaquette_curl(*_edge_integrals(sf.tau, imm.spacings), imm.spacings)
 
     h = sf.H / np.sqrt(sf.rho)
     first = [normal_derivative(sf, h, axis) for axis in (0, 1)]

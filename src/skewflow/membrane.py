@@ -50,12 +50,14 @@ def smc_rhs(padded, spacings, order=2, ws=dg._fresh):
     result is that of g^ij A_ij up to roundoff.  Every intermediate plane
     lives in ws, which evolve_membrane keeps for all stages of a run; by
     default each is a fresh array.  The returned velocity is always a new
-    array.  Raises DegenerateImmersionError where det g <= G_MIN.
+    array, made 64-byte aligned (dg._aligned), so stepping.rk4_step may
+    write the new state into the last one and no store to it splits a cache
+    line.  Raises DegenerateImmersionError where det g <= G_MIN.
     """
     t, xx, mixed, inner = dg.plane_derivatives(padded, spacings, order, ws)
     _, det_g, g_inv = dg.metric_planes(t, ws, inner)
     scalar_tmp = ws("scalar_tmp", det_g.shape)
-    v, w = np.empty(padded.shape), order // 2
+    v, w = dg._aligned(padded.shape), order // 2
     with np.errstate(all="ignore"):  # the band's halo columns hold no geometry
         y = xx[0]  # g^ij X_ij, summed in the buffer of X_11
         y *= g_inv[0][0]
@@ -92,10 +94,13 @@ def evolve_membrane(imm, dt, t_final, stride=1, order=2):
 
     The RK4 state is the padded planes of smc_rhs, so a stage needs no copy
     in, wrap or transpose out; no guard, as the loop checks them whole for
-    finiteness (the halo wraps the interior).  The input is padded once; the
-    stability estimate, in the stages' workspace, reads that state up front
-    and each recorded state before its snapshot, a GridImmersion of the
-    interior (imm itself at t = 0), is built.  Raises ValueError for a
+    finiteness (the halo wraps the interior).  The input is padded once.
+    One dg.Workspace serves the whole run: the stages and stepping.rk4_step
+    work in it, so a step allocates only its four velocities and the new
+    state is the last of them.  The stability estimate, in the same
+    workspace, reads that state up front and each recorded state before its
+    snapshot, a GridImmersion of the interior (imm itself at t = 0), is
+    built.  Raises ValueError for a
     non-membrane input or a step above the estimate, and EvolutionAbort on
     metric degeneration, non-finite coordinates or a state whose estimate
     fell below dt.  No shape field is built: the returned
@@ -105,7 +110,7 @@ def evolve_membrane(imm, dt, t_final, stride=1, order=2):
         raise ValueError(f"need a dim-2 immersion in R^4, got dim={imm.dim}")
     step_count(dt, t_final, stride)  # its ValueErrors before the stability estimate's
     periods, spacings = imm.param_periods, imm.spacings
-    ws = dg.Workspace()  # every stage and stability estimate of this run works in it
+    ws = dg.Workspace()  # every step, stage and stability estimate of this run works in it
     y0 = dg.pad_planes(imm.points, order)
     dt_max = stability_limit(y0, spacings, order, ws)
     if dt > dt_max:
@@ -118,7 +123,7 @@ def evolve_membrane(imm, dt, t_final, stride=1, order=2):
             raise EvolutionAbort("dt no longer within the stability estimate", t)
         return dg.GridImmersion(dg.interior_points(y, order), periods)
 
-    return integrate(lambda y, i: rk4_step(lambda p: smc_rhs(p, spacings, order, ws), y, dt),
+    return integrate(lambda y, i: rk4_step(lambda p: smc_rhs(p, spacings, order, ws), y, dt, ws),
                      y0, dt, t_final, stride, record=record)
 
 

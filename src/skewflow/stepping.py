@@ -26,12 +26,39 @@ class Trajectory:
         return self.states[-1]
 
 
-def rk4_step(rhs, y, dt):
+def rk4_step(rhs, y, dt, ws=None):
+    """One classical RK4 step of y' = rhs(y) from y; y is never written.
+
+    Without a workspace it is the plain expressions.  With a
+    diffgeo.Workspace ws (the membrane run's), the stage inputs and the
+    weighted sum are written with out= ufuncs into its planes "rk4_stage",
+    "rk4_sum" and "rk4_tmp", the sum built up as the k arrive, in the plain
+    expressions' operation order, so the result is bitwise theirs.  Each k
+    is read into the sum before the plane it may alias (an rhs may return
+    its argument) is written again.  The new state is written into k4, a new
+    array from the membrane stage, unless k4 may share memory with y or a
+    workspace plane; then it is a new array, so the state is never a
+    workspace plane.
+    """
+    if ws is None:
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    stage, acc, tmp = (ws(name, y.shape) for name in ("rk4_stage", "rk4_sum", "rk4_tmp"))
+    # k1..k3 live to the end: freed early, they top glibc's heap past its trim
+    # threshold, and the next velocity faults its pages in again
     k1 = rhs(y)
-    k2 = rhs(y + 0.5 * dt * k1)
-    k3 = rhs(y + 0.5 * dt * k2)
-    k4 = rhs(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = rhs(np.add(y, np.multiply(k1, 0.5 * dt, out=stage), out=stage))
+    np.add(k1, np.multiply(k2, 2.0, out=acc), out=acc)
+    k3 = rhs(np.add(y, np.multiply(k2, 0.5 * dt, out=stage), out=stage))
+    acc += np.multiply(k3, 2.0, out=tmp)
+    k4 = rhs(np.add(y, np.multiply(k3, dt, out=stage), out=stage))
+    acc += k4
+    acc *= dt / 6.0
+    owned = not any(np.may_share_memory(k4, a) for a in (y, stage, acc, tmp))
+    return np.add(y, acc, out=k4 if owned else None)
 
 
 def check_times(dt, t_final=0.0):

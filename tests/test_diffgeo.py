@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -489,6 +490,26 @@ def test_project_normal_is_the_shape_field_projection_bitwise(order):
               (0, 1): dg.diff(dg.diff(pts, 0, h0, order), 1, h1, order)}
     for (i, j), x in second.items():
         assert _same_bits(dg.project_normal(sf, np.ascontiguousarray(planes(x))), sf.A[i, j]), (i, j)
+
+
+def test_project_planes_is_the_whole_field_projection_with_no_field_temporary():
+    # alpha t_i is subtracted a component at a time: bitwise the whole-field
+    # expression, and the call's peak is its five scalar planes (1.25 x's
+    # size for d = 4), not one more (d, *s) product (2.25)
+    sf = dg.shape_field(dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (96, 96)))
+    x = np.ascontiguousarray(planes(np.random.default_rng(3).normal(size=(96, 96, 4))))
+    expected = x.copy()
+    b = [dg._dot(expected, tj) for tj in sf.t]
+    for i, ti in enumerate(sf.t):
+        expected -= dg._dot(sf.g_inv[i], b) * ti
+    tracemalloc.start()
+    try:
+        projected = dg.project_planes(x, sf.t, sf.g_inv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert projected is x and _same_bits(x, expected)
+    assert peak <= 1.5 * x.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -221,22 +222,38 @@ def test_padded_stage_equals_the_unpadded_pipeline_bitwise(shape, order):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("order", [2, 4])
-def test_poisoned_workspace_planes_change_no_result(poison, order):
-    # the band planes' halo columns hold no geometry, and a workspace plane may
-    # hold anything between calls: no result and no warning may depend on it
+def test_poisoned_workspace_planes_change_no_result(poison, order, monkeypatch):
+    # the band planes' halo columns hold no geometry, and a workspace plane,
+    # the RK4 step's three included, may hold anything between calls: no
+    # result and no warning may depend on it
     imm = _random_grid((8, 9), 2)
     padded = dg.pad_planes(imm.points, order)
     ws = dg.Workspace()
     v = mb.smc_rhs(padded, imm.spacings, order, ws)
     dt_max = mb.stability_limit(padded, imm.spacings, order, ws)
 
-    def poisoned():
+    def poisoned(ws):
         for a in ws._arrays.values():  # every workspace plane, halo included
             a.fill(poison)
         return ws
 
-    assert np.array_equal(mb.smc_rhs(padded, imm.spacings, order, poisoned()), v)
-    assert mb.stability_limit(padded, imm.spacings, order, poisoned()) == dt_max
+    assert np.array_equal(mb.smc_rhs(padded, imm.spacings, order, poisoned(ws)), v)
+    assert mb.stability_limit(padded, imm.spacings, order, poisoned(ws)) == dt_max
+
+    dt = 0.25 * dt_max
+    expected = mb.evolve_membrane(imm, dt, 3 * dt, stride=1, order=order)
+    names = []
+
+    def poisoning_step(rhs, y, dt, ws):  # the run's workspace, before each step
+        names.append(set(ws._arrays))
+        return rk4_step(rhs, y, dt, poisoned(ws))
+
+    monkeypatch.setattr(mb, "rk4_step", poisoning_step)
+    traj = mb.evolve_membrane(imm, dt, 3 * dt, stride=1, order=order)
+    assert len(names) == 3 and {"rk4_stage", "rk4_sum", "rk4_tmp"} <= names[1]
+    assert len(traj.states) == len(expected.states) == 4
+    for snap, ref in zip(traj.states, expected.states):
+        assert snap.points.tobytes() == ref.points.tobytes()
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -278,10 +295,11 @@ def test_evolution_equals_the_roll_reference_stage_bitwise(order, stride, period
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_a_run_makes_each_workspace_plane_once(monkeypatch, order):
-    # the stability estimate at every recorded step and the stages between
-    # them share the workspace: a name asked for at two shapes would be made
-    # anew at each request, and the estimate may ask only for the stage's
-    # names
+    # the stability estimate at every recorded step, the stages between them
+    # and the RK4 steps share the workspace: a name asked for at two shapes
+    # would be made anew at each request, a run adds only the step's three
+    # planes to a stage's names, and the estimate may ask only for the
+    # stage's names
     made = []
 
     class Counting(dg.Workspace):
@@ -300,12 +318,53 @@ def test_a_run_makes_each_workspace_plane_once(monkeypatch, order):
     padded = dg.pad_planes(imm.points, order)
     mb.smc_rhs(padded, imm.spacings, order, ws)  # a lone stage
     stage_names = set(made)
-    assert run_names <= stage_names
+    assert run_names == stage_names | {"rk4_stage", "rk4_sum", "rk4_tmp"}
     dt_max = mb.stability_limit(padded, imm.spacings, order)
     assert mb.stability_limit(padded, imm.spacings, order, ws) == dt_max
     assert set(made) == stage_names
     for snap, ref in zip(traj.states, expected.states):
         assert np.array_equal(snap.points, ref.points)
+
+
+def _starts_on_a_cache_line(a):
+    return a.ctypes.data % 64 == 0
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_workspace_planes_and_velocities_start_on_a_cache_line(order):
+    # numpy's own arrays start at any of 0, 16, 32 and 48 bytes mod 64
+    ws = dg.Workspace()
+    for size in range(1, 41):
+        assert _starts_on_a_cache_line(ws(f"plane{size}", (size, size + 1)))
+    imm = _random_grid((8, 9), 1)
+    padded = dg.pad_planes(imm.points, order)
+    for _ in range(10):
+        assert _starts_on_a_cache_line(mb.smc_rhs(padded, imm.spacings, order, ws))
+        assert _starts_on_a_cache_line(mb.smc_rhs(padded, imm.spacings, order))
+    dt = 0.25 * mb.stability_limit(padded, imm.spacings, order, ws)
+    y = rk4_step(lambda p: mb.smc_rhs(p, imm.spacings, order, ws), padded, dt, ws)
+    assert _starts_on_a_cache_line(y)  # the state is the last velocity
+    assert all(_starts_on_a_cache_line(a) for a in ws._arrays.values())
+
+
+def test_a_warmed_membrane_step_allocates_little_beyond_its_four_velocities():
+    imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (128, 128))
+    y, ws = dg.pad_planes(imm.points, 4), dg.Workspace()
+
+    def rhs(p):
+        return mb.smc_rhs(p, imm.spacings, 4, ws)
+
+    dt = 0.25 * mb.stability_limit(y, imm.spacings, 4, ws)
+    y = rk4_step(rhs, y, dt, ws)  # makes every plane of the workspace
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        y = rk4_step(rhs, y, dt, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # four velocities read 4.02 sizes; the plain expressions' temporaries, 6.0
+    assert peak - start <= 4.5 * y.nbytes
 
 
 @pytest.mark.parametrize("order", [2, 4])

@@ -17,6 +17,59 @@ def test_rk4_step_matches_taylor_series():
     assert abs(y[0] - (1 + h + h ** 2 / 2 + h ** 3 / 6 + h ** 4 / 24)) < 1e-15
 
 
+# states and right-hand sides for the workspace step: a curve's (N, 3)
+# points and a membrane's padded (4, n + 4, n + 4) planes; an rhs that returns
+# its argument, one that returns a new array, and the membrane stage
+def _curve_points():
+    return np.random.default_rng(5).standard_normal((64, 3))
+
+
+def _torus_planes():
+    imm = dg.perturbed_torus_immersion(1.0, 2.0, 0.05, 2, 3, (16, 16))
+    return dg.pad_planes(imm.points, 4), imm.spacings
+
+
+def _identity(ws):
+    return lambda y: y, 0.1
+
+
+def _new_array(ws):
+    return lambda y: np.sin(y) - 0.5 * y, 0.1
+
+
+def _stage(ws):
+    padded, spacings = _torus_planes()
+
+    def rhs(p):
+        return mb.smc_rhs(p, spacings, 4, ws)
+
+    return rhs, 0.25 * mb.stability_limit(padded, spacings, 4)
+
+
+@pytest.mark.parametrize("state,make_rhs", [
+    (_curve_points, _identity), (_curve_points, _new_array),
+    (lambda: _torus_planes()[0], _identity), (lambda: _torus_planes()[0], _new_array),
+    (lambda: _torus_planes()[0], _stage),
+], ids=["curve-identity", "curve-new", "planes-identity", "planes-new", "planes-smc_rhs"])
+def test_rk4_step_in_a_workspace_is_the_plain_step_bitwise(state, make_rhs):
+    # two steps in one workspace, the second on planes the first left
+    # written; y is read-only, so a write to it raises, and the new state
+    # shares no memory with y or any workspace plane
+    ws = dg.Workspace()
+    rhs, dt = make_rhs(ws)
+    y = state()
+    for _ in range(2):
+        y.flags.writeable = False
+        kept = y.copy()
+        plain = rk4_step(rhs, y, dt)
+        stepped = rk4_step(rhs, y, dt, ws)
+        assert np.array_equal(y, kept)
+        assert stepped.shape == plain.shape and stepped.tobytes() == plain.tobytes()
+        assert {"rk4_stage", "rk4_sum", "rk4_tmp"} <= set(ws._arrays)
+        assert not any(np.shares_memory(stepped, a) for a in (y, *ws._arrays.values()))
+        y = stepped
+
+
 def test_snapshot_cadence_and_absolute_times():
     traj = integrate(lambda y, i: y + 1, 0, 0.25, 2.0, stride=4)
     assert traj.times == [0.0, 1.0, 2.0]
